@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to a JSON config document")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--limits-branches", type=int, metavar="N",
-                        help="cap on explored complete strategies")
+                        help="cap on search branches (partial strategies refuted at a "
+                             "time-slice boundary, or complete ones)")
     common.add_argument("--limits-decisions", type=int, metavar="N",
                         help="cap on distinct decision points")
 
@@ -221,12 +222,12 @@ def cmd_search(args) -> int:
                 },
             }, indent=2))
         else:
-            print(f"impossible: all {cert.strategies_explored} complete strategies over "
+            print(f"impossible: all {cert.strategies_explored} refuted branches over "
                   f"{len(cert.decision_points)} decision points fail some requirement")
             for idx, count in sorted(cert.failures_by_requirement().items()):
                 named = doc.requirements[idx]
                 print(f"  requirement {idx + 1} ({named.rule.value} of {named.scenario!r}): "
-                      f"first failure on {count} strategies")
+                      f"first failure on {count} branches")
         return EXIT_UNSATISFIED
 
     assert isinstance(outcome, Aborted)
@@ -239,7 +240,7 @@ def cmd_search(args) -> int:
         }, indent=2))
     else:
         print(f"aborted: {outcome.limit} limit hit after {outcome.strategies_explored} "
-              f"strategies and {outcome.decision_points} decision points")
+              f"branches and {outcome.decision_points} decision points")
     return EXIT_ABORTED
 
 

@@ -33,5 +33,8 @@ class ParseError(SimulationError):
     """A document is not well-formed JSON."""
 
 
-class ValidationError(SimulationError):
-    """A parsed document or value violates a structural invariant."""
+class ValidationError(SimulationError, ValueError):
+    """A parsed document or value violates a structural invariant.
+
+    Also a ``ValueError``, so callers that catch ``ValueError`` keep working.
+    """

@@ -9,10 +9,15 @@ to act identically in both; that coupling is what makes the search honest
 about no-signaling.
 
 Only histories actually reachable under the partial assignment become
-decision points, which keeps the space finite and small. Exhausting the
-tree without a winner yields a machine-checkable certificate: the decision
-points, the number of complete assignments explored, and the requirement
-that failed on each one.
+decision points, which keeps the space finite and small. Once every slot of
+a time slice has been applied, a requirement may already be lost:
+departures only accumulate, so a broken silence ban is final, and a
+delivery whose departure time has passed without the departure can never
+arrive. The walk refutes such a branch there instead of completing it.
+Exhausting the tree without a winner yields a machine-checkable
+certificate: the decision points, the number of refuted branches (partial
+assignments cut at a slice boundary, or complete ones), and the
+requirement that failed on each one.
 
 Internally the tree walk runs on plain tuples instead of the dataclasses
 from :mod:`.protocol`; the public types appear only at the boundary.
@@ -64,7 +69,7 @@ class SearchLimits:
 
     def __post_init__(self):
         if self.max_branches < 1 or self.max_decision_points < 1:
-            raise ValueError("search limits must be >= 1")
+            raise ValidationError("search limits must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,9 +77,10 @@ class Certificate:
     """Machine-checkable record that an exhaustive exploration completed.
 
     ``decision_points`` lists every (agent, time, history) the search ever
-    branched on, in first-encounter order. ``leaf_failures`` holds, for each
-    complete assignment in exploration order, the index of the first
-    requirement it failed.
+    branched on, in first-encounter order. ``strategies_explored`` counts the
+    refuted branches: partial assignments cut at a time-slice boundary and
+    complete ones that failed. ``leaf_failures`` holds, for each refuted
+    branch in exploration order, the index of the first requirement it lost.
     """
 
     decision_points: tuple[tuple[str, int, LocalHistory], ...]
@@ -98,7 +104,7 @@ class Found:
 
 @dataclass(frozen=True)
 class Impossible:
-    """Every complete assignment over reachable histories was refuted."""
+    """Every branch over reachable histories was refuted."""
 
     certificate: Certificate
 
@@ -141,6 +147,7 @@ def find_strategy(
     tasks: Mapping[str, TaskSpec],
     limits: SearchLimits | None = None,
     on_leaf: Callable[[RawAssignment], None] | None = None,
+    prune: bool = True,
 ) -> SearchOutcome:
     """Backtracking search over deterministic strategies on reachable histories.
 
@@ -148,8 +155,11 @@ def find_strategy(
     requirement (branch order is fixed: actions by ascending send-set size,
     then lexical destinations, so results are reproducible), ``Impossible``
     with a certificate once the whole tree is refuted, or ``Aborted`` when a
-    limit is hit. ``on_leaf``, when given, observes every complete raw
-    assignment before it is judged.
+    limit is hit. ``on_leaf``, when given, observes every branch counted
+    against ``max_branches`` before it is judged or recorded: each complete
+    raw assignment, and each partial one refuted at a slice boundary.
+    ``prune=False`` skips the slice-boundary refutation, so only complete
+    assignments are judged; it is the reference walk for leaf-count oracles.
     """
     limits = limits or SearchLimits()
     for requirement in requirements:
@@ -188,15 +198,18 @@ def find_strategy(
             ]
         req_prefix.append(per_agent)
 
-    # Per-requirement evaluation data: deliver triple and banned pairs per task.
+    # Per-requirement evaluation data: per task the deliver triple, the one
+    # departure that can produce it, and the banned pairs.
     judge = []
     for requirement in requirements:
         rows = []
         for task_id in requirement.scenario.task_ids():
             task = tasks[task_id]
+            origin, dest, at = task.deliver.origin, task.deliver.dest, task.deliver.at
             rows.append(
                 (
-                    (task.deliver.origin, task.deliver.dest, task.deliver.at),
+                    (origin, dest, at),
+                    (origin, dest, at - dist[(origin, dest)]),
                     frozenset((b.origin, b.dest) for b in task.silence),
                 )
             )
@@ -209,10 +222,11 @@ def find_strategy(
     arrivals: list[set[tuple[str, str, int]]] = [set() for _ in range(n_scen)]
 
     slots = [(t, si, agent) for t in range(horizon + 1) for si in range(n_scen) for agent in agents]
+    slice_len = n_scen * len(agents)
     assignment: RawAssignment = {}
     point_order: list[RawKey] = []
     point_seen: set[RawKey] = set()
-    leaves = 0
+    branches = 0
     leaf_failures: list[int] = []
 
     def history_key(t: int, si: int, agent: str) -> RawKey:
@@ -251,7 +265,7 @@ def find_strategy(
             got_departures = departures[ri]
             ok_any = False
             ok_all = True
-            for deliver, banned in rows:
+            for deliver, _, banned in rows:
                 ok = deliver in got_arrivals and not any(
                     (o, d) in banned for o, d, _ in got_departures
                 )
@@ -262,60 +276,101 @@ def find_strategy(
                 return ri
         return None
 
-    def walk(slot_idx: int) -> Found | None:
-        nonlocal leaves
-        if slot_idx == len(slots):
-            if leaves >= limits.max_branches:
-                raise _Abort("branches")
-            leaves += 1
-            if on_leaf is not None:
-                on_leaf(assignment)
-            failing = judge_leaf()
-            if failing is None:
-                strategy = _strategy_from_raw(assignment)
-                reports = tuple(
-                    evaluate_requirement(cfg, strategy, requirement, tasks)
-                    for requirement in requirements
+    def first_lost(t: int) -> int | None:
+        """Index of the first requirement already lost once slice ``t`` is done.
+
+        A task is lost when a banned departure is present or its delivering
+        departure is due by ``t`` and absent; no later slot can undo either.
+        """
+        for ri, (rule, rows) in enumerate(judge):
+            got = departures[ri]
+            lost_any = False
+            lost_all = True
+            for _, departure, banned in rows:
+                lost = (departure[2] <= t and departure not in got) or any(
+                    (o, d) in banned for o, d, _ in got
                 )
-                assert all(r.satisfied for r in reports)
-                return Found(strategy, reports)
-            leaf_failures.append(failing)
-            return None
-
-        t, si, agent = slots[slot_idx]
-        key = history_key(t, si, agent)
-        assigned = assignment.get(key)
-        if assigned is not None:
-            undo = apply(t, si, agent, assigned)
-            found = walk(slot_idx + 1)
-            unapply(si, undo)
-            return found
-
-        if key not in point_seen:
-            if len(point_seen) >= limits.max_decision_points:
-                raise _Abort("decision_points")
-            point_seen.add(key)
-            point_order.append(key)
-        for sends in menu[agent]:
-            assignment[key] = sends
-            undo = apply(t, si, agent, sends)
-            found = walk(slot_idx + 1)
-            unapply(si, undo)
-            if found is not None:
-                return found
-        del assignment[key]
+                lost_any = lost_any or lost
+                lost_all = lost_all and lost
+            if lost_any if rule is Rule.ALL else lost_all:
+                return ri
         return None
 
+    def count_branch() -> None:
+        nonlocal branches
+        if branches >= limits.max_branches:
+            raise _Abort("branches")
+        branches += 1
+        if on_leaf is not None:
+            on_leaf(assignment)
+
+    def walk() -> Found | None:
+        # Frames: (slot index, history key, undo record, index of the action
+        # in the agent's menu, or -1 where the key was assigned earlier).
+        stack: list[tuple[int, RawKey, list, int]] = []
+        slot_idx = 0
+        while True:
+            failing = None
+            if slot_idx == len(slots):
+                count_branch()
+                failing = judge_leaf()
+                if failing is None:
+                    strategy = _strategy_from_raw(assignment)
+                    reports = tuple(
+                        evaluate_requirement(cfg, strategy, requirement, tasks)
+                        for requirement in requirements
+                    )
+                    assert all(r.satisfied for r in reports)
+                    return Found(strategy, reports)
+            elif prune and slot_idx and slot_idx % slice_len == 0:
+                failing = first_lost(slot_idx // slice_len - 1)
+                if failing is not None:
+                    count_branch()
+
+            if failing is None:
+                t, si, agent = slots[slot_idx]
+                key = history_key(t, si, agent)
+                choice = -1
+                sends = assignment.get(key)
+                if sends is None:
+                    if key not in point_seen:
+                        if len(point_seen) >= limits.max_decision_points:
+                            raise _Abort("decision_points")
+                        point_seen.add(key)
+                        point_order.append(key)
+                    choice = 0
+                    sends = assignment[key] = menu[agent][0]
+                stack.append((slot_idx, key, apply(t, si, agent, sends), choice))
+                slot_idx += 1
+                continue
+
+            leaf_failures.append(failing)
+            while stack:
+                slot_idx, key, undo, choice = stack.pop()
+                t, si, agent = slots[slot_idx]
+                unapply(si, undo)
+                if choice < 0:
+                    continue
+                choice += 1
+                if choice < len(menu[agent]):
+                    sends = assignment[key] = menu[agent][choice]
+                    stack.append((slot_idx, key, apply(t, si, agent, sends), choice))
+                    slot_idx += 1
+                    break
+                del assignment[key]
+            else:
+                return None
+
     try:
-        found = walk(0)
+        found = walk()
     except _Abort as abort:
-        return Aborted(abort.limit, leaves, len(point_order))
+        return Aborted(abort.limit, branches, len(point_order))
     if found is not None:
         return found
     return Impossible(
         Certificate(
             decision_points=tuple(_raw_to_history(key) for key in point_order),
-            strategies_explored=leaves,
+            strategies_explored=branches,
             leaf_failures=tuple(leaf_failures),
         )
     )

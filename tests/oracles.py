@@ -148,6 +148,79 @@ def recount_leaves(locations, horizon, scenarios):
     return counts["leaves"], counts["winners"] > 0
 
 
+def requirement_lost(locations, departures, upto, rule, task_rows):
+    """Whether no run extending ``departures`` past time ``upto`` can meet the rule.
+
+    Judged task by task, as the search does: a task can still succeed iff
+    adding its own delivering departure (when that is due after ``upto``) to
+    the departures so far satisfies it. Rule "all" is lost when any task
+    cannot, "at_least_one" when none can.
+    """
+    verdicts = []
+    for deliver, banned in task_rows:
+        origin, dest, at = deliver
+        due = at - abs(locations[origin] - locations[dest])
+        completed = set(departures)
+        if due > upto:
+            completed.add((origin, dest, due))
+        arrivals = {(o, d, t + abs(locations[o] - locations[d])) for o, d, t in completed}
+        verdicts.append(task_ok(completed, arrivals, deliver, banned))
+    possible = all(verdicts) if rule == "all" else any(verdicts)
+    return not possible
+
+
+def truncated_departures(locations, horizon, requests, assignment, upto):
+    """Departures at times <= ``upto`` of one scenario under a partial assignment."""
+    departures, _ = mini_execute(locations, horizon, requests, assignment)
+    return frozenset(dep for dep in departures if dep[2] <= upto)
+
+
+def recount_refuted(locations, horizon, scenarios):
+    """Lazy recount of the search refuted at time-slice boundaries.
+
+    Same traversal as ``recount_leaves``, but once every key queried up to
+    time t is assigned (slice t complete), the node is refuted when some
+    requirement is already lost at t, judged by ``requirement_lost`` on the
+    truncated run; complete assignments are judged in full. Returns
+    (refuted count, {requirement index: count it failed first}, any
+    complete assignment satisfies all).
+    """
+    menu = action_menu(locations)
+    counts = {"refuted": 0, "winners": 0}
+    first_failures: dict[int, int] = {}
+
+    def first_lost(assignment, upto):
+        for index, (requests, rule, task_rows) in enumerate(scenarios):
+            departures = truncated_departures(locations, horizon, requests, assignment, upto)
+            if requirement_lost(locations, departures, upto, rule, task_rows):
+                return index
+        return None
+
+    def rec(assignment):
+        queried = set()
+        for requests, _, _ in scenarios:
+            mini_execute(locations, horizon, requests, assignment, record=queried)
+        missing = sorted((k for k in queried if k not in assignment),
+                         key=lambda k: (k[1], k[0], k[2]))
+        complete_upto = missing[0][1] - 1 if missing else horizon
+        failing = first_lost(assignment, complete_upto) if complete_upto >= 0 else None
+        if failing is not None:
+            counts["refuted"] += 1
+            first_failures[failing] = first_failures.get(failing, 0) + 1
+            return
+        if not missing:
+            counts["winners"] += 1
+            return
+        key = missing[0]
+        for sends in menu[key[0]]:
+            assignment[key] = sends
+            rec(assignment)
+            del assignment[key]
+
+    rec({})
+    return counts["refuted"], first_failures, counts["winners"] > 0
+
+
 def brute_force_joint_satisfiable(locations, horizon, task_rows):
     """Whether ANY departure set satisfies every task in ``task_rows``.
 

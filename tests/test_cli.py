@@ -189,6 +189,23 @@ class TestExitCodes:
         assert main(["search", "--config", str(PARADOX), "--limits-branches", "1"]) == 4
         assert "aborted" in capsys.readouterr().out
 
+    def test_zero_branch_limit_exits_2(self, capsys):
+        assert main(["search", "--config", str(PARADOX), "--limits-branches", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: search limits must be >= 1\n"
+
+    def test_deep_horizon_search_exits_0(self, capsys, tmp_path):
+        """A walk of 1202 slots must not hit the interpreter's recursion limit."""
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps({
+            "locations": {"L": 0, "R": 5}, "horizon": 600, "tasks": {},
+            "scenarios": {"idle": []},
+            "requirements": [{"scenario": "idle", "rule": "all"}],
+        }))
+        assert main(["search", "--config", str(deep), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "found"
+
     def test_check_obedient_single_exits_0(self, capsys):
         assert main(["check", "--config", str(SINGLE), "--strategy", str(OBEDIENT)]) == 0
 

@@ -1,7 +1,8 @@
 """Strategy search, impossibility certificates, and the audit operations."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance, oracle_scenarios, raw_points
 from nosignal import (
@@ -19,6 +20,7 @@ from nosignal import (
     Strategy,
     TaskRequest,
     TaskSpec,
+    ValidationError,
     evaluate_requirement,
     find_strategy,
     indistinguishable,
@@ -26,7 +28,15 @@ from nosignal import (
     no_signaling_audit,
     obedient_strategy,
 )
-from oracles import brute_force_joint_satisfiable, recount_leaves
+from nosignal.config import strategy_rows
+from nosignal.tasks import paradox_requirements
+from oracles import (
+    brute_force_joint_satisfiable,
+    recount_leaves,
+    recount_refuted,
+    requirement_lost,
+    truncated_departures,
+)
 
 
 def scenario(*requests):
@@ -80,6 +90,13 @@ class TestFindStrategy:
         outcome = find_strategy(cfg, bundle, tasks, SearchLimits(max_branches=1))
         assert outcome == Aborted("branches", 1, outcome.decision_points)
 
+    def test_zero_limits_rejected(self):
+        for kwargs in ({"max_branches": 0}, {"max_decision_points": 0}):
+            with pytest.raises(ValidationError):
+                SearchLimits(**kwargs)
+            with pytest.raises(ValueError):  # ValidationError is also a ValueError
+                SearchLimits(**kwargs)
+
     def test_decision_limit_aborts(self, d3):
         cfg, tasks, bundle = d3
         outcome = find_strategy(cfg, bundle, tasks, SearchLimits(max_decision_points=1))
@@ -109,7 +126,7 @@ class TestCertificateSoundness:
         and a different traversal order."""
         for gap in (1, 2, 3):
             cfg, tasks, bundle = make_instance(gap)
-            outcome = find_strategy(cfg, bundle, tasks)
+            outcome = find_strategy(cfg, bundle, tasks, prune=False)
             assert isinstance(outcome, Impossible)
             leaves, any_winner = recount_leaves(
                 cfg.locations, cfg.horizon, oracle_scenarios(bundle, tasks)
@@ -126,6 +143,136 @@ class TestCertificateSoundness:
             assert agent in cfg.locations
             assert 0 <= t <= cfg.horizon
             assert history.agent == agent and history.upto == t
+
+
+def three_lab_paradox():
+    """The paradox task pair between A and C with a relay lab B in between."""
+    cfg = SpacetimeConfig({"A": 0, "B": 1, "C": 2}, horizon=2)
+    task1 = TaskSpec("task1", Deliver("A", "C", 2), (Silence("C", "A"),))
+    task2 = TaskSpec("task2", Deliver("C", "A", 2), (Silence("A", "C"),))
+    tasks = {"task1": task1, "task2": task2}
+    return cfg, tasks, paradox_requirements(cfg, task1, task2)
+
+
+def pruned_instances():
+    """Impossible instances the pruned-certificate oracles are checked on."""
+    yield from (make_instance(gap) for gap in range(1, 7))
+    yield three_lab_paradox()
+
+
+def assert_refutations_sound(cfg, tasks, bundle, assignments, failures):
+    """Each observed branch, run to its last slice, has already lost its requirement.
+
+    ``failures`` gives the recorded requirement index per branch; where it is
+    None (a Found outcome records none), some requirement must be lost.
+    """
+    scenarios = oracle_scenarios(bundle, tasks)
+    for i, assignment in enumerate(assignments):
+        upto = max(t for _, t, _ in assignment)
+        indices = range(len(scenarios)) if failures is None else [failures[i]]
+        lost = []
+        for index in indices:
+            requests, rule, task_rows = scenarios[index]
+            departures = truncated_departures(cfg.locations, cfg.horizon, requests, assignment, upto)
+            lost.append(requirement_lost(cfg.locations, departures, upto, rule, task_rows))
+        assert any(lost), assignment
+
+
+class TestPrunedCertificate:
+    def test_counts_match_independent_recount(self):
+        for cfg, tasks, bundle in pruned_instances():
+            outcome = find_strategy(cfg, bundle, tasks)
+            assert isinstance(outcome, Impossible)
+            cert = outcome.certificate
+            refuted, first_failures, any_winner = recount_refuted(
+                cfg.locations, cfg.horizon, oracle_scenarios(bundle, tasks)
+            )
+            assert refuted == cert.strategies_explored
+            assert first_failures == cert.failures_by_requirement()
+            assert not any_winner
+
+    def test_singles_bundle_recount_finds_a_winner(self, d3):
+        cfg, tasks, (r1, r2, _) = d3
+        assert isinstance(find_strategy(cfg, [r1, r2], tasks), Found)
+        refuted, _, any_winner = recount_refuted(
+            cfg.locations, cfg.horizon, oracle_scenarios([r1, r2], tasks)
+        )
+        assert any_winner and refuted > 0
+
+    def test_every_refuted_branch_already_lost(self, d3):
+        for cfg, tasks, bundle in pruned_instances():
+            seen = []
+            outcome = find_strategy(cfg, bundle, tasks, on_leaf=lambda a: seen.append(dict(a)))
+            failures = outcome.certificate.leaf_failures
+            assert len(seen) == len(failures)
+            assert_refutations_sound(cfg, tasks, bundle, seen, failures)
+
+        cfg, tasks, (r1, r2, _) = d3
+        seen = []
+        outcome = find_strategy(cfg, [r1, r2], tasks, on_leaf=lambda a: seen.append(dict(a)))
+        assert isinstance(outcome, Found)
+        assert_refutations_sound(cfg, tasks, [r1, r2], seen[:-1], None)  # last one won
+
+    def test_paradox_refuted_at_time_zero(self):
+        """Gate: 16 branches over the 4 decision points of t=0, at any gap."""
+        cfg, tasks, bundle = make_instance(16)
+        outcome = find_strategy(cfg, bundle, tasks)
+        assert isinstance(outcome, Impossible)
+        assert outcome.certificate.strategies_explored == 16
+        assert len(outcome.certificate.decision_points) == 4
+        assert all(t == 0 for _, t, _ in outcome.certificate.decision_points)
+
+
+@st.composite
+def small_instances(draw):
+    """A random 2- or 3-lab config with 1-2 tasks and 1-3 requirements."""
+    locations = draw(st.sampled_from((
+        {"L": 0, "R": 1}, {"L": 0, "R": 2}, {"L": 0, "R": 3},
+        {"A": 0, "B": 1, "C": 2}, {"A": 0, "B": 1, "C": 3},
+    )))
+    agents = sorted(locations)
+    cfg = SpacetimeConfig(dict(locations), draw(st.integers(1, 3 if len(agents) == 2 else 2)))
+    pairs = [(a, b) for a in agents for b in agents if a != b]
+    tasks = {}
+    for name in ("a", "b")[:draw(st.integers(1, 2))]:
+        origin, dest = draw(st.sampled_from(pairs))
+        at = draw(st.integers(0, cfg.horizon))
+        bans = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2))
+        tasks[name] = TaskSpec(name, Deliver(origin, dest, at), tuple(Silence(*b) for b in bans))
+    requirements = []
+    for _ in range(draw(st.integers(1, 3))):
+        requests = draw(st.lists(
+            st.tuples(st.sampled_from(sorted(tasks)), st.sampled_from(agents), st.integers(0, 1)),
+            min_size=1, max_size=2, unique_by=lambda r: r[1:],  # one request per slot
+        ))
+        rule = draw(st.sampled_from((Rule.ALL, Rule.AT_LEAST_ONE)))
+        requirements.append(Requirement(scenario(*requests), rule))
+    return cfg, tasks, requirements
+
+
+_D2_CFG, _D2_TASKS, (_, _, _D2_BOTH) = make_instance(2)
+
+
+@given(small_instances())
+@example((_D2_CFG, _D2_TASKS, [_D2_BOTH]))  # at_least_one met while one task is lost
+@settings(max_examples=150, deadline=None)
+def test_pruning_keeps_outcomes(instance):
+    """Wherever the reference walk decides, the pruned walk reaches the same
+    outcome kind, the same Found strategy, and never more branches."""
+    cfg, tasks, requirements = instance
+    limits = SearchLimits(max_branches=5_000)
+    reference = find_strategy(cfg, requirements, tasks, limits, prune=False)
+    pruned = find_strategy(cfg, requirements, tasks, limits)
+    if isinstance(reference, Aborted):
+        return
+    assert type(pruned) is type(reference)
+    if isinstance(reference, Found):
+        assert strategy_rows(pruned.strategy) == strategy_rows(reference.strategy)
+        assert pruned == reference
+    else:
+        cert, ref_cert = pruned.certificate, reference.certificate
+        assert cert.strategies_explored <= ref_cert.strategies_explored
+        assert set(cert.decision_points) <= set(ref_cert.decision_points)
 
 
 class TestMutuallyExclusive:
