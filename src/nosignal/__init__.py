@@ -13,7 +13,6 @@ from .errors import (
     ParseError,
     SameLocation,
     SimulationError,
-    SpaceTooLarge,
     UnachievableTask,
     UnknownLocation,
     ValidationError,
@@ -81,7 +80,6 @@ __all__ = [
     "SearchOutcome",
     "Silence",
     "SimulationError",
-    "SpaceTooLarge",
     "SpacetimeConfig",
     "Strategy",
     "TaskRequest",

@@ -96,6 +96,8 @@ def _parse(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from None
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
 
 
 def _location(value: Any, cfg: SpacetimeConfig, path: str) -> str:

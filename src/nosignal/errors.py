@@ -25,10 +25,6 @@ class DuplicateTask(SimulationError):
     """Two task arguments that must be distinct share an id."""
 
 
-class SpaceTooLarge(SimulationError):
-    """A brute-force enumeration would exceed its configured budget."""
-
-
 class ParseError(SimulationError):
     """A document is not well-formed JSON."""
 

@@ -8,7 +8,10 @@ channel through which an action could depend on remote or future state.
 
 Execution is a synchronous lockstep loop. Within one step, delivery
 happens before decisions, so a request submitted at time t is visible to
-the decision taken at time t.
+the decision taken at time t. One kernel, ``Run``, carries that loop on
+plain tuples: ``execute`` steps it through a fixed strategy and
+``find_strategy`` steps and backtracks it while choosing one, so the two
+cannot disagree on what an agent sees.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import InvalidScenario, SameLocation, UnachievableTask
+from .errors import InvalidScenario, SameLocation, UnachievableTask, ValidationError
 from .spacetime import SpacetimeConfig, distance
 
 if TYPE_CHECKING:
@@ -64,7 +67,7 @@ class LocalHistory:
         object.__setattr__(self, "events", tuple(sorted(self.events)))
         for ev in self.events:
             if ev.time > self.upto:
-                raise ValueError(f"event at t={ev.time} after history cutoff {self.upto}")
+                raise ValidationError(f"event at t={ev.time} after history cutoff {self.upto}")
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,11 @@ def check_trace(trace: Trace, cfg: SpacetimeConfig) -> None:
     """Assert the departure/arrival matching invariants of a trace."""
     for origin, dest, at in trace.arrivals:
         if (origin, dest, at - distance(origin, dest, cfg)) not in trace.departures:
-            raise ValueError(f"arrival {(origin, dest, at)} has no matching departure")
+            raise ValidationError(f"arrival {(origin, dest, at)} has no matching departure")
     for origin, dest, t in trace.departures:
         arrives = t + distance(origin, dest, cfg)
         if arrives <= cfg.horizon and (origin, dest, arrives) not in trace.arrivals:
-            raise ValueError(f"departure {(origin, dest, t)} lost its arrival at t={arrives}")
+            raise ValidationError(f"departure {(origin, dest, t)} lost its arrival at t={arrives}")
 
 
 def local_history(trace: Trace, agent: str, t: int, cfg: SpacetimeConfig) -> LocalHistory:
@@ -161,7 +164,7 @@ def local_history(trace: Trace, agent: str, t: int, cfg: SpacetimeConfig) -> Loc
     """
     cfg.coord(agent)
     if not 0 <= t <= cfg.horizon:
-        raise ValueError(f"time {t} outside [0, {cfg.horizon}]")
+        raise ValidationError(f"time {t} outside [0, {cfg.horizon}]")
     events = [
         ReceivedEvent.request(time, task)
         for task, loc, time in trace.requests
@@ -175,6 +178,94 @@ def local_history(trace: Trace, agent: str, t: int, cfg: SpacetimeConfig) -> Loc
     return LocalHistory(agent, t, tuple(events))
 
 
+# The kernel's raw form of a history key: (agent, time, events), where events
+# are (time, kind, label) tuples in canonical order. Strategies in raw form
+# map these keys to sorted destination tuples; ``find_strategy`` hands such
+# assignments to its ``on_leaf`` callback.
+RawKey = tuple[str, int, tuple[tuple[int, str, str], ...]]
+RawAssignment = dict[RawKey, tuple[str, ...]]
+
+
+def raw_to_history(key: RawKey) -> tuple[str, int, LocalHistory]:
+    agent, t, events = key
+    return agent, t, LocalHistory(agent, t, tuple(ReceivedEvent(*e) for e in events))
+
+
+def strategy_from_raw(assignment: RawAssignment) -> Strategy:
+    table = {}
+    for key, sends in assignment.items():
+        if not sends:
+            continue  # the empty default already covers these rows
+        agent, _, history = raw_to_history(key)
+        table[(agent, history)] = Action(frozenset(sends))
+    return Strategy(table)
+
+
+def strategy_to_raw(strategy: Strategy) -> RawAssignment:
+    """The table keyed the kernel's way; rows no agent can reach are dropped."""
+    return {
+        (agent, history.upto, tuple((e.time, e.kind, e.label) for e in history.events)):
+            tuple(sorted(action.sends))
+        for (agent, history), action in strategy.table.items()
+        if history.agent == agent
+    }
+
+
+class Run:
+    """Incremental execution of one scenario on plain tuples.
+
+    ``apply(t, agent, sends)`` turns each send into a departure at ``t`` and,
+    when it lands by the horizon, an arrival at ``t + distance``; every
+    destination must be another lab. It returns an undo record, and
+    ``unapply`` reverses such records last applied first. ``key(t, agent)``
+    is the agent's raw history key at ``t`` once every send made before
+    ``t`` has been applied. ``execute`` steps one run through a fixed
+    strategy; ``find_strategy`` steps one per requirement and backtracks.
+    """
+
+    # Slots: the search reads these on every node.
+    __slots__ = ("horizon", "dist", "received", "departures", "arrivals")
+
+    def __init__(self, cfg: SpacetimeConfig, scenario: Scenario):
+        agents = cfg.agents
+        self.horizon = cfg.horizon
+        self.dist = {(a, b): distance(a, b, cfg) for a in agents for b in agents if a != b}
+        # Per agent every event it will see, in any time: its requests, then
+        # signal arrivals in the order they were applied, so unapply pops.
+        self.received: dict[str, list[tuple[int, str, str]]] = {a: [] for a in agents}
+        for r in scenario.requests:
+            self.received[r.location].append((r.time, KIND_REQUEST, r.task))
+        self.departures: set[tuple[str, str, int]] = set()
+        self.arrivals: set[tuple[str, str, int]] = set()
+
+    def key(self, t: int, agent: str) -> RawKey:
+        events = [e for e in self.received[agent] if e[0] <= t]
+        events.sort()
+        return (agent, t, tuple(events))
+
+    def apply(self, t: int, agent: str, sends: tuple[str, ...]) -> list:
+        undo = []
+        for dest in sends:
+            departure = (agent, dest, t)
+            self.departures.add(departure)
+            arrives = t + self.dist[(agent, dest)]
+            if arrives <= self.horizon:
+                arrival = (agent, dest, arrives)
+                self.arrivals.add(arrival)
+                self.received[dest].append((arrives, KIND_SIGNAL, agent))
+                undo.append((departure, arrival))
+            else:
+                undo.append((departure, None))
+        return undo
+
+    def unapply(self, undo: list) -> None:
+        for departure, arrival in reversed(undo):
+            self.departures.discard(departure)
+            if arrival is not None:
+                self.arrivals.discard(arrival)
+                self.received[arrival[1]].pop()
+
+
 def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Trace:
     """Run the synchronous loop over t = 0..horizon and return the trace.
 
@@ -184,34 +275,22 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Tra
     Identical inputs yield identical traces.
     """
     check_scenario(scenario, cfg)
-    received: dict[str, list[ReceivedEvent]] = {a: [] for a in cfg.agents}
-    pending: dict[int, list[tuple[str, str]]] = {}
-    departures: set[tuple[str, str, int]] = set()
-    arrivals: set[tuple[str, str, int]] = set()
-    requests_at: dict[int, list[TaskRequest]] = {}
-    for r in sorted(scenario.requests):
-        requests_at.setdefault(r.time, []).append(r)
-
+    table = strategy_to_raw(strategy)
+    run = Run(cfg, scenario)
     for t in range(cfg.horizon + 1):
-        for r in requests_at.get(t, ()):
-            received[r.location].append(ReceivedEvent.request(t, r.task))
-        for origin, dest in pending.pop(t, ()):
-            arrivals.add((origin, dest, t))
-            received[dest].append(ReceivedEvent.signal(t, origin))
         for agent in cfg.agents:
-            history = LocalHistory(agent, t, tuple(received[agent]))
-            for dest in sorted(strategy.action_for(agent, history).sends):
-                if dest == agent:
-                    raise SameLocation(f"agent {agent!r} cannot send to itself")
-                arrives = t + distance(agent, dest, cfg)
-                departures.add((agent, dest, t))
-                if arrives <= cfg.horizon:
-                    pending.setdefault(arrives, []).append((agent, dest))
+            sends = table.get(run.key(t, agent))
+            if sends:
+                for dest in sends:
+                    if dest == agent:
+                        raise SameLocation(f"agent {agent!r} cannot send to itself")
+                    cfg.coord(dest)
+                run.apply(t, agent, sends)
 
     return Trace(
         requests=frozenset((r.task, r.location, r.time) for r in scenario.requests),
-        departures=frozenset(departures),
-        arrivals=frozenset(arrivals),
+        departures=frozenset(run.departures),
+        arrivals=frozenset(run.arrivals),
     )
 
 

@@ -19,8 +19,11 @@ certificate: the decision points, the number of refuted branches (partial
 assignments cut at a slice boundary, or complete ones), and the
 requirement that failed on each one.
 
-Internally the tree walk runs on plain tuples instead of the dataclasses
-from :mod:`.protocol`; the public types appear only at the boundary.
+The walk steps one :class:`.protocol.Run` per requirement, the same tuple
+kernel ``execute`` uses, and judges every branch, partial or complete, by
+the one departure rule above; the dataclasses appear only at the boundary.
+A ``Found`` strategy is replayed through ``execute`` and judged on its
+arrivals by ``evaluate_requirement``, independently of that rule.
 """
 
 from __future__ import annotations
@@ -28,19 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import SpaceTooLarge, ValidationError
+from .errors import ValidationError
 from .protocol import (
-    KIND_REQUEST,
-    KIND_SIGNAL,
-    Action,
     LocalHistory,
-    ReceivedEvent,
+    RawAssignment,
+    RawKey,
+    Run,
     Scenario,
     Strategy,
-    Trace,
     check_scenario,
     execute,
     local_history,
+    raw_to_history,
+    strategy_from_raw,
 )
 from .spacetime import SpacetimeConfig, distance
 from .tasks import (
@@ -50,14 +53,7 @@ from .tasks import (
     TaskSpec,
     check_task,
     evaluate_requirement,
-    evaluate_task,
 )
-
-# A decision point in raw form: (agent, time, events) where events are
-# (time, kind, label) tuples in canonical order. on_leaf callbacks receive
-# assignments keyed this way, mapped to sorted destination tuples.
-RawKey = tuple[str, int, tuple[tuple[int, str, str], ...]]
-RawAssignment = dict[RawKey, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -126,21 +122,6 @@ class _Abort(Exception):
         self.limit = limit
 
 
-def _raw_to_history(key: RawKey) -> tuple[str, int, LocalHistory]:
-    agent, t, events = key
-    return agent, t, LocalHistory(agent, t, tuple(ReceivedEvent(*e) for e in events))
-
-
-def _strategy_from_raw(assignment: RawAssignment) -> Strategy:
-    table = {}
-    for (agent, t, events), sends in assignment.items():
-        if not sends:
-            continue  # the empty default already covers these rows
-        history = LocalHistory(agent, t, tuple(ReceivedEvent(*e) for e in events))
-        table[(agent, history)] = Action(frozenset(sends))
-    return Strategy(table)
-
-
 def find_strategy(
     cfg: SpacetimeConfig,
     requirements: Sequence[Requirement],
@@ -171,7 +152,6 @@ def find_strategy(
 
     agents = cfg.agents
     horizon = cfg.horizon
-    dist = {(a, b): distance(a, b, cfg) for a in agents for b in agents if a != b}
 
     menu: dict[str, list[tuple[str, ...]]] = {}
     for agent in agents:
@@ -181,25 +161,8 @@ def find_strategy(
             subsets += [s + (dest,) for s in subsets]
         menu[agent] = sorted((tuple(sorted(s)) for s in subsets), key=lambda s: (len(s), s))
 
-    n_scen = len(requirements)
-    # Static request prefixes: req_prefix[si][agent][t] is already canonical
-    # because all request events share one kind and are sorted by (time, label).
-    req_prefix: list[dict[str, list[tuple[tuple[int, str, str], ...]]]] = []
-    for requirement in requirements:
-        per_agent = {}
-        for agent in agents:
-            own = sorted(
-                (r.time, KIND_REQUEST, r.task)
-                for r in requirement.scenario.requests
-                if r.location == agent
-            )
-            per_agent[agent] = [
-                tuple(e for e in own if e[0] <= t) for t in range(horizon + 1)
-            ]
-        req_prefix.append(per_agent)
-
-    # Per-requirement evaluation data: per task the deliver triple, the one
-    # departure that can produce it, and the banned pairs.
+    # Per requirement: its rule and, per task, the one departure that can
+    # produce the delivery and the banned pairs.
     judge = []
     for requirement in requirements:
         rows = []
@@ -208,85 +171,34 @@ def find_strategy(
             origin, dest, at = task.deliver.origin, task.deliver.dest, task.deliver.at
             rows.append(
                 (
-                    (origin, dest, at),
-                    (origin, dest, at - dist[(origin, dest)]),
+                    (origin, dest, at - distance(origin, dest, cfg)),
                     frozenset((b.origin, b.dest) for b in task.silence),
                 )
             )
         judge.append((requirement.rule, rows))
 
-    arr_events: list[dict[str, list[tuple[int, str, str]]]] = [
-        {a: [] for a in agents} for _ in range(n_scen)
-    ]
-    departures: list[set[tuple[str, str, int]]] = [set() for _ in range(n_scen)]
-    arrivals: list[set[tuple[str, str, int]]] = [set() for _ in range(n_scen)]
-
-    slots = [(t, si, agent) for t in range(horizon + 1) for si in range(n_scen) for agent in agents]
-    slice_len = n_scen * len(agents)
+    runs = [Run(cfg, requirement.scenario) for requirement in requirements]
+    slots = [(t, run, agent) for t in range(horizon + 1) for run in runs for agent in agents]
+    slice_len = len(runs) * len(agents)
     assignment: RawAssignment = {}
     point_order: list[RawKey] = []
     point_seen: set[RawKey] = set()
     branches = 0
     leaf_failures: list[int] = []
 
-    def history_key(t: int, si: int, agent: str) -> RawKey:
-        static = req_prefix[si][agent][t]
-        dynamic = [e for e in arr_events[si][agent] if e[0] <= t]
-        if dynamic:
-            return (agent, t, tuple(sorted(static + tuple(dynamic))))
-        return (agent, t, static)
-
-    def apply(t: int, si: int, agent: str, sends: tuple[str, ...]):
-        undo = []
-        for dest in sends:
-            dep = (agent, dest, t)
-            departures[si].add(dep)
-            arrives = t + dist[(agent, dest)]
-            if arrives <= horizon:
-                arrival = (agent, dest, arrives)
-                arrivals[si].add(arrival)
-                arr_events[si][dest].append((arrives, KIND_SIGNAL, agent))
-                undo.append((dep, arrival, dest))
-            else:
-                undo.append((dep, None, None))
-        return undo
-
-    def unapply(si: int, undo) -> None:
-        for dep, arrival, dest in reversed(undo):
-            departures[si].discard(dep)
-            if arrival is not None:
-                arrivals[si].discard(arrival)
-                arr_events[si][dest].pop()
-
-    def judge_leaf() -> int | None:
-        """Index of the first unsatisfied requirement, or None if all hold."""
-        for ri, (rule, rows) in enumerate(judge):
-            got_arrivals = arrivals[ri]
-            got_departures = departures[ri]
-            ok_any = False
-            ok_all = True
-            for deliver, _, banned in rows:
-                ok = deliver in got_arrivals and not any(
-                    (o, d) in banned for o, d, _ in got_departures
-                )
-                ok_any = ok_any or ok
-                ok_all = ok_all and ok
-            satisfied = ok_all if rule is Rule.ALL else ok_any
-            if not satisfied:
-                return ri
-        return None
-
     def first_lost(t: int) -> int | None:
         """Index of the first requirement already lost once slice ``t`` is done.
 
         A task is lost when a banned departure is present or its delivering
         departure is due by ``t`` and absent; no later slot can undo either.
+        At ``t = horizon`` every delivering departure is due, and its arrival
+        exists iff it does, so "not lost" is then "satisfied".
         """
-        for ri, (rule, rows) in enumerate(judge):
-            got = departures[ri]
+        for ri, (run, (rule, rows)) in enumerate(zip(runs, judge)):
+            got = run.departures
             lost_any = False
             lost_all = True
-            for _, departure, banned in rows:
+            for departure, banned in rows:
                 lost = (departure[2] <= t and departure not in got) or any(
                     (o, d) in banned for o, d, _ in got
                 )
@@ -313,9 +225,9 @@ def find_strategy(
             failing = None
             if slot_idx == len(slots):
                 count_branch()
-                failing = judge_leaf()
+                failing = first_lost(horizon)
                 if failing is None:
-                    strategy = _strategy_from_raw(assignment)
+                    strategy = strategy_from_raw(assignment)
                     reports = tuple(
                         evaluate_requirement(cfg, strategy, requirement, tasks)
                         for requirement in requirements
@@ -328,8 +240,8 @@ def find_strategy(
                     count_branch()
 
             if failing is None:
-                t, si, agent = slots[slot_idx]
-                key = history_key(t, si, agent)
+                t, run, agent = slots[slot_idx]
+                key = run.key(t, agent)
                 choice = -1
                 sends = assignment.get(key)
                 if sends is None:
@@ -340,21 +252,21 @@ def find_strategy(
                         point_order.append(key)
                     choice = 0
                     sends = assignment[key] = menu[agent][0]
-                stack.append((slot_idx, key, apply(t, si, agent, sends), choice))
+                stack.append((slot_idx, key, run.apply(t, agent, sends), choice))
                 slot_idx += 1
                 continue
 
             leaf_failures.append(failing)
             while stack:
                 slot_idx, key, undo, choice = stack.pop()
-                t, si, agent = slots[slot_idx]
-                unapply(si, undo)
+                t, run, agent = slots[slot_idx]
+                run.unapply(undo)
                 if choice < 0:
                     continue
                 choice += 1
                 if choice < len(menu[agent]):
                     sends = assignment[key] = menu[agent][choice]
-                    stack.append((slot_idx, key, apply(t, si, agent, sends), choice))
+                    stack.append((slot_idx, key, run.apply(t, agent, sends), choice))
                     slot_idx += 1
                     break
                 del assignment[key]
@@ -369,46 +281,31 @@ def find_strategy(
         return found
     return Impossible(
         Certificate(
-            decision_points=tuple(_raw_to_history(key) for key in point_order),
+            decision_points=tuple(raw_to_history(key) for key in point_order),
             strategies_explored=branches,
             leaf_failures=tuple(leaf_failures),
         )
     )
 
 
-def mutually_exclusive(
-    cfg: SpacetimeConfig, a: TaskSpec, b: TaskSpec, max_sets: int = 1 << 20
-) -> bool:
-    """Strategy-independent oracle: can ANY departure pattern satisfy both?
+def mutually_exclusive(cfg: SpacetimeConfig, a: TaskSpec, b: TaskSpec) -> bool:
+    """Strategy-independent bound: can NO departure pattern satisfy both tasks?
 
-    Enumerates every subset of {(origin, dest, t)} over distinct location
-    pairs and t in [0, horizon], derives the arrivals each subset implies,
-    and evaluates both task predicates. True iff no subset satisfies both;
-    this bounds what any protocol whatsoever could accomplish.
+    Two tasks hold together iff each delivery can depart in time
+    (``at - distance >= 0``) and neither task bans either delivery's
+    (origin, dest) pair: any satisfying departure set contains both
+    delivering departures, and adding departures only breaks more bans, so
+    the set of just those two is the best candidate. This bounds what any
+    protocol whatsoever could accomplish.
     """
     check_task(a, cfg)
     check_task(b, cfg)
-    slots = [
-        (origin, dest, t)
-        for origin in cfg.agents
-        for dest in cfg.agents
-        if origin != dest
-        for t in range(cfg.horizon + 1)
-    ]
-    total = 1 << len(slots)
-    if total > max_sets:
-        raise SpaceTooLarge(f"{total} departure sets exceed the budget of {max_sets}")
-    for mask in range(total):
-        departs = frozenset(slot for i, slot in enumerate(slots) if mask >> i & 1)
-        arrives = frozenset(
-            (o, d, t + distance(o, d, cfg))
-            for o, d, t in departs
-            if t + distance(o, d, cfg) <= cfg.horizon
-        )
-        trace = Trace(departures=departs, arrivals=arrives)
-        if evaluate_task(trace, a, cfg) and evaluate_task(trace, b, cfg):
-            return False
-    return True
+    delivers = [(t.deliver.origin, t.deliver.dest, t.deliver.at) for t in (a, b)]
+    banned = {(ban.origin, ban.dest) for t in (a, b) for ban in t.silence}
+    return any(
+        at < distance(origin, dest, cfg) or (origin, dest) in banned
+        for origin, dest, at in delivers
+    )
 
 
 def indistinguishable(

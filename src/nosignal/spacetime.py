@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SameLocation, UnknownLocation
+from .errors import SameLocation, UnknownLocation, ValidationError
 
 
 @dataclass(frozen=True, eq=True)
@@ -26,12 +26,12 @@ class SpacetimeConfig:
 
     def __post_init__(self):
         if len(self.locations) < 2:
-            raise ValueError("need at least 2 locations")
+            raise ValidationError("need at least 2 locations")
         coords = list(self.locations.values())
         if len(set(coords)) != len(coords):
-            raise ValueError("location coordinates must be pairwise distinct")
+            raise ValidationError("location coordinates must be pairwise distinct")
         if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         object.__setattr__(self, "locations", dict(self.locations))
 
     @property
@@ -62,7 +62,7 @@ class Event:
 def check_event(event: Event, cfg: SpacetimeConfig) -> None:
     cfg.coord(event.location)
     if not 0 <= event.time <= cfg.horizon:
-        raise ValueError(f"event time {event.time} outside [0, {cfg.horizon}]")
+        raise ValidationError(f"event time {event.time} outside [0, {cfg.horizon}]")
 
 
 def distance(a: str, b: str, cfg: SpacetimeConfig) -> int:
@@ -80,7 +80,7 @@ def signal_arrival(origin: str, dest: str, depart: int, cfg: SpacetimeConfig) ->
         raise SameLocation(f"signal from {origin!r} to itself")
     d = distance(origin, dest, cfg)
     if not 0 <= depart <= cfg.horizon:
-        raise ValueError(f"departure time {depart} outside [0, {cfg.horizon}]")
+        raise ValidationError(f"departure time {depart} outside [0, {cfg.horizon}]")
     return depart + d
 
 

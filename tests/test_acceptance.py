@@ -36,7 +36,7 @@ from nosignal.cli import main
 from nosignal.config import load_config, serialize_config, serialize_strategy
 from nosignal.diagram import render_diagram
 import test_spacetime
-from oracles import recount_assignments
+from oracles import brute_force_joint_satisfiable, recount_assignments
 
 REPO = Path(__file__).resolve().parent.parent
 PARADOX = REPO / "configs" / "paradox_d3.json"
@@ -105,12 +105,18 @@ def test_criterion_3_forced_dual_failure():
 
 
 def test_criterion_4_mutual_exclusivity_oracle():
-    with criterion(4, "brute force over all 2^8 departure sets refutes joint success, <1s"):
+    with criterion(4, "closed form and an independent brute force over all 2^8 "
+                      "departure sets both refute joint success, <1s"):
         cfg, tasks, _ = make_instance(3)
         pairs = [(a, b) for a in cfg.agents for b in cfg.agents if a != b]
         assert len(pairs) * (cfg.horizon + 1) == 8  # 2 directed pairs x 4 times
         start = time.perf_counter()
         assert mutually_exclusive(cfg, tasks["task1"], tasks["task2"])
+        rows = [
+            ((t.deliver.origin, t.deliver.dest, t.deliver.at), {(b.origin, b.dest) for b in t.silence})
+            for t in tasks.values()
+        ]
+        assert not brute_force_joint_satisfiable(cfg.locations, cfg.horizon, rows)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 

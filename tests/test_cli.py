@@ -206,6 +206,18 @@ class TestExitCodes:
         assert main(["search", "--config", str(deep), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["outcome"] == "found"
 
+    @pytest.mark.parametrize("document", ["config", "strategy"])
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path, document):
+        """JSON nested past the parser's recursion limit is a parse error."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        config = deep if document == "config" else PARADOX
+        strategy = deep if document == "strategy" else "obedient"
+        assert main(["check", "--config", str(config), "--strategy", str(strategy)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: document nested too deeply\n"
+
     def test_check_obedient_single_exits_0(self, capsys):
         assert main(["check", "--config", str(SINGLE), "--strategy", str(OBEDIENT)]) == 0
 

@@ -14,16 +14,21 @@ from nosignal import (
     LocalHistory,
     ReceivedEvent,
     Scenario,
+    SimulationError,
     SpacetimeConfig,
     Strategy,
     TaskRequest,
+    Trace,
     UnachievableTask,
     causal_leq,
     execute,
     local_history,
     obedient_strategy,
+    signal_arrival,
 )
 from nosignal.protocol import check_trace
+from nosignal.spacetime import check_event
+from oracles import mini_execute
 
 
 def scenario(*requests):
@@ -47,6 +52,28 @@ class TestReceivedEventOrder:
     def test_history_rejects_future_events(self):
         with pytest.raises(ValueError):
             LocalHistory("L", 1, (ReceivedEvent.request(2, "task1"),))
+
+
+CFG3 = SpacetimeConfig({"L": 0, "R": 3}, horizon=3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SpacetimeConfig({"L": 0}, horizon=3),
+    lambda: SpacetimeConfig({"L": 0, "R": 0}, horizon=3),
+    lambda: SpacetimeConfig({"L": 0, "R": 3}, horizon=0),
+    lambda: check_event(Event("L", 4), CFG3),
+    lambda: signal_arrival("L", "R", 4, CFG3),
+    lambda: LocalHistory("L", 1, (ReceivedEvent.request(2, "task1"),)),
+    lambda: check_trace(Trace(arrivals=frozenset({("L", "R", 3)})), CFG3),
+    lambda: check_trace(Trace(departures=frozenset({("L", "R", 0)})), CFG3),
+    lambda: local_history(Trace(), "L", 4, CFG3),
+], ids=["one-location", "shared-coordinate", "zero-horizon", "event-time",
+        "departure-time", "future-event", "orphan-arrival", "lost-arrival", "history-time"])
+def test_input_errors_are_simulation_errors(call):
+    """Every rejected input raises the package's error type, still a ValueError."""
+    with pytest.raises(SimulationError) as raised:
+        call()
+    assert isinstance(raised.value, ValueError)
 
 
 class TestLocalHistory:
@@ -225,6 +252,23 @@ def test_trace_consistency_property(world):
         trace = execute(cfg, s, strategy)
         check_trace(trace, cfg)
         assert execute(cfg, s, strategy) == trace
+
+
+@given(worlds())
+@settings(max_examples=200, deadline=None)
+def test_execute_matches_oracle_executor(world):
+    """``execute`` and the independent tuple executor agree on every run."""
+    cfg, s1, s2, strategy = world
+    table = {
+        (agent, h.upto, tuple((e.time, e.kind, e.label) for e in h.events)): sorted(action.sends)
+        for (agent, h), action in strategy.table.items()
+    }
+    for s in (s1, s2):
+        trace = execute(cfg, s, strategy)
+        requests = [(r.task, r.location, r.time) for r in s.requests]
+        assert (trace.departures, trace.arrivals) == mini_execute(
+            cfg.locations, cfg.horizon, requests, table
+        )
 
 
 # --- causal influence --------------------------------------------------------

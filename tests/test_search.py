@@ -15,7 +15,6 @@ from nosignal import (
     Scenario,
     SearchLimits,
     Silence,
-    SpaceTooLarge,
     SpacetimeConfig,
     Strategy,
     TaskRequest,
@@ -275,6 +274,29 @@ def test_pruning_keeps_outcomes(instance):
         assert set(cert.decision_points) <= set(ref_cert.decision_points)
 
 
+@st.composite
+def exclusivity_instances(draw):
+    """Two labs with H <= 3 or three with H <= 1, and two tasks (maybe one twice).
+
+    Small enough for the 2^slots brute force: at most 8 or 12 departure slots.
+    """
+    locations = draw(st.sampled_from(
+        ({"L": 0, "R": 1}, {"L": 0, "R": 2}, {"L": 0, "R": 3},
+         {"A": 0, "B": 1, "C": 2}, {"A": 0, "B": 1, "C": 3})
+    ))
+    cfg = SpacetimeConfig(dict(locations), draw(st.integers(1, 3 if len(locations) == 2 else 1)))
+    pairs = [(o, d) for o in cfg.agents for d in cfg.agents if o != d]
+
+    def task(name):
+        origin, dest = draw(st.sampled_from(pairs))
+        bans = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2))
+        return TaskSpec(name, Deliver(origin, dest, draw(st.integers(0, cfg.horizon))),
+                        tuple(Silence(o, d) for o, d in bans))
+
+    a = task("a")
+    return cfg, a, a if draw(st.booleans()) else task("b")
+
+
 class TestMutuallyExclusive:
     def test_canonical_pair_for_small_gaps(self):
         for gap in (1, 2, 3):
@@ -306,12 +328,26 @@ class TestMutuallyExclusive:
             cfg.locations, cfg.horizon, [(("L", "R", 3), set()), (("R", "L", 3), set())]
         )
 
-    def test_budget_guard(self):
-        cfg = SpacetimeConfig({"A": 0, "B": 1, "C": 2, "D": 3}, horizon=4)
-        a = TaskSpec("a", Deliver("A", "B", 1))
-        b = TaskSpec("b", Deliver("B", "A", 1))
-        with pytest.raises(SpaceTooLarge):
-            mutually_exclusive(cfg, a, b)  # 12 pairs x 5 times -> 2^60 subsets
+    @given(exclusivity_instances())
+    @example((SpacetimeConfig({"L": 0, "R": 2}, 3), TaskSpec("a", Deliver("L", "R", 1)),
+              TaskSpec("b", Deliver("R", "L", 3))))  # a cannot depart in time
+    @example((SpacetimeConfig({"L": 0, "R": 1}, 2),
+              TaskSpec("a", Deliver("L", "R", 2), (Silence("L", "R"),)),
+              TaskSpec("b", Deliver("R", "L", 1))))  # a bans its own delivery
+    @example((SpacetimeConfig({"A": 0, "B": 1, "C": 3}, 1),
+              TaskSpec("a", Deliver("A", "B", 1), (Silence("C", "A"),)),
+              TaskSpec("a", Deliver("A", "B", 1), (Silence("C", "A"),))))  # a == b
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_brute_force(self, instance):
+        cfg, a, b = instance
+        rows = [
+            ((t.deliver.origin, t.deliver.dest, t.deliver.at),
+             {(ban.origin, ban.dest) for ban in t.silence})
+            for t in (a, b)
+        ]
+        assert mutually_exclusive(cfg, a, b) == (
+            not brute_force_joint_satisfiable(cfg.locations, cfg.horizon, rows)
+        )
 
 
 class TestIndistinguishable:
