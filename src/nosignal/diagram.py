@@ -5,7 +5,14 @@ cell. Requests show as ``!n`` markers at their submission cell, signal
 fronts advance one cell per row as ``>`` or ``<``, arrivals are ``*``, and
 two fronts crossing in one cell collapse to ``X``. When several glyphs
 compete for a cell the busiest wins: request over arrival over crossing
-over a plain front.
+over a plain front. Every cell text fits its ``_CELL`` columns, and
+characters that are not printable (a newline in a lab name, say) show as
+``?``, so one line is always one row.
+
+Rows are built from their marks alone: a row is its prefix, then each mark
+in x order with blank cells between, trimmed on the right. Drawing costs
+O(departures × distance + marks + bytes written); blank cells between
+marks are written, never visited one by one.
 """
 
 from __future__ import annotations
@@ -16,9 +23,28 @@ from .spacetime import SpacetimeConfig
 _CELL = 3
 
 
+def _printable(text: str) -> str:
+    return "".join(ch if ch.isprintable() else "?" for ch in text)
+
+
 def _task_marker(task_id: str) -> str:
     digits = "".join(ch for ch in task_id if ch.isdigit())
-    return "!" + (digits or task_id[:1])
+    return _printable("!" + (digits or task_id[:1]))[:_CELL]
+
+
+def _lab_label(name: str) -> str:
+    return _printable(name[:_CELL - 1])
+
+
+def _line(prefix: str, marks: dict[int, str], xmin: int) -> str:
+    """``prefix``, then each mark left-justified in the cell at its x."""
+    parts = [prefix]
+    x_next = xmin
+    for x in sorted(marks):
+        parts.append(" " * (_CELL * (x - x_next)))
+        parts.append(f"{marks[x]:<{_CELL}}")
+        x_next = x + 1
+    return "".join(parts).rstrip()
 
 
 def render_diagram(trace: Trace, cfg: SpacetimeConfig) -> str:
@@ -26,36 +52,22 @@ def render_diagram(trace: Trace, cfg: SpacetimeConfig) -> str:
     trailing spaces."""
     coords = cfg.locations
     xmin = min(coords.values())
-    xmax = max(coords.values())
-    span = xmax - xmin + 1
 
-    fronts: dict[tuple[int, int], set[str]] = {}
-    for origin, dest, depart in sorted(trace.departures):
+    rows: dict[int, dict[int, str]] = {}
+    for origin, dest, depart in trace.departures:
         x0, x1 = coords[origin], coords[dest]
         step = 1 if x1 > x0 else -1
         glyph = ">" if step > 0 else "<"
-        for k in range(abs(x1 - x0)):
-            t = depart + k
-            if t > cfg.horizon:
-                break
-            fronts.setdefault((t, x0 + step * k), set()).add(glyph)
-
-    cells: dict[tuple[int, int], str] = {}
-    for (t, x), glyphs in fronts.items():
-        cells[(t, x)] = glyphs.pop() if len(glyphs) == 1 else "X"
-    for origin, dest, at in trace.arrivals:
-        cells[(at, coords[dest])] = "*"
+        for k in range(min(abs(x1 - x0), cfg.horizon - depart + 1)):
+            row = rows.setdefault(depart + k, {})
+            x = x0 + step * k
+            row[x] = glyph if row.get(x, glyph) == glyph else "X"
+    for _, dest, at in trace.arrivals:
+        rows.setdefault(at, {})[coords[dest]] = "*"
     for task_id, location, time in trace.requests:
-        cells[(time, coords[location])] = _task_marker(task_id)
+        rows.setdefault(time, {})[coords[location]] = _task_marker(task_id)
 
-    names = {coords[name]: name for name in coords}
-    header = "  t " + "".join(
-        f"{names.get(xmin + i, '')[:_CELL - 1]:<{_CELL}}" for i in range(span)
-    )
-    lines = [header.rstrip()]
-    for t in range(cfg.horizon + 1):
-        row = f"{t:>3} " + "".join(
-            f"{cells.get((t, xmin + i), ''):<{_CELL}}" for i in range(span)
-        )
-        lines.append(row.rstrip())
+    header = {x: _lab_label(name) for name, x in coords.items()}
+    lines = [_line("  t ", header, xmin)]
+    lines += [_line(f"{t:>3} ", rows.get(t, {}), xmin) for t in range(cfg.horizon + 1)]
     return "\n".join(lines) + "\n"

@@ -267,18 +267,27 @@ class Run:
 
 
 def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Trace:
-    """Run the synchronous loop over t = 0..horizon and return the trace.
+    """Run the synchronous loop through the strategy's slots; return the trace.
 
     Per step: deliver requests submitted at t and signals arriving at t,
     then let every agent look up the action for its history up to t, then
-    turn each send into a departure at t arriving at t + distance.
-    Identical inputs yield identical traces.
+    turn each send into a departure at t arriving at t + distance. A row
+    keyed ``(agent, t, events)`` can only match that agent's history at
+    that t, and every other agent-step sends nothing, so only the
+    ``(t, agent)`` slots the table names are looked up: t ascending, agents
+    in ``cfg.agents`` order. Identical inputs yield identical traces.
     """
     check_scenario(scenario, cfg)
     table = strategy_to_raw(strategy)
+    slots: dict[int, set[str]] = {}
+    for agent, t, _ in table:
+        if 0 <= t <= cfg.horizon:
+            slots.setdefault(t, set()).add(agent)
     run = Run(cfg, scenario)
-    for t in range(cfg.horizon + 1):
+    for t in sorted(slots):
         for agent in cfg.agents:
+            if agent not in slots[t]:
+                continue
             sends = table.get(run.key(t, agent))
             if sends:
                 for dest in sends:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here runs on plain tuples with its own tiny executor, shares no
-code with the package, and prefers clarity over speed. History keys are
+code with the package (``dense_diagram`` borrows only the text of one
+diagram cell), and prefers clarity over speed. History keys are
 (agent, time, events) where events are (time, kind, label) tuples; "request"
 sorts before "signal", matching the canonical observation order.
 """
@@ -239,3 +240,49 @@ def brute_force_joint_satisfiable(locations, horizon, task_rows):
         if all(task_ok(departures, arrivals, deliver, banned) for deliver, banned in task_rows):
             return True
     return False
+
+
+def dense_diagram(trace, cfg):
+    """The per-cell diagram renderer: visits every (t, x) of span × horizon.
+
+    The reference for ``nosignal.diagram.render_diagram``, which builds
+    rows from their marks only. The one thing shared with the package is
+    the text of a single cell (task markers, lab labels, the cell width).
+    """
+    from nosignal.diagram import _CELL, _lab_label, _task_marker
+
+    coords = cfg.locations
+    xmin = min(coords.values())
+    xmax = max(coords.values())
+    span = xmax - xmin + 1
+
+    fronts: dict[tuple[int, int], set[str]] = {}
+    for origin, dest, depart in sorted(trace.departures):
+        x0, x1 = coords[origin], coords[dest]
+        step = 1 if x1 > x0 else -1
+        glyph = ">" if step > 0 else "<"
+        for k in range(abs(x1 - x0)):
+            t = depart + k
+            if t > cfg.horizon:
+                break
+            fronts.setdefault((t, x0 + step * k), set()).add(glyph)
+
+    cells: dict[tuple[int, int], str] = {}
+    for (t, x), glyphs in fronts.items():
+        cells[(t, x)] = glyphs.pop() if len(glyphs) == 1 else "X"
+    for origin, dest, at in trace.arrivals:
+        cells[(at, coords[dest])] = "*"
+    for task_id, location, time in trace.requests:
+        cells[(time, coords[location])] = _task_marker(task_id)
+
+    names = {coords[name]: name for name in coords}
+    header = "  t " + "".join(
+        f"{_lab_label(names.get(xmin + i, '')):<{_CELL}}" for i in range(span)
+    )
+    lines = [header.rstrip()]
+    for t in range(cfg.horizon + 1):
+        row = f"{t:>3} " + "".join(
+            f"{cells.get((t, xmin + i), ''):<{_CELL}}" for i in range(span)
+        )
+        lines.append(row.rstrip())
+    return "\n".join(lines) + "\n"

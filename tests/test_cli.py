@@ -24,6 +24,8 @@ GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"
 PARADOX = CONFIGS / "paradox_d3.json"
 SINGLE = CONFIGS / "paradox_d3_single.json"
 OBEDIENT = CONFIGS / "obedient_d3.json"
+FOURLAB = GOLDEN.parent / "diagram_4lab.json"
+FOURLAB_STRATEGY = GOLDEN.parent / "diagram_4lab_strategy.json"
 
 
 def load_fixture_doc():
@@ -160,6 +162,37 @@ class TestDiagrams:
         assert once == render_diagram(Trace(trace.requests, trace.departures, trace.arrivals), cfg)
         assert once.endswith("\n")
         assert not any(line != line.rstrip() for line in once.splitlines())
+
+    def test_four_lab_golden(self, capsys):
+        """Crossings, arrivals under fronts, a request on an arrival cell and
+        fronts that run past the horizon, over 40 cells and 31 rows."""
+        assert main(["diagram", "--config", str(FOURLAB), "--scenario", "mix",
+                     "--strategy", str(FOURLAB_STRATEGY)]) == 0
+        assert capsys.readouterr().out == self.golden("diagram_4lab.txt")
+
+    @staticmethod
+    def draw(tmp_path, lab, task):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({
+            "locations": {lab: 0, "R": 3}, "horizon": 3,
+            "tasks": {task: {"deliver": {"from": lab, "to": "R", "at": 3}}},
+            "scenarios": {"one": [{"task": task, "location": lab, "time": 0}]},
+        }))
+        assert main(["diagram", "--config", str(doc), "--scenario", "one"]) == 0
+
+    def test_long_task_id_keeps_columns(self, capsys, tmp_path):
+        """A three-digit task id is clipped to its cell, not widened."""
+        self.draw(tmp_path, "L", "task123")
+        assert capsys.readouterr().out == (
+            "  t L        R\n  0 !12\n  1    >\n  2       >\n  3          *\n"
+        )
+
+    def test_unprintable_lab_name_keeps_one_header_line(self, capsys, tmp_path):
+        """A newline in a lab name shows as ``?`` instead of splitting the header."""
+        self.draw(tmp_path, "a\nb", "task1")
+        assert capsys.readouterr().out == (
+            "  t a?       R\n  0 !1\n  1    >\n  2       >\n  3          *\n"
+        )
 
 
 class TestExitCodes:

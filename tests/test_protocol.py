@@ -18,15 +18,17 @@ from nosignal import (
     SpacetimeConfig,
     Strategy,
     TaskRequest,
+    SameLocation,
     Trace,
     UnachievableTask,
+    UnknownLocation,
     causal_leq,
     execute,
     local_history,
     obedient_strategy,
     signal_arrival,
 )
-from nosignal.protocol import check_trace
+from nosignal.protocol import Run, check_trace
 from nosignal.spacetime import check_event
 from oracles import mini_execute
 
@@ -148,6 +150,53 @@ class TestExecute:
         assert trace.departures == {("L", "R", 2)}  # would arrive at 5 > horizon
         assert trace.arrivals == frozenset()
         check_trace(trace, cfg)
+
+
+class TestReachability:
+    """Only rows an agent's actual history matches are executed."""
+
+    def test_reached_self_send_raises(self, d3):
+        cfg, _, _ = d3
+        strategy = Strategy({("R", LocalHistory("R", 1, ())): Action(frozenset({"R"}))})
+        with pytest.raises(SameLocation):
+            execute(cfg, Scenario(), strategy)
+
+    def test_reached_send_to_unknown_lab_raises(self, d3):
+        cfg, _, _ = d3
+        strategy = Strategy({("L", LocalHistory("L", 0, ())): Action(frozenset({"Z"}))})
+        with pytest.raises(UnknownLocation):
+            execute(cfg, Scenario(), strategy)
+
+    def test_unreached_rows_are_ignored(self, d3):
+        cfg, _, _ = d3
+        never = LocalHistory("R", 1, (ReceivedEvent.request(0, "task2"),))
+        late = LocalHistory("L", cfg.horizon + 2, ())
+        strategy = Strategy({
+            ("R", never): Action(frozenset({"R"})),
+            ("L", late): Action(frozenset({"Z"})),
+            ("X", LocalHistory("X", 0, ())): Action(frozenset({"L"})),
+        })
+        assert execute(cfg, Scenario(), strategy) == Trace()
+
+    def test_looks_up_only_the_slots_the_table_names(self, d3, monkeypatch):
+        cfg, _, _ = d3
+        calls = []
+        key = Run.key
+
+        def counted(run, t, agent):
+            calls.append((agent, t))
+            return key(run, t, agent)
+
+        monkeypatch.setattr(Run, "key", counted)
+        strategy = Strategy({
+            ("L", LocalHistory("L", 0, (ReceivedEvent.request(0, "task1"),))): Action(frozenset({"R"})),
+            ("L", LocalHistory("L", 0, ())): Action(),
+            ("R", LocalHistory("R", 3, (ReceivedEvent.signal(3, "L"),))): Action(frozenset({"L"})),
+            ("R", LocalHistory("R", cfg.horizon + 1, ())): Action(frozenset({"L"})),
+        })
+        trace = execute(cfg, scenario(("task1", "L", 0)), strategy)
+        assert sorted(calls) == [("L", 0), ("R", 3)]
+        assert trace.departures == {("L", "R", 0), ("R", "L", 3)}
 
 
 class TestObedientStrategy:
