@@ -12,7 +12,6 @@ unsatisfiable or unsatisfied, 4 search aborted on limits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Any
@@ -104,9 +103,9 @@ def _pick_strategy(source: str, doc: ConfigDocument) -> Strategy:
 def _pick_limits(args, doc: ConfigDocument) -> SearchLimits:
     limits = doc.limits or SearchLimits()
     if args.limits_branches is not None:
-        limits = dataclasses.replace(limits, max_branches=args.limits_branches)
+        limits = SearchLimits(args.limits_branches, limits.max_decision_points)
     if args.limits_decisions is not None:
-        limits = dataclasses.replace(limits, max_decision_points=args.limits_decisions)
+        limits = SearchLimits(limits.max_branches, args.limits_decisions)
     return limits
 
 

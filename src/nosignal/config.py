@@ -10,7 +10,6 @@ value, parse errors the line and column.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import ParseError, ValidationError
@@ -23,26 +22,34 @@ from .protocol import (
     Strategy,
     TaskRequest,
 )
+from .record import Record
 from .search import SearchLimits
 from .spacetime import SpacetimeConfig
 from .tasks import Deliver, Requirement, Rule, Silence, TaskSpec
 
 
-@dataclass(frozen=True)
-class NamedRequirement:
+class NamedRequirement(Record):
     """A requirement referencing one of the document's scenarios by name."""
 
-    scenario: str
-    rule: Rule
+    __slots__ = ("scenario", "rule")
+
+    def __init__(self, scenario: str, rule: Rule):
+        self._fill(scenario, rule)
 
 
-@dataclass
-class ConfigDocument:
-    spacetime: SpacetimeConfig
-    tasks: dict[str, TaskSpec]
-    scenarios: dict[str, Scenario]
-    requirements: list[NamedRequirement] = field(default_factory=list)
-    limits: SearchLimits | None = None
+class ConfigDocument(Record):
+    """A loaded config document. Mutable, so unhashable; a new document
+    gets a new empty requirement list unless one is given."""
+
+    __slots__ = ("spacetime", "tasks", "scenarios", "requirements", "limits")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, spacetime: SpacetimeConfig, tasks: dict[str, TaskSpec],
+                 scenarios: dict[str, Scenario], requirements: list[NamedRequirement] | None = None,
+                 limits: SearchLimits | None = None):
+        self._fill(spacetime, tasks, scenarios, [] if requirements is None else requirements, limits)
 
     def resolve_requirements(self) -> list[Requirement]:
         return [

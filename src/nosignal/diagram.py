@@ -6,8 +6,9 @@ fronts advance one cell per row as ``>`` or ``<``, arrivals are ``*``, and
 two fronts crossing in one cell collapse to ``X``. When several glyphs
 compete for a cell the busiest wins: request over arrival over crossing
 over a plain front. Every cell text fits its ``_CELL`` columns, and
-characters that are not printable (a newline in a lab name, say) show as
-``?``, so one line is always one row.
+characters that are not printable (a newline in a lab name, say) or not
+one column wide (``日`` fills two, a combining accent none) show as ``?``,
+so one line is always one row and every cell sits under its label.
 
 Rows are built from their marks alone: a row is its prefix, then each mark
 in x order with blank cells between, trimmed on the right. Drawing costs
@@ -24,7 +25,15 @@ _CELL = 3
 
 
 def _printable(text: str) -> str:
-    return "".join(ch if ch.isprintable() else "?" for ch in text)
+    """``text`` with every character that does not fill exactly one
+    terminal column shown as ``?``: unprintable ones, East Asian wide or
+    full-width ones, and combining marks."""
+    if text.isascii():
+        return "".join(ch if ch.isprintable() else "?" for ch in text)
+    from unicodedata import category, east_asian_width  # not needed at start-up
+
+    return "".join(ch if ch.isprintable() and east_asian_width(ch) not in ("W", "F")
+                   and category(ch) not in ("Mn", "Me") else "?" for ch in text)
 
 
 def _task_marker(task_id: str) -> str:

@@ -16,10 +16,10 @@ cannot disagree on what an agent sees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import InvalidScenario, SameLocation, UnachievableTask, ValidationError
+from .record import Ordered, Record
 from .spacetime import SpacetimeConfig, distance
 
 if TYPE_CHECKING:
@@ -29,8 +29,7 @@ KIND_REQUEST = "request"
 KIND_SIGNAL = "signal"  # sorts after "request", giving the canonical order for free
 
 
-@dataclass(frozen=True, order=True)
-class ReceivedEvent:
+class ReceivedEvent(Ordered):
     """One observable item: a submitted request or an arriving signal.
 
     Field order makes tuple comparison the canonical history order:
@@ -38,9 +37,10 @@ class ReceivedEvent:
     The label is a task id for requests and the origin location for arrivals.
     """
 
-    time: int
-    kind: str
-    label: str
+    __slots__ = ("time", "kind", "label")
+
+    def __init__(self, time: int, kind: str, label: str):
+        self._fill(time, kind, label)
 
     @classmethod
     def request(cls, time: int, task: str) -> "ReceivedEvent":
@@ -51,79 +51,80 @@ class ReceivedEvent:
         return cls(time, KIND_SIGNAL, origin)
 
 
-@dataclass(frozen=True)
-class LocalHistory:
+class LocalHistory(Record):
     """Everything one agent may condition on at time ``upto``.
 
     Events are kept in canonical order, so structural equality decides
     whether two histories are the same observation record.
     """
 
-    agent: str
-    upto: int
-    events: tuple[ReceivedEvent, ...] = ()
+    __slots__ = ("agent", "upto", "events")
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(sorted(self.events)))
-        for ev in self.events:
-            if ev.time > self.upto:
-                raise ValidationError(f"event at t={ev.time} after history cutoff {self.upto}")
+    def __init__(self, agent: str, upto: int, events: tuple[ReceivedEvent, ...] = ()):
+        events = tuple(sorted(events))
+        for ev in events:
+            if ev.time > upto:
+                raise ValidationError(f"event at t={ev.time} after history cutoff {upto}")
+        self._fill(agent, upto, events)
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
     """Destinations to send a content-free light signal to; empty means idle."""
 
-    sends: frozenset[str] = frozenset()
+    __slots__ = ("sends",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sends", frozenset(self.sends))
+    def __init__(self, sends: frozenset[str] = frozenset()):
+        self._fill(frozenset(sends))
 
 
 NOOP = Action()
 
 
-@dataclass
-class Strategy:
+class Strategy(Record):
     """Deterministic map from (agent, local history) to an action.
 
     Unmapped histories fall back to the empty action, which makes every
-    table a total strategy and "do nothing" the base case.
+    table a total strategy and "do nothing" the base case. Mutable, so
+    unhashable; a new strategy gets a new empty table.
     """
 
-    table: dict[tuple[str, LocalHistory], Action] = field(default_factory=dict)
+    __slots__ = ("table",)
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, table: dict[tuple[str, LocalHistory], Action] | None = None):
+        self._fill({} if table is None else table)
 
     def action_for(self, agent: str, history: LocalHistory) -> Action:
         return self.table.get((agent, history), NOOP)
 
 
-@dataclass(frozen=True, order=True)
-class TaskRequest:
+class TaskRequest(Ordered):
     """A single request: which task, submitted where, submitted when."""
 
-    task: str
-    location: str
-    time: int
+    __slots__ = ("task", "location", "time")
+
+    def __init__(self, task: str, location: str, time: int):
+        self._fill(task, location, time)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """The requester's choice of which tasks to ask for, where and when."""
 
-    requests: frozenset[TaskRequest] = frozenset()
+    __slots__ = ("requests",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "requests", frozenset(self.requests))
-        slots = {(r.location, r.time) for r in self.requests}
-        if len(slots) != len(self.requests):
+    def __init__(self, requests: frozenset[TaskRequest] = frozenset()):
+        requests = frozenset(requests)
+        if len({(r.location, r.time) for r in requests}) != len(requests):
             raise InvalidScenario("at most one request per (location, time) slot")
+        self._fill(requests)
 
     def task_ids(self) -> tuple[str, ...]:
         return tuple(sorted({r.task for r in self.requests}))
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Complete record of one execution.
 
     An arrival is listed only when it lands at or before the horizon; a
@@ -132,9 +133,12 @@ class Trace:
     (origin, dest, time) for departures and arrivals.
     """
 
-    requests: frozenset[tuple[str, str, int]] = frozenset()
-    departures: frozenset[tuple[str, str, int]] = frozenset()
-    arrivals: frozenset[tuple[str, str, int]] = frozenset()
+    __slots__ = ("requests", "departures", "arrivals")
+
+    def __init__(self, requests: frozenset[tuple[str, str, int]] = frozenset(),
+                 departures: frozenset[tuple[str, str, int]] = frozenset(),
+                 arrivals: frozenset[tuple[str, str, int]] = frozenset()):
+        self._fill(requests, departures, arrivals)
 
 
 def check_scenario(scenario: Scenario, cfg: SpacetimeConfig) -> None:

@@ -21,14 +21,13 @@ requirement that failed on each one.
 
 The walk steps one :class:`.protocol.Run` per requirement, the same tuple
 kernel ``execute`` uses, and judges every branch, partial or complete, by
-the one departure rule above; the dataclasses appear only at the boundary.
+the one departure rule above; the value classes appear only at the boundary.
 A ``Found`` strategy is replayed through ``execute`` and judged on its
 arrivals by ``evaluate_requirement``, independently of that rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ValidationError
@@ -45,6 +44,7 @@ from .protocol import (
     raw_to_history,
     strategy_from_raw,
 )
+from .record import Record
 from .spacetime import SpacetimeConfig, distance
 from .tasks import (
     Requirement,
@@ -56,20 +56,18 @@ from .tasks import (
 )
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(Record):
     """Caps that turn a runaway exploration into an Aborted outcome."""
 
-    max_branches: int = 2_000_000
-    max_decision_points: int = 10_000
+    __slots__ = ("max_branches", "max_decision_points")
 
-    def __post_init__(self):
-        if self.max_branches < 1 or self.max_decision_points < 1:
+    def __init__(self, max_branches: int = 2_000_000, max_decision_points: int = 10_000):
+        if max_branches < 1 or max_decision_points < 1:
             raise ValidationError("search limits must be >= 1")
+        self._fill(max_branches, max_decision_points)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Machine-checkable record that an exhaustive exploration completed.
 
     ``decision_points`` lists every (agent, time, history) the search ever
@@ -79,9 +77,11 @@ class Certificate:
     branch in exploration order, the index of the first requirement it lost.
     """
 
-    decision_points: tuple[tuple[str, int, LocalHistory], ...]
-    strategies_explored: int
-    leaf_failures: tuple[int, ...]
+    __slots__ = ("decision_points", "strategies_explored", "leaf_failures")
+
+    def __init__(self, decision_points: tuple[tuple[str, int, LocalHistory], ...],
+                 strategies_explored: int, leaf_failures: tuple[int, ...]):
+        self._fill(decision_points, strategies_explored, leaf_failures)
 
     def failures_by_requirement(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -90,28 +90,32 @@ class Certificate:
         return counts
 
 
-@dataclass(frozen=True)
-class Found:
+class Found(Record):
     """A complete strategy satisfying every requirement, plus its reports."""
 
-    strategy: Strategy
-    reports: tuple[RequirementReport, ...]
+    __slots__ = ("strategy", "reports")
+
+    def __init__(self, strategy: Strategy, reports: tuple[RequirementReport, ...]):
+        self._fill(strategy, reports)
 
 
-@dataclass(frozen=True)
-class Impossible:
+class Impossible(Record):
     """Every branch over reachable histories was refuted."""
 
-    certificate: Certificate
+    __slots__ = ("certificate",)
+
+    def __init__(self, certificate: Certificate):
+        self._fill(certificate)
 
 
-@dataclass(frozen=True)
-class Aborted:
+class Aborted(Record):
     """A search limit was hit before the tree was decided."""
 
-    limit: str  # "branches" or "decision_points"
-    strategies_explored: int
-    decision_points: int
+    __slots__ = ("limit", "strategies_explored", "decision_points")
+
+    # limit: "branches" or "decision_points"
+    def __init__(self, limit: str, strategies_explored: int, decision_points: int):
+        self._fill(limit, strategies_explored, decision_points)
 
 
 SearchOutcome = Union[Found, Impossible, Aborted]
@@ -322,21 +326,21 @@ def indistinguishable(
     return local_history(trace1, agent, t, cfg) == local_history(trace2, agent, t, cfg)
 
 
-@dataclass(frozen=True)
-class AuditViolation:
-    pair_index: int
-    agent: str
-    time: int
-    history: LocalHistory
-    sends: tuple[frozenset[str], frozenset[str]]
+class AuditViolation(Record):
+    __slots__ = ("pair_index", "agent", "time", "history", "sends")
+
+    def __init__(self, pair_index: int, agent: str, time: int, history: LocalHistory,
+                 sends: tuple[frozenset[str], frozenset[str]]):
+        self._fill(pair_index, agent, time, history, sends)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     """Result of checking same-history implies same-behavior over pairs."""
 
-    checks: int
-    violations: tuple[AuditViolation, ...] = ()
+    __slots__ = ("checks", "violations")
+
+    def __init__(self, checks: int, violations: tuple[AuditViolation, ...] = ()):
+        self._fill(checks, violations)
 
     @property
     def ok(self) -> bool:

@@ -8,31 +8,28 @@ light signal could connect them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SameLocation, UnknownLocation, ValidationError
+from .record import Ordered, Record
 
 
-@dataclass(frozen=True, eq=True)
-class SpacetimeConfig:
+class SpacetimeConfig(Record):
     """Static geometry: named lattice locations plus the simulation horizon.
 
     Coordinates must be pairwise distinct; co-located laboratories would let
     one agent observe another's requests directly, which is outside the model.
     """
 
-    locations: dict[str, int]
-    horizon: int
+    __slots__ = ("locations", "horizon")
 
-    def __post_init__(self):
-        if len(self.locations) < 2:
+    def __init__(self, locations: dict[str, int], horizon: int):
+        if len(locations) < 2:
             raise ValidationError("need at least 2 locations")
-        coords = list(self.locations.values())
+        coords = list(locations.values())
         if len(set(coords)) != len(coords):
             raise ValidationError("location coordinates must be pairwise distinct")
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
-        object.__setattr__(self, "locations", dict(self.locations))
+        if horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {horizon}")
+        self._fill(dict(locations), horizon)
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -51,12 +48,13 @@ class SpacetimeConfig:
         return tuple(a for a in self.agents if a != loc)
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(Ordered):
     """A (location, time) point on the lattice."""
 
-    location: str
-    time: int
+    __slots__ = ("location", "time")
+
+    def __init__(self, location: str, time: int):
+        self._fill(location, time)
 
 
 def check_event(event: Event, cfg: SpacetimeConfig) -> None:

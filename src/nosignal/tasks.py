@@ -9,50 +9,44 @@ suffices; a set of requirements is the requester's whole range of freedom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
 from .errors import DuplicateTask, ValidationError
 from .protocol import Scenario, Strategy, TaskRequest, Trace, execute
+from .record import Record
 from .spacetime import SpacetimeConfig
 
 
-@dataclass(frozen=True)
-class Deliver:
+class Deliver(Record):
     """Require an arrival ``origin -> dest`` at exactly time ``at``."""
 
-    origin: str
-    dest: str
-    at: int
+    __slots__ = ("origin", "dest", "at")
 
-    def __post_init__(self):
-        if self.origin == self.dest:
+    def __init__(self, origin: str, dest: str, at: int):
+        if origin == dest:
             raise ValidationError("deliver endpoints must differ")
+        self._fill(origin, dest, at)
 
 
-@dataclass(frozen=True)
-class Silence:
+class Silence(Record):
     """Forbid any departure ``origin -> dest`` at any time in the run."""
 
-    origin: str
-    dest: str
+    __slots__ = ("origin", "dest")
 
-    def __post_init__(self):
-        if self.origin == self.dest:
+    def __init__(self, origin: str, dest: str):
+        if origin == dest:
             raise ValidationError("silence endpoints must differ")
+        self._fill(origin, dest)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Record):
     """Success predicate over traces: one exact delivery plus silence bans."""
 
-    id: str
-    deliver: Deliver
-    silence: tuple[Silence, ...] = ()
+    __slots__ = ("id", "deliver", "silence")
 
-    def __post_init__(self):
-        object.__setattr__(self, "silence", tuple(self.silence))
+    def __init__(self, id: str, deliver: Deliver, silence: tuple[Silence, ...] = ()):
+        self._fill(id, deliver, tuple(silence))
 
 
 class Rule(str, Enum):
@@ -60,25 +54,24 @@ class Rule(str, Enum):
     AT_LEAST_ONE = "at_least_one"
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(Record):
     """One scenario plus how many of its requested tasks must succeed."""
 
-    scenario: Scenario
-    rule: Rule
+    __slots__ = ("scenario", "rule")
 
-    def __post_init__(self):
-        if self.rule is Rule.AT_LEAST_ONE and not self.scenario.requests:
+    def __init__(self, scenario: Scenario, rule: Rule):
+        if rule is Rule.AT_LEAST_ONE and not scenario.requests:
             raise ValidationError("at_least_one requires a non-empty scenario")
+        self._fill(scenario, rule)
 
 
-@dataclass(frozen=True)
-class RequirementReport:
+class RequirementReport(Record):
     """Per-task verdicts for one requirement and the combined outcome."""
 
-    requirement: Requirement
-    verdicts: dict[str, bool]
-    satisfied: bool
+    __slots__ = ("requirement", "verdicts", "satisfied")
+
+    def __init__(self, requirement: Requirement, verdicts: dict[str, bool], satisfied: bool):
+        self._fill(requirement, verdicts, satisfied)
 
 
 def check_task(task: TaskSpec, cfg: SpacetimeConfig) -> None:

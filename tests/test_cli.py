@@ -1,6 +1,7 @@
 """Config documents, strategy files, diagrams, and the exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +195,22 @@ class TestDiagrams:
             "  t a?       R\n  0 !1\n  1    >\n  2       >\n  3          *\n"
         )
 
+    def test_wide_lab_name_keeps_columns(self, capsys, tmp_path):
+        """A lab named with two East Asian wide characters would fill five
+        terminal columns; shown as ``??`` it fills its cell, so the request
+        marker sits under its lab's header label."""
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({
+            "locations": {"日本": 0, "M": 2, "R": 4}, "horizon": 2,
+            "tasks": {"task1": {"deliver": {"from": "R", "to": "M", "at": 2}}},
+            "scenarios": {"one": [{"task": "task1", "location": "R", "time": 0}]},
+        }))
+        assert main(["diagram", "--config", str(doc), "--scenario", "one"]) == 0
+        out = capsys.readouterr().out
+        assert out == "  t ??    M     R\n  0             !1\n  1          <\n  2       *\n"
+        header, request_row = out.splitlines()[:2]
+        assert header.index("R") == request_row.index("!1") == 16
+
 
 class TestExitCodes:
     def test_simulate_ok(self, capsys):
@@ -293,3 +310,16 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["outcome"] == "impossible"
+
+
+def test_start_up_imports_no_dataclasses():
+    """The CLI's value classes generate no code at import, so neither
+    ``dataclasses`` nor the ``inspect`` it pulls in is loaded. ``-S`` keeps a
+    site ``.pth`` file from loading them first."""
+    probe = "import sys, nosignal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
