@@ -312,6 +312,94 @@ class TestExitCodes:
         assert json.loads(proc.stdout)["outcome"] == "impossible"
 
 
+FOUND_TEXT = """\
+found a strategy satisfying all 2 requirements:
+  L  t=0  [request task1 @0]  -> send R
+  R  t=0  [request task2 @0]  -> send L
+"""
+IMPOSSIBLE_TEXT = """\
+impossible: all 16 refuted branches over 4 decision points fail some requirement
+  requirement 1 (all of 'only_task1'): first failure on 12 branches
+  requirement 2 (all of 'only_task2'): first failure on 3 branches
+  requirement 3 (at_least_one of 'both'): first failure on 1 branches
+"""
+# One edit of paradox_d3.json per input invariant: (JSON keys, new value,
+# the whole stderr of `search`).
+INVALID_EDITS = [
+    (("locations",), {"L": 0}, "locations: need at least 2 locations"),
+    (("locations",), {"L": 0, "R": 0}, "locations: coordinates must be pairwise distinct"),
+    (("horizon",), 0, "horizon: must be >= 1, got 0"),
+    (("tasks", "task1", "deliver", "to"), "L", "tasks.task1.deliver: endpoints must differ"),
+    (("tasks", "task1", "deliver", "to"), "X", "tasks.task1.deliver.to: unknown location 'X'"),
+    (("tasks", "task1", "deliver", "at"), 5,
+     "tasks.task1.deliver.at: 5 outside [0, 3]; horizon too small"),
+    (("tasks", "task1", "silence", 0, "to"), "R", "tasks.task1.silence[0]: endpoints must differ"),
+    (("tasks", "task1", "silence", 0, "from"), "X",
+     "tasks.task1.silence[0].from: unknown location 'X'"),
+    (("scenarios", "both", 1, "location"), "X", "scenarios.both[1].location: unknown location 'X'"),
+    (("scenarios", "both", 1, "time"), 9, "scenarios.both[1].time: 9 outside [0, 3]"),
+    (("scenarios", "both", 1, "location"), "L",
+     "scenarios.both[1]: duplicate request slot ('L', 0)"),
+    (("scenarios", "both", 1, "task"), "task9", "scenarios.both[1].task: undefined task 'task9'"),
+    (("requirements", 2, "scenario"), "empty",
+     "requirements[2]: at_least_one over empty scenario 'empty'"),
+    (("requirements", 2, "rule"), "some",
+     "requirements[2].rule: expected 'all' or 'at_least_one', got 'some'"),
+    (("limits",), {"max_branches": 0}, "limits: limits must be >= 1"),
+]
+# Strategy documents for `check` on paradox_d3.json: (rows, the whole stderr).
+INVALID_STRATEGIES = [
+    ([{"agent": "L", "history": {"upto": 2, "events": [{"kind": "request", "time": 5,
+                                                        "task": "task1"}]},
+       "action": {"send": ["R"]}}],
+     "rows[0].history.events[0].time: 5 outside [0, 2]"),
+    ([{"agent": "L", "history": {"upto": 2, "events": [
+        {"kind": "signal", "time": 1, "origin": "R"},
+        {"kind": "request", "time": -1, "task": "task1"}]}, "action": {}}],
+     "rows[0].history.events[1].time: -1 outside [0, 2]"),
+]
+
+
+def _edited_paradox(keys, value):
+    doc = json.loads(PARADOX.read_text())
+    *parents, last = keys
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _cli_cases():
+    yield pytest.param(["search", "--config", str(SINGLE)], None, None,
+                       (FOUND_TEXT, "", 0), id="search-found")
+    yield pytest.param(["search", "--config", str(PARADOX)], None, None,
+                       (IMPOSSIBLE_TEXT, "", 3), id="search-impossible")
+    for keys, value, message in INVALID_EDITS:
+        yield pytest.param(["search"], _edited_paradox(keys, value), None,
+                           ("", f"error: {message}\n", 2),
+                           id="-".join(map(str, keys)) + f"={value}")
+    for i, (rows, message) in enumerate(INVALID_STRATEGIES):
+        yield pytest.param(["check", "--config", str(PARADOX)], None, {"rows": rows},
+                           ("", f"error: {message}\n", 2), id=f"strategy-{i}")
+
+
+@pytest.mark.parametrize("argv, config, strategy, expected", _cli_cases())
+def test_cli_bytes(capsys, tmp_path, argv, config, strategy, expected):
+    """Exact stdout, stderr and exit code of the text CLI."""
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    if strategy is not None:
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps(strategy))
+        argv = [*argv, "--strategy", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err, code) == expected
+
+
 def test_start_up_imports_no_dataclasses():
     """The CLI's value classes generate no code at import, so neither
     ``dataclasses`` nor the ``inspect`` it pulls in is loaded. ``-S`` keeps a
