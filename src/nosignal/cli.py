@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
 
 from .config import (
     ConfigDocument,
@@ -116,7 +115,7 @@ def _trace_lines(trace: Trace) -> list[str]:
     return [text for _, _, text in sorted(rows)] or ["(empty trace)"]
 
 
-def _trace_json(trace: Trace) -> dict[str, Any]:
+def _trace_json(trace: Trace) -> dict[str, object]:
     return {
         "requests": sorted(list(r) for r in trace.requests),
         "departures": sorted(list(d) for d in trace.departures),
@@ -124,30 +123,24 @@ def _trace_json(trace: Trace) -> dict[str, Any]:
     }
 
 
-def _history_label(history) -> str:
-    if not history.events:
-        return "[]"
-    parts = []
-    for event in history.events:
-        if event.kind == "request":
-            parts.append(f"request {event.label} @{event.time}")
-        else:
-            parts.append(f"signal from {event.label} @{event.time}")
-    return "[" + ", ".join(parts) + "]"
+def _event_label(event: dict[str, object]) -> str:
+    if event["kind"] == "request":
+        return f"request {event['task']} @{event['time']}"
+    return f"signal from {event['origin']} @{event['time']}"
 
 
 def _print_strategy(strategy: Strategy) -> None:
-    if not strategy.table:
+    rows = strategy_rows(strategy)
+    if not rows:
         print("  (empty table: every agent always does nothing)")
-        return
-    ordered = sorted(strategy.table.items(),
-                     key=lambda kv: (kv[0][0], kv[0][1].upto, kv[0][1].events))
-    for (agent, history), action in ordered:
-        sends = ", ".join(sorted(action.sends)) or "nothing"
-        print(f"  {agent}  t={history.upto}  {_history_label(history)}  -> send {sends}")
+    for row in rows:
+        history = row["history"]
+        events = ", ".join(_event_label(event) for event in history["events"])
+        sends = ", ".join(row["action"]["send"]) or "nothing"
+        print(f"  {row['agent']}  t={history['upto']}  [{events}]  -> send {sends}")
 
 
-def _report_json(report: RequirementReport, label: str) -> dict[str, Any]:
+def _report_json(report: RequirementReport, label: str) -> dict[str, object]:
     return {
         "scenario": label,
         "rule": report.requirement.rule.value,

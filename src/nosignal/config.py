@@ -10,9 +10,9 @@ value, parse errors the line and column.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from collections.abc import Callable, Mapping
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, SimulationError, ValidationError
 from .protocol import (
     KIND_REQUEST,
     Action,
@@ -21,11 +21,12 @@ from .protocol import (
     Scenario,
     Strategy,
     TaskRequest,
+    check_request,
 )
 from .record import Record
 from .search import SearchLimits
 from .spacetime import SpacetimeConfig
-from .tasks import Deliver, Requirement, Rule, Silence, TaskSpec
+from .tasks import Deliver, Requirement, Rule, Silence, TaskSpec, check_task
 
 
 class NamedRequirement(Record):
@@ -62,25 +63,25 @@ def _fail(path: str, message: str) -> None:
     raise ValidationError(f"{path}: {message}")
 
 
-def _require_object(value: Any, path: str) -> dict:
+def _require_object(value: object, path: str) -> dict:
     if not isinstance(value, dict):
         _fail(path, f"expected an object, got {type(value).__name__}")
     return value
 
 
-def _require_list(value: Any, path: str) -> list:
+def _require_list(value: object, path: str) -> list:
     if not isinstance(value, list):
         _fail(path, f"expected a list, got {type(value).__name__}")
     return value
 
 
-def _require_int(value: Any, path: str) -> int:
+def _require_int(value: object, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(path, f"expected an integer, got {value!r}")
     return value
 
 
-def _require_str(value: Any, path: str) -> str:
+def _require_str(value: object, path: str) -> str:
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {value!r}")
     return value
@@ -92,13 +93,13 @@ def _no_extras(obj: dict, allowed: set[str], path: str) -> None:
             _fail(path, f"unexpected key {key!r}")
 
 
-def _pop(obj: dict, key: str, path: str) -> Any:
+def _pop(obj: dict, key: str, path: str) -> object:
     if key not in obj:
         _fail(path, f"missing key {key!r}")
     return obj[key]
 
 
-def _parse(text: str) -> Any:
+def _parse(text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
@@ -107,31 +108,35 @@ def _parse(text: str) -> Any:
         raise ParseError("document nested too deeply") from None
 
 
-def _location(value: Any, cfg: SpacetimeConfig, path: str) -> str:
+def _location(value: object, cfg: SpacetimeConfig, path: str) -> str:
     name = _require_str(value, path)
     if name not in cfg.locations:
         _fail(path, f"unknown location {name!r}")
     return name
 
 
+def _checked(prefix: str, check: Callable, *args):
+    """``check(*args)``, a constructor or checker; an input error it raises
+    is raised again with ``prefix`` (a JSON path and separator) in front."""
+    try:
+        return check(*args)
+    except SimulationError as err:
+        raise ValidationError(f"{prefix}{err}") from None
+
+
 def load_config(text: str) -> ConfigDocument:
-    """Parse and validate a config document; every invariant is checked."""
+    """Parse and validate a config document.
+
+    JSON types, keys and names (tasks, scenarios, rules) are checked here;
+    every other invariant by the constructor or checker that owns it, whose
+    message gets the JSON path of the offending value in front.
+    """
     raw = _require_object(_parse(text), "document")
     _no_extras(raw, {"locations", "horizon", "tasks", "scenarios", "requirements", "limits"}, "document")
 
     locations_raw = _require_object(_pop(raw, "locations", "document"), "locations")
-    if len(locations_raw) < 2:
-        _fail("locations", "need at least 2 locations")
-    locations = {}
-    for name, coord in locations_raw.items():
-        locations[name] = _require_int(coord, f"locations.{name}")
-    if len(set(locations.values())) != len(locations):
-        _fail("locations", "coordinates must be pairwise distinct")
-
-    horizon = _require_int(_pop(raw, "horizon", "document"), "horizon")
-    if horizon < 1:
-        _fail("horizon", f"must be >= 1, got {horizon}")
-    cfg = SpacetimeConfig(locations, horizon)
+    locations = {name: _require_int(coord, f"locations.{name}") for name, coord in locations_raw.items()}
+    cfg = SpacetimeConfig(locations, _require_int(_pop(raw, "horizon", "document"), "horizon"))
 
     tasks: dict[str, TaskSpec] = {}
     for task_id, body in _require_object(raw.get("tasks", {}), "tasks").items():
@@ -140,30 +145,25 @@ def load_config(text: str) -> ConfigDocument:
         _no_extras(body, {"deliver", "silence"}, path)
         deliver_raw = _require_object(_pop(body, "deliver", path), f"{path}.deliver")
         _no_extras(deliver_raw, {"from", "to", "at"}, f"{path}.deliver")
-        origin = _location(_pop(deliver_raw, "from", f"{path}.deliver"), cfg, f"{path}.deliver.from")
-        dest = _location(_pop(deliver_raw, "to", f"{path}.deliver"), cfg, f"{path}.deliver.to")
-        if origin == dest:
-            _fail(f"{path}.deliver", "endpoints must differ")
+        origin = _require_str(_pop(deliver_raw, "from", f"{path}.deliver"), f"{path}.deliver.from")
+        dest = _require_str(_pop(deliver_raw, "to", f"{path}.deliver"), f"{path}.deliver.to")
         at = _require_int(_pop(deliver_raw, "at", f"{path}.deliver"), f"{path}.deliver.at")
-        if not 0 <= at <= horizon:
-            _fail(f"{path}.deliver.at", f"{at} outside [0, {horizon}]; horizon too small")
+        deliver = _checked(f"{path}.deliver: ", Deliver, origin, dest, at)
         silence = []
         for i, ban in enumerate(_require_list(body.get("silence", []), f"{path}.silence")):
             ban_path = f"{path}.silence[{i}]"
             ban = _require_object(ban, ban_path)
             _no_extras(ban, {"from", "to"}, ban_path)
-            b_origin = _location(_pop(ban, "from", ban_path), cfg, f"{ban_path}.from")
-            b_dest = _location(_pop(ban, "to", ban_path), cfg, f"{ban_path}.to")
-            if b_origin == b_dest:
-                _fail(ban_path, "endpoints must differ")
-            silence.append(Silence(b_origin, b_dest))
-        tasks[task_id] = TaskSpec(task_id, Deliver(origin, dest, at), tuple(silence))
+            b_origin = _require_str(_pop(ban, "from", ban_path), f"{ban_path}.from")
+            b_dest = _require_str(_pop(ban, "to", ban_path), f"{ban_path}.to")
+            silence.append(_checked(f"{ban_path}: ", Silence, b_origin, b_dest))
+        tasks[task_id] = TaskSpec(task_id, deliver, tuple(silence))
+        _checked(f"{path}.", check_task, tasks[task_id], cfg)
 
     scenarios: dict[str, Scenario] = {}
     for name, entries in _require_object(raw.get("scenarios", {}), "scenarios").items():
         path = f"scenarios.{name}"
         requests = []
-        slots = set()
         for i, entry in enumerate(_require_list(entries, path)):
             entry_path = f"{path}[{i}]"
             entry = _require_object(entry, entry_path)
@@ -171,15 +171,11 @@ def load_config(text: str) -> ConfigDocument:
             task_id = _require_str(_pop(entry, "task", entry_path), f"{entry_path}.task")
             if task_id not in tasks:
                 _fail(f"{entry_path}.task", f"undefined task {task_id!r}")
-            location = _location(_pop(entry, "location", entry_path), cfg, f"{entry_path}.location")
+            location = _require_str(_pop(entry, "location", entry_path), f"{entry_path}.location")
             time = _require_int(_pop(entry, "time", entry_path), f"{entry_path}.time")
-            if not 0 <= time <= horizon:
-                _fail(f"{entry_path}.time", f"{time} outside [0, {horizon}]")
-            if (location, time) in slots:
-                _fail(entry_path, f"duplicate request slot ({location!r}, {time})")
-            slots.add((location, time))
             requests.append(TaskRequest(task_id, location, time))
-        scenarios[name] = Scenario(frozenset(requests))
+            _checked(f"{entry_path}.", check_request, requests[-1], cfg)
+        scenarios[name] = _checked(f"{path}: ", Scenario, requests)
 
     requirements: list[NamedRequirement] = []
     for i, entry in enumerate(_require_list(raw.get("requirements", []), "requirements")):
@@ -194,8 +190,7 @@ def load_config(text: str) -> ConfigDocument:
             rule = Rule(rule_raw)
         except ValueError:
             _fail(f"{path}.rule", f"expected 'all' or 'at_least_one', got {rule_raw!r}")
-        if rule is Rule.AT_LEAST_ONE and not scenarios[name].requests:
-            _fail(path, f"at_least_one over empty scenario {name!r}")
+        _checked(f"{path}: ", Requirement, scenarios[name], rule)
         requirements.append(NamedRequirement(name, rule))
 
     limits = None
@@ -208,16 +203,14 @@ def load_config(text: str) -> ConfigDocument:
             body.get("max_decision_points", defaults.max_decision_points),
             "limits.max_decision_points",
         )
-        if branches < 1 or points < 1:
-            _fail("limits", "limits must be >= 1")
-        limits = SearchLimits(branches, points)
+        limits = _checked("limits: ", SearchLimits, branches, points)
 
     return ConfigDocument(cfg, tasks, scenarios, requirements, limits)
 
 
 def serialize_config(doc: ConfigDocument) -> str:
     """Canonical JSON for a config document; loading it back gives ``doc``."""
-    payload: dict[str, Any] = {
+    payload: dict[str, object] = {
         "locations": {name: doc.spacetime.locations[name] for name in sorted(doc.spacetime.locations)},
         "horizon": doc.spacetime.horizon,
         "tasks": {
@@ -254,19 +247,17 @@ def serialize_config(doc: ConfigDocument) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _event_to_json(event: ReceivedEvent) -> dict[str, Any]:
+def _event_to_json(event: ReceivedEvent) -> dict[str, object]:
     if event.kind == KIND_REQUEST:
         return {"kind": "request", "time": event.time, "task": event.label}
     return {"kind": "signal", "time": event.time, "origin": event.label}
 
 
-def _event_from_json(raw: Any, cfg: SpacetimeConfig, agent: str, upto: int,
+def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
                      tasks: Mapping[str, TaskSpec] | None, path: str) -> ReceivedEvent:
     raw = _require_object(raw, path)
     kind = _require_str(_pop(raw, "kind", path), f"{path}.kind")
     time = _require_int(_pop(raw, "time", path), f"{path}.time")
-    if not 0 <= time <= upto:
-        _fail(f"{path}.time", f"{time} outside [0, {upto}]")
     if kind == "request":
         _no_extras(raw, {"kind", "time", "task"}, path)
         task_id = _require_str(_pop(raw, "task", path), f"{path}.task")
@@ -301,7 +292,7 @@ def load_strategy(
         if not 0 <= upto <= cfg.horizon:
             _fail(f"{path}.history.upto", f"{upto} outside [0, {cfg.horizon}]")
         events = tuple(
-            _event_from_json(ev, cfg, agent, upto, tasks, f"{path}.history.events[{j}]")
+            _event_from_json(ev, cfg, agent, tasks, f"{path}.history.events[{j}]")
             for j, ev in enumerate(
                 _require_list(history_raw.get("events", []), f"{path}.history.events")
             )
@@ -314,14 +305,14 @@ def load_strategy(
             if dest == agent:
                 _fail(f"{path}.action.send[{j}]", "agent cannot send to itself")
             sends.add(dest)
-        key = (agent, LocalHistory(agent, upto, events))
+        key = (agent, _checked(f"{path}.history.", LocalHistory, agent, upto, events))
         if key in table and table[key] != Action(frozenset(sends)):
             _fail(path, "conflicting duplicate of an earlier row")
         table[key] = Action(frozenset(sends))
     return Strategy(table)
 
 
-def strategy_rows(strategy: Strategy) -> list[dict[str, Any]]:
+def strategy_rows(strategy: Strategy) -> list[dict[str, object]]:
     """Strategy table as JSON-ready rows in canonical order."""
     ordered = sorted(
         strategy.table.items(), key=lambda kv: (kv[0][0], kv[0][1].upto, kv[0][1].events)

@@ -16,14 +16,13 @@ cannot disagree on what an agent sees.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from collections.abc import Mapping
 
 from .errors import InvalidScenario, SameLocation, UnachievableTask, ValidationError
 from .record import Ordered, Record
-from .spacetime import SpacetimeConfig, distance
+from .spacetime import Event, SpacetimeConfig, check_event, distance
 
-if TYPE_CHECKING:
-    from .tasks import TaskSpec
+# ``TaskSpec`` (from ``.tasks``, which imports this module) appears in annotations only.
 
 KIND_REQUEST = "request"
 KIND_SIGNAL = "signal"  # sorts after "request", giving the canonical order for free
@@ -61,11 +60,11 @@ class LocalHistory(Record):
     __slots__ = ("agent", "upto", "events")
 
     def __init__(self, agent: str, upto: int, events: tuple[ReceivedEvent, ...] = ()):
-        events = tuple(sorted(events))
-        for ev in events:
-            if ev.time > upto:
-                raise ValidationError(f"event at t={ev.time} after history cutoff {upto}")
-        self._fill(agent, upto, events)
+        events = tuple(events)
+        for i, ev in enumerate(events):
+            if not 0 <= ev.time <= upto:
+                raise ValidationError(f"events[{i}].time: {ev.time} outside [0, {upto}]")
+        self._fill(agent, upto, tuple(sorted(events)))
 
 
 class Action(Record):
@@ -110,15 +109,19 @@ class TaskRequest(Ordered):
 
 
 class Scenario(Record):
-    """The requester's choice of which tasks to ask for, where and when."""
+    """The requester's choice of which tasks to ask for, where and when;
+    at most one request per (location, time) slot."""
 
     __slots__ = ("requests",)
 
     def __init__(self, requests: frozenset[TaskRequest] = frozenset()):
-        requests = frozenset(requests)
-        if len({(r.location, r.time) for r in requests}) != len(requests):
-            raise InvalidScenario("at most one request per (location, time) slot")
-        self._fill(requests)
+        requests = sorted(requests)
+        slots = set()
+        for r in requests:
+            if (r.location, r.time) in slots:
+                raise InvalidScenario(f"duplicate request slot ({r.location!r}, {r.time})")
+            slots.add((r.location, r.time))
+        self._fill(frozenset(requests))
 
     def task_ids(self) -> tuple[str, ...]:
         return tuple(sorted({r.task for r in self.requests}))
@@ -141,12 +144,18 @@ class Trace(Record):
         self._fill(requests, departures, arrivals)
 
 
+def check_request(request: TaskRequest, cfg: SpacetimeConfig) -> None:
+    """The request's slot is on the lattice: a known lab, a time in the horizon."""
+    if request.location not in cfg.locations:
+        raise InvalidScenario(f"location: unknown location {request.location!r}")
+    if not 0 <= request.time <= cfg.horizon:
+        raise InvalidScenario(f"time: {request.time} outside [0, {cfg.horizon}]")
+
+
 def check_scenario(scenario: Scenario, cfg: SpacetimeConfig) -> None:
-    for r in scenario.requests:
-        if r.location not in cfg.locations:
-            raise InvalidScenario(f"request for {r.task!r} at unknown location {r.location!r}")
-        if not 0 <= r.time <= cfg.horizon:
-            raise InvalidScenario(f"request for {r.task!r} at t={r.time} outside [0, {cfg.horizon}]")
+    """Every request passes ``check_request``; the first failure in request order is raised."""
+    for request in sorted(scenario.requests):
+        check_request(request, cfg)
 
 
 def check_trace(trace: Trace, cfg: SpacetimeConfig) -> None:
@@ -166,9 +175,7 @@ def local_history(trace: Trace, agent: str, t: int, cfg: SpacetimeConfig) -> Loc
     Contains exactly the requests submitted at the agent's location and the
     signal arrivals delivered there, up to and including ``t``.
     """
-    cfg.coord(agent)
-    if not 0 <= t <= cfg.horizon:
-        raise ValidationError(f"time {t} outside [0, {cfg.horizon}]")
+    check_event(Event(agent, t), cfg)
     events = [
         ReceivedEvent.request(time, task)
         for task, loc, time in trace.requests
@@ -307,7 +314,7 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Tra
     )
 
 
-def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, "TaskSpec"]) -> Strategy:
+def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> Strategy:
     """The strategy where each agent does exactly what a request asks.
 
     For a task delivering origin -> dest at time ``at``, the request is

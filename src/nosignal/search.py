@@ -28,7 +28,7 @@ arrivals by ``evaluate_requirement``, independently of that rule.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .protocol import (
@@ -53,6 +53,7 @@ from .tasks import (
     TaskSpec,
     check_task,
     evaluate_requirement,
+    requested_tasks,
 )
 
 
@@ -118,7 +119,7 @@ class Aborted(Record):
         self._fill(limit, strategies_explored, decision_points)
 
 
-SearchOutcome = Union[Found, Impossible, Aborted]
+SearchOutcome = Found | Impossible | Aborted
 
 
 class _Abort(Exception):
@@ -147,12 +148,22 @@ def find_strategy(
     assignments are judged; it is the reference walk for leaf-count oracles.
     """
     limits = limits or SearchLimits()
+    # Per requirement: its rule and, per task, the one departure that can
+    # produce the delivery and the banned pairs.
+    judge = []
     for requirement in requirements:
         check_scenario(requirement.scenario, cfg)
-        for task_id in requirement.scenario.task_ids():
-            if task_id not in tasks:
-                raise ValidationError(f"scenario references undefined task {task_id!r}")
-            check_task(tasks[task_id], cfg)
+        rows = []
+        for task in requested_tasks(requirement.scenario, tasks).values():
+            check_task(task, cfg)
+            origin, dest, at = task.deliver.origin, task.deliver.dest, task.deliver.at
+            rows.append(
+                (
+                    (origin, dest, at - distance(origin, dest, cfg)),
+                    frozenset((b.origin, b.dest) for b in task.silence),
+                )
+            )
+        judge.append((requirement.rule, rows))
 
     agents = cfg.agents
     horizon = cfg.horizon
@@ -164,22 +175,6 @@ def find_strategy(
         for dest in others:
             subsets += [s + (dest,) for s in subsets]
         menu[agent] = sorted((tuple(sorted(s)) for s in subsets), key=lambda s: (len(s), s))
-
-    # Per requirement: its rule and, per task, the one departure that can
-    # produce the delivery and the banned pairs.
-    judge = []
-    for requirement in requirements:
-        rows = []
-        for task_id in requirement.scenario.task_ids():
-            task = tasks[task_id]
-            origin, dest, at = task.deliver.origin, task.deliver.dest, task.deliver.at
-            rows.append(
-                (
-                    (origin, dest, at - distance(origin, dest, cfg)),
-                    frozenset((b.origin, b.dest) for b in task.silence),
-                )
-            )
-        judge.append((requirement.rule, rows))
 
     runs = [Run(cfg, requirement.scenario) for requirement in requirements]
     slots = [(t, run, agent) for t in range(horizon + 1) for run in runs for agent in agents]

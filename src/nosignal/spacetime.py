@@ -23,12 +23,11 @@ class SpacetimeConfig(Record):
 
     def __init__(self, locations: dict[str, int], horizon: int):
         if len(locations) < 2:
-            raise ValidationError("need at least 2 locations")
-        coords = list(locations.values())
-        if len(set(coords)) != len(coords):
-            raise ValidationError("location coordinates must be pairwise distinct")
+            raise ValidationError("locations: need at least 2 locations")
+        if len(set(locations.values())) != len(locations):
+            raise ValidationError("locations: coordinates must be pairwise distinct")
         if horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {horizon}")
+            raise ValidationError(f"horizon: must be >= 1, got {horizon}")
         self._fill(dict(locations), horizon)
 
     @property

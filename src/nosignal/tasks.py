@@ -9,10 +9,10 @@ suffices; a set of requirements is the requester's whole range of freedom.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
-from typing import Mapping
 
-from .errors import DuplicateTask, ValidationError
+from .errors import DuplicateTask, UnknownLocation, ValidationError
 from .protocol import Scenario, Strategy, TaskRequest, Trace, execute
 from .record import Record
 from .spacetime import SpacetimeConfig
@@ -25,7 +25,7 @@ class Deliver(Record):
 
     def __init__(self, origin: str, dest: str, at: int):
         if origin == dest:
-            raise ValidationError("deliver endpoints must differ")
+            raise ValidationError("endpoints must differ")
         self._fill(origin, dest, at)
 
 
@@ -36,7 +36,7 @@ class Silence(Record):
 
     def __init__(self, origin: str, dest: str):
         if origin == dest:
-            raise ValidationError("silence endpoints must differ")
+            raise ValidationError("endpoints must differ")
         self._fill(origin, dest)
 
 
@@ -61,7 +61,7 @@ class Requirement(Record):
 
     def __init__(self, scenario: Scenario, rule: Rule):
         if rule is Rule.AT_LEAST_ONE and not scenario.requests:
-            raise ValidationError("at_least_one requires a non-empty scenario")
+            raise ValidationError("at_least_one over an empty scenario")
         self._fill(scenario, rule)
 
 
@@ -75,15 +75,28 @@ class RequirementReport(Record):
 
 
 def check_task(task: TaskSpec, cfg: SpacetimeConfig) -> None:
-    cfg.coord(task.deliver.origin)
-    cfg.coord(task.deliver.dest)
-    if not 0 <= task.deliver.at <= cfg.horizon:
+    """Every lab the task names exists and its delivery falls within the horizon."""
+    deliver = task.deliver
+    ends = [("deliver.from", deliver.origin), ("deliver.to", deliver.dest)]
+    for i, ban in enumerate(task.silence):
+        ends += [(f"silence[{i}].from", ban.origin), (f"silence[{i}].to", ban.dest)]
+    for field, loc in ends:
+        if loc not in cfg.locations:
+            raise UnknownLocation(f"{field}: unknown location {loc!r}")
+    if not 0 <= deliver.at <= cfg.horizon:
         raise ValidationError(
-            f"task {task.id!r}: deliver.at {task.deliver.at} outside [0, {cfg.horizon}]"
+            f"deliver.at: {deliver.at} outside [0, {cfg.horizon}]; horizon too small"
         )
-    for ban in task.silence:
-        cfg.coord(ban.origin)
-        cfg.coord(ban.dest)
+
+
+def requested_tasks(scenario: Scenario, tasks: Mapping[str, TaskSpec]) -> dict[str, TaskSpec]:
+    """The scenario's tasks by id, in id order; each id must name one of ``tasks``."""
+    requested = {}
+    for task_id in scenario.task_ids():
+        if task_id not in tasks:
+            raise ValidationError(f"scenario references undefined task {task_id!r}")
+        requested[task_id] = tasks[task_id]
+    return requested
 
 
 def evaluate_task(trace: Trace, task: TaskSpec, cfg: SpacetimeConfig) -> bool:
@@ -103,11 +116,10 @@ def report_for_trace(
     cfg: SpacetimeConfig,
 ) -> RequirementReport:
     """Judge one requirement against an already-computed trace."""
-    verdicts = {}
-    for task_id in requirement.scenario.task_ids():
-        if task_id not in tasks:
-            raise ValidationError(f"scenario references undefined task {task_id!r}")
-        verdicts[task_id] = evaluate_task(trace, tasks[task_id], cfg)
+    verdicts = {
+        task_id: evaluate_task(trace, task, cfg)
+        for task_id, task in requested_tasks(requirement.scenario, tasks).items()
+    }
     combine = all if requirement.rule is Rule.ALL else any
     return RequirementReport(requirement, verdicts, combine(verdicts.values()))
 

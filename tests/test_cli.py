@@ -324,7 +324,7 @@ impossible: all 16 refuted branches over 4 decision points fail some requirement
   requirement 3 (at_least_one of 'both'): first failure on 1 branches
 """
 # One edit of paradox_d3.json per input invariant: (JSON keys, new value,
-# the whole stderr of `search`).
+# what `search` prints after "error: ").
 INVALID_EDITS = [
     (("locations",), {"L": 0}, "locations: need at least 2 locations"),
     (("locations",), {"L": 0, "R": 0}, "locations: coordinates must be pairwise distinct"),
@@ -339,15 +339,17 @@ INVALID_EDITS = [
     (("scenarios", "both", 1, "location"), "X", "scenarios.both[1].location: unknown location 'X'"),
     (("scenarios", "both", 1, "time"), 9, "scenarios.both[1].time: 9 outside [0, 3]"),
     (("scenarios", "both", 1, "location"), "L",
-     "scenarios.both[1]: duplicate request slot ('L', 0)"),
+     "scenarios.both: duplicate request slot ('L', 0)"),
+    (("scenarios", "both", 1), {"task": "task1", "location": "L", "time": 0},
+     "scenarios.both: duplicate request slot ('L', 0)"),
     (("scenarios", "both", 1, "task"), "task9", "scenarios.both[1].task: undefined task 'task9'"),
     (("requirements", 2, "scenario"), "empty",
-     "requirements[2]: at_least_one over empty scenario 'empty'"),
+     "requirements[2]: at_least_one over an empty scenario"),
     (("requirements", 2, "rule"), "some",
      "requirements[2].rule: expected 'all' or 'at_least_one', got 'some'"),
-    (("limits",), {"max_branches": 0}, "limits: limits must be >= 1"),
+    (("limits",), {"max_branches": 0}, "limits: search limits must be >= 1"),
 ]
-# Strategy documents for `check` on paradox_d3.json: (rows, the whole stderr).
+# Strategy documents for `check` on paradox_d3.json: (rows, what it prints after "error: ").
 INVALID_STRATEGIES = [
     ([{"agent": "L", "history": {"upto": 2, "events": [{"kind": "request", "time": 5,
                                                         "task": "task1"}]},
@@ -378,7 +380,7 @@ def _cli_cases():
     for keys, value, message in INVALID_EDITS:
         yield pytest.param(["search"], _edited_paradox(keys, value), None,
                            ("", f"error: {message}\n", 2),
-                           id="-".join(map(str, keys)) + f"={value}")
+                           id="-".join(map(str, keys)) + "=" + json.dumps(value, separators=(",", ":")))
     for i, (rows, message) in enumerate(INVALID_STRATEGIES):
         yield pytest.param(["check", "--config", str(PARADOX)], None, {"rows": rows},
                            ("", f"error: {message}\n", 2), id=f"strategy-{i}")
@@ -402,9 +404,11 @@ def test_cli_bytes(capsys, tmp_path, argv, config, strategy, expected):
 
 def test_start_up_imports_no_dataclasses():
     """The CLI's value classes generate no code at import, so neither
-    ``dataclasses`` nor the ``inspect`` it pulls in is loaded. ``-S`` keeps a
+    ``dataclasses`` nor the ``inspect`` it pulls in is loaded, and annotations
+    are never evaluated, so ``typing`` is not loaded either. ``-S`` keeps a
     site ``.pth`` file from loading them first."""
-    probe = "import sys, nosignal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = ("import sys, nosignal.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},

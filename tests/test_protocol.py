@@ -1,6 +1,10 @@
 """Executor, histories, and strategy tests, including the locality property."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -138,9 +142,32 @@ class TestExecute:
         with pytest.raises(InvalidScenario):
             execute(cfg, scenario(("task1", "L", 9)), obedient_strategy(cfg, tasks))
 
+    def test_rejection_names_the_same_request_under_every_hash_seed(self):
+        """With several bad requests, the one named must not depend on set order."""
+        probe = (
+            "from nosignal import Scenario, SpacetimeConfig, TaskRequest\n"
+            "from nosignal.protocol import check_scenario\n"
+            "requests = [TaskRequest(f't{i}', lab, 0) for i, lab in enumerate('bac')]\n"
+            "try:\n"
+            "    check_scenario(Scenario(requests), SpacetimeConfig({'L': 0, 'R': 3}, 3))\n"
+            "except Exception as err:\n"
+            "    print(type(err).__name__, err)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            ).stdout
+            for seed in range(6)
+        }
+        assert messages == {"InvalidScenario location: unknown location 'b'\n"}
+
     def test_one_request_per_slot(self):
         with pytest.raises(InvalidScenario):
             scenario(("task1", "L", 0), ("task2", "L", 0))
+        with pytest.raises(InvalidScenario):  # the same request given twice
+            Scenario([TaskRequest("task1", "L", 0)] * 2)
 
     def test_late_departure_never_arrives(self, d3):
         cfg, _, _ = d3
