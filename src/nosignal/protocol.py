@@ -320,13 +320,14 @@ def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> St
     For a task delivering origin -> dest at time ``at``, the request is
     expected at the origin lab at s = at - distance(origin, dest); the
     history holding just that request maps to a send, everything else to
-    the empty action.
+    the empty action. A delivery too early to send for is refused here; one
+    past the horizon is ``check_task``'s to refuse.
     """
     table: dict[tuple[str, LocalHistory], Action] = {}
     for task_id in sorted(tasks):
         deliver = tasks[task_id].deliver
         submit = deliver.at - distance(deliver.origin, deliver.dest, cfg)
-        if submit < 0 or deliver.at > cfg.horizon:
+        if submit < 0:
             raise UnachievableTask(
                 f"task {task_id!r}: delivery at t={deliver.at} cannot be scheduled "
                 f"within horizon {cfg.horizon}"

@@ -13,7 +13,11 @@ decision points, which keeps the space finite and small. Once every slot of
 a time slice has been applied, a requirement may already be lost:
 departures only accumulate, so a broken silence ban is final, and a
 delivery whose departure time has passed without the departure can never
-arrive. The walk refutes such a branch there instead of completing it.
+arrive. The walk refutes such a branch there instead of completing it, and
+then backjumps over the culprit's causal past: whether the banned or
+missing departure happened was fixed by the history keys inside its past
+light cone, so the walk returns to the deepest decision among them, and
+later choices are skipped (conflict-directed backjumping, Prosser 1993).
 Exhausting the tree without a winner yields a machine-checkable
 certificate: the decision points, the number of refuted branches (partial
 assignments cut at a slice boundary, or complete ones), and the
@@ -73,9 +77,13 @@ class Certificate(Record):
 
     ``decision_points`` lists every (agent, time, history) the search ever
     branched on, in first-encounter order. ``strategies_explored`` counts the
-    refuted branches: partial assignments cut at a time-slice boundary and
-    complete ones that failed. ``leaf_failures`` holds, for each refuted
-    branch in exploration order, the index of the first requirement it lost.
+    refuted branches the walk visited: partial assignments cut at a
+    time-slice boundary and complete ones that failed. The default walk
+    backjumps over the culprit's causal past; the branches it skips keep a
+    refuted branch's conflicting decisions, so they are lost too and are
+    not counted.
+    ``leaf_failures`` holds, for each refuted branch in exploration order,
+    the index of the first requirement it lost.
     """
 
     __slots__ = ("decision_points", "strategies_explored", "leaf_failures")
@@ -133,7 +141,7 @@ def find_strategy(
     tasks: Mapping[str, TaskSpec],
     limits: SearchLimits | None = None,
     on_leaf: Callable[[RawAssignment], None] | None = None,
-    prune: bool = True,
+    prune: str = "backjump",
 ) -> SearchOutcome:
     """Backtracking search over deterministic strategies on reachable histories.
 
@@ -144,12 +152,26 @@ def find_strategy(
     limit is hit. ``on_leaf``, when given, observes every branch counted
     against ``max_branches`` before it is judged or recorded: each complete
     raw assignment, and each partial one refuted at a slice boundary.
-    ``prune=False`` skips the slice-boundary refutation, so only complete
-    assignments are judged; it is the reference walk for leaf-count oracles.
+
+    ``prune`` picks one of three walks of the same loop, which agree on the
+    outcome kind and on every ``Found`` strategy:
+
+    - ``"backjump"`` (the default, and the walk the CLI runs) refutes at slice
+      boundaries and then jumps back over the culprit's causal past: to the
+      deepest decision that assigned a history key the lost requirement's
+      run read inside the past light cone of the departure that lost it;
+    - ``"slice"`` refutes at slice boundaries and backtracks chronologically;
+    - ``"none"`` judges only complete assignments and backtracks
+      chronologically; it is the reference walk for leaf-count oracles.
     """
+    if prune not in ("backjump", "slice", "none"):
+        raise ValueError(f"prune: expected 'backjump', 'slice' or 'none', got {prune!r}")
+    backjump = prune == "backjump"
+    every_slice = prune != "none"
     limits = limits or SearchLimits()
-    # Per requirement: its rule and, per task, the one departure that can
-    # produce the delivery and the banned pairs.
+    # Per requirement: its rule; per task, the one departure that can produce
+    # the delivery and the banned pairs; all banned pairs; the slices where a
+    # delivering departure falls due.
     judge = []
     for requirement in requirements:
         check_scenario(requirement.scenario, cfg)
@@ -163,7 +185,8 @@ def find_strategy(
                     frozenset((b.origin, b.dest) for b in task.silence),
                 )
             )
-        judge.append((requirement.rule, rows))
+        bans = frozenset().union(*(banned for _, banned in rows))
+        judge.append((requirement.rule, rows, bans, {max(s, 0) for (_, _, s), _ in rows}))
 
     agents = cfg.agents
     horizon = cfg.horizon
@@ -175,15 +198,21 @@ def find_strategy(
         for dest in others:
             subsets += [s + (dest,) for s in subsets]
         menu[agent] = sorted((tuple(sorted(s)) for s in subsets), key=lambda s: (len(s), s))
+    lag = {o: [distance(a, o, cfg) for a in agents] for o in agents}
 
     runs = [Run(cfg, requirement.scenario) for requirement in requirements]
     slots = [(t, run, agent) for t in range(horizon + 1) for run in runs for agent in agents]
     slice_len = len(runs) * len(agents)
+    n_slots = len(slots)
     assignment: RawAssignment = {}
     point_order: list[RawKey] = []
     point_seen: set[RawKey] = set()
     branches = 0
     leaf_failures: list[int] = []
+    # Per applied slot j, the slot index of the decision that assigned its
+    # key (j itself, or an earlier run's slot of the same agent and time).
+    origins: list[int] = []
+    decided: dict[RawKey, int] = {}
 
     def first_lost(t: int) -> int | None:
         """Index of the first requirement already lost once slice ``t`` is done.
@@ -191,21 +220,52 @@ def find_strategy(
         A task is lost when a banned departure is present or its delivering
         departure is due by ``t`` and absent; no later slot can undo either.
         At ``t = horizon`` every delivering departure is due, and its arrival
-        exists iff it does, so "not lost" is then "satisfied".
+        exists iff it does, so "not lost" is then "satisfied". Once every
+        earlier slice has passed this test, only a requirement with a task due
+        at ``t`` or a banned departure at ``t`` can be newly lost.
         """
-        for ri, (run, (rule, rows)) in enumerate(zip(runs, judge)):
+        for ri, (run, (rule, rows, bans, dues)) in enumerate(zip(runs, judge)):
             got = run.departures
-            lost_any = False
-            lost_all = True
-            for departure, banned in rows:
-                lost = (departure[2] <= t and departure not in got) or any(
-                    (o, d) in banned for o, d, _ in got
-                )
-                lost_any = lost_any or lost
-                lost_all = lost_all and lost
-            if lost_any if rule is Rule.ALL else lost_all:
+            if every_slice and t not in dues and not any((o, d, t) in got for o, d in bans):
+                continue
+            sent = {(o, d) for o, d, _ in got}
+            lost = [
+                (s <= t and (o, d, s) not in got) or not banned.isdisjoint(sent)
+                for (o, d, s), banned in rows
+            ]
+            if any(lost) if rule is Rule.ALL else all(lost):
                 return ri
         return None
+
+    def conflict_set(ri: int, t: int) -> set[int]:
+        """Decisions that fix requirement ``ri``'s loss by slice ``t``.
+
+        Each lost task has a culprit slot (t', o): its earliest banned
+        departure, else its overdue delivering departure (none when that was
+        due before 0). Whether that departure happened depends only on the
+        keys of the run's slots (t'', a) with t'' + dist(a, o) <= t', and
+        every branch keeping their decisions loses ``ri`` again. Rule
+        ``all`` needs one lost task, the earliest culprit; ``at_least_one``
+        needs them all.
+        """
+        rule, rows, _, _ = judge[ri]
+        got = runs[ri].departures
+        culprits = []
+        for (o, d, s), banned in rows:
+            bans = [(t1, o1) for o1, d1, t1 in got if (o1, d1) in banned]
+            if bans:
+                culprits.append(min(bans))
+            elif s <= t and (o, d, s) not in got:
+                culprits.append((s, o))
+        if rule is Rule.ALL:
+            culprits = [min(culprits)]
+        conflict: set[int] = set()
+        for t1, o in culprits:
+            for ai, d in enumerate(lag[o]):
+                first = ri * len(agents) + ai
+                if t1 >= d:
+                    conflict.update(origins[first:(t1 - d) * slice_len + first + 1:slice_len])
+        return conflict
 
     def count_branch() -> None:
         nonlocal branches
@@ -216,15 +276,23 @@ def find_strategy(
             on_leaf(assignment)
 
     def walk() -> Found | None:
-        # Frames: (slot index, history key, undo record, index of the action
-        # in the agent's menu, or -1 where the key was assigned earlier).
-        stack: list[tuple[int, RawKey, list, int]] = []
-        slot_idx = 0
+        # One frame per applied slot, so frame j is slot j: (history key, undo
+        # record or () for no sends, index of the action in the agent's menu,
+        # or -1 where the key was assigned earlier).
+        stack: list[tuple[RawKey, list, int]] = []
+        # Per decision frame, the conflicts carried back to it by later jumps.
+        carried: dict[int, set[int]] = {}
+        # The key each slot last had. A key at t reads only sends made before
+        # t, so after a jump to slot h the rest of h's slice keeps its keys.
+        keys: list[RawKey | None] = [None] * n_slots
+        reuse_end = 0
         while True:
+            slot_idx = len(stack)
             failing = None
-            if slot_idx == len(slots):
+            if slot_idx == n_slots:
                 count_branch()
-                failing = first_lost(horizon)
+                lost_at = horizon
+                failing = first_lost(lost_at)
                 if failing is None:
                     strategy = strategy_from_raw(assignment)
                     reports = tuple(
@@ -233,14 +301,18 @@ def find_strategy(
                     )
                     assert all(r.satisfied for r in reports)
                     return Found(strategy, reports)
-            elif prune and slot_idx and slot_idx % slice_len == 0:
-                failing = first_lost(slot_idx // slice_len - 1)
+            elif every_slice and slot_idx % slice_len == 0 and slot_idx:
+                lost_at = slot_idx // slice_len - 1
+                failing = first_lost(lost_at)
                 if failing is not None:
                     count_branch()
 
             if failing is None:
                 t, run, agent = slots[slot_idx]
-                key = run.key(t, agent)
+                if slot_idx < reuse_end:
+                    key = keys[slot_idx]
+                else:
+                    key = keys[slot_idx] = run.key(t, agent)
                 choice = -1
                 sends = assignment.get(key)
                 if sends is None:
@@ -251,24 +323,43 @@ def find_strategy(
                         point_order.append(key)
                     choice = 0
                     sends = assignment[key] = menu[agent][0]
-                stack.append((slot_idx, key, run.apply(t, agent, sends), choice))
-                slot_idx += 1
+                    decided[key] = slot_idx
+                origins.append(decided[key])
+                stack.append((key, sends and run.apply(t, agent, sends), choice))
                 continue
 
             leaf_failures.append(failing)
-            while stack:
-                slot_idx, key, undo, choice = stack.pop()
+            # The frames to jump back over: None stands for every decision
+            # frame, which makes the jump chronological backtracking.
+            conflict = conflict_set(failing, lost_at) if backjump else None
+            while stack and (conflict is None or conflict):
+                key, undo, choice = stack.pop()
+                origins.pop()
+                slot_idx = len(stack)
                 t, run, agent = slots[slot_idx]
-                run.unapply(undo)
+                if undo:
+                    run.unapply(undo)
                 if choice < 0:
                     continue
-                choice += 1
-                if choice < len(menu[agent]):
-                    sends = assignment[key] = menu[agent][choice]
-                    stack.append((slot_idx, key, run.apply(t, agent, sends), choice))
-                    slot_idx += 1
-                    break
+                if conflict is None or slot_idx in conflict:
+                    if conflict:
+                        conflict.discard(slot_idx)
+                        if slot_idx in carried:
+                            carried[slot_idx] |= conflict
+                        elif conflict:
+                            carried[slot_idx] = conflict
+                    choice += 1
+                    if choice < len(menu[agent]):
+                        sends = assignment[key] = menu[agent][choice]
+                        origins.append(slot_idx)
+                        stack.append((key, sends and run.apply(t, agent, sends), choice))
+                        reuse_end = (t + 1) * slice_len
+                        break
+                    if conflict is not None:
+                        conflict = carried.pop(slot_idx, set())
                 del assignment[key]
+                del decided[key]
+                carried.pop(slot_idx, None)
             else:
                 return None
 

@@ -197,7 +197,7 @@ def test_criterion_6_certificate_soundness():
     with criterion(6, "full re-enumeration over certificate points matches for gaps 1 and 2"):
         for gap in (1, 2):
             cfg, tasks, bundle = make_instance(gap)
-            outcome = find_strategy(cfg, bundle, tasks, prune=False)
+            outcome = find_strategy(cfg, bundle, tasks, prune="none")
             assert isinstance(outcome, Impossible)
             cert = outcome.certificate
             distinct, total, all_failed = recount_assignments(

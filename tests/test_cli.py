@@ -256,6 +256,16 @@ class TestExitCodes:
         assert main(["search", "--config", str(deep), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["outcome"] == "found"
 
+    @pytest.mark.parametrize("name", ["replay1_seed0.json", "replay2_seed0.json"])
+    def test_random_document_decided_in_few_branches(self, capsys, name):
+        """Random benchmark documents (3 labs at horizon 30, 4 labs at horizon
+        120) where the slice walk needs over 100,000 and 32,768 branches;
+        backjumping refutes each in a handful."""
+        assert main(["search", "--config", str(GOLDEN.parent / name), "--json"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["outcome"] == "impossible"
+        assert payload["strategies_explored"] <= 20
+
     @pytest.mark.parametrize("document", ["config", "strategy"])
     def test_deeply_nested_document_exits_2(self, capsys, tmp_path, document):
         """JSON nested past the parser's recursion limit is a parse error."""
@@ -318,9 +328,9 @@ found a strategy satisfying all 2 requirements:
   R  t=0  [request task2 @0]  -> send L
 """
 IMPOSSIBLE_TEXT = """\
-impossible: all 16 refuted branches over 4 decision points fail some requirement
-  requirement 1 (all of 'only_task1'): first failure on 12 branches
-  requirement 2 (all of 'only_task2'): first failure on 3 branches
+impossible: all 3 refuted branches over 4 decision points fail some requirement
+  requirement 1 (all of 'only_task1'): first failure on 1 branches
+  requirement 2 (all of 'only_task2'): first failure on 1 branches
   requirement 3 (at_least_one of 'both'): first failure on 1 branches
 """
 # One edit of paradox_d3.json per input invariant: (JSON keys, new value,

@@ -125,7 +125,7 @@ class TestCertificateSoundness:
         and a different traversal order."""
         for gap in (1, 2, 3):
             cfg, tasks, bundle = make_instance(gap)
-            outcome = find_strategy(cfg, bundle, tasks, prune=False)
+            outcome = find_strategy(cfg, bundle, tasks, prune="none")
             assert isinstance(outcome, Impossible)
             leaves, any_winner = recount_leaves(
                 cfg.locations, cfg.horizon, oracle_scenarios(bundle, tasks)
@@ -179,8 +179,9 @@ def assert_refutations_sound(cfg, tasks, bundle, assignments, failures):
 
 class TestPrunedCertificate:
     def test_counts_match_independent_recount(self):
+        """The slice walk's counts are those of the oracle's slice-pruned recount."""
         for cfg, tasks, bundle in pruned_instances():
-            outcome = find_strategy(cfg, bundle, tasks)
+            outcome = find_strategy(cfg, bundle, tasks, prune="slice")
             assert isinstance(outcome, Impossible)
             cert = outcome.certificate
             refuted, first_failures, any_winner = recount_refuted(
@@ -199,6 +200,7 @@ class TestPrunedCertificate:
         assert any_winner and refuted > 0
 
     def test_every_refuted_branch_already_lost(self, d3):
+        """Every branch the default (backjumping) walk refutes has lost its requirement."""
         for cfg, tasks, bundle in pruned_instances():
             seen = []
             outcome = find_strategy(cfg, bundle, tasks, on_leaf=lambda a: seen.append(dict(a)))
@@ -213,13 +215,38 @@ class TestPrunedCertificate:
         assert_refutations_sound(cfg, tasks, [r1, r2], seen[:-1], None)  # last one won
 
     def test_paradox_refuted_at_time_zero(self):
-        """Gate: 16 branches over the 4 decision points of t=0, at any gap."""
+        """Gate: the slice walk takes 16 branches over the 4 decision points of t=0, at any gap."""
         cfg, tasks, bundle = make_instance(16)
-        outcome = find_strategy(cfg, bundle, tasks)
+        outcome = find_strategy(cfg, bundle, tasks, prune="slice")
         assert isinstance(outcome, Impossible)
         assert outcome.certificate.strategies_explored == 16
         assert len(outcome.certificate.decision_points) == 4
         assert all(t == 0 for _, t, _ in outcome.certificate.decision_points)
+
+    @pytest.mark.parametrize("gap", [1, 16])
+    def test_paradox_backjumps_to_the_shared_key(self, gap):
+        """Gate: the backjumping walk takes 3 branches over the same 4 decision points.
+
+        Not sending at L's shared key loses requirement 0, not sending at R's
+        loses requirement 1, and sending at both breaks both bans in the dual
+        scenario; each refutation blames only the keys in the culprit's past.
+        """
+        cfg, tasks, bundle = make_instance(gap)
+        outcome = find_strategy(cfg, bundle, tasks)
+        assert isinstance(outcome, Impossible)
+        cert = outcome.certificate
+        assert (cert.strategies_explored, cert.leaf_failures) == (3, (0, 1, 2))
+        assert len(cert.decision_points) == 4
+        assert all(t == 0 for _, t, _ in cert.decision_points)
+
+    def test_three_lab_paradox_backjumps(self):
+        """Gate: 10 branches where the slice walk takes 1,024."""
+        cfg, tasks, bundle = three_lab_paradox()
+        outcome = find_strategy(cfg, bundle, tasks)
+        assert isinstance(outcome, Impossible)
+        assert outcome.certificate.strategies_explored == 10
+        slice_walk = find_strategy(cfg, bundle, tasks, prune="slice")
+        assert slice_walk.certificate.strategies_explored == 1024
 
 
 @st.composite
@@ -256,22 +283,25 @@ _D2_CFG, _D2_TASKS, (_, _, _D2_BOTH) = make_instance(2)
 @example((_D2_CFG, _D2_TASKS, [_D2_BOTH]))  # at_least_one met while one task is lost
 @settings(max_examples=150, deadline=None)
 def test_pruning_keeps_outcomes(instance):
-    """Wherever the reference walk decides, the pruned walk reaches the same
-    outcome kind, the same Found strategy, and never more branches."""
+    """Wherever the unpruned reference walk decides, the slice walk and the
+    backjumping walk reach the same outcome kind and the same Found strategy;
+    each takes no more branches than the walk it prunes."""
     cfg, tasks, requirements = instance
     limits = SearchLimits(max_branches=5_000)
-    reference = find_strategy(cfg, requirements, tasks, limits, prune=False)
-    pruned = find_strategy(cfg, requirements, tasks, limits)
+    reference = find_strategy(cfg, requirements, tasks, limits, prune="none")
+    sliced = find_strategy(cfg, requirements, tasks, limits, prune="slice")
+    jumped = find_strategy(cfg, requirements, tasks, limits, prune="backjump")
     if isinstance(reference, Aborted):
         return
-    assert type(pruned) is type(reference)
-    if isinstance(reference, Found):
-        assert strategy_rows(pruned.strategy) == strategy_rows(reference.strategy)
-        assert pruned == reference
-    else:
-        cert, ref_cert = pruned.certificate, reference.certificate
-        assert cert.strategies_explored <= ref_cert.strategies_explored
-        assert set(cert.decision_points) <= set(ref_cert.decision_points)
+    for pruned, coarser in ((sliced, reference), (jumped, sliced)):
+        assert type(pruned) is type(reference)
+        if isinstance(reference, Found):
+            assert strategy_rows(pruned.strategy) == strategy_rows(reference.strategy)
+            assert pruned == reference
+        else:
+            cert, ref_cert = pruned.certificate, coarser.certificate
+            assert cert.strategies_explored <= ref_cert.strategies_explored
+            assert set(cert.decision_points) <= set(ref_cert.decision_points)
 
 
 @st.composite
