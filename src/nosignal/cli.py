@@ -5,6 +5,13 @@ and diagram), ``search`` (synthesize a strategy for the document's
 requirements or certify impossibility), ``check`` (evaluate a strategy
 file against every requirement), and ``diagram`` (print just the picture).
 
+The grammar is one table, ``_COMMANDS`` and ``_COMMON``, of each option's
+``add_argument`` keywords. The plain form ``CMD (--opt VALUE | --json)*``
+with exact option names is parsed straight from it. Any other argv (help,
+abbreviations, ``--opt=value``, every usage error) goes to the argparse
+tree that ``build_parser`` makes from the same table, so its output is
+argparse's own.
+
 Exit codes: 0 ok/found, 1 usage error, 2 invalid input, 3 requirements
 unsatisfiable or unsatisfied, 4 search aborted on limits.
 """
@@ -22,7 +29,7 @@ from .config import (
     strategy_rows,
 )
 from .diagram import render_diagram
-from .errors import SimulationError
+from .errors import ParseError, SimulationError
 from .protocol import Scenario, Strategy, Trace, execute, obedient_strategy
 from .search import Aborted, Found, Impossible, SearchLimits, find_strategy
 from .tasks import RequirementReport, evaluate_requirement, evaluate_task
@@ -42,48 +49,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", required=True, help="path to a JSON config document")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--limits-branches", type=int, metavar="N",
-                        help="cap on search branches (partial strategies refuted at a "
-                             "time-slice boundary, or complete ones)")
-    common.add_argument("--limits-decisions", type=int, metavar="N",
-                        help="cap on distinct decision points")
-
-    parser = _Parser(prog="nosignal",
-                     description="simulate and search local signaling strategies")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    simulate = sub.add_parser("simulate", parents=[common],
-                              help="execute one scenario and report verdicts")
-    simulate.add_argument("--scenario", required=True, help="scenario name from the config")
-    simulate.add_argument("--strategy", default="obedient",
-                          help="'obedient' or a strategy file path (default: obedient)")
-    simulate.set_defaults(func=cmd_simulate)
-
-    search = sub.add_parser("search", parents=[common],
-                            help="find a strategy for all requirements or certify impossibility")
-    search.set_defaults(func=cmd_search)
-
-    check = sub.add_parser("check", parents=[common],
-                           help="evaluate a strategy against every requirement")
-    check.add_argument("--strategy", required=True,
-                       help="'obedient' or a strategy file path")
-    check.set_defaults(func=cmd_check)
-
-    diagram = sub.add_parser("diagram", parents=[common],
-                             help="print the spacetime diagram of one scenario")
-    diagram.add_argument("--scenario", required=True)
-    diagram.add_argument("--strategy", default="obedient")
-    diagram.set_defaults(func=cmd_diagram)
-    return parser
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path!r}: not UTF-8 text (byte {err.start}: {err.reason})") from None
 
 
 def _load_document(path: str) -> ConfigDocument:
-    with open(path, encoding="utf-8") as handle:
-        return load_config(handle.read())
+    return load_config(_read(path))
 
 
 def _pick_scenario(doc: ConfigDocument, name: str) -> Scenario:
@@ -95,8 +70,7 @@ def _pick_scenario(doc: ConfigDocument, name: str) -> Scenario:
 def _pick_strategy(source: str, doc: ConfigDocument) -> Strategy:
     if source == "obedient":
         return obedient_strategy(doc.spacetime, doc.tasks)
-    with open(source, encoding="utf-8") as handle:
-        return load_strategy(handle.read(), doc.spacetime, doc.tasks)
+    return load_strategy(_read(source), doc.spacetime, doc.tasks)
 
 
 def _pick_limits(args, doc: ConfigDocument) -> SearchLimits:
@@ -271,16 +245,87 @@ def cmd_diagram(args) -> int:
     return EXIT_OK
 
 
+# The grammar: each option's ``add_argument`` keywords, common options first,
+# then each subcommand's help line, handler and own options.
+_COMMON = {
+    "--config": {"required": True, "help": "path to a JSON config document"},
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--limits-branches": {"type": int, "metavar": "N",
+                          "help": "cap on search branches (partial strategies refuted at a "
+                                  "time-slice boundary, or complete ones)"},
+    "--limits-decisions": {"type": int, "metavar": "N", "help": "cap on distinct decision points"},
+}
+_COMMANDS = {
+    "simulate": ("execute one scenario and report verdicts", cmd_simulate, {
+        "--scenario": {"required": True, "help": "scenario name from the config"},
+        "--strategy": {"default": "obedient",
+                       "help": "'obedient' or a strategy file path (default: obedient)"},
+    }),
+    "search": ("find a strategy for all requirements or certify impossibility", cmd_search, {}),
+    "check": ("evaluate a strategy against every requirement", cmd_check, {
+        "--strategy": {"required": True, "help": "'obedient' or a strategy file path"},
+    }),
+    "diagram": ("print the spacetime diagram of one scenario", cmd_diagram, {
+        "--scenario": {"required": True},
+        "--strategy": {"default": "obedient"},
+    }),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="nosignal",
+                     description="simulate and search local signaling strategies")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, func, own) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, keywords in {**_COMMON, **own}.items():
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
+    return parser
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for the plain form;
+    None for any argv where argparse could behave differently."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, own = _COMMANDS[argv[0]]
+    options = {**_COMMON, **own}
+    values = {flag: keywords.get("default", False if "action" in keywords else None)
+              for flag, keywords in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        if "action" in keywords:
+            values[token] = True
+            continue
+        value = next(tokens, "-")  # a missing value is left to argparse like a dash
+        if value.startswith("-"):
+            return None
+        try:
+            values[token] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+    if any(keywords.get("required") and values[flag] is None for flag, keywords in options.items()):
+        return None
+    return argparse.Namespace(command=argv[0], func=func,
+                              **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_:
-        return exit_.code if isinstance(exit_.code, int) else EXIT_USAGE
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exit_:
+            return exit_.code if isinstance(exit_.code, int) else EXIT_USAGE
     try:
         return args.func(args)
     except (SimulationError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        message = str(err)  # a JSON path holds its keys as written, newlines included
+        print(f"error: {message if message.isprintable() else repr(message)[1:-1]}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -106,6 +106,8 @@ def _parse(text: str) -> object:
         raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from None
     except RecursionError:
         raise ParseError("document nested too deeply") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ParseError("integer literal has too many digits") from None
 
 
 def _location(value: object, cfg: SpacetimeConfig, path: str) -> str:

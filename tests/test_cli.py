@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from nosignal import ParseError, Trace, ValidationError, execute, obedient_strategy
+from nosignal import ParseError, Trace, ValidationError, cli, execute, obedient_strategy
 from nosignal.cli import main
 from nosignal.config import (
     load_config,
@@ -89,6 +91,10 @@ class TestLoadConfig:
         with pytest.raises(ParseError, match="line 1"):
             load_config("{not json")
 
+    def test_integer_past_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="integer literal has too many digits"):
+            load_config('{"horizon": ' + "1" * 5000 + "}")
+
     def test_round_trip(self):
         for path in (PARADOX, SINGLE):
             doc = load_config(path.read_text())
@@ -123,6 +129,11 @@ class TestStrategyFiles:
                           "action": {"send": ["L"]}}]}
         with pytest.raises(ValidationError, match="send to itself"):
             load_strategy(json.dumps(rows), doc.spacetime, doc.tasks)
+
+    def test_integer_past_digit_limit_is_a_parse_error(self):
+        doc = load_fixture_doc()
+        with pytest.raises(ParseError, match="integer literal has too many digits"):
+            load_strategy('{"rows": [' + "7" * 5000 + "]}", doc.spacetime, doc.tasks)
 
     def test_undefined_task_label_rejected(self):
         doc = load_fixture_doc()
@@ -278,6 +289,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: document nested too deeply\n"
 
+    @pytest.mark.parametrize("document", ["config", "strategy"])
+    def test_non_utf8_document_exits_2(self, capsys, tmp_path, document):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        config = bad if document == "config" else PARADOX
+        strategy = bad if document == "strategy" else "obedient"
+        assert main(["check", "--config", str(config), "--strategy", str(strategy)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {str(bad)!r}: not UTF-8 text (byte 0: invalid start byte)\n"
+
+    def test_unprintable_json_key_stays_on_one_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"locations": {"a\nb": "x"}, "horizon": 3}))
+        assert main(["search", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: locations.a\\nb: expected an integer, got 'x'\n"
+
     def test_check_obedient_single_exits_0(self, capsys):
         assert main(["check", "--config", str(SINGLE), "--strategy", str(OBEDIENT)]) == 0
 
@@ -425,3 +453,142 @@ def test_start_up_imports_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Argv for the grammar tests: the plain form of each command, then at most
+# one token it does not take: another command's option, an abbreviation, an
+# ``=`` form, help, ``--``, a dash value or junk.
+EXACT_OPTIONS = ["--config", "--json", "--limits-branches", "--limits-decisions",
+                 "--scenario", "--strategy"]
+ODD_TOKENS = [*EXACT_OPTIONS, "--conf", "--js", "--limits", "--limits-b", "--sc", "--strat", "-h",
+              "--help", "--", "-", "-3", "--config=x", "--json=", "--limits-branches=3",
+              "--scenario=both", "-c", "frobnicate", "sim"]
+OWN = {"simulate": EXACT_OPTIONS, "search": EXACT_OPTIONS[:4],
+       "check": [*EXACT_OPTIONS[:4], "--strategy"], "diagram": EXACT_OPTIONS}
+REQUIRED = {"simulate": ["--config", "--scenario"], "search": ["--config"],
+            "check": ["--config", "--strategy"], "diagram": ["--config", "--scenario"]}
+VALUES = st.sampled_from(["", "x y", "a=b", "both", "obedient", "٣", str(PARADOX)]) | st.text(max_size=3)
+NUMBERS = st.sampled_from(["2", "0", "+4", "1_0", " 7 ", "٣", "-3", "", "1.5"])
+
+
+@st.composite
+def argv_lists(draw):
+    command = draw(st.sampled_from(list(REQUIRED)))
+    options = draw(st.lists(st.sampled_from(OWN[command]), max_size=4))
+    if draw(st.integers(0, 3)):  # complete, so that the plain parser accepts some
+        options += REQUIRED[command]
+    argv = [command]
+    for option in draw(st.permutations(options)):
+        argv.append(option)
+        if option != "--json":
+            argv.append(draw(NUMBERS if option.startswith("--limits") else VALUES))
+    if not draw(st.integers(0, 2)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ODD_TOKENS)))
+    return argv
+
+
+class TestArgvGrammar:
+    @settings(max_examples=400, deadline=None)
+    @given(argv_lists())
+    def test_plain_args_agree_with_argparse(self, argv):
+        """Whatever the table-driven parser accepts, argparse parses to the
+        same namespace, handler included."""
+        args = cli._plain_args(argv)
+        if args is not None:
+            assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+    def test_plain_argv_never_builds_the_parser(self, capsys, monkeypatch):
+        plain = [
+            ["search", "--config", str(PARADOX)],
+            ["search", "--json", "--config", str(SINGLE), "--limits-decisions", "+40"],
+            ["check", "--strategy", str(OBEDIENT), "--config", str(SINGLE), "--json"],
+            ["simulate", "--config", str(PARADOX), "--scenario", "both", "--strategy", "obedient"],
+            ["diagram", "--config", str(PARADOX), "--scenario", "x", "--limits-branches", "1_0"],
+        ]
+        expected = []
+        for argv in plain:
+            code = main(argv)
+            expected.append((code, *capsys.readouterr()))
+
+        def refuse():
+            raise RuntimeError("argparse tree built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for argv, want in zip(plain, expected):
+            assert (main(argv), *capsys.readouterr()) == want
+        for argv in (["-h"], ["search", "-h"], ["search", "--conf", str(PARADOX)],
+                     ["search", f"--config={PARADOX}"], ["simulate", "--config", str(PARADOX)],
+                     ["search", "--config", str(PARADOX), "--limits-branches", "-1"]):
+            with pytest.raises(RuntimeError, match="argparse tree built"):
+                main(argv)
+
+
+# Documents for the fuzz test: bundled files, JSON values, edits of the
+# paradox document, raw bytes, and values too long or deep for the parser. Ints
+# stay small: a horizon or coordinate in the millions is not yet refused
+# before the search or the diagram allocates for it.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.sampled_from(["L", "R", "task1", "all"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["L", "a\nb"]) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+PARADOX_RAW = json.loads(PARADOX.read_text())
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*prefix, key))
+
+
+PARADOX_PATHS = [path for path in _paths(PARADOX_RAW) if path]
+
+
+@st.composite
+def documents(draw):
+    kind = draw(st.sampled_from(["file", "file", "value", "edit", "edit", "bytes", "huge", "deep"]))
+    if kind == "file":
+        return draw(st.sampled_from([PARADOX, SINGLE, OBEDIENT, FOURLAB])).read_bytes()
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    if kind == "edit":
+        return json.dumps(_edited_paradox(draw(st.sampled_from(PARADOX_PATHS)),
+                                          draw(JSON_VALUES))).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=24))
+    if kind == "huge":
+        edited = json.dumps(_edited_paradox(draw(st.sampled_from(PARADOX_PATHS)), "HUGE"))
+        return edited.replace('"HUGE"', "9" * draw(st.integers(4301, 5000))).encode()
+    return b"[" * 50_000
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(list(REQUIRED)), config=documents(),
+       strategy=st.sampled_from(["obedient", "config", str(PARADOX), str(OBEDIENT), str(FOURLAB_STRATEGY)])
+       | documents(),
+       scenario=st.sampled_from(["both", "empty", "only_task1", "mix"]) | st.text(max_size=2),
+       extra=st.just([]) | st.lists(st.sampled_from(ODD_TOKENS) | VALUES | NUMBERS, max_size=2))
+def test_cli_fuzz(tmp_path_factory, capsys, command, config, strategy, scenario, extra):
+    """Every document and argv ends in a documented exit code with nothing
+    escaping; every error other than a usage error is one line on stderr."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "config.json").write_bytes(config)
+    if isinstance(strategy, bytes):
+        (root / "strategy.json").write_bytes(strategy)
+        strategy = str(root / "strategy.json")
+    elif strategy == "config":
+        strategy = str(root / "config.json")
+    own = {"search": [], "check": ["--strategy", strategy]}.get(
+        command, ["--scenario", scenario, "--strategy", strategy])
+    code = main([command, "--config", str(root / "config.json"), *own,
+                 "--limits-branches", "50", *extra])
+    captured = capsys.readouterr()
+    assert code in range(5)
+    if code == 2:
+        assert captured.err.startswith("error: ") and captured.err.endswith("\n")
+        assert len(captured.err.splitlines()) == 1
+    elif code != 1:  # a usage error prints argparse's usage lines first
+        assert captured.err == ""
