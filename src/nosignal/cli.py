@@ -50,11 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             return handle.read()
-        except UnicodeDecodeError as err:
-            raise ParseError(f"{path!r}: not UTF-8 text (byte {err.start}: {err.reason})") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path!r}: not UTF-8 text (byte {err.start}: {err.reason})") from None
+    except ValueError as err:  # open() refuses a path holding a NUL byte
+        raise ParseError(f"{path!r}: {err}") from None
 
 
 def _load_document(path: str) -> ConfigDocument:

@@ -11,7 +11,9 @@ happens before decisions, so a request submitted at time t is visible to
 the decision taken at time t. One kernel, ``Run``, carries that loop on
 plain tuples: ``execute`` steps it through a fixed strategy and
 ``find_strategy`` steps and backtracks it while choosing one, so the two
-cannot disagree on what an agent sees.
+cannot disagree on what an agent sees. A run records its departures and
+what each agent receives, and nothing that can be derived from them: not
+an undo log, not the arrivals.
 """
 
 from __future__ import annotations
@@ -225,17 +227,20 @@ def strategy_to_raw(strategy: Strategy) -> RawAssignment:
 class Run:
     """Incremental execution of one scenario on plain tuples.
 
-    ``apply(t, agent, sends)`` turns each send into a departure at ``t`` and,
-    when it lands by the horizon, an arrival at ``t + distance``; every
-    destination must be another lab. It returns an undo record, and
-    ``unapply`` reverses such records last applied first. ``key(t, agent)``
-    is the agent's raw history key at ``t`` once every send made before
-    ``t`` has been applied. ``execute`` steps one run through a fixed
-    strategy; ``find_strategy`` steps one per requirement and backtracks.
+    A run holds one record per fact: the set of departures and, per agent,
+    the events it receives. ``apply(t, agent, sends)`` adds a departure at
+    ``t`` per send and, when it lands by the horizon, a signal event at the
+    destination at ``t + distance``; every destination must be another lab
+    and each ``(t, agent)`` is applied at most once. ``unapply`` with the
+    same arguments reverses it, last applied first, so no undo record is
+    kept. ``key(t, agent)`` is the agent's raw history key at ``t`` once
+    every send made before ``t`` has been applied. ``execute`` steps one run
+    through a fixed strategy; ``find_strategy`` steps one per requirement
+    and backtracks.
     """
 
     # Slots: the search reads these on every node.
-    __slots__ = ("horizon", "dist", "received", "departures", "arrivals")
+    __slots__ = ("horizon", "dist", "received", "departures")
 
     def __init__(self, cfg: SpacetimeConfig, scenario: Scenario):
         agents = cfg.agents
@@ -247,34 +252,24 @@ class Run:
         for r in scenario.requests:
             self.received[r.location].append((r.time, KIND_REQUEST, r.task))
         self.departures: set[tuple[str, str, int]] = set()
-        self.arrivals: set[tuple[str, str, int]] = set()
 
     def key(self, t: int, agent: str) -> RawKey:
         events = [e for e in self.received[agent] if e[0] <= t]
         events.sort()
         return (agent, t, tuple(events))
 
-    def apply(self, t: int, agent: str, sends: tuple[str, ...]) -> list:
-        undo = []
+    def apply(self, t: int, agent: str, sends: tuple[str, ...]) -> None:
         for dest in sends:
-            departure = (agent, dest, t)
-            self.departures.add(departure)
+            self.departures.add((agent, dest, t))
             arrives = t + self.dist[(agent, dest)]
             if arrives <= self.horizon:
-                arrival = (agent, dest, arrives)
-                self.arrivals.add(arrival)
                 self.received[dest].append((arrives, KIND_SIGNAL, agent))
-                undo.append((departure, arrival))
-            else:
-                undo.append((departure, None))
-        return undo
 
-    def unapply(self, undo: list) -> None:
-        for departure, arrival in reversed(undo):
-            self.departures.discard(departure)
-            if arrival is not None:
-                self.arrivals.discard(arrival)
-                self.received[arrival[1]].pop()
+    def unapply(self, t: int, agent: str, sends: tuple[str, ...]) -> None:
+        for dest in sends:
+            self.departures.discard((agent, dest, t))
+            if t + self.dist[(agent, dest)] <= self.horizon:
+                self.received[dest].pop()
 
 
 def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Trace:
@@ -290,27 +285,23 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Tra
     """
     check_scenario(scenario, cfg)
     table = strategy_to_raw(strategy)
-    slots: dict[int, set[str]] = {}
-    for agent, t, _ in table:
-        if 0 <= t <= cfg.horizon:
-            slots.setdefault(t, set()).add(agent)
+    slots = {(t, agent) for agent, t, _ in table
+             if 0 <= t <= cfg.horizon and agent in cfg.locations}
     run = Run(cfg, scenario)
-    for t in sorted(slots):
-        for agent in cfg.agents:
-            if agent not in slots[t]:
-                continue
-            sends = table.get(run.key(t, agent))
-            if sends:
-                for dest in sends:
-                    if dest == agent:
-                        raise SameLocation(f"agent {agent!r} cannot send to itself")
-                    cfg.coord(dest)
-                run.apply(t, agent, sends)
+    for t, agent in sorted(slots):
+        sends = table.get(run.key(t, agent))
+        if sends:
+            for dest in sends:
+                if dest == agent:
+                    raise SameLocation(f"agent {agent!r} cannot send to itself")
+                cfg.coord(dest)
+            run.apply(t, agent, sends)
 
+    arrivals = ((o, d, t + run.dist[(o, d)]) for o, d, t in run.departures)
     return Trace(
         requests=frozenset((r.task, r.location, r.time) for r in scenario.requests),
         departures=frozenset(run.departures),
-        arrivals=frozenset(run.arrivals),
+        arrivals=frozenset(a for a in arrivals if a[2] <= cfg.horizon),
     )
 
 

@@ -32,6 +32,7 @@ arrivals by ``evaluate_requirement``, independently of that rule.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
@@ -175,29 +176,19 @@ def find_strategy(
     judge = []
     for requirement in requirements:
         check_scenario(requirement.scenario, cfg)
-        rows = []
-        for task in requested_tasks(requirement.scenario, tasks).values():
-            check_task(task, cfg)
-            origin, dest, at = task.deliver.origin, task.deliver.dest, task.deliver.at
-            rows.append(
-                (
-                    (origin, dest, at - distance(origin, dest, cfg)),
-                    frozenset((b.origin, b.dest) for b in task.silence),
-                )
-            )
+        rows = [_task_row(task, cfg)
+                for task in requested_tasks(requirement.scenario, tasks).values()]
         bans = frozenset().union(*(banned for _, banned in rows))
         judge.append((requirement.rule, rows, bans, {max(s, 0) for (_, _, s), _ in rows}))
 
     agents = cfg.agents
     horizon = cfg.horizon
 
-    menu: dict[str, list[tuple[str, ...]]] = {}
-    for agent in agents:
-        others = cfg.others(agent)
-        subsets = [()]
-        for dest in others:
-            subsets += [s + (dest,) for s in subsets]
-        menu[agent] = sorted((tuple(sorted(s)) for s in subsets), key=lambda s: (len(s), s))
+    # ``others`` is sorted, so each size comes out in lexical order.
+    menu = {
+        agent: [s for n in range(len(agents)) for s in itertools.combinations(cfg.others(agent), n)]
+        for agent in agents
+    }
     lag = {o: [distance(a, o, cfg) for a in agents] for o in agents}
 
     runs = [Run(cfg, requirement.scenario) for requirement in requirements]
@@ -205,8 +196,8 @@ def find_strategy(
     slice_len = len(runs) * len(agents)
     n_slots = len(slots)
     assignment: RawAssignment = {}
-    point_order: list[RawKey] = []
-    point_seen: set[RawKey] = set()
+    # Every key the search branched on, in first-encounter order.
+    points: dict[RawKey, None] = {}
     branches = 0
     leaf_failures: list[int] = []
     # Per applied slot j, the slot index of the decision that assigned its
@@ -276,10 +267,10 @@ def find_strategy(
             on_leaf(assignment)
 
     def walk() -> Found | None:
-        # One frame per applied slot, so frame j is slot j: (history key, undo
-        # record or () for no sends, index of the action in the agent's menu,
-        # or -1 where the key was assigned earlier).
-        stack: list[tuple[RawKey, list, int]] = []
+        # One frame per applied slot, so frame j is slot j: (history key, the
+        # sends applied, index of the action in the agent's menu, or -1 where
+        # the key was assigned earlier).
+        stack: list[tuple[RawKey, tuple[str, ...], int]] = []
         # Per decision frame, the conflicts carried back to it by later jumps.
         carried: dict[int, set[int]] = {}
         # The key each slot last had. A key at t reads only sends made before
@@ -316,16 +307,17 @@ def find_strategy(
                 choice = -1
                 sends = assignment.get(key)
                 if sends is None:
-                    if key not in point_seen:
-                        if len(point_seen) >= limits.max_decision_points:
+                    if key not in points:
+                        if len(points) >= limits.max_decision_points:
                             raise _Abort("decision_points")
-                        point_seen.add(key)
-                        point_order.append(key)
+                        points[key] = None
                     choice = 0
                     sends = assignment[key] = menu[agent][0]
                     decided[key] = slot_idx
                 origins.append(decided[key])
-                stack.append((key, sends and run.apply(t, agent, sends), choice))
+                if sends:
+                    run.apply(t, agent, sends)
+                stack.append((key, sends, choice))
                 continue
 
             leaf_failures.append(failing)
@@ -333,12 +325,12 @@ def find_strategy(
             # frame, which makes the jump chronological backtracking.
             conflict = conflict_set(failing, lost_at) if backjump else None
             while stack and (conflict is None or conflict):
-                key, undo, choice = stack.pop()
+                key, sends, choice = stack.pop()
                 origins.pop()
                 slot_idx = len(stack)
                 t, run, agent = slots[slot_idx]
-                if undo:
-                    run.unapply(undo)
+                if sends:
+                    run.unapply(t, agent, sends)
                 if choice < 0:
                     continue
                 if conflict is None or slot_idx in conflict:
@@ -352,7 +344,8 @@ def find_strategy(
                     if choice < len(menu[agent]):
                         sends = assignment[key] = menu[agent][choice]
                         origins.append(slot_idx)
-                        stack.append((key, sends and run.apply(t, agent, sends), choice))
+                        run.apply(t, agent, sends)  # only the first action is empty
+                        stack.append((key, sends, choice))
                         reuse_end = (t + 1) * slice_len
                         break
                     if conflict is not None:
@@ -366,15 +359,28 @@ def find_strategy(
     try:
         found = walk()
     except _Abort as abort:
-        return Aborted(abort.limit, branches, len(point_order))
+        return Aborted(abort.limit, branches, len(points))
     if found is not None:
         return found
     return Impossible(
         Certificate(
-            decision_points=tuple(raw_to_history(key) for key in point_order),
+            decision_points=tuple(raw_to_history(key) for key in points),
             strategies_explored=branches,
             leaf_failures=tuple(leaf_failures),
         )
+    )
+
+
+def _task_row(
+    task: TaskSpec, cfg: SpacetimeConfig
+) -> tuple[tuple[str, str, int], frozenset[tuple[str, str]]]:
+    """The task's delivering departure ``(origin, dest, at - distance)`` and
+    its banned ``(origin, dest)`` pairs, once ``check_task`` passes."""
+    check_task(task, cfg)
+    origin, dest, at = task.deliver.origin, task.deliver.dest, task.deliver.at
+    return (
+        (origin, dest, at - distance(origin, dest, cfg)),
+        frozenset((ban.origin, ban.dest) for ban in task.silence),
     )
 
 
@@ -388,14 +394,9 @@ def mutually_exclusive(cfg: SpacetimeConfig, a: TaskSpec, b: TaskSpec) -> bool:
     the set of just those two is the best candidate. This bounds what any
     protocol whatsoever could accomplish.
     """
-    check_task(a, cfg)
-    check_task(b, cfg)
-    delivers = [(t.deliver.origin, t.deliver.dest, t.deliver.at) for t in (a, b)]
-    banned = {(ban.origin, ban.dest) for t in (a, b) for ban in t.silence}
-    return any(
-        at < distance(origin, dest, cfg) or (origin, dest) in banned
-        for origin, dest, at in delivers
-    )
+    rows = [_task_row(a, cfg), _task_row(b, cfg)]
+    banned = rows[0][1] | rows[1][1]
+    return any(s < 0 or (o, d) in banned for (o, d, s), _ in rows)
 
 
 def indistinguishable(

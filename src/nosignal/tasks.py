@@ -109,21 +109,6 @@ def evaluate_task(trace: Trace, task: TaskSpec, cfg: SpacetimeConfig) -> bool:
     return not any((origin, dest) in banned for origin, dest, _ in trace.departures)
 
 
-def report_for_trace(
-    trace: Trace,
-    requirement: Requirement,
-    tasks: Mapping[str, TaskSpec],
-    cfg: SpacetimeConfig,
-) -> RequirementReport:
-    """Judge one requirement against an already-computed trace."""
-    verdicts = {
-        task_id: evaluate_task(trace, task, cfg)
-        for task_id, task in requested_tasks(requirement.scenario, tasks).items()
-    }
-    combine = all if requirement.rule is Rule.ALL else any
-    return RequirementReport(requirement, verdicts, combine(verdicts.values()))
-
-
 def evaluate_requirement(
     cfg: SpacetimeConfig,
     strategy: Strategy,
@@ -132,7 +117,12 @@ def evaluate_requirement(
 ) -> RequirementReport:
     """Execute the requirement's scenario once and judge each requested task."""
     trace = execute(cfg, requirement.scenario, strategy)
-    return report_for_trace(trace, requirement, tasks, cfg)
+    verdicts = {
+        task_id: evaluate_task(trace, task, cfg)
+        for task_id, task in requested_tasks(requirement.scenario, tasks).items()
+    }
+    combine = all if requirement.rule is Rule.ALL else any
+    return RequirementReport(requirement, verdicts, combine(verdicts.values()))
 
 
 def paradox_requirements(

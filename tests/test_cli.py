@@ -300,6 +300,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {str(bad)!r}: not UTF-8 text (byte 0: invalid start byte)\n"
 
+    def test_nul_byte_in_config_path_exits_2(self, capsys):
+        assert main(["search", "--config", "a\0b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'a\\x00b': embedded null byte\n"
+
+    def test_nul_byte_in_strategy_path_exits_2(self, capsys):
+        assert main(["check", "--config", str(PARADOX), "--strategy", "x\0y"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'x\\x00y': embedded null byte\n"
+
     def test_unprintable_json_key_stays_on_one_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"locations": {"a\nb": "x"}, "horizon": 3}))

@@ -300,6 +300,42 @@ def worlds(draw):
     return cfg, s1, s2, Strategy(table)
 
 
+@st.composite
+def run_moves(draw):
+    """A 2-4-lab config, a scenario, and distinct (t, agent, sends) moves."""
+    labs = "ABCD"[:draw(st.integers(2, 4))]
+    coords = draw(st.lists(st.integers(0, 6), min_size=len(labs), max_size=len(labs), unique=True))
+    cfg = SpacetimeConfig(dict(zip(labs, coords)), draw(st.integers(1, 5)))
+    slots = [(t, agent) for t in range(cfg.horizon + 1) for agent in cfg.agents]
+    requested = draw(st.lists(st.sampled_from(slots), unique=True, max_size=3))
+    scene = Scenario(frozenset(TaskRequest(f"task{i}", agent, t)
+                               for i, (t, agent) in enumerate(requested)))
+    moves = [
+        (t, agent, tuple(draw(st.lists(st.sampled_from(cfg.others(agent)), unique=True))))
+        for t, agent in draw(st.lists(st.sampled_from(slots), unique=True, max_size=8))
+    ]
+    return cfg, scene, moves
+
+
+@given(run_moves())
+@settings(max_examples=200, deadline=None)
+def test_run_unapply_restores_the_run(case):
+    """Unapplying moves in reverse leaves departures, received events and keys as they were."""
+    cfg, scene, moves = case
+    run = Run(cfg, scene)
+    slots = [(t, agent) for t in range(cfg.horizon + 1) for agent in cfg.agents]
+    before = ({a: list(events) for a, events in run.received.items()},
+              [run.key(t, agent) for t, agent in slots])
+    for move in moves:
+        run.apply(*move)
+    assert run.departures == {(agent, dest, t) for t, agent, sends in moves for dest in sends}
+    for move in reversed(moves):
+        run.unapply(*move)
+    assert run.departures == set()
+    assert ({a: list(events) for a, events in run.received.items()},
+            [run.key(t, agent) for t, agent in slots]) == before
+
+
 def observed_sends(trace, agent, t):
     return frozenset(d for o, d, tt in trace.departures if o == agent and tt == t)
 
