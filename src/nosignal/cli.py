@@ -10,7 +10,8 @@ The grammar is one table, ``_COMMANDS`` and ``_COMMON``, of each option's
 with exact option names is parsed straight from it. Any other argv (help,
 abbreviations, ``--opt=value``, every usage error) goes to the argparse
 tree that ``build_parser`` makes from the same table, so its output is
-argparse's own.
+argparse's own; only then is ``argparse`` imported. Its usage-error exit
+status 2 is reported as 1.
 
 Exit codes: 0 ok/found, 1 usage error, 2 invalid input, 3 requirements
 unsatisfiable or unsatisfied, 4 search aborted on limits.
@@ -18,9 +19,9 @@ unsatisfiable or unsatisfied, 4 search aborted on limits.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .config import (
     ConfigDocument,
@@ -39,14 +40,6 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_UNSATISFIED = 3
 EXIT_ABORTED = 4
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code pinned to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _read(path: str) -> str:
@@ -274,9 +267,11 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="nosignal",
-                     description="simulate and search local signaling strategies")
+def build_parser():
+    import argparse  # only help and usage errors need it
+
+    parser = argparse.ArgumentParser(prog="nosignal",
+                                     description="simulate and search local signaling strategies")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, func, own) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
@@ -286,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain_args(argv) -> argparse.Namespace | None:
+def _plain_args(argv) -> SimpleNamespace | None:
     """What ``build_parser().parse_args(argv)`` returns, for the plain form;
     None for any argv where argparse could behave differently."""
     if not argv or argv[0] not in _COMMANDS:
@@ -312,8 +307,8 @@ def _plain_args(argv) -> argparse.Namespace | None:
             return None
     if any(keywords.get("required") and values[flag] is None for flag, keywords in options.items()):
         return None
-    return argparse.Namespace(command=argv[0], func=func,
-                              **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
+    return SimpleNamespace(command=argv[0], func=func,
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv=None) -> int:
@@ -321,8 +316,8 @@ def main(argv=None) -> int:
     if args is None:
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as exit_:
-            return exit_.code if isinstance(exit_.code, int) else EXIT_USAGE
+        except SystemExit as exit_:  # 0 after help, 2 after a usage error
+            return EXIT_USAGE if exit_.code else EXIT_OK
     try:
         return args.func(args)
     except (SimulationError, OSError) as err:

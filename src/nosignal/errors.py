@@ -18,7 +18,7 @@ class InvalidScenario(SimulationError):
 
 
 class UnachievableTask(SimulationError):
-    """A task's delivery cannot be scheduled inside the horizon."""
+    """A task's delivery comes sooner than a signal can travel its distance."""
 
 
 class DuplicateTask(SimulationError):

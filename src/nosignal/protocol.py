@@ -317,11 +317,13 @@ def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> St
     table: dict[tuple[str, LocalHistory], Action] = {}
     for task_id in sorted(tasks):
         deliver = tasks[task_id].deliver
-        submit = deliver.at - distance(deliver.origin, deliver.dest, cfg)
+        travel = distance(deliver.origin, deliver.dest, cfg)
+        submit = deliver.at - travel
         if submit < 0:
             raise UnachievableTask(
-                f"task {task_id!r}: delivery at t={deliver.at} cannot be scheduled "
-                f"within horizon {cfg.horizon}"
+                f"task {task_id!r}: delivery at t={deliver.at} comes sooner than the "
+                f"{travel} step{'s' * (travel != 1)} a signal from {deliver.origin!r} "
+                f"takes to reach {deliver.dest!r}"
             )
         history = LocalHistory(
             deliver.origin, submit, (ReceivedEvent.request(submit, task_id),)

@@ -33,7 +33,7 @@ arrivals by ``evaluate_requirement``, independently of that rule.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from .errors import ValidationError
 from .protocol import (
@@ -41,11 +41,8 @@ from .protocol import (
     RawAssignment,
     RawKey,
     Run,
-    Scenario,
     Strategy,
     check_scenario,
-    execute,
-    local_history,
     raw_to_history,
     strategy_from_raw,
 )
@@ -397,71 +394,3 @@ def mutually_exclusive(cfg: SpacetimeConfig, a: TaskSpec, b: TaskSpec) -> bool:
     rows = [_task_row(a, cfg), _task_row(b, cfg)]
     banned = rows[0][1] | rows[1][1]
     return any(s < 0 or (o, d) in banned for (o, d, s), _ in rows)
-
-
-def indistinguishable(
-    cfg: SpacetimeConfig,
-    strategy: Strategy,
-    s1: Scenario,
-    s2: Scenario,
-    agent: str,
-    t: int,
-) -> bool:
-    """Whether ``agent`` sees identical histories at ``t`` in both scenarios."""
-    trace1 = execute(cfg, s1, strategy)
-    trace2 = execute(cfg, s2, strategy)
-    return local_history(trace1, agent, t, cfg) == local_history(trace2, agent, t, cfg)
-
-
-class AuditViolation(Record):
-    __slots__ = ("pair_index", "agent", "time", "history", "sends")
-
-    def __init__(self, pair_index: int, agent: str, time: int, history: LocalHistory,
-                 sends: tuple[frozenset[str], frozenset[str]]):
-        self._fill(pair_index, agent, time, history, sends)
-
-
-class AuditReport(Record):
-    """Result of checking same-history implies same-behavior over pairs."""
-
-    __slots__ = ("checks", "violations")
-
-    def __init__(self, checks: int, violations: tuple[AuditViolation, ...] = ()):
-        self._fill(checks, violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def no_signaling_audit(
-    cfg: SpacetimeConfig,
-    strategy: Strategy,
-    scenario_pairs: Iterable[tuple[Scenario, Scenario]],
-) -> AuditReport:
-    """Audit that indistinguishable histories produce identical behavior.
-
-    For every pair, agent, and time where the agent's local histories
-    coincide, the departures the agent actually produced at that time must
-    coincide too. Locality is structural, so any violation indicates an
-    executor bug, not a bad strategy.
-    """
-    checks = 0
-    violations = []
-    for pair_index, (s1, s2) in enumerate(scenario_pairs):
-        trace1 = execute(cfg, s1, strategy)
-        trace2 = execute(cfg, s2, strategy)
-        for agent in cfg.agents:
-            for t in range(cfg.horizon + 1):
-                h1 = local_history(trace1, agent, t, cfg)
-                h2 = local_history(trace2, agent, t, cfg)
-                if h1 != h2:
-                    continue
-                checks += 1
-                sent1 = frozenset(d for o, d, tt in trace1.departures if o == agent and tt == t)
-                sent2 = frozenset(d for o, d, tt in trace2.departures if o == agent and tt == t)
-                if sent1 != sent2:
-                    violations.append(
-                        AuditViolation(pair_index, agent, t, h1, (sent1, sent2))
-                    )
-    return AuditReport(checks, tuple(violations))

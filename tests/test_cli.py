@@ -431,6 +431,11 @@ def _cli_cases():
         yield pytest.param(["search"], _edited_paradox(keys, value), None,
                            ("", f"error: {message}\n", 2),
                            id="-".join(map(str, keys)) + "=" + json.dumps(value, separators=(",", ":")))
+    yield pytest.param(["simulate", "--scenario", "both"],
+                       _edited_paradox(("tasks", "task1", "deliver", "at"), 1), None,
+                       ("", "error: task 'task1': delivery at t=1 comes sooner than the 3 steps "
+                            "a signal from 'L' takes to reach 'R'\n", 2),
+                       id="simulate-delivery-sooner-than-travel")
     for i, (rows, message) in enumerate(INVALID_STRATEGIES):
         yield pytest.param(["check", "--config", str(PARADOX)], None, {"rows": rows},
                            ("", f"error: {message}\n", 2), id=f"strategy-{i}")
@@ -455,16 +460,20 @@ def test_cli_bytes(capsys, tmp_path, argv, config, strategy, expected):
 def test_start_up_imports_no_dataclasses():
     """The CLI's value classes generate no code at import, so neither
     ``dataclasses`` nor the ``inspect`` it pulls in is loaded, and annotations
-    are never evaluated, so ``typing`` is not loaded either. ``-S`` keeps a
-    site ``.pth`` file from loading them first."""
+    are never evaluated, so ``typing`` is not loaded either. A plain argv
+    never builds the argparse tree, so ``argparse`` and its ``gettext`` stay
+    unloaded, and nothing the CLI runs touches the audit. ``-S`` keeps a
+    site ``.pth`` file from loading any of them first."""
+    unwanted = {"argparse", "gettext", "nosignal.audit", "dataclasses", "inspect", "typing"}
     probe = ("import sys, nosignal.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+             f"nosignal.cli.main(['search', '--config', {str(PARADOX)!r}]); "
+             f"print(sorted({unwanted!r} & set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == IMPOSSIBLE_TEXT + "[]\n"
 
 
 # Argv for the grammar tests: the plain form of each command, then at most

@@ -249,7 +249,8 @@ class TestObedientStrategy:
         from nosignal import Deliver, TaskSpec
 
         too_late = {"t": TaskSpec("t", Deliver("L", "R", 2))}  # needs submit at -1
-        with pytest.raises(UnachievableTask):
+        with pytest.raises(UnachievableTask, match="^task 't': delivery at t=2 comes sooner than "
+                                                   "the 3 steps a signal from 'L' takes to reach 'R'$"):
             obedient_strategy(cfg, too_late)
 
 

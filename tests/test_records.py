@@ -37,7 +37,7 @@ from nosignal import (
     Trace,
 )
 from nosignal.config import ConfigDocument, NamedRequirement
-from nosignal.search import AuditViolation
+from nosignal.audit import AuditViolation
 
 CFG = SpacetimeConfig({"L": 0, "R": 3}, 3)
 EV = ReceivedEvent(0, "request", "task1")
