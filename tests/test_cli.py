@@ -373,6 +373,36 @@ impossible: all 3 refuted branches over 4 decision points fail some requirement
   requirement 2 (all of 'only_task2'): first failure on 1 branches
   requirement 3 (at_least_one of 'both'): first failure on 1 branches
 """
+SIMULATE_TEXT = """\
+scenario 'only_task1' with strategy 'obedient'
+  t=0  request task1 at L
+  t=0  depart  L -> R
+  t=3  arrive  L -> R
+verdicts:
+  task1: satisfied
+  task2: unsatisfied
+
+""" + (GOLDEN / "diagram_only_task1.txt").read_text()
+CHECK_PARADOX_TEXT = """\
+requirement 1 (all of 'only_task1'): satisfied  [task1=ok]
+requirement 2 (all of 'only_task2'): satisfied  [task2=ok]
+requirement 3 (at_least_one of 'both'): UNSATISFIED  [task1=fail, task2=fail]
+some requirements unsatisfied
+"""
+CHECK_SINGLE_TEXT = """\
+requirement 1 (all of 'only_task1'): satisfied  [task1=ok]
+requirement 2 (all of 'only_task2'): satisfied  [task2=ok]
+all requirements satisfied
+"""
+# `--json` runs and the golden file of what each prints: (argv, file, exit code).
+JSON_CASES = [
+    (["search", "--config", str(SINGLE)], "search_found.json", 0),
+    (["search", "--config", str(PARADOX)], "search_impossible.json", 3),
+    (["search", "--config", str(PARADOX), "--limits-branches", "1"], "search_aborted.json", 4),
+    (["check", "--config", str(PARADOX), "--strategy", "obedient"], "check_paradox.json", 3),
+    (["simulate", "--config", str(PARADOX), "--scenario", "both"], "simulate_both.json", 0),
+    (["diagram", "--config", str(PARADOX), "--scenario", "both"], "diagram_both.json", 0),
+]
 # One edit of paradox_d3.json per input invariant: (JSON keys, new value,
 # what `search` prints after "error: ").
 INVALID_EDITS = [
@@ -427,6 +457,15 @@ def _cli_cases():
                        (FOUND_TEXT, "", 0), id="search-found")
     yield pytest.param(["search", "--config", str(PARADOX)], None, None,
                        (IMPOSSIBLE_TEXT, "", 3), id="search-impossible")
+    yield pytest.param(["simulate", "--config", str(PARADOX), "--scenario", "only_task1"], None, None,
+                       (SIMULATE_TEXT, "", 0), id="simulate-only_task1")
+    yield pytest.param(["check", "--config", str(PARADOX), "--strategy", "obedient"], None, None,
+                       (CHECK_PARADOX_TEXT, "", 3), id="check-paradox")
+    yield pytest.param(["check", "--config", str(SINGLE), "--strategy", "obedient"], None, None,
+                       (CHECK_SINGLE_TEXT, "", 0), id="check-single")
+    for argv, golden, code in JSON_CASES:
+        yield pytest.param([*argv, "--json"], None, None, ((GOLDEN / golden).read_text(), "", code),
+                           id=f"json-{golden.removesuffix('.json')}")
     for keys, value, message in INVALID_EDITS:
         yield pytest.param(["search"], _edited_paradox(keys, value), None,
                            ("", f"error: {message}\n", 2),
@@ -443,7 +482,7 @@ def _cli_cases():
 
 @pytest.mark.parametrize("argv, config, strategy, expected", _cli_cases())
 def test_cli_bytes(capsys, tmp_path, argv, config, strategy, expected):
-    """Exact stdout, stderr and exit code of the text CLI."""
+    """Exact stdout, stderr and exit code of the CLI."""
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
