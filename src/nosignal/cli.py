@@ -4,6 +4,8 @@ Subcommands: ``simulate`` (run one scenario and print the trace, verdicts,
 and diagram), ``search`` (synthesize a strategy for the document's
 requirements or certify impossibility), ``check`` (evaluate a strategy
 file against every requirement), and ``diagram`` (print just the picture).
+Each builds one result: ``--json`` prints it, and the text is rendered
+from it.
 
 The grammar is one table, ``_COMMANDS`` and ``_COMMON``, of each option's
 ``add_argument`` keywords. The plain form ``CMD (--opt VALUE | --json)*``
@@ -77,19 +79,16 @@ def _pick_limits(args, doc: ConfigDocument) -> SearchLimits:
     return limits
 
 
-def _trace_lines(trace: Trace) -> list[str]:
-    rows = [(t, 0, f"t={t}  request {task} at {loc}") for task, loc, t in trace.requests]
-    rows += [(t, 1, f"t={t}  depart  {o} -> {d}") for o, d, t in trace.departures]
-    rows += [(t, 2, f"t={t}  arrive  {o} -> {d}") for o, d, t in trace.arrivals]
-    return [text for _, _, text in sorted(rows)] or ["(empty trace)"]
+def _count(n: int, noun: str) -> str:
+    """``n`` and ``noun``, in the plural unless ``n`` is 1."""
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}{'es' if noun.endswith('ch') else 's'}"
 
 
-def _trace_json(trace: Trace) -> dict[str, object]:
-    return {
-        "requests": sorted(list(r) for r in trace.requests),
-        "departures": sorted(list(d) for d in trace.departures),
-        "arrivals": sorted(list(a) for a in trace.arrivals),
-    }
+def _trace_lines(trace: dict[str, list]) -> list[str]:
+    rows = [(t, 0, f"  t={t}  request {task} at {loc}") for task, loc, t in trace["requests"]]
+    rows += [(t, 1, f"  t={t}  depart  {o} -> {d}") for o, d, t in trace["departures"]]
+    rows += [(t, 2, f"  t={t}  arrive  {o} -> {d}") for o, d, t in trace["arrivals"]]
+    return [text for _, _, text in sorted(rows)] or ["  (empty trace)"]
 
 
 def _event_label(event: dict[str, object]) -> str:
@@ -98,15 +97,11 @@ def _event_label(event: dict[str, object]) -> str:
     return f"signal from {event['origin']} @{event['time']}"
 
 
-def _print_strategy(strategy: Strategy) -> None:
-    rows = strategy_rows(strategy)
-    if not rows:
-        print("  (empty table: every agent always does nothing)")
-    for row in rows:
-        history = row["history"]
-        events = ", ".join(_event_label(event) for event in history["events"])
-        sends = ", ".join(row["action"]["send"]) or "nothing"
-        print(f"  {row['agent']}  t={history['upto']}  [{events}]  -> send {sends}")
+def _row_line(row: dict) -> str:
+    history = row["history"]
+    events = ", ".join(_event_label(event) for event in history["events"])
+    sends = ", ".join(row["action"]["send"]) or "nothing"
+    return f"  {row['agent']}  t={history['upto']}  [{events}]  -> send {sends}"
 
 
 def _report_json(report: RequirementReport, label: str) -> dict[str, object]:
@@ -118,34 +113,54 @@ def _report_json(report: RequirementReport, label: str) -> dict[str, object]:
     }
 
 
-def cmd_simulate(args) -> int:
+def _report_line(i: int, report: dict) -> str:
+    verdicts = ", ".join(f"{tid}={'ok' if ok else 'fail'}" for tid, ok in report["verdicts"].items())
+    status = "satisfied" if report["satisfied"] else "UNSATISFIED"
+    return (f"requirement {i} ({report['rule']} of {report['scenario']!r}): "
+            f"{status}  [{verdicts or 'no tasks requested'}]")
+
+
+def _emit(args, code: int, payload: dict[str, object], lines: list[str]) -> int:
+    """Print a command's result, the payload with ``--json`` and otherwise
+    the text lines rendered from it; return the exit code."""
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    return code
+
+
+def _run_scenario(args) -> tuple[ConfigDocument, Trace, str]:
+    """Run the named scenario under the named strategy and draw it."""
     doc = _load_document(args.config)
     scenario = _pick_scenario(doc, args.scenario)
     strategy = _pick_strategy(args.strategy, doc)
     trace = execute(doc.spacetime, scenario, strategy)
-    verdicts = {
-        task_id: evaluate_task(trace, task, doc.spacetime)
-        for task_id, task in sorted(doc.tasks.items())
+    return doc, trace, render_diagram(trace, doc.spacetime)
+
+
+def cmd_simulate(args) -> int:
+    doc, trace, picture = _run_scenario(args)
+    payload = {
+        "scenario": args.scenario,
+        "strategy": args.strategy,
+        "trace": {
+            "requests": sorted(list(r) for r in trace.requests),
+            "departures": sorted(list(d) for d in trace.departures),
+            "arrivals": sorted(list(a) for a in trace.arrivals),
+        },
+        "verdicts": {
+            task_id: evaluate_task(trace, task, doc.spacetime)
+            for task_id, task in sorted(doc.tasks.items())
+        },
+        "diagram": picture,
     }
-    picture = render_diagram(trace, doc.spacetime)
-    if args.json:
-        print(json.dumps({
-            "scenario": args.scenario,
-            "strategy": args.strategy,
-            "trace": _trace_json(trace),
-            "verdicts": verdicts,
-            "diagram": picture,
-        }, indent=2))
-        return EXIT_OK
-    print(f"scenario {args.scenario!r} with strategy {args.strategy!r}")
-    for line in _trace_lines(trace):
-        print(f"  {line}")
-    print("verdicts:")
-    for task_id, ok in verdicts.items():
-        print(f"  {task_id}: {'satisfied' if ok else 'unsatisfied'}")
-    print()
-    print(picture, end="")
-    return EXIT_OK
+    return _emit(args, EXIT_OK, payload, [
+        f"scenario {args.scenario!r} with strategy {args.strategy!r}",
+        *_trace_lines(payload["trace"]),
+        "verdicts:",
+        *(f"  {task_id}: {'satisfied' if ok else 'unsatisfied'}"
+          for task_id, ok in payload["verdicts"].items()),
+        "",
+        picture.removesuffix("\n"),
+    ])
 
 
 def cmd_search(args) -> int:
@@ -156,88 +171,71 @@ def cmd_search(args) -> int:
     outcome = find_strategy(doc.spacetime, requirements, doc.tasks, _pick_limits(args, doc))
 
     if isinstance(outcome, Found):
-        if args.json:
-            print(json.dumps({
-                "outcome": "found",
-                "strategy": {"rows": strategy_rows(outcome.strategy)},
-                "reports": [
-                    _report_json(report, named.scenario)
-                    for report, named in zip(outcome.reports, doc.requirements)
-                ],
-            }, indent=2))
-        else:
-            print(f"found a strategy satisfying all {len(requirements)} requirements:")
-            _print_strategy(outcome.strategy)
-        return EXIT_OK
+        rows = strategy_rows(outcome.strategy)
+        return _emit(args, EXIT_OK, {
+            "outcome": "found",
+            "strategy": {"rows": rows},
+            "reports": [
+                _report_json(report, named.scenario)
+                for report, named in zip(outcome.reports, doc.requirements)
+            ],
+        }, [
+            f"found a strategy satisfying all {_count(len(requirements), 'requirement')}:",
+            *([_row_line(row) for row in rows]
+              or ["  (empty table: every agent always does nothing)"]),
+        ])
 
     if isinstance(outcome, Impossible):
         cert = outcome.certificate
-        if args.json:
-            print(json.dumps({
-                "outcome": "impossible",
-                "strategies_explored": cert.strategies_explored,
-                "decision_points": len(cert.decision_points),
-                "failures_by_requirement": {
-                    str(idx): count
-                    for idx, count in sorted(cert.failures_by_requirement().items())
-                },
-            }, indent=2))
-        else:
-            print(f"impossible: all {cert.strategies_explored} refuted branches over "
-                  f"{len(cert.decision_points)} decision points fail some requirement")
-            for idx, count in sorted(cert.failures_by_requirement().items()):
-                named = doc.requirements[idx]
-                print(f"  requirement {idx + 1} ({named.rule.value} of {named.scenario!r}): "
-                      f"first failure on {count} branches")
-        return EXIT_UNSATISFIED
+        explored = cert.strategies_explored
+        failures = sorted(cert.failures_by_requirement().items())
+        return _emit(args, EXIT_UNSATISFIED, {
+            "outcome": "impossible",
+            "strategies_explored": explored,
+            "decision_points": len(cert.decision_points),
+            "failures_by_requirement": {str(idx): count for idx, count in failures},
+        }, [
+            f"impossible: all {_count(explored, 'refuted branch')} over "
+            f"{_count(len(cert.decision_points), 'decision point')} "
+            f"{'fails' if explored == 1 else 'fail'} some requirement",
+            *(f"  requirement {idx + 1} ({doc.requirements[idx].rule.value} of "
+              f"{doc.requirements[idx].scenario!r}): first failure on {_count(count, 'branch')}"
+              for idx, count in failures),
+        ])
 
     assert isinstance(outcome, Aborted)
-    if args.json:
-        print(json.dumps({
-            "outcome": "aborted",
-            "limit": outcome.limit,
-            "strategies_explored": outcome.strategies_explored,
-            "decision_points": outcome.decision_points,
-        }, indent=2))
-    else:
-        print(f"aborted: {outcome.limit} limit hit after {outcome.strategies_explored} "
-              f"branches and {outcome.decision_points} decision points")
-    return EXIT_ABORTED
+    return _emit(args, EXIT_ABORTED, {
+        "outcome": "aborted",
+        "limit": outcome.limit,
+        "strategies_explored": outcome.strategies_explored,
+        "decision_points": outcome.decision_points,
+    }, [
+        f"aborted: {outcome.limit} limit hit after {_count(outcome.strategies_explored, 'branch')} "
+        f"and {_count(outcome.decision_points, 'decision point')}",
+    ])
 
 
 def cmd_check(args) -> int:
     doc = _load_document(args.config)
     strategy = _pick_strategy(args.strategy, doc)
-    reports = []
-    for named, requirement in zip(doc.requirements, doc.resolve_requirements()):
-        reports.append((named, evaluate_requirement(doc.spacetime, strategy, requirement, doc.tasks)))
-    all_ok = all(report.satisfied for _, report in reports)
-    if args.json:
-        print(json.dumps({
-            "reports": [_report_json(report, named.scenario) for named, report in reports],
-            "all_satisfied": all_ok,
-        }, indent=2))
-    else:
-        for i, (named, report) in enumerate(reports, 1):
-            verdicts = ", ".join(f"{tid}={'ok' if ok else 'fail'}"
-                                 for tid, ok in sorted(report.verdicts.items()))
-            status = "satisfied" if report.satisfied else "UNSATISFIED"
-            print(f"requirement {i} ({named.rule.value} of {named.scenario!r}): "
-                  f"{status}  [{verdicts or 'no tasks requested'}]")
-        print("all requirements satisfied" if all_ok else "some requirements unsatisfied")
-    return EXIT_OK if all_ok else EXIT_UNSATISFIED
+    reports = [
+        _report_json(evaluate_requirement(doc.spacetime, strategy, requirement, doc.tasks),
+                     named.scenario)
+        for named, requirement in zip(doc.requirements, doc.resolve_requirements())
+    ]
+    all_ok = all(report["satisfied"] for report in reports)
+    return _emit(args, EXIT_OK if all_ok else EXIT_UNSATISFIED, {
+        "reports": reports,
+        "all_satisfied": all_ok,
+    }, [
+        *(_report_line(i, report) for i, report in enumerate(reports, 1)),
+        "all requirements satisfied" if all_ok else "some requirements unsatisfied",
+    ])
 
 
 def cmd_diagram(args) -> int:
-    doc = _load_document(args.config)
-    scenario = _pick_scenario(doc, args.scenario)
-    strategy = _pick_strategy(args.strategy, doc)
-    picture = render_diagram(execute(doc.spacetime, scenario, strategy), doc.spacetime)
-    if args.json:
-        print(json.dumps({"diagram": picture}, indent=2))
-    else:
-        print(picture, end="")
-    return EXIT_OK
+    _, _, picture = _run_scenario(args)
+    return _emit(args, EXIT_OK, {"diagram": picture}, [picture.removesuffix("\n")])
 
 
 # The grammar: each option's ``add_argument`` keywords, common options first,
@@ -250,20 +248,18 @@ _COMMON = {
                                   "time-slice boundary, or complete ones)"},
     "--limits-decisions": {"type": int, "metavar": "N", "help": "cap on distinct decision points"},
 }
+_SCENARIO = {
+    "--scenario": {"required": True, "help": "scenario name from the config"},
+    "--strategy": {"default": "obedient",
+                   "help": "'obedient' or a strategy file path (default: obedient)"},
+}
 _COMMANDS = {
-    "simulate": ("execute one scenario and report verdicts", cmd_simulate, {
-        "--scenario": {"required": True, "help": "scenario name from the config"},
-        "--strategy": {"default": "obedient",
-                       "help": "'obedient' or a strategy file path (default: obedient)"},
-    }),
+    "simulate": ("execute one scenario and report verdicts", cmd_simulate, _SCENARIO),
     "search": ("find a strategy for all requirements or certify impossibility", cmd_search, {}),
     "check": ("evaluate a strategy against every requirement", cmd_check, {
         "--strategy": {"required": True, "help": "'obedient' or a strategy file path"},
     }),
-    "diagram": ("print the spacetime diagram of one scenario", cmd_diagram, {
-        "--scenario": {"required": True},
-        "--strategy": {"default": "obedient"},
-    }),
+    "diagram": ("print the spacetime diagram of one scenario", cmd_diagram, _SCENARIO),
 }
 
 

@@ -1,4 +1,4 @@
-"""JSON document loading, validation, and serialization.
+"""JSON document loading and validation, and the JSON rows of a strategy.
 
 Two document kinds exist: the config document (geometry, tasks, named
 scenarios, requirements, optional search limits) and the strategy document
@@ -210,45 +210,6 @@ def load_config(text: str) -> ConfigDocument:
     return ConfigDocument(cfg, tasks, scenarios, requirements, limits)
 
 
-def serialize_config(doc: ConfigDocument) -> str:
-    """Canonical JSON for a config document; loading it back gives ``doc``."""
-    payload: dict[str, object] = {
-        "locations": {name: doc.spacetime.locations[name] for name in sorted(doc.spacetime.locations)},
-        "horizon": doc.spacetime.horizon,
-        "tasks": {
-            task_id: {
-                "deliver": {
-                    "from": task.deliver.origin,
-                    "to": task.deliver.dest,
-                    "at": task.deliver.at,
-                },
-                "silence": [
-                    {"from": ban.origin, "to": ban.dest}
-                    for ban in sorted(task.silence, key=lambda b: (b.origin, b.dest))
-                ],
-            }
-            for task_id, task in sorted(doc.tasks.items())
-        },
-        "scenarios": {
-            name: [
-                {"task": r.task, "location": r.location, "time": r.time}
-                for r in sorted(doc.scenarios[name].requests)
-            ]
-            for name in sorted(doc.scenarios)
-        },
-        "requirements": [
-            {"scenario": named.scenario, "rule": named.rule.value}
-            for named in doc.requirements
-        ],
-    }
-    if doc.limits is not None:
-        payload["limits"] = {
-            "max_branches": doc.limits.max_branches,
-            "max_decision_points": doc.limits.max_decision_points,
-        }
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _event_to_json(event: ReceivedEvent) -> dict[str, object]:
     if event.kind == KIND_REQUEST:
         return {"kind": "request", "time": event.time, "task": event.label}
@@ -256,14 +217,14 @@ def _event_to_json(event: ReceivedEvent) -> dict[str, object]:
 
 
 def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
-                     tasks: Mapping[str, TaskSpec] | None, path: str) -> ReceivedEvent:
+                     tasks: Mapping[str, TaskSpec], path: str) -> ReceivedEvent:
     raw = _require_object(raw, path)
     kind = _require_str(_pop(raw, "kind", path), f"{path}.kind")
     time = _require_int(_pop(raw, "time", path), f"{path}.time")
     if kind == "request":
         _no_extras(raw, {"kind", "time", "task"}, path)
         task_id = _require_str(_pop(raw, "task", path), f"{path}.task")
-        if tasks is not None and task_id not in tasks:
+        if task_id not in tasks:
             _fail(f"{path}.task", f"undefined task {task_id!r}")
         return ReceivedEvent.request(time, task_id)
     if kind == "signal":
@@ -276,9 +237,7 @@ def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
     raise AssertionError  # unreachable
 
 
-def load_strategy(
-    text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec] | None = None
-) -> Strategy:
+def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> Strategy:
     """Parse and validate a strategy document against a configuration."""
     raw = _require_object(_parse(text), "document")
     _no_extras(raw, {"rows"}, "document")
@@ -331,6 +290,3 @@ def strategy_rows(strategy: Strategy) -> list[dict[str, object]]:
         for (agent, history), action in ordered
     ]
 
-
-def serialize_strategy(strategy: Strategy) -> str:
-    return json.dumps({"rows": strategy_rows(strategy)}, indent=2) + "\n"

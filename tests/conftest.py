@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from nosignal import Deliver, Silence, SpacetimeConfig, TaskSpec
+from nosignal.config import strategy_rows
 from nosignal.tasks import paradox_requirements
 
 
@@ -40,3 +43,36 @@ def raw_points(certificate):
 @pytest.fixture(scope="session")
 def d3():
     return make_instance(3)
+
+
+def serialize_config(doc) -> str:
+    """JSON text of a config document; ``load_config`` of it gives ``doc`` back."""
+    payload: dict[str, object] = {
+        "locations": {name: doc.spacetime.locations[name] for name in sorted(doc.spacetime.locations)},
+        "horizon": doc.spacetime.horizon,
+        "tasks": {
+            task_id: {
+                "deliver": {"from": task.deliver.origin, "to": task.deliver.dest, "at": task.deliver.at},
+                "silence": [{"from": ban.origin, "to": ban.dest} for ban in task.silence],
+            }
+            for task_id, task in sorted(doc.tasks.items())
+        },
+        "scenarios": {
+            name: [{"task": r.task, "location": r.location, "time": r.time}
+                   for r in sorted(doc.scenarios[name].requests)]
+            for name in sorted(doc.scenarios)
+        },
+        "requirements": [{"scenario": named.scenario, "rule": named.rule.value}
+                         for named in doc.requirements],
+    }
+    if doc.limits is not None:
+        payload["limits"] = {
+            "max_branches": doc.limits.max_branches,
+            "max_decision_points": doc.limits.max_decision_points,
+        }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def serialize_strategy(strategy) -> str:
+    """JSON text of a strategy document, the ``strategy`` object ``search --json`` prints."""
+    return json.dumps({"rows": strategy_rows(strategy)}, indent=2) + "\n"

@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import make_instance, oracle_scenarios, raw_points
+from conftest import make_instance, oracle_scenarios, raw_points, serialize_config, serialize_strategy
 from nosignal import (
     Action,
     Found,
@@ -33,7 +33,7 @@ from nosignal import (
     obedient_strategy,
 )
 from nosignal.cli import main
-from nosignal.config import load_config, serialize_config, serialize_strategy
+from nosignal.config import load_config
 from nosignal.diagram import render_diagram
 import test_spacetime
 from oracles import brute_force_joint_satisfiable, recount_assignments

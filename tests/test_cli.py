@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nosignal import ParseError, Trace, ValidationError, cli, execute, obedient_strategy
-from nosignal.cli import main
-from nosignal.config import (
-    load_config,
-    load_strategy,
-    serialize_config,
-    serialize_strategy,
+from conftest import serialize_config, serialize_strategy
+from nosignal import (
+    Deliver,
+    ParseError,
+    Rule,
+    Scenario,
+    SearchLimits,
+    Silence,
+    SpacetimeConfig,
+    TaskRequest,
+    TaskSpec,
+    Trace,
+    ValidationError,
+    cli,
+    execute,
+    obedient_strategy,
 )
+from nosignal.cli import main
+from nosignal.config import ConfigDocument, NamedRequirement, load_config, load_strategy
 from nosignal.diagram import render_diagram
 
 REPO = Path(__file__).resolve().parent.parent
@@ -33,6 +45,37 @@ FOURLAB_STRATEGY = GOLDEN.parent / "diagram_4lab_strategy.json"
 
 def load_fixture_doc():
     return load_config(PARADOX.read_text())
+
+
+NAMES = st.text(min_size=1, max_size=3)
+
+
+@st.composite
+def config_documents(draw):
+    """A valid config document of 2 to 4 labs, built from the value classes."""
+    labs = draw(st.lists(NAMES, min_size=2, max_size=4, unique=True))
+    coords = draw(st.lists(st.integers(-6, 6), min_size=len(labs), max_size=len(labs), unique=True))
+    horizon = draw(st.integers(1, 8))
+    pairs = st.permutations(labs).map(lambda order: order[:2])
+    tasks = {}
+    for task_id in draw(st.lists(NAMES, max_size=3, unique=True)):
+        origin, dest = draw(pairs)
+        bans = draw(st.lists(pairs, max_size=3))
+        tasks[task_id] = TaskSpec(task_id, Deliver(origin, dest, draw(st.integers(0, horizon))),
+                                  tuple(Silence(*ban) for ban in bans))
+    slots = st.lists(st.tuples(st.sampled_from(labs), st.integers(0, horizon)), max_size=3 if tasks else 0,
+                     unique=True)
+    scenarios = {
+        name: Scenario([TaskRequest(draw(st.sampled_from(sorted(tasks))), lab, t) for lab, t in draw(slots)])
+        for name in draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
+    }
+    requirements = []
+    for name in draw(st.lists(st.sampled_from(sorted(scenarios)), max_size=3)) if scenarios else ():
+        rules = list(Rule) if scenarios[name].requests else [Rule.ALL]
+        requirements.append(NamedRequirement(name, draw(st.sampled_from(rules))))
+    limits = draw(st.none() | st.builds(SearchLimits, st.integers(1, 10**7), st.integers(1, 10**4)))
+    return ConfigDocument(SpacetimeConfig(dict(zip(labs, coords)), horizon), tasks, scenarios,
+                          requirements, limits)
 
 
 class TestLoadConfig:
@@ -106,6 +149,12 @@ class TestLoadConfig:
         doc = load_config(json.dumps(raw))
         again = load_config(serialize_config(doc))
         assert again == doc and again.limits.max_branches == 500
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(config_documents())
+    def test_random_document_round_trip(self, doc):
+        assert load_config(serialize_config(doc)) == doc
 
 
 class TestStrategyFiles:
@@ -369,9 +418,9 @@ found a strategy satisfying all 2 requirements:
 """
 IMPOSSIBLE_TEXT = """\
 impossible: all 3 refuted branches over 4 decision points fail some requirement
-  requirement 1 (all of 'only_task1'): first failure on 1 branches
-  requirement 2 (all of 'only_task2'): first failure on 1 branches
-  requirement 3 (at_least_one of 'both'): first failure on 1 branches
+  requirement 1 (all of 'only_task1'): first failure on 1 branch
+  requirement 2 (all of 'only_task2'): first failure on 1 branch
+  requirement 3 (at_least_one of 'both'): first failure on 1 branch
 """
 SIMULATE_TEXT = """\
 scenario 'only_task1' with strategy 'obedient'
@@ -457,6 +506,12 @@ def _cli_cases():
                        (FOUND_TEXT, "", 0), id="search-found")
     yield pytest.param(["search", "--config", str(PARADOX)], None, None,
                        (IMPOSSIBLE_TEXT, "", 3), id="search-impossible")
+    yield pytest.param(["search", "--config", str(PARADOX), "--limits-branches", "1"], None, None,
+                       ("aborted: branches limit hit after 1 branch and 4 decision points\n", "", 4),
+                       id="search-aborted-branches")
+    yield pytest.param(["search", "--config", str(PARADOX), "--limits-decisions", "1"], None, None,
+                       ("aborted: decision_points limit hit after 0 branches and 1 decision point\n", "", 4),
+                       id="search-aborted-decisions")
     yield pytest.param(["simulate", "--config", str(PARADOX), "--scenario", "only_task1"], None, None,
                        (SIMULATE_TEXT, "", 0), id="simulate-only_task1")
     yield pytest.param(["check", "--config", str(PARADOX), "--strategy", "obedient"], None, None,
@@ -581,6 +636,16 @@ class TestArgvGrammar:
                      ["search", "--config", str(PARADOX), "--limits-branches", "-1"]):
             with pytest.raises(RuntimeError, match="argparse tree built"):
                 main(argv)
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_help_describes_every_option(capsys, monkeypatch, command):
+    """Each command's help lists its options in grammar order, each with its text."""
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    assert main([command, "-h"]) == 0
+    options = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  --")]
+    assert [line.split()[0] for line in options] == OWN[command]
+    assert all(re.fullmatch(r"  --[a-z-]+( [A-Z]+)? {2,}\S.*", line) for line in options), options
 
 
 # Documents for the fuzz test: bundled files, JSON values, edits of the
