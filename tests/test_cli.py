@@ -512,6 +512,10 @@ def _cli_cases():
     yield pytest.param(["search", "--config", str(PARADOX), "--limits-decisions", "1"], None, None,
                        ("aborted: decision_points limit hit after 0 branches and 1 decision point\n", "", 4),
                        id="search-aborted-decisions")
+    yield pytest.param(["search"], _edited_paradox(("tasks", "task1", "deliver", "at"), 0), None,
+                       ("impossible: all 1 refuted branch over 4 decision points fails some requirement\n"
+                        "  requirement 1 (all of 'only_task1'): first failure on 1 branch\n", "", 3),
+                       id="search-impossible-one-branch")
     yield pytest.param(["simulate", "--config", str(PARADOX), "--scenario", "only_task1"], None, None,
                        (SIMULATE_TEXT, "", 0), id="simulate-only_task1")
     yield pytest.param(["check", "--config", str(PARADOX), "--strategy", "obedient"], None, None,
