@@ -89,6 +89,31 @@ class TestFindStrategy:
         outcome = find_strategy(cfg, bundle, tasks, SearchLimits(max_branches=1))
         assert outcome == Aborted("branches", 1, outcome.decision_points)
 
+    @pytest.mark.parametrize("kwargs, expected", [
+        ({"max_branches": 2}, Aborted("branches", 2, 4)),
+        ({"max_branches": 3}, 3),
+        ({"max_decision_points": 3}, Aborted("decision_points", 0, 3)),
+        ({"max_decision_points": 4}, 3),
+    ])
+    def test_limit_boundaries(self, d3, kwargs, expected):
+        """One below what the paradox needs aborts; exactly that much decides
+        it, in 3 branches over 4 decision points."""
+        cfg, tasks, bundle = d3
+        outcome = find_strategy(cfg, bundle, tasks, SearchLimits(**kwargs))
+        if isinstance(expected, Aborted):
+            assert outcome == expected
+        else:
+            assert isinstance(outcome, Impossible)
+            assert outcome.certificate.strategies_explored == expected
+
+    def test_branch_limit_below_found_aborts(self, d3):
+        """Reaching the winning branch counts it against ``max_branches``."""
+        cfg, tasks, (r1, r2, _) = d3
+        seen = []
+        assert isinstance(find_strategy(cfg, [r1, r2], tasks, on_leaf=seen.append), Found)
+        outcome = find_strategy(cfg, [r1, r2], tasks, SearchLimits(max_branches=len(seen) - 1))
+        assert outcome == Aborted("branches", len(seen) - 1, outcome.decision_points)
+
     def test_zero_limits_rejected(self):
         for kwargs in ({"max_branches": 0}, {"max_decision_points": 0}):
             with pytest.raises(ValidationError):
