@@ -165,8 +165,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_search(args) -> int:
     doc = _load_document(args.config)
-    if not doc.requirements:
-        raise SimulationError("config document declares no requirements")
     requirements = doc.resolve_requirements()
     outcome = find_strategy(doc.spacetime, requirements, doc.tasks, _pick_limits(args, doc))
 

@@ -13,27 +13,28 @@ decision points, which keeps the space finite and small. Once every slot of
 a time slice has been applied, a requirement may already be lost:
 departures only accumulate, so a broken silence ban is final, and a
 delivery whose departure time has passed without the departure can never
-arrive. The walk refutes such a branch there instead of completing it, and
-then backjumps over the culprit's causal past: whether the banned or
-missing departure happened was fixed by the history keys inside its past
-light cone, so the walk returns to the deepest decision among them, and
-later choices are skipped (conflict-directed backjumping, Prosser 1993).
-Exhausting the tree without a winner yields a machine-checkable
-certificate: the decision points, the number of refuted branches (partial
-assignments cut at a slice boundary, or complete ones), and the
-requirement that failed on each one.
+arrive. One rule, ``_lost``, decides this and names the culprit
+departures. The walk judges every branch at one site, a slice boundary
+(the complete assignment is the boundary after the last slice), refutes a
+lost branch there instead of completing it, and then backjumps over the
+culprits' causal past: whether the banned or missing departure happened
+was fixed by the history keys inside its past light cone, so the walk
+returns to the deepest decision among them, and later choices are skipped
+(conflict-directed backjumping, Prosser 1993). Exhausting the tree without
+a winner yields a machine-checkable certificate: the decision points, the
+number of refuted branches (partial assignments cut at a slice boundary,
+or complete ones), and the requirement that failed on each one.
 
 The walk steps one :class:`.protocol.Run` per requirement, the same tuple
-kernel ``execute`` uses, and judges every branch, partial or complete, by
-the one departure rule above; the value classes appear only at the boundary.
+kernel ``execute`` uses; the value classes appear only at the boundary.
 A ``Found`` strategy is replayed through ``execute`` and judged on its
-arrivals by ``evaluate_requirement``, independently of that rule.
+arrivals by ``evaluate_requirement``, independently of the lost rule.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 
 from .errors import ValidationError
 from .protocol import (
@@ -128,11 +129,6 @@ class Aborted(Record):
 SearchOutcome = Found | Impossible | Aborted
 
 
-class _Abort(Exception):
-    def __init__(self, limit: str):
-        self.limit = limit
-
-
 def find_strategy(
     cfg: SpacetimeConfig,
     requirements: Sequence[Requirement],
@@ -147,9 +143,11 @@ def find_strategy(
     requirement (branch order is fixed: actions by ascending send-set size,
     then lexical destinations, so results are reproducible), ``Impossible``
     with a certificate once the whole tree is refuted, or ``Aborted`` when a
-    limit is hit. ``on_leaf``, when given, observes every branch counted
-    against ``max_branches`` before it is judged or recorded: each complete
-    raw assignment, and each partial one refuted at a slice boundary.
+    limit is hit. Every branch is judged at one site, a slice boundary; the
+    complete assignment is the boundary after the last slice. ``on_leaf``,
+    when given, observes each branch counted against ``max_branches`` before
+    it is recorded: each complete raw assignment, the winning one included,
+    and each partial one refuted at a slice boundary.
 
     ``prune`` picks one of three walks of the same loop, which agree on the
     outcome kind and on every ``Found`` strategy:
@@ -202,51 +200,26 @@ def find_strategy(
     origins: list[int] = []
     decided: dict[RawKey, int] = {}
 
-    def first_lost(t: int) -> int | None:
-        """Index of the first requirement already lost once slice ``t`` is done.
+    def first_lost(t: int) -> tuple[int, list[tuple[int, str]]] | None:
+        """The first requirement lost once slice ``t`` is done, and its culprits.
 
-        A task is lost when a banned departure is present or its delivering
-        departure is due by ``t`` and absent; no later slot can undo either.
-        At ``t = horizon`` every delivering departure is due, and its arrival
-        exists iff it does, so "not lost" is then "satisfied". Once every
-        earlier slice has passed this test, only a requirement with a task due
-        at ``t`` or a banned departure at ``t`` can be newly lost.
+        Once every earlier slice has passed this test, only a requirement with
+        a task due at ``t`` or a banned departure at ``t`` can be newly lost.
         """
         for ri, (run, (rule, rows, bans, dues)) in enumerate(zip(runs, judge)):
             got = run.departures
             if every_slice and t not in dues and not any((o, d, t) in got for o, d in bans):
                 continue
-            sent = {(o, d) for o, d, _ in got}
-            lost = [
-                (s <= t and (o, d, s) not in got) or not banned.isdisjoint(sent)
-                for (o, d, s), banned in rows
-            ]
-            if any(lost) if rule is Rule.ALL else all(lost):
-                return ri
+            culprits = _lost(rule, rows, got, t)
+            if culprits:
+                return ri, culprits
         return None
 
-    def conflict_set(ri: int, t: int) -> set[int]:
-        """Decisions that fix requirement ``ri``'s loss by slice ``t``.
-
-        Each lost task has a culprit slot (t', o): its earliest banned
-        departure, else its overdue delivering departure (none when that was
-        due before 0). Whether that departure happened depends only on the
-        keys of the run's slots (t'', a) with t'' + dist(a, o) <= t', and
-        every branch keeping their decisions loses ``ri`` again. Rule
-        ``all`` needs one lost task, the earliest culprit; ``at_least_one``
-        needs them all.
-        """
-        rule, rows, _, _ = judge[ri]
-        got = runs[ri].departures
-        culprits = []
-        for (o, d, s), banned in rows:
-            bans = [(t1, o1) for o1, d1, t1 in got if (o1, d1) in banned]
-            if bans:
-                culprits.append(min(bans))
-            elif s <= t and (o, d, s) not in got:
-                culprits.append((s, o))
-        if rule is Rule.ALL:
-            culprits = [min(culprits)]
+    def conflict_set(ri: int, culprits: list[tuple[int, str]]) -> set[int]:
+        """Decisions that fix requirement ``ri``'s loss: whether a culprit
+        departure (t', o) happened depends only on the keys of the run's slots
+        (t'', a) with t'' + dist(a, o) <= t', so every branch keeping their
+        decisions loses ``ri`` again. A culprit due before 0 names none."""
         conflict: set[int] = set()
         for t1, o in culprits:
             for ai, d in enumerate(lag[o]):
@@ -255,142 +228,147 @@ def find_strategy(
                     conflict.update(origins[first:(t1 - d) * slice_len + first + 1:slice_len])
         return conflict
 
-    def count_branch() -> None:
-        nonlocal branches
-        if branches >= limits.max_branches:
-            raise _Abort("branches")
-        branches += 1
-        if on_leaf is not None:
-            on_leaf(assignment)
-
-    def walk() -> Found | None:
-        # One frame per applied slot, so frame j is slot j: (history key, the
-        # sends applied, index of the action in the agent's menu, or -1 where
-        # the key was assigned earlier).
-        stack: list[tuple[RawKey, tuple[str, ...], int]] = []
-        # Per decision frame, the conflicts carried back to it by later jumps.
-        carried: dict[int, set[int]] = {}
-        # The key each slot last had. A key at t reads only sends made before
-        # t, so after a jump to slot h the rest of h's slice keeps its keys.
-        keys: list[RawKey | None] = [None] * n_slots
-        reuse_end = 0
-        while True:
-            slot_idx = len(stack)
-            failing = None
-            if slot_idx == n_slots:
-                count_branch()
-                lost_at = horizon
-                failing = first_lost(lost_at)
-                if failing is None:
+    # One frame per applied slot, so frame j is slot j: (history key, the
+    # sends applied, index of the action in the agent's menu, or -1 where
+    # the key was assigned earlier).
+    stack: list[tuple[RawKey, tuple[str, ...], int]] = []
+    # Per decision frame, the conflicts carried back to it by later jumps.
+    carried: dict[int, set[int]] = {}
+    # The key each slot last had. A key at t reads only sends made before
+    # t, so after a jump to slot h the rest of h's slice keeps its keys.
+    keys: list[RawKey | None] = [None] * n_slots
+    reuse_end = 0
+    while True:
+        slot_idx = len(stack)
+        lost = None
+        if slot_idx == n_slots or every_slice and slot_idx and slot_idx % slice_len == 0:
+            lost = first_lost(slot_idx // slice_len - 1 if slot_idx < n_slots else horizon)
+            if lost is not None or slot_idx == n_slots:
+                if branches >= limits.max_branches:
+                    return Aborted("branches", branches, len(points))
+                branches += 1
+                if on_leaf is not None:
+                    on_leaf(assignment)
+                if lost is None:
                     strategy = strategy_from_raw(assignment)
-                    reports = tuple(
-                        evaluate_requirement(cfg, strategy, requirement, tasks)
-                        for requirement in requirements
-                    )
+                    reports = tuple(evaluate_requirement(cfg, strategy, requirement, tasks)
+                                    for requirement in requirements)
                     assert all(r.satisfied for r in reports)
                     return Found(strategy, reports)
-            elif every_slice and slot_idx % slice_len == 0 and slot_idx:
-                lost_at = slot_idx // slice_len - 1
-                failing = first_lost(lost_at)
-                if failing is not None:
-                    count_branch()
 
-            if failing is None:
-                t, run, agent = slots[slot_idx]
-                if slot_idx < reuse_end:
-                    key = keys[slot_idx]
-                else:
-                    key = keys[slot_idx] = run.key(t, agent)
-                choice = -1
-                sends = assignment.get(key)
-                if sends is None:
-                    if key not in points:
-                        if len(points) >= limits.max_decision_points:
-                            raise _Abort("decision_points")
-                        points[key] = None
-                    choice = 0
-                    sends = assignment[key] = menu[agent][0]
-                    decided[key] = slot_idx
-                origins.append(decided[key])
-                if sends:
-                    run.apply(t, agent, sends)
-                stack.append((key, sends, choice))
-                continue
-
-            leaf_failures.append(failing)
-            # The frames to jump back over: None stands for every decision
-            # frame, which makes the jump chronological backtracking.
-            conflict = conflict_set(failing, lost_at) if backjump else None
-            while stack and (conflict is None or conflict):
-                key, sends, choice = stack.pop()
-                origins.pop()
-                slot_idx = len(stack)
-                t, run, agent = slots[slot_idx]
-                if sends:
-                    run.unapply(t, agent, sends)
-                if choice < 0:
-                    continue
-                if conflict is None or slot_idx in conflict:
-                    if conflict:
-                        conflict.discard(slot_idx)
-                        if slot_idx in carried:
-                            carried[slot_idx] |= conflict
-                        elif conflict:
-                            carried[slot_idx] = conflict
-                    choice += 1
-                    if choice < len(menu[agent]):
-                        sends = assignment[key] = menu[agent][choice]
-                        origins.append(slot_idx)
-                        run.apply(t, agent, sends)  # only the first action is empty
-                        stack.append((key, sends, choice))
-                        reuse_end = (t + 1) * slice_len
-                        break
-                    if conflict is not None:
-                        conflict = carried.pop(slot_idx, set())
-                del assignment[key]
-                del decided[key]
-                carried.pop(slot_idx, None)
+        if lost is None:
+            t, run, agent = slots[slot_idx]
+            if slot_idx < reuse_end:
+                key = keys[slot_idx]
             else:
-                return None
+                key = keys[slot_idx] = run.key(t, agent)
+            choice = -1
+            sends = assignment.get(key)
+            if sends is None:
+                if key not in points:
+                    if len(points) >= limits.max_decision_points:
+                        return Aborted("decision_points", branches, len(points))
+                    points[key] = None
+                choice = 0
+                sends = assignment[key] = menu[agent][0]
+                decided[key] = slot_idx
+            origins.append(decided[key])
+            if sends:
+                run.apply(t, agent, sends)
+            stack.append((key, sends, choice))
+            continue
 
-    try:
-        found = walk()
-    except _Abort as abort:
-        return Aborted(abort.limit, branches, len(points))
-    if found is not None:
-        return found
-    return Impossible(
-        Certificate(
-            decision_points=tuple(raw_to_history(key) for key in points),
-            strategies_explored=branches,
-            leaf_failures=tuple(leaf_failures),
-        )
-    )
+        leaf_failures.append(lost[0])
+        # The frames to jump back over: None stands for every decision
+        # frame, which makes the jump chronological backtracking.
+        conflict = conflict_set(*lost) if backjump else None
+        while stack and (conflict is None or conflict):
+            key, sends, choice = stack.pop()
+            origins.pop()
+            slot_idx = len(stack)
+            t, run, agent = slots[slot_idx]
+            if sends:
+                run.unapply(t, agent, sends)
+            if choice < 0:
+                continue
+            if conflict is None or slot_idx in conflict:
+                if conflict:
+                    conflict.discard(slot_idx)
+                    if slot_idx in carried:
+                        carried[slot_idx] |= conflict
+                    elif conflict:
+                        carried[slot_idx] = conflict
+                choice += 1
+                if choice < len(menu[agent]):
+                    sends = assignment[key] = menu[agent][choice]
+                    origins.append(slot_idx)
+                    run.apply(t, agent, sends)  # only the first action is empty
+                    stack.append((key, sends, choice))
+                    reuse_end = (t + 1) * slice_len
+                    break
+                if conflict is not None:
+                    conflict = carried.pop(slot_idx, set())
+            del assignment[key]
+            del decided[key]
+            carried.pop(slot_idx, None)
+        else:
+            return Impossible(Certificate(
+                decision_points=tuple(raw_to_history(key) for key in points),
+                strategies_explored=branches,
+                leaf_failures=tuple(leaf_failures),
+            ))
 
 
-def _task_row(
-    task: TaskSpec, cfg: SpacetimeConfig
-) -> tuple[tuple[str, str, int], frozenset[tuple[str, str]]]:
-    """The task's delivering departure ``(origin, dest, at - distance)`` and
-    its banned ``(origin, dest)`` pairs, once ``check_task`` passes."""
+# A task's delivering departure ``(origin, dest, at - distance)`` and its
+# banned ``(origin, dest)`` pairs.
+_Row = tuple[tuple[str, str, int], frozenset[tuple[str, str]]]
+
+
+def _task_row(task: TaskSpec, cfg: SpacetimeConfig) -> _Row:
+    """The task's row, once ``check_task`` passes."""
     check_task(task, cfg)
     origin, dest, at = task.deliver.origin, task.deliver.dest, task.deliver.at
-    return (
-        (origin, dest, at - distance(origin, dest, cfg)),
-        frozenset((ban.origin, ban.dest) for ban in task.silence),
-    )
+    return ((origin, dest, at - distance(origin, dest, cfg)),
+            frozenset((ban.origin, ban.dest) for ban in task.silence))
+
+
+def _lost(rule: Rule, rows: Sequence[_Row], departures: Collection[tuple[str, str, int]],
+          t: int) -> list[tuple[int, str]]:
+    """The culprit slots ``(t', origin)`` of a requirement lost once every
+    departure up to time ``t`` is in ``departures``; empty while it can
+    still be met.
+
+    A task is lost when a banned departure is present or its delivering
+    departure is due by ``t`` and absent; departures only accumulate, so no
+    later one can undo either. Its culprit is its earliest banned departure,
+    else its overdue delivering departure. Rule ``all`` is lost with any
+    task, and names the earliest culprit; ``at_least_one`` is lost with
+    every task, and names them all. At ``t = horizon`` every delivering
+    departure is due, and its arrival exists iff it does, so "not lost" is
+    then "satisfied".
+    """
+    sent = {(o, d) for o, d, _ in departures}
+    culprits = []
+    for (o, d, s), banned in rows:
+        if not banned.isdisjoint(sent):
+            culprits.append(min((t1, o1) for o1, d1, t1 in departures if (o1, d1) in banned))
+        elif s <= t and (o, d, s) not in departures:
+            culprits.append((s, o))
+        elif rule is Rule.AT_LEAST_ONE:
+            return []
+    return [min(culprits)] if rule is Rule.ALL and culprits else culprits
 
 
 def mutually_exclusive(cfg: SpacetimeConfig, a: TaskSpec, b: TaskSpec) -> bool:
     """Strategy-independent bound: can NO departure pattern satisfy both tasks?
 
-    Two tasks hold together iff each delivery can depart in time
-    (``at - distance >= 0``) and neither task bans either delivery's
-    (origin, dest) pair: any satisfying departure set contains both
-    delivering departures, and adding departures only breaks more bans, so
-    the set of just those two is the best candidate. This bounds what any
+    Any satisfying departure set contains both delivering departures, and
+    adding departures only breaks more bans, so the set of just those two
+    (the ones that can depart at all, at ``at - distance >= 0``) is the best
+    candidate: the tasks exclude each other iff the search's lost rule,
+    under ``all``, finds that set lost at the horizon. This bounds what any
     protocol whatsoever could accomplish.
     """
     rows = [_task_row(a, cfg), _task_row(b, cfg)]
-    banned = rows[0][1] | rows[1][1]
-    return any(s < 0 or (o, d) in banned for (o, d, s), _ in rows)
+    departures = {dep for dep, _ in rows if dep[2] >= 0}
+    return bool(_lost(Rule.ALL, rows, departures, cfg.horizon))

@@ -443,6 +443,22 @@ requirement 1 (all of 'only_task1'): satisfied  [task1=ok]
 requirement 2 (all of 'only_task2'): satisfied  [task2=ok]
 all requirements satisfied
 """
+# A document that declares no requirements: `search` finds the empty table.
+NO_REQUIREMENTS = {"locations": {"L": 0, "R": 3}, "horizon": 3, "tasks": {},
+                   "scenarios": {"idle": []}}
+NO_REQUIREMENTS_TEXT = """\
+found a strategy satisfying all 0 requirements:
+  (empty table: every agent always does nothing)
+"""
+NO_REQUIREMENTS_JSON = """\
+{
+  "outcome": "found",
+  "strategy": {
+    "rows": []
+  },
+  "reports": []
+}
+"""
 # `--json` runs and the golden file of what each prints: (argv, file, exit code).
 JSON_CASES = [
     (["search", "--config", str(SINGLE)], "search_found.json", 0),
@@ -516,6 +532,10 @@ def _cli_cases():
                        ("impossible: all 1 refuted branch over 4 decision points fails some requirement\n"
                         "  requirement 1 (all of 'only_task1'): first failure on 1 branch\n", "", 3),
                        id="search-impossible-one-branch")
+    yield pytest.param(["search"], NO_REQUIREMENTS, None, (NO_REQUIREMENTS_TEXT, "", 0),
+                       id="search-no-requirements")
+    yield pytest.param(["search", "--json"], NO_REQUIREMENTS, None, (NO_REQUIREMENTS_JSON, "", 0),
+                       id="json-search-no-requirements")
     yield pytest.param(["simulate", "--config", str(PARADOX), "--scenario", "only_task1"], None, None,
                        (SIMULATE_TEXT, "", 0), id="simulate-only_task1")
     yield pytest.param(["check", "--config", str(PARADOX), "--strategy", "obedient"], None, None,

@@ -28,6 +28,7 @@ from nosignal import (
     obedient_strategy,
 )
 from nosignal.config import strategy_rows
+from nosignal.search import _lost
 from nosignal.tasks import paradox_requirements
 from oracles import (
     brute_force_joint_satisfiable,
@@ -327,6 +328,47 @@ def test_pruning_keeps_outcomes(instance):
             cert, ref_cert = pruned.certificate, coarser.certificate
             assert cert.strategies_explored <= ref_cert.strategies_explored
             assert set(cert.decision_points) <= set(ref_cert.decision_points)
+
+
+@st.composite
+def lost_instances(draw):
+    """Two or three labs, a rule, task rows and departures at times in [0, horizon]."""
+    names = ["A", "B", "C"][:draw(st.integers(2, 3))]
+    coords = draw(st.lists(st.integers(0, 4), min_size=len(names), max_size=len(names), unique=True))
+    locations = dict(zip(names, coords))
+    horizon = draw(st.integers(1, 4))
+    pairs = [(o, d) for o in names for d in names if o != d]
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(pairs).flatmap(lambda p: st.integers(0, horizon).map(lambda at: (*p, at))),
+        st.frozensets(st.sampled_from(pairs), max_size=2),
+    ), min_size=1, max_size=3))
+    departures = draw(st.frozensets(st.tuples(st.sampled_from(pairs), st.integers(0, horizon))
+                                    .map(lambda p: (*p[0], p[1])), max_size=5))
+    rule = draw(st.sampled_from((Rule.ALL, Rule.AT_LEAST_ONE)))
+    return locations, horizon, rule, rows, departures
+
+
+@given(lost_instances())
+@example(({"L": 0, "R": 1}, 2, Rule.ALL, [(("L", "R", 2), frozenset({("L", "R")}))],
+          frozenset()))  # bans its own delivery: lost for the oracle at t=0, not yet for the rule
+@settings(max_examples=300, deadline=None)
+def test_lost_rule_agrees_with_oracle(instance):
+    """The walk's lost rule never refutes what the oracle can still meet, and
+    at the horizon, where every delivery is due, the two agree. Before it they
+    may differ: a task banning its own delivery pair is lost for the oracle,
+    but for the rule only once that delivery falls due."""
+    locations, horizon, rule, rows, departures = instance
+    search_rows = [((o, d, at - abs(locations[o] - locations[d])), banned)
+                   for (o, d, at), banned in rows]
+    for t in range(horizon + 1):
+        so_far = {dep for dep in departures if dep[2] <= t}
+        culprits = _lost(rule, search_rows, so_far, t)
+        lost = requirement_lost(locations, so_far, t, rule.value, rows)
+        assert all(t1 <= t for t1, _ in culprits)
+        if culprits:
+            assert lost
+        if t == horizon:
+            assert bool(culprits) == lost
 
 
 @st.composite
