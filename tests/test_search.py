@@ -334,8 +334,8 @@ def test_pruning_keeps_outcomes(instance):
 def lost_instances(draw):
     """Two or three labs, a rule, task rows and departures at times in [0, horizon]."""
     names = ["A", "B", "C"][:draw(st.integers(2, 3))]
-    coords = draw(st.lists(st.integers(0, 4), min_size=len(names), max_size=len(names), unique=True))
-    locations = dict(zip(names, coords))
+    locations = dict(zip(names, draw(st.lists(st.integers(0, 4), min_size=len(names),
+                                              max_size=len(names), unique=True))))
     horizon = draw(st.integers(1, 4))
     pairs = [(o, d) for o in names for d in names if o != d]
     rows = draw(st.lists(st.tuples(
