@@ -195,6 +195,27 @@ class TestStrategyFiles:
         with pytest.raises(ValidationError, match="undefined task"):
             load_strategy(json.dumps(rows), doc.spacetime, doc.tasks)
 
+    def test_identical_duplicate_row_loads(self):
+        """A repeated row is the same row, whatever order its events and sends are listed in."""
+        doc = load_fixture_doc()
+        events = [{"kind": "request", "time": 0, "task": "task1"},
+                  {"kind": "signal", "time": 3, "origin": "R"}]
+        row = {"agent": "L", "history": {"upto": 3, "events": events}, "action": {"send": ["R"]}}
+        again = {"agent": "L", "history": {"upto": 3, "events": events[::-1]},
+                 "action": {"send": ["R", "R"]}}
+        once = load_strategy(json.dumps({"rows": [row]}), doc.spacetime, doc.tasks)
+        twice = load_strategy(json.dumps({"rows": [row, again]}), doc.spacetime, doc.tasks)
+        assert twice == once
+
+    def test_conflicting_duplicate_row_rejected(self):
+        doc = load_fixture_doc()
+        history = {"upto": 0, "events": [{"kind": "request", "time": 0, "task": "task1"}]}
+        rows = {"rows": [{"agent": "L", "history": history, "action": {"send": ["R"]}},
+                         {"agent": "L", "history": history, "action": {"send": []}}]}
+        with pytest.raises(ValidationError,
+                           match=r"^rows\[1\]: conflicting duplicate of an earlier row$"):
+            load_strategy(json.dumps(rows), doc.spacetime, doc.tasks)
+
 
 class TestDiagrams:
     def golden(self, name):
@@ -504,6 +525,9 @@ INVALID_STRATEGIES = [
         {"kind": "signal", "time": 1, "origin": "R"},
         {"kind": "request", "time": -1, "task": "task1"}]}, "action": {}}],
      "rows[0].history.events[1].time: -1 outside [0, 2]"),
+    ([{"agent": "R", "history": {"upto": 3}, "action": {"send": ["L"]}},
+      {"agent": "R", "history": {"upto": 3, "events": []}, "action": {}}],
+     "rows[1]: conflicting duplicate of an earlier row"),
 ]
 
 
