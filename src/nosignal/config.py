@@ -2,9 +2,9 @@
 
 Two document kinds exist: the config document (geometry, tasks, named
 scenarios, requirements, optional search limits) and the strategy document
-(explicit rows of agent, history, action; unlisted histories default to
-the empty action). Validation errors carry the JSON path of the offending
-value, parse errors the line and column.
+(explicit rows of agent, history, action; unlisted histories send
+nothing). Validation errors carry the JSON path of the offending value,
+parse errors the line and column.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from collections.abc import Callable, Mapping
 from .errors import ParseError, SimulationError, ValidationError
 from .protocol import (
     KIND_REQUEST,
-    Action,
     LocalHistory,
+    RawAssignment,
     ReceivedEvent,
     Scenario,
     Strategy,
@@ -210,10 +210,11 @@ def load_config(text: str) -> ConfigDocument:
     return ConfigDocument(cfg, tasks, scenarios, requirements, limits)
 
 
-def _event_to_json(event: ReceivedEvent) -> dict[str, object]:
-    if event.kind == KIND_REQUEST:
-        return {"kind": "request", "time": event.time, "task": event.label}
-    return {"kind": "signal", "time": event.time, "origin": event.label}
+def _event_to_json(event: tuple[int, str, str]) -> dict[str, object]:
+    time, kind, label = event
+    if kind == KIND_REQUEST:
+        return {"kind": "request", "time": time, "task": label}
+    return {"kind": "signal", "time": time, "origin": label}
 
 
 def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
@@ -241,7 +242,7 @@ def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]
     """Parse and validate a strategy document against a configuration."""
     raw = _require_object(_parse(text), "document")
     _no_extras(raw, {"rows"}, "document")
-    table: dict[tuple[str, LocalHistory], Action] = {}
+    table: RawAssignment = {}
     for i, row in enumerate(_require_list(_pop(raw, "rows", "document"), "rows")):
         path = f"rows[{i}]"
         row = _require_object(row, path)
@@ -260,33 +261,28 @@ def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]
         )
         action_raw = _require_object(_pop(row, "action", path), f"{path}.action")
         _no_extras(action_raw, {"send"}, f"{path}.action")
-        sends = set()
+        dests = set()
         for j, dest in enumerate(_require_list(action_raw.get("send", []), f"{path}.action.send")):
             dest = _location(dest, cfg, f"{path}.action.send[{j}]")
             if dest == agent:
                 _fail(f"{path}.action.send[{j}]", "agent cannot send to itself")
-            sends.add(dest)
-        key = (agent, _checked(f"{path}.history.", LocalHistory, agent, upto, events))
-        if key in table and table[key] != Action(frozenset(sends)):
+            dests.add(dest)
+        history = _checked(f"{path}.history.", LocalHistory, agent, upto, events)
+        key = (agent, upto, tuple((e.time, e.kind, e.label) for e in history.events))
+        sends = tuple(sorted(dests))
+        if table.setdefault(key, sends) != sends:
             _fail(path, "conflicting duplicate of an earlier row")
-        table[key] = Action(frozenset(sends))
     return Strategy(table)
 
 
 def strategy_rows(strategy: Strategy) -> list[dict[str, object]]:
     """Strategy table as JSON-ready rows in canonical order."""
-    ordered = sorted(
-        strategy.table.items(), key=lambda kv: (kv[0][0], kv[0][1].upto, kv[0][1].events)
-    )
     return [
         {
             "agent": agent,
-            "history": {
-                "upto": history.upto,
-                "events": [_event_to_json(e) for e in history.events],
-            },
-            "action": {"send": sorted(action.sends)},
+            "history": {"upto": upto, "events": [_event_to_json(e) for e in events]},
+            "action": {"send": sorted(sends)},
         }
-        for (agent, history), action in ordered
+        for (agent, upto, events), sends in sorted(strategy.table.items())
     ]
 

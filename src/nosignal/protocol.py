@@ -1,10 +1,11 @@
 """Agents, local observation histories, strategies, and the executor.
 
 The no-signaling constraint is structural rather than checked after the
-fact: a strategy is a lookup table keyed by an agent's ``LocalHistory``,
-and a local history contains only requests submitted at the agent's own
-location and signals that have already arrived there. There is simply no
-channel through which an action could depend on remote or future state.
+fact: a strategy is a lookup table keyed by an agent's raw history key,
+the ``(agent, t, events)`` form of its ``LocalHistory``, and a local
+history contains only requests submitted at the agent's own location and
+signals that have already arrived there. There is simply no channel
+through which a send could depend on remote or future state.
 
 Execution is a synchronous lockstep loop. Within one step, delivery
 happens before decisions, so a request submitted at time t is visible to
@@ -69,24 +70,26 @@ class LocalHistory(Record):
         self._fill(agent, upto, tuple(sorted(events)))
 
 
-class Action(Record):
-    """Destinations to send a content-free light signal to; empty means idle."""
+# The kernel's raw form of a history key: (agent, time, events), where events
+# are (time, kind, label) tuples in canonical order. A strategy's table maps
+# these keys to sorted tuples of distinct destinations; ``find_strategy``
+# hands such assignments to its ``on_leaf`` callback.
+RawKey = tuple[str, int, tuple[tuple[int, str, str], ...]]
+RawAssignment = dict[RawKey, tuple[str, ...]]
 
-    __slots__ = ("sends",)
 
-    def __init__(self, sends: frozenset[str] = frozenset()):
-        self._fill(frozenset(sends))
-
-
-NOOP = Action()
+def raw_to_history(key: RawKey) -> tuple[str, int, LocalHistory]:
+    agent, t, events = key
+    return agent, t, LocalHistory(agent, t, tuple(ReceivedEvent(*e) for e in events))
 
 
 class Strategy(Record):
-    """Deterministic map from (agent, local history) to an action.
+    """Deterministic map from an agent's raw history key to the labs it sends to.
 
-    Unmapped histories fall back to the empty action, which makes every
-    table a total strategy and "do nothing" the base case. Mutable, so
-    unhashable; a new strategy gets a new empty table.
+    ``table`` maps ``(agent, t, events)`` to a sorted tuple of distinct
+    destinations. Unmapped keys send nothing, which makes every table a
+    total strategy and "do nothing" the base case. Mutable, so unhashable;
+    a new strategy gets a new empty table.
     """
 
     __slots__ = ("table",)
@@ -94,11 +97,8 @@ class Strategy(Record):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
 
-    def __init__(self, table: dict[tuple[str, LocalHistory], Action] | None = None):
+    def __init__(self, table: RawAssignment | None = None):
         self._fill({} if table is None else table)
-
-    def action_for(self, agent: str, history: LocalHistory) -> Action:
-        return self.table.get((agent, history), NOOP)
 
 
 class TaskRequest(Ordered):
@@ -191,39 +191,6 @@ def local_history(trace: Trace, agent: str, t: int, cfg: SpacetimeConfig) -> Loc
     return LocalHistory(agent, t, tuple(events))
 
 
-# The kernel's raw form of a history key: (agent, time, events), where events
-# are (time, kind, label) tuples in canonical order. Strategies in raw form
-# map these keys to sorted destination tuples; ``find_strategy`` hands such
-# assignments to its ``on_leaf`` callback.
-RawKey = tuple[str, int, tuple[tuple[int, str, str], ...]]
-RawAssignment = dict[RawKey, tuple[str, ...]]
-
-
-def raw_to_history(key: RawKey) -> tuple[str, int, LocalHistory]:
-    agent, t, events = key
-    return agent, t, LocalHistory(agent, t, tuple(ReceivedEvent(*e) for e in events))
-
-
-def strategy_from_raw(assignment: RawAssignment) -> Strategy:
-    table = {}
-    for key, sends in assignment.items():
-        if not sends:
-            continue  # the empty default already covers these rows
-        agent, _, history = raw_to_history(key)
-        table[(agent, history)] = Action(frozenset(sends))
-    return Strategy(table)
-
-
-def strategy_to_raw(strategy: Strategy) -> RawAssignment:
-    """The table keyed the kernel's way; rows no agent can reach are dropped."""
-    return {
-        (agent, history.upto, tuple((e.time, e.kind, e.label) for e in history.events)):
-            tuple(sorted(action.sends))
-        for (agent, history), action in strategy.table.items()
-        if history.agent == agent
-    }
-
-
 class Run:
     """Incremental execution of one scenario on plain tuples.
 
@@ -276,15 +243,17 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Tra
     """Run the synchronous loop through the strategy's slots; return the trace.
 
     Per step: deliver requests submitted at t and signals arriving at t,
-    then let every agent look up the action for its history up to t, then
+    then let every agent look up the sends for its history up to t, then
     turn each send into a departure at t arriving at t + distance. A row
     keyed ``(agent, t, events)`` can only match that agent's history at
     that t, and every other agent-step sends nothing, so only the
     ``(t, agent)`` slots the table names are looked up: t ascending, agents
-    in ``cfg.agents`` order. Identical inputs yield identical traces.
+    in ``cfg.agents`` order. Identical inputs yield identical traces. A
+    send to the agent itself, to an unknown lab or twice to one lab is
+    refused.
     """
     check_scenario(scenario, cfg)
-    table = strategy_to_raw(strategy)
+    table = strategy.table
     slots = {(t, agent) for agent, t, _ in table
              if 0 <= t <= cfg.horizon and agent in cfg.locations}
     run = Run(cfg, scenario)
@@ -295,6 +264,8 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Tra
                 if dest == agent:
                     raise SameLocation(f"agent {agent!r} cannot send to itself")
                 cfg.coord(dest)
+                if sends.count(dest) > 1:
+                    raise ValidationError(f"agent {agent!r} sends to {dest!r} more than once")
             run.apply(t, agent, sends)
 
     arrivals = ((o, d, t + run.dist[(o, d)]) for o, d, t in run.departures)
@@ -310,11 +281,11 @@ def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> St
 
     For a task delivering origin -> dest at time ``at``, the request is
     expected at the origin lab at s = at - distance(origin, dest); the
-    history holding just that request maps to a send, everything else to
-    the empty action. A delivery too early to send for is refused here; one
-    past the horizon is ``check_task``'s to refuse.
+    history holding just that request maps to a send, and every other
+    history sends nothing. A delivery too early to send for is refused
+    here; one past the horizon is ``check_task``'s to refuse.
     """
-    table: dict[tuple[str, LocalHistory], Action] = {}
+    table: RawAssignment = {}
     for task_id in sorted(tasks):
         deliver = tasks[task_id].deliver
         travel = distance(deliver.origin, deliver.dest, cfg)
@@ -325,8 +296,5 @@ def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> St
                 f"{travel} step{'s' * (travel != 1)} a signal from {deliver.origin!r} "
                 f"takes to reach {deliver.dest!r}"
             )
-        history = LocalHistory(
-            deliver.origin, submit, (ReceivedEvent.request(submit, task_id),)
-        )
-        table[(deliver.origin, history)] = Action(frozenset({deliver.dest}))
+        table[(deliver.origin, submit, ((submit, KIND_REQUEST, task_id),))] = (deliver.dest,)
     return Strategy(table)

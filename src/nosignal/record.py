@@ -46,7 +46,11 @@ class Record:
 
 
 class Ordered(Record):
-    """A record that orders like its field tuple."""
+    """A record that orders like its field tuple.
+
+    Python answers ``a > b`` with ``b < a`` and ``a >= b`` with ``b <= a``,
+    so the two methods below are all the ordering needs.
+    """
 
     __slots__ = ()
 
@@ -59,13 +63,3 @@ class Ordered(Record):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() <= other._values()
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() > other._values()
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() >= other._values()

@@ -45,7 +45,6 @@ from .protocol import (
     Strategy,
     check_scenario,
     raw_to_history,
-    strategy_from_raw,
 )
 from .record import Record
 from .spacetime import SpacetimeConfig, distance
@@ -250,7 +249,7 @@ def find_strategy(
                 if on_leaf is not None:
                     on_leaf(assignment)
                 if lost is None:
-                    strategy = strategy_from_raw(assignment)
+                    strategy = Strategy({key: sends for key, sends in assignment.items() if sends})
                     reports = tuple(evaluate_requirement(cfg, strategy, requirement, tasks)
                                     for requirement in requirements)
                     assert all(r.satisfied for r in reports)

@@ -15,11 +15,8 @@ from pathlib import Path
 
 from conftest import make_instance, oracle_scenarios, raw_points, serialize_config, serialize_strategy
 from nosignal import (
-    Action,
     Found,
     Impossible,
-    LocalHistory,
-    ReceivedEvent,
     Scenario,
     SpacetimeConfig,
     Strategy,
@@ -139,20 +136,18 @@ def _random_world(rng):
     table = {}
     for request in sorted(s1.requests | s2.requests):
         if rng.random() < 0.7:
-            history = LocalHistory(request.location, request.time,
-                                   (ReceivedEvent.request(request.time, request.task),))
-            sends = [d for d in cfg.others(request.location) if rng.random() < 0.6]
-            table[(request.location, history)] = Action(frozenset(sends))
+            key = (request.location, request.time, ((request.time, "request", request.task),))
+            table[key] = tuple(d for d in cfg.others(request.location) if rng.random() < 0.6)
     for _ in range(rng.randint(0, 3)):
         agent = rng.choice(cfg.agents)
         upto = rng.randint(0, cfg.horizon)
         events = []
         if rng.random() < 0.5:
-            events.append(ReceivedEvent.request(rng.randint(0, upto), rng.choice(("a", "b"))))
+            events.append((rng.randint(0, upto), "request", rng.choice(("a", "b"))))
         if rng.random() < 0.5:
-            events.append(ReceivedEvent.signal(rng.randint(0, upto), rng.choice(cfg.others(agent))))
-        sends = [d for d in cfg.others(agent) if rng.random() < 0.5]
-        table[(agent, LocalHistory(agent, upto, tuple(events)))] = Action(frozenset(sends))
+            events.append((rng.randint(0, upto), "signal", rng.choice(cfg.others(agent))))
+        sends = tuple(d for d in cfg.others(agent) if rng.random() < 0.5)
+        table[(agent, upto, tuple(sorted(events)))] = sends
     return cfg, s1, s2, Strategy(table)
 
 

@@ -20,6 +20,7 @@ from nosignal import (
     SearchLimits,
     Silence,
     SpacetimeConfig,
+    Strategy,
     TaskRequest,
     TaskSpec,
     Trace,
@@ -29,7 +30,13 @@ from nosignal import (
     obedient_strategy,
 )
 from nosignal.cli import main
-from nosignal.config import ConfigDocument, NamedRequirement, load_config, load_strategy
+from nosignal.config import (
+    ConfigDocument,
+    NamedRequirement,
+    load_config,
+    load_strategy,
+    strategy_rows,
+)
 from nosignal.diagram import render_diagram
 
 REPO = Path(__file__).resolve().parent.parent
@@ -76,6 +83,24 @@ def config_documents(draw):
     limits = draw(st.none() | st.builds(SearchLimits, st.integers(1, 10**7), st.integers(1, 10**4)))
     return ConfigDocument(SpacetimeConfig(dict(zip(labs, coords)), horizon), tasks, scenarios,
                           requirements, limits)
+
+
+@st.composite
+def strategy_documents(draw):
+    """A config document and a strategy of up to 6 rows over its labs and tasks."""
+    doc = draw(config_documents())
+    cfg = doc.spacetime
+    table = {}
+    for _ in range(draw(st.integers(0, 6))):
+        agent = draw(st.sampled_from(cfg.agents))
+        upto = draw(st.integers(0, cfg.horizon))
+        times = st.integers(0, upto)
+        events = st.tuples(times, st.just("signal"), st.sampled_from(cfg.others(agent)))
+        if doc.tasks:
+            events |= st.tuples(times, st.just("request"), st.sampled_from(sorted(doc.tasks)))
+        key = (agent, upto, tuple(sorted(draw(st.lists(events, max_size=3, unique=True)))))
+        table[key] = tuple(sorted(draw(st.lists(st.sampled_from(cfg.others(agent)), unique=True))))
+    return doc, Strategy(table)
 
 
 class TestLoadConfig:
@@ -164,6 +189,18 @@ class TestStrategyFiles:
         text = serialize_strategy(obedient)
         assert load_strategy(text, doc.spacetime, doc.tasks) == obedient
         assert OBEDIENT.read_text() == text  # the bundled fixture stays in sync
+
+    @settings(max_examples=200, deadline=None)
+    @given(strategy_documents())
+    def test_random_strategy_round_trip(self, case):
+        doc, strategy = case
+        rows = strategy_rows(strategy)
+        keys = [(row["agent"], row["history"]["upto"],
+                 [(e["time"], e["kind"], e["task"] if e["kind"] == "request" else e["origin"])
+                  for e in row["history"]["events"]])
+                for row in rows]
+        assert keys == sorted(keys)
+        assert load_strategy(serialize_strategy(strategy), doc.spacetime, doc.tasks) == strategy
 
     def test_unknown_agent_rejected(self):
         doc = load_fixture_doc()

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 from nosignal import (
-    Action,
     Event,
     InvalidScenario,
     LocalHistory,
@@ -26,6 +25,7 @@ from nosignal import (
     Trace,
     UnachievableTask,
     UnknownLocation,
+    ValidationError,
     causal_leq,
     execute,
     local_history,
@@ -171,8 +171,7 @@ class TestExecute:
 
     def test_late_departure_never_arrives(self, d3):
         cfg, _, _ = d3
-        history = LocalHistory("L", 2, ())
-        strategy = Strategy({("L", history): Action(frozenset({"R"}))})
+        strategy = Strategy({("L", 2, ()): ("R",)})
         trace = execute(cfg, Scenario(), strategy)
         assert trace.departures == {("L", "R", 2)}  # would arrive at 5 > horizon
         assert trace.arrivals == frozenset()
@@ -184,24 +183,28 @@ class TestReachability:
 
     def test_reached_self_send_raises(self, d3):
         cfg, _, _ = d3
-        strategy = Strategy({("R", LocalHistory("R", 1, ())): Action(frozenset({"R"}))})
+        strategy = Strategy({("R", 1, ()): ("R",)})
         with pytest.raises(SameLocation):
             execute(cfg, Scenario(), strategy)
 
     def test_reached_send_to_unknown_lab_raises(self, d3):
         cfg, _, _ = d3
-        strategy = Strategy({("L", LocalHistory("L", 0, ())): Action(frozenset({"Z"}))})
+        strategy = Strategy({("L", 0, ()): ("Z",)})
         with pytest.raises(UnknownLocation):
+            execute(cfg, Scenario(), strategy)
+
+    def test_reached_repeated_send_raises(self, d3):
+        cfg, _, _ = d3
+        strategy = Strategy({("L", 0, ()): ("R", "R")})
+        with pytest.raises(ValidationError, match="^agent 'L' sends to 'R' more than once$"):
             execute(cfg, Scenario(), strategy)
 
     def test_unreached_rows_are_ignored(self, d3):
         cfg, _, _ = d3
-        never = LocalHistory("R", 1, (ReceivedEvent.request(0, "task2"),))
-        late = LocalHistory("L", cfg.horizon + 2, ())
         strategy = Strategy({
-            ("R", never): Action(frozenset({"R"})),
-            ("L", late): Action(frozenset({"Z"})),
-            ("X", LocalHistory("X", 0, ())): Action(frozenset({"L"})),
+            ("R", 1, ((0, "request", "task2"),)): ("R",),
+            ("L", cfg.horizon + 2, ()): ("Z",),
+            ("X", 0, ()): ("L",),
         })
         assert execute(cfg, Scenario(), strategy) == Trace()
 
@@ -216,10 +219,10 @@ class TestReachability:
 
         monkeypatch.setattr(Run, "key", counted)
         strategy = Strategy({
-            ("L", LocalHistory("L", 0, (ReceivedEvent.request(0, "task1"),))): Action(frozenset({"R"})),
-            ("L", LocalHistory("L", 0, ())): Action(),
-            ("R", LocalHistory("R", 3, (ReceivedEvent.signal(3, "L"),))): Action(frozenset({"L"})),
-            ("R", LocalHistory("R", cfg.horizon + 1, ())): Action(frozenset({"L"})),
+            ("L", 0, ((0, "request", "task1"),)): ("R",),
+            ("L", 0, ()): (),
+            ("R", 3, ((3, "signal", "L"),)): ("L",),
+            ("R", cfg.horizon + 1, ()): ("L",),
         })
         trace = execute(cfg, scenario(("task1", "L", 0)), strategy)
         assert sorted(calls) == [("L", 0), ("R", 3)]
@@ -230,19 +233,17 @@ class TestObedientStrategy:
     def test_sends_on_request(self, d3):
         cfg, tasks, _ = d3
         strategy = obedient_strategy(cfg, tasks)
-        history = LocalHistory("L", 0, (ReceivedEvent.request(0, "task1"),))
-        assert strategy.action_for("L", history) == Action(frozenset({"R"}))
+        assert strategy.table.get(("L", 0, ((0, "request", "task1"),)), ()) == ("R",)
 
     def test_idle_without_request(self, d3):
         cfg, tasks, _ = d3
         strategy = obedient_strategy(cfg, tasks)
-        assert strategy.action_for("R", LocalHistory("R", 0, ())) == Action()
+        assert strategy.table.get(("R", 0, ()), ()) == ()
 
     def test_symmetric_task(self, d3):
         cfg, tasks, _ = d3
         strategy = obedient_strategy(cfg, tasks)
-        history = LocalHistory("R", 0, (ReceivedEvent.request(0, "task2"),))
-        assert strategy.action_for("R", history) == Action(frozenset({"L"}))
+        assert strategy.table.get(("R", 0, ((0, "request", "task2"),)), ()) == ("L",)
 
     def test_unachievable_delivery_rejected(self):
         cfg, tasks, _ = make_instance(3)
@@ -279,25 +280,21 @@ def worlds(draw):
     # request-triggered rows, so signals actually flow
     for request in sorted(s1.requests | s2.requests):
         if draw(st.booleans()):
-            history = LocalHistory(
-                request.location, request.time,
-                (ReceivedEvent.request(request.time, request.task),),
-            )
+            key = (request.location, request.time, ((request.time, "request", request.task),))
             sends = draw(st.lists(st.sampled_from(cfg.others(request.location)), unique=True))
-            table[(request.location, history)] = Action(frozenset(sends))
+            table[key] = tuple(sorted(sends))
     # a few arbitrary rows, including signal-reactive ones
     for _ in range(draw(st.integers(0, 3))):
         agent = draw(st.sampled_from(cfg.agents))
         upto = draw(st.integers(0, cfg.horizon))
         events = []
         if draw(st.booleans()):
-            events.append(ReceivedEvent.request(draw(st.integers(0, upto)),
-                                                draw(st.sampled_from(TASK_NAMES))))
+            events.append((draw(st.integers(0, upto)), "request", draw(st.sampled_from(TASK_NAMES))))
         if draw(st.booleans()):
             origin = draw(st.sampled_from(cfg.others(agent)))
-            events.append(ReceivedEvent.signal(draw(st.integers(0, upto)), origin))
+            events.append((draw(st.integers(0, upto)), "signal", origin))
         sends = draw(st.lists(st.sampled_from(cfg.others(agent)), unique=True))
-        table[(agent, LocalHistory(agent, upto, tuple(events)))] = Action(frozenset(sends))
+        table[(agent, upto, tuple(sorted(events)))] = tuple(sorted(sends))
     return cfg, s1, s2, Strategy(table)
 
 
@@ -372,15 +369,11 @@ def test_trace_consistency_property(world):
 def test_execute_matches_oracle_executor(world):
     """``execute`` and the independent tuple executor agree on every run."""
     cfg, s1, s2, strategy = world
-    table = {
-        (agent, h.upto, tuple((e.time, e.kind, e.label) for e in h.events)): sorted(action.sends)
-        for (agent, h), action in strategy.table.items()
-    }
     for s in (s1, s2):
         trace = execute(cfg, s, strategy)
         requests = [(r.task, r.location, r.time) for r in s.requests]
         assert (trace.departures, trace.arrivals) == mini_execute(
-            cfg.locations, cfg.horizon, requests, table
+            cfg.locations, cfg.horizon, requests, strategy.table
         )
 
 
@@ -391,11 +384,9 @@ def influence_strategies(cfg):
     react = {}
     for agent in cfg.agents:
         other = cfg.others(agent)[0]
-        req = LocalHistory(agent, 0, (ReceivedEvent.request(0, "a" if agent == "L" else "b"),))
-        react[(agent, req)] = Action(frozenset({other}))
-        echo = LocalHistory(agent, 1, (ReceivedEvent.signal(1, other),))
-        react[(agent, echo)] = Action(frozenset({other}))
-    spontaneous = {("L", LocalHistory("L", 1, ())): Action(frozenset({"R"}))}
+        react[(agent, 0, ((0, "request", "a" if agent == "L" else "b"),))] = (other,)
+        react[(agent, 1, ((1, "signal", other),))] = (other,)
+    spontaneous = {("L", 1, ()): ("R",)}
     return [Strategy({}), Strategy(react), Strategy({**react, **spontaneous})]
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from nosignal import (
     Aborted,
-    Action,
     AuditReport,
     Certificate,
     Deliver,
@@ -42,8 +41,7 @@ from nosignal.audit import AuditViolation
 CFG = SpacetimeConfig({"L": 0, "R": 3}, 3)
 EV = ReceivedEvent(0, "request", "task1")
 HIST = LocalHistory("L", 0, (EV,))
-ACT = Action(frozenset({"R"}))
-STRAT = Strategy({("L", HIST): ACT})
+STRAT = Strategy({("L", 0, ((0, "request", "task1"),)): ("R",)})
 TR = TaskRequest("task1", "L", 0)
 SCEN = Scenario(frozenset({TR}))
 DELIVER = Deliver("L", "R", 3)
@@ -60,7 +58,7 @@ H_REPR = (
     "LocalHistory(agent='L', upto=0, "
     "events=(ReceivedEvent(time=0, kind='request', label='task1'),))"
 )
-STRAT_REPR = f"Strategy(table={{('L', {H_REPR}): Action(sends=frozenset({{'R'}}))}})"
+STRAT_REPR = "Strategy(table={('L', 0, ((0, 'request', 'task1'),)): ('R',)})"
 SCEN_REPR = "Scenario(requests=frozenset({TaskRequest(task='task1', location='L', time=0)}))"
 TASK_REPR = (
     "TaskSpec(id='task1', deliver=Deliver(origin='L', dest='R', at=3), "
@@ -86,8 +84,7 @@ CASES = [
     (ReceivedEvent, (0, "request", "task1"), (0, "signal", "L"), "time",
      "ReceivedEvent(time=0, kind='request', label='task1')"),
     (LocalHistory, ("L", 0, (EV,)), ("L", 0, ()), "agent", H_REPR),
-    (Action, (frozenset({"R"}),), (frozenset(),), "sends", "Action(sends=frozenset({'R'}))"),
-    (Strategy, ({("L", HIST): ACT},), ({},), "table", STRAT_REPR),
+    (Strategy, ({("L", 0, ((0, "request", "task1"),)): ("R",)},), ({},), "table", STRAT_REPR),
     (TaskRequest, ("task1", "L", 0), ("task1", "L", 1), "task",
      "TaskRequest(task='task1', location='L', time=0)"),
     (Scenario, (frozenset({TR}),), (frozenset(),), "requests", SCEN_REPR),
@@ -134,7 +131,7 @@ cases = pytest.mark.parametrize("cls, args, other, field, text", CASES, ids=ids)
 
 
 def test_every_public_value_class_is_pinned():
-    assert len({case[0] for case in CASES}) == len(CASES) == 23
+    assert len({case[0] for case in CASES}) == len(CASES) == 22
 
 
 @cases
@@ -213,7 +210,6 @@ def test_pickle_and_deepcopy_round_trip(cls, args, other, field, text):
 
 def test_keyword_construction_with_defaults():
     assert LocalHistory(agent="L", upto=0) == LocalHistory("L", 0, ())
-    assert Action() == Action(sends=frozenset()) == Action(frozenset())
     assert Scenario() == Scenario(requests=frozenset())
     assert Trace() == Trace(requests=frozenset(), departures=frozenset(), arrivals=frozenset())
     assert TaskSpec(id="t", deliver=DELIVER) == TaskSpec("t", DELIVER, ())
@@ -245,7 +241,6 @@ def test_keyword_construction_with_defaults():
 def test_constructors_convert_and_validate():
     assert LocalHistory("L", 1, [ReceivedEvent(1, "signal", "R"), EV]).events == (
         EV, ReceivedEvent(1, "signal", "R"))
-    assert Action(["R", "R"]).sends == frozenset({"R"})
     assert Scenario([TR]).requests == frozenset({TR})
     assert TaskSpec("t", DELIVER, [SIL]).silence == (SIL,)
     locations = {"L": 0, "R": 3}
