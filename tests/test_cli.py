@@ -565,6 +565,16 @@ INVALID_STRATEGIES = [
     ([{"agent": "R", "history": {"upto": 3}, "action": {"send": ["L"]}},
       {"agent": "R", "history": {"upto": 3, "events": []}, "action": {}}],
      "rows[1]: conflicting duplicate of an earlier row"),
+    # A row's errors are reported in one order: event fields, then the
+    # action, then event times.
+    ([{"agent": "L", "history": {"upto": 2, "events": [{"kind": "request", "time": 5,
+                                                        "task": "task1"}]},
+       "action": {"send": ["L"]}}],
+     "rows[0].action.send[0]: agent cannot send to itself"),
+    ([{"agent": "L", "history": {"upto": 2, "events": [
+        {"kind": "request", "time": 5, "task": "task1"}, {"kind": "bogus", "time": 0}]},
+       "action": {"send": ["R"]}}],
+     "rows[0].history.events[1].kind: expected 'request' or 'signal', got 'bogus'"),
 ]
 
 
