@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .protocol import LocalHistory, Scenario, Strategy, execute, local_history
+from .protocol import RawKey, Scenario, Strategy, execute, local_history
 from .record import Record
 from .spacetime import SpacetimeConfig
 
@@ -33,7 +33,7 @@ def indistinguishable(
 class AuditViolation(Record):
     __slots__ = ("pair_index", "agent", "time", "history", "sends")
 
-    def __init__(self, pair_index: int, agent: str, time: int, history: LocalHistory,
+    def __init__(self, pair_index: int, agent: str, time: int, history: RawKey,
                  sends: tuple[frozenset[str], frozenset[str]]):
         self._fill(pair_index, agent, time, history, sends)
 

@@ -15,9 +15,8 @@ from collections.abc import Callable, Mapping
 from .errors import ParseError, SimulationError, ValidationError
 from .protocol import (
     KIND_REQUEST,
-    LocalHistory,
+    KIND_SIGNAL,
     RawAssignment,
-    ReceivedEvent,
     Scenario,
     Strategy,
     TaskRequest,
@@ -218,7 +217,7 @@ def _event_to_json(event: tuple[int, str, str]) -> dict[str, object]:
 
 
 def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
-                     tasks: Mapping[str, TaskSpec], path: str) -> ReceivedEvent:
+                     tasks: Mapping[str, TaskSpec], path: str) -> tuple[int, str, str]:
     raw = _require_object(raw, path)
     kind = _require_str(_pop(raw, "kind", path), f"{path}.kind")
     time = _require_int(_pop(raw, "time", path), f"{path}.time")
@@ -227,13 +226,13 @@ def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
         task_id = _require_str(_pop(raw, "task", path), f"{path}.task")
         if task_id not in tasks:
             _fail(f"{path}.task", f"undefined task {task_id!r}")
-        return ReceivedEvent.request(time, task_id)
+        return (time, KIND_REQUEST, task_id)
     if kind == "signal":
         _no_extras(raw, {"kind", "time", "origin"}, path)
         origin = _location(_pop(raw, "origin", path), cfg, f"{path}.origin")
         if origin == agent:
             _fail(f"{path}.origin", "signal origin cannot be the receiving agent")
-        return ReceivedEvent.signal(time, origin)
+        return (time, KIND_SIGNAL, origin)
     _fail(f"{path}.kind", f"expected 'request' or 'signal', got {kind!r}")
     raise AssertionError  # unreachable
 
@@ -267,8 +266,10 @@ def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]
             if dest == agent:
                 _fail(f"{path}.action.send[{j}]", "agent cannot send to itself")
             dests.add(dest)
-        history = _checked(f"{path}.history.", LocalHistory, agent, upto, events)
-        key = (agent, upto, tuple((e.time, e.kind, e.label) for e in history.events))
+        for j, (time, _, _) in enumerate(events):
+            if not 0 <= time <= upto:
+                _fail(f"{path}.history.events[{j}].time", f"{time} outside [0, {upto}]")
+        key = (agent, upto, tuple(sorted(events)))
         sends = tuple(sorted(dests))
         if table.setdefault(key, sends) != sends:
             _fail(path, "conflicting duplicate of an earlier row")

@@ -1,11 +1,11 @@
 """Agents, local observation histories, strategies, and the executor.
 
 The no-signaling constraint is structural rather than checked after the
-fact: a strategy is a lookup table keyed by an agent's raw history key,
-the ``(agent, t, events)`` form of its ``LocalHistory``, and a local
-history contains only requests submitted at the agent's own location and
-signals that have already arrived there. There is simply no channel
-through which a send could depend on remote or future state.
+fact: a strategy is a lookup table keyed by an agent's local history, the
+raw key ``(agent, t, events)``, and a local history contains only requests
+submitted at the agent's own location and signals that have already
+arrived there. There is simply no channel through which a send could
+depend on remote or future state.
 
 Execution is a synchronous lockstep loop. Within one step, delivery
 happens before decisions, so a request submitted at time t is visible to
@@ -31,56 +31,15 @@ KIND_REQUEST = "request"
 KIND_SIGNAL = "signal"  # sorts after "request", giving the canonical order for free
 
 
-class ReceivedEvent(Ordered):
-    """One observable item: a submitted request or an arriving signal.
-
-    Field order makes tuple comparison the canonical history order:
-    ascending time, requests before signal arrivals, then label lexically.
-    The label is a task id for requests and the origin location for arrivals.
-    """
-
-    __slots__ = ("time", "kind", "label")
-
-    def __init__(self, time: int, kind: str, label: str):
-        self._fill(time, kind, label)
-
-    @classmethod
-    def request(cls, time: int, task: str) -> "ReceivedEvent":
-        return cls(time, KIND_REQUEST, task)
-
-    @classmethod
-    def signal(cls, time: int, origin: str) -> "ReceivedEvent":
-        return cls(time, KIND_SIGNAL, origin)
-
-
-class LocalHistory(Record):
-    """Everything one agent may condition on at time ``upto``.
-
-    Events are kept in canonical order, so structural equality decides
-    whether two histories are the same observation record.
-    """
-
-    __slots__ = ("agent", "upto", "events")
-
-    def __init__(self, agent: str, upto: int, events: tuple[ReceivedEvent, ...] = ()):
-        events = tuple(events)
-        for i, ev in enumerate(events):
-            if not 0 <= ev.time <= upto:
-                raise ValidationError(f"events[{i}].time: {ev.time} outside [0, {upto}]")
-        self._fill(agent, upto, tuple(sorted(events)))
-
-
-# The kernel's raw form of a history key: (agent, time, events), where events
-# are (time, kind, label) tuples in canonical order. A strategy's table maps
-# these keys to sorted tuples of distinct destinations; ``find_strategy``
-# hands such assignments to its ``on_leaf`` callback.
+# The one form of a local history, the raw key: (agent, time, events), where
+# events are (time, kind, label) tuples in canonical order, which is tuple
+# order: ascending time, requests before signal arrivals, then label. The
+# label is a task id for a request and the origin lab for an arrival. Equal
+# keys are the same observation record. A strategy's table maps these keys
+# to sorted tuples of distinct destinations; ``find_strategy`` hands such
+# assignments to its ``on_leaf`` callback and lists them in its certificates.
 RawKey = tuple[str, int, tuple[tuple[int, str, str], ...]]
 RawAssignment = dict[RawKey, tuple[str, ...]]
-
-
-def raw_to_history(key: RawKey) -> tuple[str, int, LocalHistory]:
-    agent, t, events = key
-    return agent, t, LocalHistory(agent, t, tuple(ReceivedEvent(*e) for e in events))
 
 
 class Strategy(Record):
@@ -171,24 +130,24 @@ def check_trace(trace: Trace, cfg: SpacetimeConfig) -> None:
             raise ValidationError(f"departure {(origin, dest, t)} lost its arrival at t={arrives}")
 
 
-def local_history(trace: Trace, agent: str, t: int, cfg: SpacetimeConfig) -> LocalHistory:
-    """The canonical observation record for ``agent`` at time ``t``.
+def local_history(trace: Trace, agent: str, t: int, cfg: SpacetimeConfig) -> RawKey:
+    """The raw key of ``agent``'s observation record at time ``t``.
 
     Contains exactly the requests submitted at the agent's location and the
     signal arrivals delivered there, up to and including ``t``.
     """
     check_event(Event(agent, t), cfg)
     events = [
-        ReceivedEvent.request(time, task)
+        (time, KIND_REQUEST, task)
         for task, loc, time in trace.requests
         if loc == agent and time <= t
     ]
     events += [
-        ReceivedEvent.signal(at, origin)
+        (at, KIND_SIGNAL, origin)
         for origin, dest, at in trace.arrivals
         if dest == agent and at <= t
     ]
-    return LocalHistory(agent, t, tuple(events))
+    return (agent, t, tuple(sorted(events)))
 
 
 class Run:

@@ -37,15 +37,7 @@ import itertools
 from collections.abc import Callable, Collection, Mapping, Sequence
 
 from .errors import ValidationError
-from .protocol import (
-    LocalHistory,
-    RawAssignment,
-    RawKey,
-    Run,
-    Strategy,
-    check_scenario,
-    raw_to_history,
-)
+from .protocol import RawAssignment, RawKey, Run, Strategy, check_scenario
 from .record import Record
 from .spacetime import SpacetimeConfig, distance
 from .tasks import (
@@ -73,20 +65,20 @@ class SearchLimits(Record):
 class Certificate(Record):
     """Machine-checkable record that an exhaustive exploration completed.
 
-    ``decision_points`` lists every (agent, time, history) the search ever
-    branched on, in first-encounter order. ``strategies_explored`` counts the
-    refuted branches the walk visited: partial assignments cut at a
-    time-slice boundary and complete ones that failed. The default walk
-    backjumps over the culprit's causal past; the branches it skips keep a
-    refuted branch's conflicting decisions, so they are lost too and are
-    not counted.
+    ``decision_points`` lists the raw key ``(agent, t, events)`` of every
+    local history the search ever branched on, in first-encounter order.
+    ``strategies_explored`` counts the refuted branches the walk visited:
+    partial assignments cut at a time-slice boundary and complete ones that
+    failed. The default walk backjumps over the culprit's causal past; the
+    branches it skips keep a refuted branch's conflicting decisions, so they
+    are lost too and are not counted.
     ``leaf_failures`` holds, for each refuted branch in exploration order,
     the index of the first requirement it lost.
     """
 
     __slots__ = ("decision_points", "strategies_explored", "leaf_failures")
 
-    def __init__(self, decision_points: tuple[tuple[str, int, LocalHistory], ...],
+    def __init__(self, decision_points: tuple[RawKey, ...],
                  strategies_explored: int, leaf_failures: tuple[int, ...]):
         self._fill(decision_points, strategies_explored, leaf_failures)
 
@@ -312,7 +304,7 @@ def find_strategy(
             carried.pop(slot_idx, None)
         else:
             return Impossible(Certificate(
-                decision_points=tuple(raw_to_history(key) for key in points),
+                decision_points=tuple(points),
                 strategies_explored=branches,
                 leaf_failures=tuple(leaf_failures),
             ))

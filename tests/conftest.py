@@ -32,14 +32,6 @@ def oracle_scenarios(requirements, tasks):
     return out
 
 
-def raw_points(certificate):
-    """Certificate decision points in the oracle key encoding."""
-    return [
-        (agent, t, tuple((e.time, e.kind, e.label) for e in history.events))
-        for agent, t, history in certificate.decision_points
-    ]
-
-
 @pytest.fixture(scope="session")
 def d3():
     return make_instance(3)

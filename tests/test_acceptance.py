@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import make_instance, oracle_scenarios, raw_points, serialize_config, serialize_strategy
+from conftest import make_instance, oracle_scenarios, serialize_config, serialize_strategy
 from nosignal import (
     Found,
     Impossible,
@@ -197,7 +197,7 @@ def test_criterion_6_certificate_soundness():
             cert = outcome.certificate
             distinct, total, all_failed = recount_assignments(
                 cfg.locations, cfg.horizon,
-                oracle_scenarios(bundle, tasks), raw_points(cert),
+                oracle_scenarios(bundle, tasks), list(cert.decision_points),
             )
             menu_size = 2  # two locations: send to the other one, or not
             assert total == menu_size ** len(cert.decision_points)

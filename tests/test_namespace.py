@@ -13,8 +13,8 @@ import nosignal
 REPO = Path(__file__).resolve().parent.parent
 PUBLIC = [
     "Aborted", "AuditReport", "Certificate", "Deliver", "DuplicateTask", "Event",
-    "Found", "Impossible", "InvalidScenario", "LocalHistory", "ParseError", "ReceivedEvent",
-    "Requirement", "RequirementReport", "Rule", "SameLocation", "Scenario", "SearchLimits",
+    "Found", "Impossible", "InvalidScenario", "ParseError", "Requirement",
+    "RequirementReport", "Rule", "SameLocation", "Scenario", "SearchLimits",
     "SearchOutcome", "Silence", "SimulationError", "SpacetimeConfig", "Strategy",
     "TaskRequest", "TaskSpec", "Trace", "UnachievableTask", "UnknownLocation",
     "ValidationError", "causal_leq", "distance", "evaluate_requirement", "evaluate_task",
@@ -28,8 +28,8 @@ HOMES = {
     "audit": ["AuditReport", "indistinguishable", "no_signaling_audit"],
     "errors": ["DuplicateTask", "InvalidScenario", "ParseError", "SameLocation",
                "SimulationError", "UnachievableTask", "UnknownLocation", "ValidationError"],
-    "protocol": ["LocalHistory", "ReceivedEvent", "Scenario", "Strategy", "TaskRequest", "Trace",
-                 "execute", "local_history", "obedient_strategy"],
+    "protocol": ["Scenario", "Strategy", "TaskRequest", "Trace", "execute", "local_history",
+                 "obedient_strategy"],
     "search": ["Aborted", "Certificate", "Found", "Impossible", "SearchLimits", "SearchOutcome",
                "find_strategy", "mutually_exclusive"],
     "spacetime": ["Event", "SpacetimeConfig", "causal_leq", "distance", "signal_arrival"],

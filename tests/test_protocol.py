@@ -14,8 +14,6 @@ from conftest import make_instance
 from nosignal import (
     Event,
     InvalidScenario,
-    LocalHistory,
-    ReceivedEvent,
     Scenario,
     SimulationError,
     SpacetimeConfig,
@@ -41,25 +39,6 @@ def scenario(*requests):
     return Scenario(frozenset(TaskRequest(*r) for r in requests))
 
 
-class TestReceivedEventOrder:
-    def test_requests_sort_before_signals_at_equal_time(self):
-        a = ReceivedEvent.signal(1, "L")
-        b = ReceivedEvent.request(1, "task2")
-        c = ReceivedEvent.request(0, "task9")
-        assert sorted([a, b, c]) == [c, b, a]
-
-    def test_history_normalizes_event_order(self):
-        events = (ReceivedEvent.signal(2, "R"), ReceivedEvent.request(0, "task1"))
-        h1 = LocalHistory("L", 2, events)
-        h2 = LocalHistory("L", 2, tuple(reversed(events)))
-        assert h1 == h2
-        assert h1.events[0].kind == "request"
-
-    def test_history_rejects_future_events(self):
-        with pytest.raises(ValueError):
-            LocalHistory("L", 1, (ReceivedEvent.request(2, "task1"),))
-
-
 CFG3 = SpacetimeConfig({"L": 0, "R": 3}, horizon=3)
 
 
@@ -69,12 +48,11 @@ CFG3 = SpacetimeConfig({"L": 0, "R": 3}, horizon=3)
     lambda: SpacetimeConfig({"L": 0, "R": 3}, horizon=0),
     lambda: check_event(Event("L", 4), CFG3),
     lambda: signal_arrival("L", "R", 4, CFG3),
-    lambda: LocalHistory("L", 1, (ReceivedEvent.request(2, "task1"),)),
     lambda: check_trace(Trace(arrivals=frozenset({("L", "R", 3)})), CFG3),
     lambda: check_trace(Trace(departures=frozenset({("L", "R", 0)})), CFG3),
     lambda: local_history(Trace(), "L", 4, CFG3),
 ], ids=["one-location", "shared-coordinate", "zero-horizon", "event-time",
-        "departure-time", "future-event", "orphan-arrival", "lost-arrival", "history-time"])
+        "departure-time", "orphan-arrival", "lost-arrival", "history-time"])
 def test_input_errors_are_simulation_errors(call):
     """Every rejected input raises the package's error type, still a ValueError."""
     with pytest.raises(SimulationError) as raised:
@@ -86,21 +64,17 @@ class TestLocalHistory:
     def test_request_visible_at_submission_time(self, d3):
         cfg, tasks, _ = d3
         trace = execute(cfg, scenario(("task1", "L", 0)), obedient_strategy(cfg, tasks))
-        assert local_history(trace, "L", 0, cfg) == LocalHistory(
-            "L", 0, (ReceivedEvent.request(0, "task1"),)
-        )
+        assert local_history(trace, "L", 0, cfg) == ("L", 0, ((0, "request", "task1"),))
 
     def test_remote_request_invisible(self, d3):
         cfg, tasks, _ = d3
         trace = execute(cfg, scenario(("task1", "L", 0)), obedient_strategy(cfg, tasks))
-        assert local_history(trace, "R", 0, cfg) == LocalHistory("R", 0, ())
+        assert local_history(trace, "R", 0, cfg) == ("R", 0, ())
 
     def test_signal_arrival_enters_history(self, d3):
         cfg, tasks, _ = d3
         trace = execute(cfg, scenario(("task1", "L", 0)), obedient_strategy(cfg, tasks))
-        assert local_history(trace, "R", 3, cfg) == LocalHistory(
-            "R", 3, (ReceivedEvent.signal(3, "L"),)
-        )
+        assert local_history(trace, "R", 3, cfg) == ("R", 3, ((3, "signal", "L"),))
 
 
 class TestExecute:
@@ -351,6 +325,21 @@ def test_locality_property(world):
             h2 = local_history(trace2, agent, t, cfg)
             if h1 == h2:
                 assert observed_sends(trace1, agent, t) == observed_sends(trace2, agent, t)
+
+
+@given(worlds())
+@settings(max_examples=200, deadline=None)
+def test_local_history_is_the_run_key(world):
+    """The audit's history, rebuilt from the finished trace, is the key the executor stepped on."""
+    cfg, s1, s2, strategy = world
+    for s in (s1, s2):
+        trace = execute(cfg, s, strategy)
+        run = Run(cfg, s)
+        for t in range(cfg.horizon + 1):
+            for agent in cfg.agents:
+                key = run.key(t, agent)
+                assert local_history(trace, agent, t, cfg) == key
+                run.apply(t, agent, strategy.table.get(key, ()))
 
 
 @given(worlds())

@@ -10,8 +10,6 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from nosignal import (
     Aborted,
@@ -21,8 +19,6 @@ from nosignal import (
     Event,
     Found,
     Impossible,
-    LocalHistory,
-    ReceivedEvent,
     Requirement,
     RequirementReport,
     Rule,
@@ -39,8 +35,7 @@ from nosignal.config import ConfigDocument, NamedRequirement
 from nosignal.audit import AuditViolation
 
 CFG = SpacetimeConfig({"L": 0, "R": 3}, 3)
-EV = ReceivedEvent(0, "request", "task1")
-HIST = LocalHistory("L", 0, (EV,))
+HIST = ("L", 0, ((0, "request", "task1"),))
 STRAT = Strategy({("L", 0, ((0, "request", "task1"),)): ("R",)})
 TR = TaskRequest("task1", "L", 0)
 SCEN = Scenario(frozenset({TR}))
@@ -50,14 +45,11 @@ TASK = TaskSpec("task1", DELIVER, (SIL,))
 REQ = Requirement(SCEN, Rule.ALL)
 REPORT = RequirementReport(REQ, {"task1": True}, True)
 LIMITS = SearchLimits(10, 5)
-CERT = Certificate((("L", 0, HIST),), 3, (0, 1, 0))
+CERT = Certificate((HIST,), 3, (0, 1, 0))
 VIOL = AuditViolation(0, "L", 0, HIST, (frozenset({"R"}), frozenset()))
 NAMED = NamedRequirement("only", Rule.ALL)
 
-H_REPR = (
-    "LocalHistory(agent='L', upto=0, "
-    "events=(ReceivedEvent(time=0, kind='request', label='task1'),))"
-)
+H_REPR = "('L', 0, ((0, 'request', 'task1'),))"
 STRAT_REPR = "Strategy(table={('L', 0, ((0, 'request', 'task1'),)): ('R',)})"
 SCEN_REPR = "Scenario(requests=frozenset({TaskRequest(task='task1', location='L', time=0)}))"
 TASK_REPR = (
@@ -67,7 +59,7 @@ TASK_REPR = (
 REQ_REPR = f"Requirement(scenario={SCEN_REPR}, rule=<Rule.ALL: 'all'>)"
 REPORT_REPR = f"RequirementReport(requirement={REQ_REPR}, verdicts={{'task1': True}}, satisfied=True)"
 CERT_REPR = (
-    f"Certificate(decision_points=(('L', 0, {H_REPR}),), "
+    f"Certificate(decision_points=({H_REPR},), "
     "strategies_explored=3, leaf_failures=(0, 1, 0))"
 )
 VIOL_REPR = (
@@ -81,9 +73,6 @@ CFG_REPR = "SpacetimeConfig(locations={'L': 0, 'R': 3}, horizon=3)"
 CASES = [
     (Event, ("L", 2), ("L", 3), "location", "Event(location='L', time=2)"),
     (SpacetimeConfig, ({"L": 0, "R": 3}, 3), ({"L": 0, "R": 3}, 4), "locations", CFG_REPR),
-    (ReceivedEvent, (0, "request", "task1"), (0, "signal", "L"), "time",
-     "ReceivedEvent(time=0, kind='request', label='task1')"),
-    (LocalHistory, ("L", 0, (EV,)), ("L", 0, ()), "agent", H_REPR),
     (Strategy, ({("L", 0, ((0, "request", "task1"),)): ("R",)},), ({},), "table", STRAT_REPR),
     (TaskRequest, ("task1", "L", 0), ("task1", "L", 1), "task",
      "TaskRequest(task='task1', location='L', time=0)"),
@@ -99,7 +88,7 @@ CASES = [
     (RequirementReport, (REQ, {"task1": True}, True), (REQ, {"task1": False}, False),
      "requirement", REPORT_REPR),
     (SearchLimits, (10, 5), (10, 6), "max_branches", LIMITS_REPR),
-    (Certificate, ((("L", 0, HIST),), 3, (0, 1, 0)), ((), 0, ()), "decision_points", CERT_REPR),
+    (Certificate, ((HIST,), 3, (0, 1, 0)), ((), 0, ()), "decision_points", CERT_REPR),
     (Found, (STRAT, (REPORT,)), (Strategy(), ()), "strategy",
      f"Found(strategy={STRAT_REPR}, reports=({REPORT_REPR},))"),
     (Impossible, (CERT,), (Certificate((), 0, ()),), "certificate",
@@ -117,7 +106,7 @@ CASES = [
      f"scenarios={{'only': {SCEN_REPR}}}, requirements=[{NAMED!r}], limits={LIMITS_REPR})"),
 ]
 
-ORDERED = {Event, ReceivedEvent, TaskRequest}
+ORDERED = {Event, TaskRequest}
 MUTABLE = {Strategy, ConfigDocument}
 # Frozen, but a field holds a dict (directly or inside a Strategy).
 UNHASHABLE_FIELDS = {
@@ -131,7 +120,7 @@ cases = pytest.mark.parametrize("cls, args, other, field, text", CASES, ids=ids)
 
 
 def test_every_public_value_class_is_pinned():
-    assert len({case[0] for case in CASES}) == len(CASES) == 22
+    assert len({case[0] for case in CASES}) == len(CASES) == 20
 
 
 @cases
@@ -209,14 +198,12 @@ def test_pickle_and_deepcopy_round_trip(cls, args, other, field, text):
 
 
 def test_keyword_construction_with_defaults():
-    assert LocalHistory(agent="L", upto=0) == LocalHistory("L", 0, ())
     assert Scenario() == Scenario(requests=frozenset())
     assert Trace() == Trace(requests=frozenset(), departures=frozenset(), arrivals=frozenset())
     assert TaskSpec(id="t", deliver=DELIVER) == TaskSpec("t", DELIVER, ())
     assert SearchLimits() == SearchLimits(max_branches=2_000_000, max_decision_points=10_000)
     assert AuditReport(checks=0) == AuditReport(0, ())
     assert Event(location="L", time=1) == Event("L", 1)
-    assert ReceivedEvent(time=1, kind="signal", label="R") == ReceivedEvent.signal(1, "R")
     assert TaskRequest(task="t", location="L", time=0) == TR.__class__("t", "L", 0)
     assert Deliver(origin="L", dest="R", at=3) == DELIVER
     assert Silence(origin="R", dest="L") == SIL
@@ -239,17 +226,9 @@ def test_keyword_construction_with_defaults():
 
 
 def test_constructors_convert_and_validate():
-    assert LocalHistory("L", 1, [ReceivedEvent(1, "signal", "R"), EV]).events == (
-        EV, ReceivedEvent(1, "signal", "R"))
     assert Scenario([TR]).requests == frozenset({TR})
     assert TaskSpec("t", DELIVER, [SIL]).silence == (SIL,)
     locations = {"L": 0, "R": 3}
     cfg = SpacetimeConfig(locations, 3)
     assert cfg.locations == locations and cfg.locations is not locations
 
-
-@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["request", "signal"]),
-                          st.text("abc", max_size=2))))
-def test_received_events_sort_like_their_tuples(rows):
-    events = sorted(ReceivedEvent(*row) for row in rows)
-    assert [(e.time, e.kind, e.label) for e in events] == sorted(rows)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, oracle_scenarios, raw_points
+from conftest import make_instance, oracle_scenarios
 from nosignal import (
     Aborted,
     Deliver,
@@ -162,12 +162,13 @@ class TestCertificateSoundness:
     def test_decision_points_well_formed(self, d3):
         cfg, tasks, bundle = d3
         outcome = find_strategy(cfg, bundle, tasks)
-        points = raw_points(outcome.certificate)
+        points = list(outcome.certificate.decision_points)
         assert len(points) == len(set(points))
-        for agent, t, history in outcome.certificate.decision_points:
+        for agent, t, events in points:
             assert agent in cfg.locations
             assert 0 <= t <= cfg.horizon
-            assert history.agent == agent and history.upto == t
+            assert list(events) == sorted(events)
+            assert all(0 <= time <= t for time, _, _ in events)
 
 
 def three_lab_paradox():
