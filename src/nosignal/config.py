@@ -220,21 +220,20 @@ def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
                      tasks: Mapping[str, TaskSpec], path: str) -> tuple[int, str, str]:
     raw = _require_object(raw, path)
     kind = _require_str(_pop(raw, "kind", path), f"{path}.kind")
+    if kind not in (KIND_REQUEST, KIND_SIGNAL):
+        _fail(f"{path}.kind", f"expected 'request' or 'signal', got {kind!r}")
     time = _require_int(_pop(raw, "time", path), f"{path}.time")
-    if kind == "request":
+    if kind == KIND_REQUEST:
         _no_extras(raw, {"kind", "time", "task"}, path)
         task_id = _require_str(_pop(raw, "task", path), f"{path}.task")
         if task_id not in tasks:
             _fail(f"{path}.task", f"undefined task {task_id!r}")
         return (time, KIND_REQUEST, task_id)
-    if kind == "signal":
-        _no_extras(raw, {"kind", "time", "origin"}, path)
-        origin = _location(_pop(raw, "origin", path), cfg, f"{path}.origin")
-        if origin == agent:
-            _fail(f"{path}.origin", "signal origin cannot be the receiving agent")
-        return (time, KIND_SIGNAL, origin)
-    _fail(f"{path}.kind", f"expected 'request' or 'signal', got {kind!r}")
-    raise AssertionError  # unreachable
+    _no_extras(raw, {"kind", "time", "origin"}, path)
+    origin = _location(_pop(raw, "origin", path), cfg, f"{path}.origin")
+    if origin == agent:
+        _fail(f"{path}.origin", "signal origin cannot be the receiving agent")
+    return (time, KIND_SIGNAL, origin)
 
 
 def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> Strategy:

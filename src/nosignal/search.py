@@ -2,11 +2,25 @@
 
 ``find_strategy`` co-executes every requirement's scenario under one shared
 partial strategy. Whenever any scenario needs an action for an (agent,
-history) pair that has no assignment yet, the search branches over all
-possible actions for that agent. Because the same history key is shared
+history) pair that has no assignment yet, the search branches over the
+actions on that agent's menu. Because the same history key is shared
 across scenarios, an agent that cannot tell two scenarios apart is forced
 to act identically in both; that coupling is what makes the search honest
 about no-signaling.
+
+The default walk offers only sends that can still matter (the causal
+diamond of Kent's no-summoning theorem, arXiv:1204.4022). Let ``(o, s)``
+range over the delivering departures ``(origin, at - distance)`` of the
+requested tasks, and ``latest[d] = max(s - dist(d, o))``. A send
+``(a, d, t)`` is useful iff it is a delivering departure or its arrival
+can still inform some origin in time, ``t + dist(a, d) <= latest[d]``.
+Dropping the others is exact. By the triangle inequality an agent has no
+useful send after ``latest`` of its own lab, so every key an agent with a
+useful send reads is made of useful sends only. Delete the useless sends
+from a winning strategy: its useful departures stay the same, and with
+them every delivery, while the bans see a subset of departures. A slot
+whose menu holds only the empty action is not stepped at all; an idle
+document builds no slot.
 
 Only histories actually reachable under the partial assignment become
 decision points, which keeps the space finite and small. Once every slot of
@@ -126,7 +140,7 @@ def find_strategy(
     tasks: Mapping[str, TaskSpec],
     limits: SearchLimits | None = None,
     on_leaf: Callable[[RawAssignment], None] | None = None,
-    prune: str = "backjump",
+    prune: str = "cone",
 ) -> SearchOutcome:
     """Backtracking search over deterministic strategies on reachable histories.
 
@@ -140,47 +154,94 @@ def find_strategy(
     it is recorded: each complete raw assignment, the winning one included,
     and each partial one refuted at a slice boundary.
 
-    ``prune`` picks one of three walks of the same loop, which agree on the
+    ``prune`` picks one of four walks of the same loop, which agree on the
     outcome kind and on every ``Found`` strategy:
 
-    - ``"backjump"`` (the default, and the walk the CLI runs) refutes at slice
-      boundaries and then jumps back over the culprit's causal past: to the
-      deepest decision that assigned a history key the lost requirement's
-      run read inside the past light cone of the departure that lost it;
+    - ``"cone"`` (the default, and the walk the CLI runs) backjumps like
+      ``"backjump"``, but offers an agent only the subsets of its useful
+      destinations (see the module docstring) and steps only live slots,
+      those whose menu holds more than the empty action; a slice is the
+      live slots of one time;
+    - ``"backjump"`` refutes at slice boundaries and then jumps back over
+      the culprit's causal past: to the deepest decision that assigned a
+      history key the lost requirement's run read inside the past light
+      cone of the departure that lost it;
     - ``"slice"`` refutes at slice boundaries and backtracks chronologically;
     - ``"none"`` judges only complete assignments and backtracks
       chronologically; it is the reference walk for leaf-count oracles.
+
+    The last three offer every agent all ``2^(labs-1)`` actions at every
+    time, so every slot is live.
     """
-    if prune not in ("backjump", "slice", "none"):
-        raise ValueError(f"prune: expected 'backjump', 'slice' or 'none', got {prune!r}")
-    backjump = prune == "backjump"
-    every_slice = prune != "none"
+    if prune not in ("cone", "backjump", "slice", "none"):
+        raise ValueError(f"prune: expected 'cone', 'backjump', 'slice' or 'none', got {prune!r}")
+    backjump = prune in ("cone", "backjump")
     limits = limits or SearchLimits()
-    # Per requirement: its rule; per task, the one departure that can produce
-    # the delivery and the banned pairs; all banned pairs; the slices where a
-    # delivering departure falls due.
+    # Per requirement: its rule, per task the one departure that can produce
+    # the delivery and the banned pairs, and all banned pairs; per time, the
+    # requirements with a delivering departure falling due then.
     judge = []
-    for requirement in requirements:
+    due_at: dict[int, set[int]] = {}
+    for ri, requirement in enumerate(requirements):
         check_scenario(requirement.scenario, cfg)
         rows = [_task_row(task, cfg)
                 for task in requested_tasks(requirement.scenario, tasks).values()]
-        bans = frozenset().union(*(banned for _, banned in rows))
-        judge.append((requirement.rule, rows, bans, {max(s, 0) for (_, _, s), _ in rows}))
+        judge.append((requirement.rule, rows, frozenset().union(*(banned for _, banned in rows))))
+        for (_, _, s), _ in rows:
+            due_at.setdefault(max(s, 0), set()).add(ri)
 
     agents = cfg.agents
     horizon = cfg.horizon
-
-    # ``others`` is sorted, so each size comes out in lexical order.
-    menu = {
-        agent: [s for n in range(len(agents)) for s in itertools.combinations(cfg.others(agent), n)]
-        for agent in agents
-    }
     lag = {o: [distance(a, o, cfg) for a in agents] for o in agents}
+    others = {a: cfg.others(a) for a in agents}
+    last = horizon
+    if prune == "cone":
+        # latest[d]: the last time an arrival at d can still reach the origin
+        # of a delivering departure by its departure time. No lab has a
+        # useful send after its own latest, so none is stepped after ``last``.
+        departs = {dep for _, rows, _ in judge for dep, _ in rows}
+        latest = {d: max((s - lag[o][i] for o, _, s in departs), default=-1)
+                  for i, d in enumerate(agents)}
+        last = min(horizon, max(latest.values()))
 
     runs = [Run(cfg, requirement.scenario) for requirement in requirements]
-    slots = [(t, run, agent) for t in range(horizon + 1) for run in runs for agent in agents]
-    slice_len = len(runs) * len(agents)
+    # Per slot: (t, run, agent, menu, index just past the slots of time t).
+    slots = []
+    # Per run and agent, the indices of its slots, in time order.
+    lanes: list[list[list[int]]] = [[[] for _ in agents] for _ in runs]
+    # Slot index -> (time t, the requirements with a delivery due since the
+    # previous boundary). Any other requirement can be newly lost at t only
+    # by a banned departure at t, since departures happen only at times with
+    # slots. The complete assignment judges every requirement.
+    judges: dict[int, tuple[int, set[int]]] = {}
+    menus: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    due: set[int] = set()
+    for t in range(last + 1):
+        due.update(due_at.get(t, ()))
+        live = []
+        for ai, agent in enumerate(agents):
+            dests = others[agent]
+            if prune == "cone":
+                dests = tuple(d for d in dests if t + lag[d][ai] <= latest[d] or (agent, d, t) in departs)
+            if dests:
+                # ``dests`` is sorted, so each size comes out in lexical order.
+                menu = menus.get(dests)
+                if menu is None:
+                    menu = menus[dests] = [s for n in range(len(dests) + 1)
+                                           for s in itertools.combinations(dests, n)]
+                live.append((ai, agent, menu))
+        if live:
+            end = len(slots) + len(runs) * len(live)
+            for ri, run in enumerate(runs):
+                for ai, agent, menu in live:
+                    lanes[ri][ai].append(len(slots))
+                    slots.append((t, run, agent, menu, end))
+            if prune != "none":
+                judges[end] = (t, due)
+                due = set()
     n_slots = len(slots)
+    judges[n_slots] = (horizon, set(range(len(runs))))
+
     assignment: RawAssignment = {}
     # Every key the search branched on, in first-encounter order.
     points: dict[RawKey, None] = {}
@@ -191,15 +252,11 @@ def find_strategy(
     origins: list[int] = []
     decided: dict[RawKey, int] = {}
 
-    def first_lost(t: int) -> tuple[int, list[tuple[int, str]]] | None:
-        """The first requirement lost once slice ``t`` is done, and its culprits.
-
-        Once every earlier slice has passed this test, only a requirement with
-        a task due at ``t`` or a banned departure at ``t`` can be newly lost.
-        """
-        for ri, (run, (rule, rows, bans, dues)) in enumerate(zip(runs, judge)):
+    def first_lost(t: int, due: set[int]) -> tuple[int, list[tuple[int, str]]] | None:
+        """The first requirement lost once the slots up to ``t`` are done, and its culprits."""
+        for ri, (run, (rule, rows, bans)) in enumerate(zip(runs, judge)):
             got = run.departures
-            if every_slice and t not in dues and not any((o, d, t) in got for o, d in bans):
+            if ri not in due and not any((o, d, t) in got for o, d in bans):
                 continue
             culprits = _lost(rule, rows, got, t)
             if culprits:
@@ -213,14 +270,15 @@ def find_strategy(
         decisions loses ``ri`` again. A culprit due before 0 names none."""
         conflict: set[int] = set()
         for t1, o in culprits:
-            for ai, d in enumerate(lag[o]):
-                first = ri * len(agents) + ai
-                if t1 >= d:
-                    conflict.update(origins[first:(t1 - d) * slice_len + first + 1:slice_len])
+            for lane, d in zip(lanes[ri], lag[o]):
+                for j in lane:
+                    if slots[j][0] > t1 - d:
+                        break
+                    conflict.add(origins[j])
         return conflict
 
     # One frame per applied slot, so frame j is slot j: (history key, the
-    # sends applied, index of the action in the agent's menu, or -1 where
+    # sends applied, index of the action in the slot's menu, or -1 where
     # the key was assigned earlier).
     stack: list[tuple[RawKey, tuple[str, ...], int]] = []
     # Per decision frame, the conflicts carried back to it by later jumps.
@@ -232,8 +290,9 @@ def find_strategy(
     while True:
         slot_idx = len(stack)
         lost = None
-        if slot_idx == n_slots or every_slice and slot_idx and slot_idx % slice_len == 0:
-            lost = first_lost(slot_idx // slice_len - 1 if slot_idx < n_slots else horizon)
+        bound = judges.get(slot_idx)
+        if bound is not None:
+            lost = first_lost(*bound)
             if lost is not None or slot_idx == n_slots:
                 if branches >= limits.max_branches:
                     return Aborted("branches", branches, len(points))
@@ -248,7 +307,7 @@ def find_strategy(
                     return Found(strategy, reports)
 
         if lost is None:
-            t, run, agent = slots[slot_idx]
+            t, run, agent, menu, _ = slots[slot_idx]
             if slot_idx < reuse_end:
                 key = keys[slot_idx]
             else:
@@ -261,7 +320,7 @@ def find_strategy(
                         return Aborted("decision_points", branches, len(points))
                     points[key] = None
                 choice = 0
-                sends = assignment[key] = menu[agent][0]
+                sends = assignment[key] = menu[0]
                 decided[key] = slot_idx
             origins.append(decided[key])
             if sends:
@@ -277,7 +336,7 @@ def find_strategy(
             key, sends, choice = stack.pop()
             origins.pop()
             slot_idx = len(stack)
-            t, run, agent = slots[slot_idx]
+            t, run, agent, menu, end = slots[slot_idx]
             if sends:
                 run.unapply(t, agent, sends)
             if choice < 0:
@@ -290,12 +349,12 @@ def find_strategy(
                     elif conflict:
                         carried[slot_idx] = conflict
                 choice += 1
-                if choice < len(menu[agent]):
-                    sends = assignment[key] = menu[agent][choice]
+                if choice < len(menu):
+                    sends = assignment[key] = menu[choice]
                     origins.append(slot_idx)
                     run.apply(t, agent, sends)  # only the first action is empty
                     stack.append((key, sends, choice))
-                    reuse_end = (t + 1) * slice_len
+                    reuse_end = end
                     break
                 if conflict is not None:
                     conflict = carried.pop(slot_idx, set())

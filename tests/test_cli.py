@@ -364,7 +364,7 @@ class TestExitCodes:
         assert captured.err == "error: search limits must be >= 1\n"
 
     def test_deep_horizon_search_exits_0(self, capsys, tmp_path):
-        """A walk of 1202 slots must not hit the interpreter's recursion limit."""
+        """An idle document at horizon 600 is Found; no send in it can be useful."""
         deep = tmp_path / "deep.json"
         deep.write_text(json.dumps({
             "locations": {"L": 0, "R": 5}, "horizon": 600, "tasks": {},
@@ -378,11 +378,20 @@ class TestExitCodes:
     def test_random_document_decided_in_few_branches(self, capsys, name):
         """Random benchmark documents (3 labs at horizon 30, 4 labs at horizon
         120) where the slice walk needs over 100,000 and 32,768 branches;
-        backjumping refutes each in a handful."""
+        the backjumping walks refute each in a handful."""
         assert main(["search", "--config", str(GOLDEN.parent / name), "--json"]) == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["outcome"] == "impossible"
         assert payload["strategies_explored"] <= 20
+
+    def test_largest_random_document_decided_in_few_branches(self, capsys):
+        """A random benchmark document (8 labs at horizon 400) that the
+        full-menu backjumping walk has not decided after 20,000 branches; the
+        cone walk refutes it in 66."""
+        assert main(["search", "--config", str(GOLDEN.parent / "replay4_seed0.json"), "--json"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["outcome"] == "impossible"
+        assert payload["strategies_explored"] <= 100
 
     @pytest.mark.parametrize("document", ["config", "strategy"])
     def test_deeply_nested_document_exits_2(self, capsys, tmp_path, document):
@@ -575,6 +584,9 @@ INVALID_STRATEGIES = [
         {"kind": "request", "time": 5, "task": "task1"}, {"kind": "bogus", "time": 0}]},
        "action": {"send": ["R"]}}],
      "rows[0].history.events[1].kind: expected 'request' or 'signal', got 'bogus'"),
+    # An event's kind is checked before its other fields.
+    ([{"agent": "L", "history": {"upto": 2, "events": [{"kind": "bogus"}]}, "action": {}}],
+     "rows[0].history.events[0].kind: expected 'request' or 'signal', got 'bogus'"),
 ]
 
 
@@ -600,7 +612,7 @@ def _cli_cases():
                        ("aborted: decision_points limit hit after 0 branches and 1 decision point\n", "", 4),
                        id="search-aborted-decisions")
     yield pytest.param(["search"], _edited_paradox(("tasks", "task1", "deliver", "at"), 0), None,
-                       ("impossible: all 1 refuted branch over 4 decision points fails some requirement\n"
+                       ("impossible: all 1 refuted branch over 2 decision points fails some requirement\n"
                         "  requirement 1 (all of 'only_task1'): first failure on 1 branch\n", "", 3),
                        id="search-impossible-one-branch")
     yield pytest.param(["search"], NO_REQUIREMENTS, None, (NO_REQUIREMENTS_TEXT, "", 0),

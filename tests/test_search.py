@@ -194,7 +194,7 @@ def assert_refutations_sound(cfg, tasks, bundle, assignments, failures):
     """
     scenarios = oracle_scenarios(bundle, tasks)
     for i, assignment in enumerate(assignments):
-        upto = max(t for _, t, _ in assignment)
+        upto = max((t for _, t, _ in assignment), default=cfg.horizon)
         indices = range(len(scenarios)) if failures is None else [failures[i]]
         lost = []
         for index in indices:
@@ -227,19 +227,22 @@ class TestPrunedCertificate:
         assert any_winner and refuted > 0
 
     def test_every_refuted_branch_already_lost(self, d3):
-        """Every branch the default (backjumping) walk refutes has lost its requirement."""
-        for cfg, tasks, bundle in pruned_instances():
-            seen = []
-            outcome = find_strategy(cfg, bundle, tasks, on_leaf=lambda a: seen.append(dict(a)))
-            failures = outcome.certificate.leaf_failures
-            assert len(seen) == len(failures)
-            assert_refutations_sound(cfg, tasks, bundle, seen, failures)
+        """Every branch the cone walk or the backjumping walk refutes has lost its requirement."""
+        for prune in ("cone", "backjump"):
+            for cfg, tasks, bundle in pruned_instances():
+                seen = []
+                outcome = find_strategy(cfg, bundle, tasks, on_leaf=lambda a: seen.append(dict(a)),
+                                        prune=prune)
+                failures = outcome.certificate.leaf_failures
+                assert len(seen) == len(failures)
+                assert_refutations_sound(cfg, tasks, bundle, seen, failures)
 
-        cfg, tasks, (r1, r2, _) = d3
-        seen = []
-        outcome = find_strategy(cfg, [r1, r2], tasks, on_leaf=lambda a: seen.append(dict(a)))
-        assert isinstance(outcome, Found)
-        assert_refutations_sound(cfg, tasks, [r1, r2], seen[:-1], None)  # last one won
+            cfg, tasks, (r1, r2, _) = d3
+            seen = []
+            outcome = find_strategy(cfg, [r1, r2], tasks, on_leaf=lambda a: seen.append(dict(a)),
+                                    prune=prune)
+            assert isinstance(outcome, Found)
+            assert_refutations_sound(cfg, tasks, [r1, r2], seen[:-1], None)  # last one won
 
     def test_paradox_refuted_at_time_zero(self):
         """Gate: the slice walk takes 16 branches over the 4 decision points of t=0, at any gap."""
@@ -259,7 +262,7 @@ class TestPrunedCertificate:
         scenario; each refutation blames only the keys in the culprit's past.
         """
         cfg, tasks, bundle = make_instance(gap)
-        outcome = find_strategy(cfg, bundle, tasks)
+        outcome = find_strategy(cfg, bundle, tasks, prune="backjump")
         assert isinstance(outcome, Impossible)
         cert = outcome.certificate
         assert (cert.strategies_explored, cert.leaf_failures) == (3, (0, 1, 2))
@@ -269,11 +272,34 @@ class TestPrunedCertificate:
     def test_three_lab_paradox_backjumps(self):
         """Gate: 10 branches where the slice walk takes 1,024."""
         cfg, tasks, bundle = three_lab_paradox()
-        outcome = find_strategy(cfg, bundle, tasks)
+        outcome = find_strategy(cfg, bundle, tasks, prune="backjump")
         assert isinstance(outcome, Impossible)
         assert outcome.certificate.strategies_explored == 10
         slice_walk = find_strategy(cfg, bundle, tasks, prune="slice")
         assert slice_walk.certificate.strategies_explored == 1024
+
+    def test_three_lab_paradox_cone(self):
+        """Gate: 3 branches. No send to or from the relay B can reach A or C
+        by t=0, when both deliveries depart, so only A's and C's t=0 keys
+        are decisions, as in the two-lab paradox."""
+        cfg, tasks, bundle = three_lab_paradox()
+        outcome = find_strategy(cfg, bundle, tasks)
+        assert isinstance(outcome, Impossible)
+        cert = outcome.certificate
+        assert (cert.strategies_explored, cert.leaf_failures) == (3, (0, 1, 2))
+        assert {(agent, t) for agent, t, _ in cert.decision_points} == {("A", 0), ("C", 0)}
+
+    def test_idle_deep_horizon_found_with_no_slot(self):
+        """No task is requested, so no send is useful: the cone walk steps no
+        slot and judges one empty assignment at H = 600. The full-menu walk
+        steps all 1,202 slots to the same Found."""
+        cfg = SpacetimeConfig({"L": 0, "R": 5}, horizon=600)
+        idle = [Requirement(Scenario(), Rule.ALL)]
+        seen = []
+        outcome = find_strategy(cfg, idle, {}, on_leaf=lambda a: seen.append(dict(a)))
+        assert isinstance(outcome, Found) and outcome.strategy.table == {}
+        assert seen == [{}]
+        assert find_strategy(cfg, idle, {}, prune="backjump") == outcome
 
 
 @st.composite
@@ -310,16 +336,26 @@ _D2_CFG, _D2_TASKS, (_, _, _D2_BOTH) = make_instance(2)
 @example((_D2_CFG, _D2_TASKS, [_D2_BOTH]))  # at_least_one met while one task is lost
 @settings(max_examples=150, deadline=None)
 def test_pruning_keeps_outcomes(instance):
-    """Wherever the unpruned reference walk decides, the slice walk and the
-    backjumping walk reach the same outcome kind and the same Found strategy;
-    each takes no more branches than the walk it prunes."""
+    """Wherever the unpruned reference walk decides, the slice walk, the
+    backjumping walk and the cone walk reach the same outcome kind and the
+    same Found strategy. The slice and backjumping walks take no more
+    branches than the walk each prunes; the cone walk, which drops useless
+    sends, branches only on keys the reference walk branched on too, but
+    may take more branches than the backjumping walk."""
     cfg, tasks, requirements = instance
     limits = SearchLimits(max_branches=5_000)
     reference = find_strategy(cfg, requirements, tasks, limits, prune="none")
     sliced = find_strategy(cfg, requirements, tasks, limits, prune="slice")
     jumped = find_strategy(cfg, requirements, tasks, limits, prune="backjump")
+    coned = find_strategy(cfg, requirements, tasks, limits, prune="cone")
     if isinstance(reference, Aborted):
         return
+    assert type(coned) is type(reference)
+    if isinstance(reference, Found):
+        assert strategy_rows(coned.strategy) == strategy_rows(reference.strategy)
+        assert coned == reference
+    else:
+        assert set(coned.certificate.decision_points) <= set(reference.certificate.decision_points)
     for pruned, coarser in ((sliced, reference), (jumped, sliced)):
         assert type(pruned) is type(reference)
         if isinstance(reference, Found):
