@@ -17,7 +17,7 @@ _HOMES = {
     "audit": "AuditReport indistinguishable no_signaling_audit",
     "errors": "DuplicateTask InvalidScenario ParseError SameLocation SimulationError "
               "UnachievableTask UnknownLocation ValidationError",
-    "protocol": "Scenario Strategy TaskRequest Trace execute local_history obedient_strategy",
+    "protocol": "Scenario Strategy Trace execute local_history obedient_strategy",
     "search": "Aborted Certificate Found Impossible SearchLimits SearchOutcome "
               "find_strategy mutually_exclusive",
     "spacetime": "Event SpacetimeConfig causal_leq distance signal_arrival",

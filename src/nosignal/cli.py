@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Callable
 from types import SimpleNamespace
 
 from .config import (
@@ -33,7 +34,7 @@ from .config import (
 )
 from .diagram import render_diagram
 from .errors import ParseError, SimulationError
-from .protocol import Scenario, Strategy, Trace, execute, obedient_strategy
+from .protocol import Scenario, Strategy, Trace, execute, obedient_strategy, strategy_slots
 from .search import Aborted, Found, Impossible, SearchLimits, find_strategy
 from .tasks import RequirementReport, evaluate_requirement, evaluate_task
 
@@ -120,10 +121,10 @@ def _report_line(i: int, report: dict) -> str:
             f"{status}  [{verdicts or 'no tasks requested'}]")
 
 
-def _emit(args, code: int, payload: dict[str, object], lines: list[str]) -> int:
+def _emit(args, code: int, payload: dict[str, object], lines: Callable[[], list[str]]) -> int:
     """Print a command's result, the payload with ``--json`` and otherwise
-    the text lines rendered from it; return the exit code."""
-    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    the text lines ``lines()`` renders from it; return the exit code."""
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines()))
     return code
 
 
@@ -142,9 +143,9 @@ def cmd_simulate(args) -> int:
         "scenario": args.scenario,
         "strategy": args.strategy,
         "trace": {
-            "requests": sorted(list(r) for r in trace.requests),
-            "departures": sorted(list(d) for d in trace.departures),
-            "arrivals": sorted(list(a) for a in trace.arrivals),
+            "requests": [list(r) for r in sorted(trace.requests)],
+            "departures": [list(d) for d in sorted(trace.departures)],
+            "arrivals": [list(a) for a in sorted(trace.arrivals)],
         },
         "verdicts": {
             task_id: evaluate_task(trace, task, doc.spacetime)
@@ -152,7 +153,7 @@ def cmd_simulate(args) -> int:
         },
         "diagram": picture,
     }
-    return _emit(args, EXIT_OK, payload, [
+    return _emit(args, EXIT_OK, payload, lambda: [
         f"scenario {args.scenario!r} with strategy {args.strategy!r}",
         *_trace_lines(payload["trace"]),
         "verdicts:",
@@ -177,7 +178,7 @@ def cmd_search(args) -> int:
                 _report_json(report, named.scenario)
                 for report, named in zip(outcome.reports, doc.requirements)
             ],
-        }, [
+        }, lambda: [
             f"found a strategy satisfying all {_count(len(requirements), 'requirement')}:",
             *([_row_line(row) for row in rows]
               or ["  (empty table: every agent always does nothing)"]),
@@ -192,7 +193,7 @@ def cmd_search(args) -> int:
             "strategies_explored": explored,
             "decision_points": len(cert.decision_points),
             "failures_by_requirement": {str(idx): count for idx, count in failures},
-        }, [
+        }, lambda: [
             f"impossible: all {_count(explored, 'refuted branch')} over "
             f"{_count(len(cert.decision_points), 'decision point')} "
             f"{'fails' if explored == 1 else 'fail'} some requirement",
@@ -207,7 +208,7 @@ def cmd_search(args) -> int:
         "limit": outcome.limit,
         "strategies_explored": outcome.strategies_explored,
         "decision_points": outcome.decision_points,
-    }, [
+    }, lambda: [
         f"aborted: {outcome.limit} limit hit after {_count(outcome.strategies_explored, 'branch')} "
         f"and {_count(outcome.decision_points, 'decision point')}",
     ])
@@ -216,8 +217,9 @@ def cmd_search(args) -> int:
 def cmd_check(args) -> int:
     doc = _load_document(args.config)
     strategy = _pick_strategy(args.strategy, doc)
+    slots = strategy_slots(doc.spacetime, strategy)
     reports = [
-        _report_json(evaluate_requirement(doc.spacetime, strategy, requirement, doc.tasks),
+        _report_json(evaluate_requirement(doc.spacetime, strategy, requirement, doc.tasks, slots),
                      named.scenario)
         for named, requirement in zip(doc.requirements, doc.resolve_requirements())
     ]
@@ -225,7 +227,7 @@ def cmd_check(args) -> int:
     return _emit(args, EXIT_OK if all_ok else EXIT_UNSATISFIED, {
         "reports": reports,
         "all_satisfied": all_ok,
-    }, [
+    }, lambda: [
         *(_report_line(i, report) for i, report in enumerate(reports, 1)),
         "all requirements satisfied" if all_ok else "some requirements unsatisfied",
     ])
@@ -233,7 +235,7 @@ def cmd_check(args) -> int:
 
 def cmd_diagram(args) -> int:
     _, _, picture = _run_scenario(args)
-    return _emit(args, EXIT_OK, {"diagram": picture}, [picture.removesuffix("\n")])
+    return _emit(args, EXIT_OK, {"diagram": picture}, lambda: [picture.removesuffix("\n")])
 
 
 # The grammar: each option's ``add_argument`` keywords, common options first,

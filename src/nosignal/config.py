@@ -13,19 +13,11 @@ import json
 from collections.abc import Callable, Mapping
 
 from .errors import ParseError, SimulationError, ValidationError
-from .protocol import (
-    KIND_REQUEST,
-    KIND_SIGNAL,
-    RawAssignment,
-    Scenario,
-    Strategy,
-    TaskRequest,
-    check_request,
-)
+from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, Scenario, Strategy, check_request
 from .record import Record
 from .search import SearchLimits
 from .spacetime import SpacetimeConfig
-from .tasks import Deliver, Requirement, Rule, Silence, TaskSpec, check_task
+from .tasks import Deliver, Requirement, Rule, Silence, TaskSpec, check_requirement, check_task
 
 
 class NamedRequirement(Record):
@@ -58,44 +50,73 @@ class ConfigDocument(Record):
         ]
 
 
-def _fail(path: str, message: str) -> None:
-    raise ValidationError(f"{path}: {message}")
+def _shape(table: dict) -> tuple:
+    """``table``, which maps each key of a JSON object in reading order to its
+    JSON type, or to ``(type, default)`` if it may be left out; its keys; their types."""
+    return table, tuple(table), tuple(kind if type(kind) is type else kind[0] for kind in table.values())
 
 
-def _require_object(value: object, path: str) -> dict:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
+_DOCUMENT = _shape({"locations": dict, "horizon": int, "tasks": (dict, {}), "scenarios": (dict, {}),
+                    "requirements": (list, ()), "limits": (dict, None)})
+_TASK = _shape({"deliver": dict, "silence": (list, ())})
+_DELIVER = _shape({"from": str, "to": str, "at": int})
+_SILENCE = _shape({"from": str, "to": str})
+_REQUEST = _shape({"task": str, "location": str, "time": int})
+_REQUIREMENT = _shape({"scenario": str, "rule": str})
+_LIMITS = _shape({"max_branches": (int, None), "max_decision_points": (int, None)})
+_STRATEGY = _shape({"rows": list})
+_ROW = _shape({"agent": str, "history": dict, "action": dict})
+_HISTORY = _shape({"upto": int, "events": (list, ())})
+_ACTION = _shape({"send": (list, ())})
+_EVENT = {"kind": str, "time": int}
+_KINDS = (KIND_REQUEST, KIND_SIGNAL)  # compared by ==, so a kind of any JSON type can be looked up
+_EVENTS = {KIND_REQUEST: _shape({**_EVENT, "task": str}), KIND_SIGNAL: _shape({**_EVENT, "origin": str})}
+_TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+_RULES = {rule.value: rule for rule in Rule}
+
+
+def _text(path: tuple) -> str:
+    """A JSON path, the keys and list indices down to a value, as text."""
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+
+
+def _fail(path: tuple, message: str):
+    raise ValidationError(f"{_text(path) or 'document'}: {message}")
+
+
+def _typed(value, kind: type, path: tuple):
+    """``value``, if its JSON type is ``kind`` (a bool is no integer)."""
+    if type(value) is not kind:
+        _fail(path, f"expected {_TYPES[kind]}, got "
+                    f"{type(value).__name__ if kind is dict or kind is list else repr(value)}")
     return value
 
 
-def _require_list(value: object, path: str) -> list:
-    if not isinstance(value, list):
-        _fail(path, f"expected a list, got {type(value).__name__}")
-    return value
+def _fields(value, shape: tuple, path: tuple):
+    """An iterator over the values of a JSON object's ``shape`` keys. An
+    object with just those keys, in that order and of those types, is read
+    at once; any other by ``_read``."""
+    table, keys, types = shape
+    if type(value) is dict and tuple(value) == keys and tuple(map(type, value.values())) == types:
+        return iter(value.values())
+    return _read(value, table, path)
 
 
-def _require_int(value: object, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _require_str(value: object, path: str) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"expected a string, got {value!r}")
-    return value
-
-
-def _no_extras(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            _fail(path, f"unexpected key {key!r}")
-
-
-def _pop(obj: dict, key: str, path: str) -> object:
-    if key not in obj:
-        _fail(path, f"missing key {key!r}")
-    return obj[key]
+def _read(value, table: dict, path: tuple, closed: bool = True):
+    """Yield ``table``'s values in order, checking the object's type and,
+    when ``closed``, its keys as the first is taken, and each key's presence
+    and type as its value is, so the caller checks a value before the next."""
+    _typed(value, dict, path)
+    if closed and not value.keys() <= table.keys():
+        _fail(path, f"unexpected key {next(key for key in value if key not in table)!r}")
+    for key, kind in table.items():
+        if key in value:
+            kind = kind if type(kind) is type else kind[0]
+            yield value[key] if type(value[key]) is kind else _typed(value[key], kind, (*path, key))
+        elif type(kind) is tuple:
+            yield kind[1]
+        else:
+            _fail(path, f"missing key {key!r}")
 
 
 def _parse(text: str) -> object:
@@ -109,20 +130,19 @@ def _parse(text: str) -> object:
         raise ParseError("integer literal has too many digits") from None
 
 
-def _location(value: object, cfg: SpacetimeConfig, path: str) -> str:
-    name = _require_str(value, path)
-    if name not in cfg.locations:
-        _fail(path, f"unknown location {name!r}")
-    return name
+def _location(value, cfg: SpacetimeConfig, path: tuple) -> str:
+    if type(value) is not str or value not in cfg.locations:
+        _fail(path, f"unknown location {_typed(value, str, path)!r}")
+    return value
 
 
-def _checked(prefix: str, check: Callable, *args):
+def _checked(path: tuple, sep: str, check: Callable, *args):
     """``check(*args)``, a constructor or checker; an input error it raises
-    is raised again with ``prefix`` (a JSON path and separator) in front."""
+    is raised again with ``path`` and ``sep`` in front."""
     try:
         return check(*args)
     except SimulationError as err:
-        raise ValidationError(f"{prefix}{err}") from None
+        raise ValidationError(f"{_text(path)}{sep}{err}") from None
 
 
 def load_config(text: str) -> ConfigDocument:
@@ -132,79 +152,54 @@ def load_config(text: str) -> ConfigDocument:
     every other invariant by the constructor or checker that owns it, whose
     message gets the JSON path of the offending value in front.
     """
-    raw = _require_object(_parse(text), "document")
-    _no_extras(raw, {"locations", "horizon", "tasks", "scenarios", "requirements", "limits"}, "document")
-
-    locations_raw = _require_object(_pop(raw, "locations", "document"), "locations")
-    locations = {name: _require_int(coord, f"locations.{name}") for name, coord in locations_raw.items()}
-    cfg = SpacetimeConfig(locations, _require_int(_pop(raw, "horizon", "document"), "horizon"))
+    document = _fields(_parse(text), _DOCUMENT, ())
+    locations = next(document)
+    for name, coord in locations.items():
+        _typed(coord, int, ("locations", name))
+    cfg = SpacetimeConfig(locations, next(document))
 
     tasks: dict[str, TaskSpec] = {}
-    for task_id, body in _require_object(raw.get("tasks", {}), "tasks").items():
-        path = f"tasks.{task_id}"
-        body = _require_object(body, path)
-        _no_extras(body, {"deliver", "silence"}, path)
-        deliver_raw = _require_object(_pop(body, "deliver", path), f"{path}.deliver")
-        _no_extras(deliver_raw, {"from", "to", "at"}, f"{path}.deliver")
-        origin = _require_str(_pop(deliver_raw, "from", f"{path}.deliver"), f"{path}.deliver.from")
-        dest = _require_str(_pop(deliver_raw, "to", f"{path}.deliver"), f"{path}.deliver.to")
-        at = _require_int(_pop(deliver_raw, "at", f"{path}.deliver"), f"{path}.deliver.at")
-        deliver = _checked(f"{path}.deliver: ", Deliver, origin, dest, at)
-        silence = []
-        for i, ban in enumerate(_require_list(body.get("silence", []), f"{path}.silence")):
-            ban_path = f"{path}.silence[{i}]"
-            ban = _require_object(ban, ban_path)
-            _no_extras(ban, {"from", "to"}, ban_path)
-            b_origin = _require_str(_pop(ban, "from", ban_path), f"{ban_path}.from")
-            b_dest = _require_str(_pop(ban, "to", ban_path), f"{ban_path}.to")
-            silence.append(_checked(f"{ban_path}: ", Silence, b_origin, b_dest))
-        tasks[task_id] = TaskSpec(task_id, deliver, tuple(silence))
-        _checked(f"{path}.", check_task, tasks[task_id], cfg)
+    for task_id, body in next(document).items():
+        fields = _fields(body, _TASK, ("tasks", task_id))
+        deliver = _checked(("tasks", task_id, "deliver"), ": ", Deliver,
+                           *_fields(next(fields), _DELIVER, ("tasks", task_id, "deliver")))
+        silence = tuple(
+            _checked(("tasks", task_id, "silence", i), ": ", Silence,
+                     *_fields(ban, _SILENCE, ("tasks", task_id, "silence", i)))
+            for i, ban in enumerate(next(fields))
+        )
+        tasks[task_id] = task = TaskSpec(task_id, deliver, silence)
+        _checked(("tasks", task_id), ".", check_task, task, cfg)
 
     scenarios: dict[str, Scenario] = {}
-    for name, entries in _require_object(raw.get("scenarios", {}), "scenarios").items():
-        path = f"scenarios.{name}"
+    for name, entries in next(document).items():
         requests = []
-        for i, entry in enumerate(_require_list(entries, path)):
-            entry_path = f"{path}[{i}]"
-            entry = _require_object(entry, entry_path)
-            _no_extras(entry, {"task", "location", "time"}, entry_path)
-            task_id = _require_str(_pop(entry, "task", entry_path), f"{entry_path}.task")
+        for i, entry in enumerate(_typed(entries, list, ("scenarios", name))):
+            fields = _fields(entry, _REQUEST, ("scenarios", name, i))
+            task_id = next(fields)
             if task_id not in tasks:
-                _fail(f"{entry_path}.task", f"undefined task {task_id!r}")
-            location = _require_str(_pop(entry, "location", entry_path), f"{entry_path}.location")
-            time = _require_int(_pop(entry, "time", entry_path), f"{entry_path}.time")
-            requests.append(TaskRequest(task_id, location, time))
-            _checked(f"{entry_path}.", check_request, requests[-1], cfg)
-        scenarios[name] = _checked(f"{path}: ", Scenario, requests)
+                _fail(("scenarios", name, i, "task"), f"undefined task {task_id!r}")
+            request = (task_id, *fields)
+            _checked(("scenarios", name, i), ".", check_request, request, cfg)
+            requests.append(request)
+        scenarios[name] = _checked(("scenarios", name), ": ", Scenario, requests)
 
     requirements: list[NamedRequirement] = []
-    for i, entry in enumerate(_require_list(raw.get("requirements", []), "requirements")):
-        path = f"requirements[{i}]"
-        entry = _require_object(entry, path)
-        _no_extras(entry, {"scenario", "rule"}, path)
-        name = _require_str(_pop(entry, "scenario", path), f"{path}.scenario")
+    for i, entry in enumerate(next(document)):
+        fields = _fields(entry, _REQUIREMENT, ("requirements", i))
+        name = next(fields)
         if name not in scenarios:
-            _fail(f"{path}.scenario", f"undefined scenario {name!r}")
-        rule_raw = _require_str(_pop(entry, "rule", path), f"{path}.rule")
-        try:
-            rule = Rule(rule_raw)
-        except ValueError:
-            _fail(f"{path}.rule", f"expected 'all' or 'at_least_one', got {rule_raw!r}")
-        _checked(f"{path}: ", Requirement, scenarios[name], rule)
+            _fail(("requirements", i, "scenario"), f"undefined scenario {name!r}")
+        rule = _RULES.get(rule_raw := next(fields))
+        if rule is None:
+            _fail(("requirements", i, "rule"), f"expected 'all' or 'at_least_one', got {rule_raw!r}")
+        _checked(("requirements", i), ": ", check_requirement, scenarios[name], rule)
         requirements.append(NamedRequirement(name, rule))
 
-    limits = None
-    if "limits" in raw:
-        body = _require_object(raw["limits"], "limits")
-        _no_extras(body, {"max_branches", "max_decision_points"}, "limits")
-        defaults = SearchLimits()
-        branches = _require_int(body.get("max_branches", defaults.max_branches), "limits.max_branches")
-        points = _require_int(
-            body.get("max_decision_points", defaults.max_decision_points),
-            "limits.max_decision_points",
-        )
-        limits = _checked("limits: ", SearchLimits, branches, points)
+    limits, body = None, next(document)
+    if body is not None:
+        _, _ = _fields(body, _LIMITS, ("limits",))  # the keys are SearchLimits' own
+        limits = _checked(("limits",), ": ", lambda: SearchLimits(**body))
 
     return ConfigDocument(cfg, tasks, scenarios, requirements, limits)
 
@@ -217,61 +212,53 @@ def _event_to_json(event: tuple[int, str, str]) -> dict[str, object]:
 
 
 def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
-                     tasks: Mapping[str, TaskSpec], path: str) -> tuple[int, str, str]:
-    raw = _require_object(raw, path)
-    kind = _require_str(_pop(raw, "kind", path), f"{path}.kind")
-    if kind not in (KIND_REQUEST, KIND_SIGNAL):
-        _fail(f"{path}.kind", f"expected 'request' or 'signal', got {kind!r}")
-    time = _require_int(_pop(raw, "time", path), f"{path}.time")
+                     tasks: Mapping[str, TaskSpec], path: tuple) -> tuple[int, str, str]:
+    # Unless it has just its kind's keys, in order, its kind and time come before its keys.
+    kind = raw.get("kind") if type(raw) is dict else None
+    if kind not in _KINDS or tuple(raw) != _EVENTS[kind][1]:
+        head = _read(raw, _EVENT, path, closed=False)
+        kind = next(head)
+        if kind not in _KINDS:
+            _fail((*path, "kind"), f"expected 'request' or 'signal', got {kind!r}")
+        next(head)
+    _, time, label = _fields(raw, _EVENTS[kind], path)
     if kind == KIND_REQUEST:
-        _no_extras(raw, {"kind", "time", "task"}, path)
-        task_id = _require_str(_pop(raw, "task", path), f"{path}.task")
-        if task_id not in tasks:
-            _fail(f"{path}.task", f"undefined task {task_id!r}")
-        return (time, KIND_REQUEST, task_id)
-    _no_extras(raw, {"kind", "time", "origin"}, path)
-    origin = _location(_pop(raw, "origin", path), cfg, f"{path}.origin")
-    if origin == agent:
-        _fail(f"{path}.origin", "signal origin cannot be the receiving agent")
-    return (time, KIND_SIGNAL, origin)
+        if label not in tasks:
+            _fail((*path, "task"), f"undefined task {label!r}")
+    else:
+        _location(label, cfg, (*path, "origin"))
+        if label == agent:
+            _fail((*path, "origin"), "signal origin cannot be the receiving agent")
+    return (time, kind, label)
 
 
 def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> Strategy:
     """Parse and validate a strategy document against a configuration."""
-    raw = _require_object(_parse(text), "document")
-    _no_extras(raw, {"rows"}, "document")
+    (rows,) = _fields(_parse(text), _STRATEGY, ())
     table: RawAssignment = {}
-    for i, row in enumerate(_require_list(_pop(raw, "rows", "document"), "rows")):
-        path = f"rows[{i}]"
-        row = _require_object(row, path)
-        _no_extras(row, {"agent", "history", "action"}, path)
-        agent = _location(_pop(row, "agent", path), cfg, f"{path}.agent")
-        history_raw = _require_object(_pop(row, "history", path), f"{path}.history")
-        _no_extras(history_raw, {"upto", "events"}, f"{path}.history")
-        upto = _require_int(_pop(history_raw, "upto", f"{path}.history"), f"{path}.history.upto")
+    for i, row in enumerate(rows):
+        fields = _fields(row, _ROW, ("rows", i))
+        agent = _location(next(fields), cfg, ("rows", i, "agent"))
+        history = _fields(next(fields), _HISTORY, ("rows", i, "history"))
+        upto = next(history)
         if not 0 <= upto <= cfg.horizon:
-            _fail(f"{path}.history.upto", f"{upto} outside [0, {cfg.horizon}]")
-        events = tuple(
-            _event_from_json(ev, cfg, agent, tasks, f"{path}.history.events[{j}]")
-            for j, ev in enumerate(
-                _require_list(history_raw.get("events", []), f"{path}.history.events")
-            )
-        )
-        action_raw = _require_object(_pop(row, "action", path), f"{path}.action")
-        _no_extras(action_raw, {"send"}, f"{path}.action")
+            _fail(("rows", i, "history", "upto"), f"{upto} outside [0, {cfg.horizon}]")
+        events = tuple(_event_from_json(event, cfg, agent, tasks, ("rows", i, "history", "events", j))
+                       for j, event in enumerate(next(history)))
+        (send,) = _fields(next(fields), _ACTION, ("rows", i, "action"))
         dests = set()
-        for j, dest in enumerate(_require_list(action_raw.get("send", []), f"{path}.action.send")):
-            dest = _location(dest, cfg, f"{path}.action.send[{j}]")
+        for j, dest in enumerate(send):
+            _location(dest, cfg, ("rows", i, "action", "send", j))
             if dest == agent:
-                _fail(f"{path}.action.send[{j}]", "agent cannot send to itself")
+                _fail(("rows", i, "action", "send", j), "agent cannot send to itself")
             dests.add(dest)
         for j, (time, _, _) in enumerate(events):
             if not 0 <= time <= upto:
-                _fail(f"{path}.history.events[{j}].time", f"{time} outside [0, {upto}]")
+                _fail(("rows", i, "history", "events", j, "time"), f"{time} outside [0, {upto}]")
         key = (agent, upto, tuple(sorted(events)))
         sends = tuple(sorted(dests))
         if table.setdefault(key, sends) != sends:
-            _fail(path, "conflicting duplicate of an earlier row")
+            _fail(("rows", i), "conflicting duplicate of an earlier row")
     return Strategy(table)
 
 

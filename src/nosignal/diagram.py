@@ -50,8 +50,7 @@ def _line(prefix: str, marks: dict[int, str], xmin: int) -> str:
     parts = [prefix]
     x_next = xmin
     for x in sorted(marks):
-        parts.append(" " * (_CELL * (x - x_next)))
-        parts.append(f"{marks[x]:<{_CELL}}")
+        parts += (" " * (_CELL * (x - x_next)), marks[x].ljust(_CELL))
         x_next = x + 1
     return "".join(parts).rstrip()
 
@@ -78,5 +77,6 @@ def render_diagram(trace: Trace, cfg: SpacetimeConfig) -> str:
 
     header = {x: _lab_label(name) for name, x in coords.items()}
     lines = [_line("  t ", header, xmin)]
-    lines += [_line(f"{t:>3} ", rows.get(t, {}), xmin) for t in range(cfg.horizon + 1)]
+    lines += [_line(f"{t:>3} ", rows[t], xmin) if t in rows else f"{t:>3}"
+              for t in range(cfg.horizon + 1)]
     return "\n".join(lines) + "\n"

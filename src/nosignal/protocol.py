@@ -19,10 +19,10 @@ an undo log, not the arrivals.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import InvalidScenario, SameLocation, UnachievableTask, ValidationError
-from .record import Ordered, Record
+from .record import Record
 from .spacetime import Event, SpacetimeConfig, check_event, distance
 
 # ``TaskSpec`` (from ``.tasks``, which imports this module) appears in annotations only.
@@ -60,32 +60,25 @@ class Strategy(Record):
         self._fill({} if table is None else table)
 
 
-class TaskRequest(Ordered):
-    """A single request: which task, submitted where, submitted when."""
-
-    __slots__ = ("task", "location", "time")
-
-    def __init__(self, task: str, location: str, time: int):
-        self._fill(task, location, time)
-
-
 class Scenario(Record):
-    """The requester's choice of which tasks to ask for, where and when;
-    at most one request per (location, time) slot."""
+    """The requester's choice of which tasks to ask for, where and when: a
+    frozenset of ``(task, location, time)`` triples, the form
+    ``Trace.requests`` holds, at most one per (location, time) slot."""
 
     __slots__ = ("requests",)
 
-    def __init__(self, requests: frozenset[TaskRequest] = frozenset()):
-        requests = sorted(requests)
-        slots = set()
-        for r in requests:
-            if (r.location, r.time) in slots:
-                raise InvalidScenario(f"duplicate request slot ({r.location!r}, {r.time})")
-            slots.add((r.location, r.time))
+    def __init__(self, requests: Iterable[tuple[str, str, int]] = frozenset()):
+        requests = list(requests)
+        if len({(location, time) for _, location, time in requests}) < len(requests):
+            slots = set()
+            for _, location, time in sorted(requests):
+                if (location, time) in slots:
+                    raise InvalidScenario(f"duplicate request slot ({location!r}, {time})")
+                slots.add((location, time))
         self._fill(frozenset(requests))
 
     def task_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({r.task for r in self.requests}))
+        return tuple(sorted({task for task, _, _ in self.requests}))
 
 
 class Trace(Record):
@@ -105,12 +98,14 @@ class Trace(Record):
         self._fill(requests, departures, arrivals)
 
 
-def check_request(request: TaskRequest, cfg: SpacetimeConfig) -> None:
-    """The request's slot is on the lattice: a known lab, a time in the horizon."""
-    if request.location not in cfg.locations:
-        raise InvalidScenario(f"location: unknown location {request.location!r}")
-    if not 0 <= request.time <= cfg.horizon:
-        raise InvalidScenario(f"time: {request.time} outside [0, {cfg.horizon}]")
+def check_request(request: tuple[str, str, int], cfg: SpacetimeConfig) -> None:
+    """The slot of a ``(task, location, time)`` request is on the lattice:
+    a known lab, a time in the horizon."""
+    _, location, time = request
+    if location not in cfg.locations:
+        raise InvalidScenario(f"location: unknown location {location!r}")
+    if not 0 <= time <= cfg.horizon:
+        raise InvalidScenario(f"time: {time} outside [0, {cfg.horizon}]")
 
 
 def check_scenario(scenario: Scenario, cfg: SpacetimeConfig) -> None:
@@ -166,39 +161,48 @@ class Run:
     """
 
     # Slots: the search reads these on every node.
-    __slots__ = ("horizon", "dist", "received", "departures")
+    __slots__ = ("horizon", "coords", "received", "departures")
 
     def __init__(self, cfg: SpacetimeConfig, scenario: Scenario):
-        agents = cfg.agents
         self.horizon = cfg.horizon
-        self.dist = {(a, b): distance(a, b, cfg) for a in agents for b in agents if a != b}
+        self.coords = cfg.locations  # a distance is the difference of two coordinates
         # Per agent every event it will see, in any time: its requests, then
         # signal arrivals in the order they were applied, so unapply pops.
-        self.received: dict[str, list[tuple[int, str, str]]] = {a: [] for a in agents}
-        for r in scenario.requests:
-            self.received[r.location].append((r.time, KIND_REQUEST, r.task))
+        self.received: dict[str, list[tuple[int, str, str]]] = {a: [] for a in self.coords}
+        for task, location, time in scenario.requests:
+            self.received[location].append((time, KIND_REQUEST, task))
         self.departures: set[tuple[str, str, int]] = set()
 
     def key(self, t: int, agent: str) -> RawKey:
-        events = [e for e in self.received[agent] if e[0] <= t]
-        events.sort()
+        events = self.received[agent]
+        if events:
+            events = [e for e in events if e[0] <= t]
+            events.sort()
         return (agent, t, tuple(events))
 
     def apply(self, t: int, agent: str, sends: tuple[str, ...]) -> None:
+        x = self.coords[agent]
         for dest in sends:
             self.departures.add((agent, dest, t))
-            arrives = t + self.dist[(agent, dest)]
+            arrives = t + abs(x - self.coords[dest])
             if arrives <= self.horizon:
                 self.received[dest].append((arrives, KIND_SIGNAL, agent))
 
     def unapply(self, t: int, agent: str, sends: tuple[str, ...]) -> None:
+        x = self.coords[agent]
         for dest in sends:
             self.departures.discard((agent, dest, t))
-            if t + self.dist[(agent, dest)] <= self.horizon:
+            if t + abs(x - self.coords[dest]) <= self.horizon:
                 self.received[dest].pop()
 
 
-def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Trace:
+def strategy_slots(cfg: SpacetimeConfig, strategy: Strategy) -> list[tuple[int, str]]:
+    """The in-horizon ``(t, agent)`` slots the table names, t then agent ascending."""
+    return sorted({(t, a) for a, t, _ in strategy.table if 0 <= t <= cfg.horizon and a in cfg.locations})
+
+
+def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy,
+            slots: list[tuple[int, str]] | None = None) -> Trace:
     """Run the synchronous loop through the strategy's slots; return the trace.
 
     Per step: deliver requests submitted at t and signals arriving at t,
@@ -209,14 +213,13 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Tra
     ``(t, agent)`` slots the table names are looked up: t ascending, agents
     in ``cfg.agents`` order. Identical inputs yield identical traces. A
     send to the agent itself, to an unknown lab or twice to one lab is
-    refused.
+    refused. A caller that runs one strategy on several scenarios may pass
+    ``strategy_slots(cfg, strategy)`` as ``slots`` to find them once.
     """
     check_scenario(scenario, cfg)
     table = strategy.table
-    slots = {(t, agent) for agent, t, _ in table
-             if 0 <= t <= cfg.horizon and agent in cfg.locations}
     run = Run(cfg, scenario)
-    for t, agent in sorted(slots):
+    for t, agent in strategy_slots(cfg, strategy) if slots is None else slots:
         sends = table.get(run.key(t, agent))
         if sends:
             for dest in sends:
@@ -227,9 +230,10 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy) -> Tra
                     raise ValidationError(f"agent {agent!r} sends to {dest!r} more than once")
             run.apply(t, agent, sends)
 
-    arrivals = ((o, d, t + run.dist[(o, d)]) for o, d, t in run.departures)
+    coords = cfg.locations
+    arrivals = ((o, d, t + abs(coords[o] - coords[d])) for o, d, t in run.departures)
     return Trace(
-        requests=frozenset((r.task, r.location, r.time) for r in scenario.requests),
+        requests=scenario.requests,
         departures=frozenset(run.departures),
         arrivals=frozenset(a for a in arrivals if a[2] <= cfg.horizon),
     )

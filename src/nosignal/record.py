@@ -2,34 +2,41 @@
 
 A subclass lists its fields in ``__slots__`` and stores them once, in
 ``__init__``, through ``_fill``. What a frozen dataclass would generate is
-written here once: equality and hashing on the field tuple (between
+written here once: equality and hashing on the field values (between
 instances of the same class only), a ``Name(field=value, ...)`` repr, a
 guard that rejects assignment, and pickling through the constructor.
-Nothing is generated or ``exec``-ed at import, which keeps the command
-line's start-up cheap. ``Ordered`` adds the comparisons, again on the
-field tuple. A mutable subclass sets ``__hash__ = None`` and restores
-``object.__setattr__`` and ``object.__delattr__``.
+Nothing is generated or ``exec``-ed at import; each class only looks up an
+``operator.attrgetter`` of its fields and their slots' setters, so fields
+are read and written in C. ``Ordered`` adds the comparisons. A mutable
+subclass sets ``__hash__ = None`` and restores ``object.__setattr__`` and
+``object.__delattr__``.
 """
+
+from operator import attrgetter
 
 
 class Record:
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            # The field values, a tuple when there are several; an attrgetter
+            # is no method, so it is called as ``self._values(self)``.
+            cls._values = attrgetter(*cls.__slots__)
+            cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
     def _fill(self, *values) -> None:
         """Store ``values`` in field order, past the assignment guard."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == other._values(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -42,7 +49,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Ordered(Record):
@@ -57,9 +64,9 @@ class Ordered(Record):
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() < other._values()
+        return self._values(self) < other._values(other)
 
     def __le__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() <= other._values()
+        return self._values(self) <= other._values(other)

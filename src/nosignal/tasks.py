@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from enum import Enum
 
 from .errors import DuplicateTask, UnknownLocation, ValidationError
-from .protocol import Scenario, Strategy, TaskRequest, Trace, execute
+from .protocol import Scenario, Strategy, Trace, execute
 from .record import Record
 from .spacetime import SpacetimeConfig
 
@@ -60,9 +60,14 @@ class Requirement(Record):
     __slots__ = ("scenario", "rule")
 
     def __init__(self, scenario: Scenario, rule: Rule):
-        if rule is Rule.AT_LEAST_ONE and not scenario.requests:
-            raise ValidationError("at_least_one over an empty scenario")
+        check_requirement(scenario, rule)
         self._fill(scenario, rule)
+
+
+def check_requirement(scenario: Scenario, rule: Rule) -> None:
+    """Rule ``at_least_one`` needs a request to succeed on."""
+    if rule is Rule.AT_LEAST_ONE and not scenario.requests:
+        raise ValidationError("at_least_one over an empty scenario")
 
 
 class RequirementReport(Record):
@@ -77,12 +82,14 @@ class RequirementReport(Record):
 def check_task(task: TaskSpec, cfg: SpacetimeConfig) -> None:
     """Every lab the task names exists and its delivery falls within the horizon."""
     deliver = task.deliver
-    ends = [("deliver.from", deliver.origin), ("deliver.to", deliver.dest)]
-    for i, ban in enumerate(task.silence):
-        ends += [(f"silence[{i}].from", ban.origin), (f"silence[{i}].to", ban.dest)]
-    for field, loc in ends:
-        if loc not in cfg.locations:
-            raise UnknownLocation(f"{field}: unknown location {loc!r}")
+    labs = cfg.locations
+    if not (deliver.origin in labs and deliver.dest in labs
+            and all(ban.origin in labs and ban.dest in labs for ban in task.silence)):
+        ends = [("deliver.from", deliver.origin), ("deliver.to", deliver.dest)]
+        for i, ban in enumerate(task.silence):
+            ends += [(f"silence[{i}].from", ban.origin), (f"silence[{i}].to", ban.dest)]
+        field, loc = next(end for end in ends if end[1] not in labs)
+        raise UnknownLocation(f"{field}: unknown location {loc!r}")
     if not 0 <= deliver.at <= cfg.horizon:
         raise ValidationError(
             f"deliver.at: {deliver.at} outside [0, {cfg.horizon}]; horizon too small"
@@ -106,7 +113,7 @@ def evaluate_task(trace: Trace, task: TaskSpec, cfg: SpacetimeConfig) -> bool:
     if (deliver.origin, deliver.dest, deliver.at) not in trace.arrivals:
         return False
     banned = {(ban.origin, ban.dest) for ban in task.silence}
-    return not any((origin, dest) in banned for origin, dest, _ in trace.departures)
+    return not banned or banned.isdisjoint([(origin, dest) for origin, dest, _ in trace.departures])
 
 
 def evaluate_requirement(
@@ -114,9 +121,10 @@ def evaluate_requirement(
     strategy: Strategy,
     requirement: Requirement,
     tasks: Mapping[str, TaskSpec],
+    slots: list[tuple[int, str]] | None = None,
 ) -> RequirementReport:
-    """Execute the requirement's scenario once and judge each requested task."""
-    trace = execute(cfg, requirement.scenario, strategy)
+    """Execute the requirement's scenario once (``slots`` as for ``execute``) and judge each task."""
+    trace = execute(cfg, requirement.scenario, strategy, slots)
     verdicts = {
         task_id: evaluate_task(trace, task, cfg)
         for task_id, task in requested_tasks(requirement.scenario, tasks).items()
@@ -139,20 +147,10 @@ def paradox_requirements(
     check_task(task1, cfg)
     check_task(task2, cfg)
     single = [
-        Requirement(
-            Scenario(frozenset({TaskRequest(t.id, t.deliver.origin, 0)})), Rule.ALL
-        )
-        for t in (task1, task2)
+        Requirement(Scenario({(t.id, t.deliver.origin, 0)}), Rule.ALL) for t in (task1, task2)
     ]
     both = Requirement(
-        Scenario(
-            frozenset(
-                {
-                    TaskRequest(task1.id, task1.deliver.origin, 0),
-                    TaskRequest(task2.id, task2.deliver.origin, 0),
-                }
-            )
-        ),
+        Scenario({(task1.id, task1.deliver.origin, 0), (task2.id, task2.deliver.origin, 0)}),
         Rule.AT_LEAST_ONE,
     )
     return [*single, both]

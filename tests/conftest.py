@@ -20,7 +20,7 @@ def oracle_scenarios(requirements, tasks):
     """Requirements in the plain-tuple form the test oracles consume."""
     out = []
     for req in requirements:
-        requests = [(r.task, r.location, r.time) for r in req.scenario.requests]
+        requests = list(req.scenario.requests)
         rows = [
             (
                 (tasks[tid].deliver.origin, tasks[tid].deliver.dest, tasks[tid].deliver.at),
@@ -50,8 +50,8 @@ def serialize_config(doc) -> str:
             for task_id, task in sorted(doc.tasks.items())
         },
         "scenarios": {
-            name: [{"task": r.task, "location": r.location, "time": r.time}
-                   for r in sorted(doc.scenarios[name].requests)]
+            name: [{"task": task, "location": loc, "time": t}
+                   for task, loc, t in sorted(doc.scenarios[name].requests)]
             for name in sorted(doc.scenarios)
         },
         "requirements": [{"scenario": named.scenario, "rule": named.rule.value}

@@ -20,7 +20,6 @@ from nosignal import (
     Scenario,
     SpacetimeConfig,
     Strategy,
-    TaskRequest,
     evaluate_requirement,
     evaluate_task,
     execute,
@@ -94,7 +93,7 @@ def test_criterion_2_restricted_choice_possibility(tmp_path, capsys):
 def test_criterion_3_forced_dual_failure():
     with criterion(3, "obedient dual run sends both signals and fails both tasks"):
         cfg, tasks, _ = make_instance(3)
-        dual = Scenario(frozenset({TaskRequest("task1", "L", 0), TaskRequest("task2", "R", 0)}))
+        dual = Scenario(frozenset({("task1", "L", 0), ("task2", "R", 0)}))
         trace = execute(cfg, dual, obedient_strategy(cfg, tasks))
         assert trace.departures == {("L", "R", 0), ("R", "L", 0)}
         assert not evaluate_task(trace, tasks["task1"], cfg)
@@ -129,15 +128,15 @@ def _random_world(rng):
         slots = [(loc, t) for loc in cfg.agents for t in range(cfg.horizon + 1)]
         chosen = rng.sample(slots, rng.randint(0, min(3, len(slots))))
         return Scenario(frozenset(
-            TaskRequest(rng.choice(("a", "b")), loc, t) for loc, t in chosen
+            (rng.choice(("a", "b")), loc, t) for loc, t in chosen
         ))
 
     s1, s2 = random_scenario(), random_scenario()
     table = {}
-    for request in sorted(s1.requests | s2.requests):
+    for task, loc, t in sorted(s1.requests | s2.requests):
         if rng.random() < 0.7:
-            key = (request.location, request.time, ((request.time, "request", request.task),))
-            table[key] = tuple(d for d in cfg.others(request.location) if rng.random() < 0.6)
+            key = (loc, t, ((t, "request", task),))
+            table[key] = tuple(d for d in cfg.others(loc) if rng.random() < 0.6)
     for _ in range(rng.randint(0, 3)):
         agent = rng.choice(cfg.agents)
         upto = rng.randint(0, cfg.horizon)
@@ -159,8 +158,8 @@ def test_criterion_5_indistinguishability():
 
         def left_key_at_zero(requests):
             events = tuple(sorted(
-                (r.time, "request", r.task) for r in requests
-                if r.location == "L" and r.time <= 0
+                (t, "request", task) for task, loc, t in requests
+                if loc == "L" and t <= 0
             ))
             return ("L", 0, events)  # arrivals at t=0 are impossible: distance >= 1
 

@@ -21,7 +21,6 @@ from nosignal import (
     Silence,
     SpacetimeConfig,
     Strategy,
-    TaskRequest,
     TaskSpec,
     Trace,
     ValidationError,
@@ -48,6 +47,9 @@ SINGLE = CONFIGS / "paradox_d3_single.json"
 OBEDIENT = CONFIGS / "obedient_d3.json"
 FOURLAB = GOLDEN.parent / "diagram_4lab.json"
 FOURLAB_STRATEGY = GOLDEN.parent / "diagram_4lab_strategy.json"
+REPLAY1 = GOLDEN.parent / "replay1_seed0.json"
+REPLAY2 = GOLDEN.parent / "replay2_seed0.json"
+REPLAY4 = GOLDEN.parent / "replay4_seed0.json"
 
 
 def load_fixture_doc():
@@ -73,7 +75,7 @@ def config_documents(draw):
     slots = st.lists(st.tuples(st.sampled_from(labs), st.integers(0, horizon)), max_size=3 if tasks else 0,
                      unique=True)
     scenarios = {
-        name: Scenario([TaskRequest(draw(st.sampled_from(sorted(tasks))), lab, t) for lab, t in draw(slots)])
+        name: Scenario([(draw(st.sampled_from(sorted(tasks))), lab, t) for lab, t in draw(slots)])
         for name in draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
     }
     requirements = []
@@ -534,10 +536,65 @@ JSON_CASES = [
     (["check", "--config", str(PARADOX), "--strategy", "obedient"], "check_paradox.json", 3),
     (["simulate", "--config", str(PARADOX), "--scenario", "both"], "simulate_both.json", 0),
     (["diagram", "--config", str(PARADOX), "--scenario", "both"], "diagram_both.json", 0),
+    # Random benchmark documents of 3, 4 and 8 labs.
+    (["simulate", "--config", str(REPLAY1), "--scenario", "s11"], "simulate_replay1.json", 0),
+    (["simulate", "--config", str(REPLAY2), "--scenario", "s0"], "simulate_replay2.json", 0),
+    (["check", "--config", str(REPLAY1), "--strategy", "obedient"], "check_replay1.json", 3),
+    (["check", "--config", str(REPLAY2), "--strategy", "obedient"], "check_replay2.json", 3),
+    (["check", "--config", str(REPLAY4), "--strategy", "obedient"], "check_replay4.json", 3),
 ]
+# An edit value that deletes the key instead.
+DROP = object()
 # One edit of paradox_d3.json per input invariant: (JSON keys, new value,
-# what `search` prints after "error: ").
+# what `search` prints after "error: "). No keys replace the whole document.
 INVALID_EDITS = [
+    # Each level's shape: its JSON type, a missing key, an unexpected key.
+    ((), [], "document: expected an object, got list"),
+    (("locations",), DROP, "document: missing key 'locations'"),
+    (("horizon",), DROP, "document: missing key 'horizon'"),
+    (("extra",), 1, "document: unexpected key 'extra'"),
+    (("locations",), [], "locations: expected an object, got list"),
+    (("locations", "R"), "3", "locations.R: expected an integer, got '3'"),
+    (("locations", "R"), 3.0, "locations.R: expected an integer, got 3.0"),
+    (("horizon",), True, "horizon: expected an integer, got True"),
+    (("tasks",), [], "tasks: expected an object, got list"),
+    (("tasks", "task1"), [], "tasks.task1: expected an object, got list"),
+    (("tasks", "task1", "deliver"), DROP, "tasks.task1: missing key 'deliver'"),
+    (("tasks", "task1", "extra"), 1, "tasks.task1: unexpected key 'extra'"),
+    (("tasks", "task1", "deliver"), "L", "tasks.task1.deliver: expected an object, got str"),
+    (("tasks", "task1", "deliver", "at"), DROP, "tasks.task1.deliver: missing key 'at'"),
+    (("tasks", "task1", "deliver", "by"), 1, "tasks.task1.deliver: unexpected key 'by'"),
+    (("tasks", "task1", "deliver", "at"), True, "tasks.task1.deliver.at: expected an integer, got True"),
+    (("tasks", "task1", "deliver", "from"), 0, "tasks.task1.deliver.from: expected a string, got 0"),
+    (("tasks", "task1", "deliver", "to"), None, "tasks.task1.deliver.to: expected a string, got None"),
+    (("tasks", "task1", "silence"), {}, "tasks.task1.silence: expected a list, got dict"),
+    (("tasks", "task1", "silence", 0), "R", "tasks.task1.silence[0]: expected an object, got str"),
+    (("tasks", "task1", "silence", 0, "to"), DROP, "tasks.task1.silence[0]: missing key 'to'"),
+    (("tasks", "task1", "silence", 0, "at"), 1, "tasks.task1.silence[0]: unexpected key 'at'"),
+    (("tasks", "task1", "silence", 0, "from"), ["R"],
+     "tasks.task1.silence[0].from: expected a string, got ['R']"),
+    (("scenarios",), [], "scenarios: expected an object, got list"),
+    (("scenarios", "both"), {}, "scenarios.both: expected a list, got dict"),
+    (("scenarios", "both", 1), [], "scenarios.both[1]: expected an object, got list"),
+    (("scenarios", "both", 1, "time"), DROP, "scenarios.both[1]: missing key 'time'"),
+    (("scenarios", "both", 1, "at"), 0, "scenarios.both[1]: unexpected key 'at'"),
+    (("scenarios", "both", 1, "task"), 2, "scenarios.both[1].task: expected a string, got 2"),
+    (("scenarios", "both", 1, "location"), None, "scenarios.both[1].location: expected a string, got None"),
+    (("scenarios", "both", 1, "time"), "0", "scenarios.both[1].time: expected an integer, got '0'"),
+    (("requirements",), {}, "requirements: expected a list, got dict"),
+    (("requirements", 0), "all", "requirements[0]: expected an object, got str"),
+    (("requirements", 0, "rule"), DROP, "requirements[0]: missing key 'rule'"),
+    (("requirements", 0, "why"), "", "requirements[0]: unexpected key 'why'"),
+    (("requirements", 0, "scenario"), 1, "requirements[0].scenario: expected a string, got 1"),
+    (("requirements", 0, "scenario"), "none", "requirements[0].scenario: undefined scenario 'none'"),
+    (("requirements", 2, "rule"), 1, "requirements[2].rule: expected a string, got 1"),
+    (("limits",), [], "limits: expected an object, got list"),
+    (("limits",), {"max_branch": 1}, "limits: unexpected key 'max_branch'"),
+    (("limits",), {"max_branches": "9"}, "limits.max_branches: expected an integer, got '9'"),
+    (("limits",), {"max_decision_points": False},
+     "limits.max_decision_points: expected an integer, got False"),
+    (("limits",), {"max_decision_points": 0}, "limits: search limits must be >= 1"),
+    # Each invariant the value classes and checkers own.
     (("locations",), {"L": 0}, "locations: need at least 2 locations"),
     (("locations",), {"L": 0, "R": 0}, "locations: coordinates must be pairwise distinct"),
     (("horizon",), 0, "horizon: must be >= 1, got 0"),
@@ -587,16 +644,89 @@ INVALID_STRATEGIES = [
     # An event's kind is checked before its other fields.
     ([{"agent": "L", "history": {"upto": 2, "events": [{"kind": "bogus"}]}, "action": {}}],
      "rows[0].history.events[0].kind: expected 'request' or 'signal', got 'bogus'"),
+    # Each level's shape: its JSON type, a missing key, an unexpected key.
+    ({}, "rows: expected a list, got dict"),
+    (["L"], "rows[0]: expected an object, got str"),
+    ([{"history": {"upto": 0}, "action": {}}], "rows[0]: missing key 'agent'"),
+    ([{"agent": "L", "history": {"upto": 0}}], "rows[0]: missing key 'action'"),
+    ([{"agent": "L", "history": {"upto": 0}, "action": {}, "note": ""}], "rows[0]: unexpected key 'note'"),
+    ([{"agent": 0, "history": {"upto": 0}, "action": {}}], "rows[0].agent: expected a string, got 0"),
+    ([{"agent": "X", "history": {"upto": 0}, "action": {}}], "rows[0].agent: unknown location 'X'"),
+    ([{"agent": "L", "history": [], "action": {}}], "rows[0].history: expected an object, got list"),
+    ([{"agent": "L", "history": {"events": []}, "action": {}}], "rows[0].history: missing key 'upto'"),
+    ([{"agent": "L", "history": {"upto": 0, "at": 0}, "action": {}}],
+     "rows[0].history: unexpected key 'at'"),
+    ([{"agent": "L", "history": {"upto": "0"}, "action": {}}],
+     "rows[0].history.upto: expected an integer, got '0'"),
+    ([{"agent": "L", "history": {"upto": 4}, "action": {}}], "rows[0].history.upto: 4 outside [0, 3]"),
+    ([{"agent": "L", "history": {"upto": 0, "events": {}}, "action": {}}],
+     "rows[0].history.events: expected a list, got dict"),
+    ([{"agent": "L", "history": {"upto": 0, "events": ["R"]}, "action": {}}],
+     "rows[0].history.events[0]: expected an object, got str"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [{"time": 0}]}, "action": {}}],
+     "rows[0].history.events[0]: missing key 'kind'"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [{"kind": 1}]}, "action": {}}],
+     "rows[0].history.events[0].kind: expected a string, got 1"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [{"kind": "signal", "origin": "R"}]},
+       "action": {}}],
+     "rows[0].history.events[0]: missing key 'time'"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [{"kind": "signal", "time": 0}]},
+       "action": {}}],
+     "rows[0].history.events[0]: missing key 'origin'"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [
+        {"kind": "signal", "time": 0, "origin": "R", "task": "task1"}]}, "action": {}}],
+     "rows[0].history.events[0]: unexpected key 'task'"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [{"kind": "signal", "time": 0, "origin": 3}]},
+       "action": {}}],
+     "rows[0].history.events[0].origin: expected a string, got 3"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [{"kind": "signal", "time": 0, "origin": "X"}]},
+       "action": {}}],
+     "rows[0].history.events[0].origin: unknown location 'X'"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [{"kind": "signal", "time": 0, "origin": "L"}]},
+       "action": {}}],
+     "rows[0].history.events[0].origin: signal origin cannot be the receiving agent"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [{"kind": "request", "time": 0}]},
+       "action": {}}],
+     "rows[0].history.events[0]: missing key 'task'"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [
+        {"kind": "request", "time": 0, "task": "task1", "origin": "R"}]}, "action": {}}],
+     "rows[0].history.events[0]: unexpected key 'origin'"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [{"kind": "request", "time": 0, "task": 1}]},
+       "action": {}}],
+     "rows[0].history.events[0].task: expected a string, got 1"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [
+        {"kind": "request", "time": 0, "task": "task9"}]}, "action": {}}],
+     "rows[0].history.events[0].task: undefined task 'task9'"),
+    ([{"agent": "L", "history": {"upto": 0}, "action": []}], "rows[0].action: expected an object, got list"),
+    ([{"agent": "L", "history": {"upto": 0}, "action": {"sends": []}}],
+     "rows[0].action: unexpected key 'sends'"),
+    ([{"agent": "L", "history": {"upto": 0}, "action": {"send": "R"}}],
+     "rows[0].action.send: expected a list, got str"),
+    ([{"agent": "L", "history": {"upto": 0}, "action": {"send": ["R", 1]}}],
+     "rows[0].action.send[1]: expected a string, got 1"),
+    ([{"agent": "L", "history": {"upto": 0}, "action": {"send": ["X"]}}],
+     "rows[0].action.send[0]: unknown location 'X'"),
+    # Unhashable values where a name is looked up.
+    ([{"agent": "L", "history": {"upto": 0}, "action": {"send": [["R"]]}}],
+     "rows[0].action.send[0]: expected a string, got ['R']"),
+    ([{"agent": "L", "history": {"upto": 0, "events": [{"kind": ["signal"], "time": 0, "origin": "R"}]},
+       "action": {}}],
+     "rows[0].history.events[0].kind: expected a string, got ['signal']"),
 ]
 
 
 def _edited_paradox(keys, value):
+    if not keys:
+        return value
     doc = json.loads(PARADOX.read_text())
     *parents, last = keys
     node = doc
     for key in parents:
         node = node[key]
-    node[last] = value
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
     return doc
 
 
@@ -631,7 +761,8 @@ def _cli_cases():
     for keys, value, message in INVALID_EDITS:
         yield pytest.param(["search"], _edited_paradox(keys, value), None,
                            ("", f"error: {message}\n", 2),
-                           id="-".join(map(str, keys)) + "=" + json.dumps(value, separators=(",", ":")))
+                           id=("-".join(map(str, keys)) or "document") + "="
+                           + ("drop" if value is DROP else json.dumps(value, separators=(",", ":"))))
     yield pytest.param(["simulate", "--scenario", "both"],
                        _edited_paradox(("tasks", "task1", "deliver", "at"), 1), None,
                        ("", "error: task 'task1': delivery at t=1 comes sooner than the 3 steps "
@@ -640,6 +771,8 @@ def _cli_cases():
     for i, (rows, message) in enumerate(INVALID_STRATEGIES):
         yield pytest.param(["check", "--config", str(PARADOX)], None, {"rows": rows},
                            ("", f"error: {message}\n", 2), id=f"strategy-{i}")
+    yield pytest.param(["diagram", "--config", str(REPLAY2), "--scenario", "s0"], None, None,
+                       ((GOLDEN / "diagram_replay2.txt").read_text(), "", 0), id="diagram-replay2")
 
 
 @pytest.mark.parametrize("argv, config, strategy, expected", _cli_cases())

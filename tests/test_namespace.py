@@ -16,7 +16,7 @@ PUBLIC = [
     "Found", "Impossible", "InvalidScenario", "ParseError", "Requirement",
     "RequirementReport", "Rule", "SameLocation", "Scenario", "SearchLimits",
     "SearchOutcome", "Silence", "SimulationError", "SpacetimeConfig", "Strategy",
-    "TaskRequest", "TaskSpec", "Trace", "UnachievableTask", "UnknownLocation",
+    "TaskSpec", "Trace", "UnachievableTask", "UnknownLocation",
     "ValidationError", "causal_leq", "distance", "evaluate_requirement", "evaluate_task",
     "execute", "find_strategy", "indistinguishable", "local_history", "mutually_exclusive",
     "no_signaling_audit", "obedient_strategy", "paradox_requirements", "signal_arrival",
@@ -28,7 +28,7 @@ HOMES = {
     "audit": ["AuditReport", "indistinguishable", "no_signaling_audit"],
     "errors": ["DuplicateTask", "InvalidScenario", "ParseError", "SameLocation",
                "SimulationError", "UnachievableTask", "UnknownLocation", "ValidationError"],
-    "protocol": ["Scenario", "Strategy", "TaskRequest", "Trace", "execute", "local_history",
+    "protocol": ["Scenario", "Strategy", "Trace", "execute", "local_history",
                  "obedient_strategy"],
     "search": ["Aborted", "Certificate", "Found", "Impossible", "SearchLimits", "SearchOutcome",
                "find_strategy", "mutually_exclusive"],

@@ -18,7 +18,6 @@ from nosignal import (
     SimulationError,
     SpacetimeConfig,
     Strategy,
-    TaskRequest,
     SameLocation,
     Trace,
     UnachievableTask,
@@ -36,7 +35,7 @@ from oracles import mini_execute
 
 
 def scenario(*requests):
-    return Scenario(frozenset(TaskRequest(*r) for r in requests))
+    return Scenario(frozenset(requests))
 
 
 CFG3 = SpacetimeConfig({"L": 0, "R": 3}, horizon=3)
@@ -119,9 +118,9 @@ class TestExecute:
     def test_rejection_names_the_same_request_under_every_hash_seed(self):
         """With several bad requests, the one named must not depend on set order."""
         probe = (
-            "from nosignal import Scenario, SpacetimeConfig, TaskRequest\n"
+            "from nosignal import Scenario, SpacetimeConfig\n"
             "from nosignal.protocol import check_scenario\n"
-            "requests = [TaskRequest(f't{i}', lab, 0) for i, lab in enumerate('bac')]\n"
+            "requests = [(f't{i}', lab, 0) for i, lab in enumerate('bac')]\n"
             "try:\n"
             "    check_scenario(Scenario(requests), SpacetimeConfig({'L': 0, 'R': 3}, 3))\n"
             "except Exception as err:\n"
@@ -141,7 +140,7 @@ class TestExecute:
         with pytest.raises(InvalidScenario):
             scenario(("task1", "L", 0), ("task2", "L", 0))
         with pytest.raises(InvalidScenario):  # the same request given twice
-            Scenario([TaskRequest("task1", "L", 0)] * 2)
+            Scenario([("task1", "L", 0)] * 2)
 
     def test_late_departure_never_arrives(self, d3):
         cfg, _, _ = d3
@@ -245,17 +244,17 @@ def worlds(draw):
         slots = [(loc, t) for loc in cfg.agents for t in range(cfg.horizon + 1)]
         chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=3))
         return Scenario(frozenset(
-            TaskRequest(draw(st.sampled_from(TASK_NAMES)), loc, t) for loc, t in chosen
+            (draw(st.sampled_from(TASK_NAMES)), loc, t) for loc, t in chosen
         ))
 
     s1, s2 = draw_scenario(), draw_scenario()
 
     table = {}
     # request-triggered rows, so signals actually flow
-    for request in sorted(s1.requests | s2.requests):
+    for task, loc, t in sorted(s1.requests | s2.requests):
         if draw(st.booleans()):
-            key = (request.location, request.time, ((request.time, "request", request.task),))
-            sends = draw(st.lists(st.sampled_from(cfg.others(request.location)), unique=True))
+            key = (loc, t, ((t, "request", task),))
+            sends = draw(st.lists(st.sampled_from(cfg.others(loc)), unique=True))
             table[key] = tuple(sorted(sends))
     # a few arbitrary rows, including signal-reactive ones
     for _ in range(draw(st.integers(0, 3))):
@@ -280,7 +279,7 @@ def run_moves(draw):
     cfg = SpacetimeConfig(dict(zip(labs, coords)), draw(st.integers(1, 5)))
     slots = [(t, agent) for t in range(cfg.horizon + 1) for agent in cfg.agents]
     requested = draw(st.lists(st.sampled_from(slots), unique=True, max_size=3))
-    scene = Scenario(frozenset(TaskRequest(f"task{i}", agent, t)
+    scene = Scenario(frozenset((f"task{i}", agent, t)
                                for i, (t, agent) in enumerate(requested)))
     moves = [
         (t, agent, tuple(draw(st.lists(st.sampled_from(cfg.others(agent)), unique=True))))
@@ -360,7 +359,7 @@ def test_execute_matches_oracle_executor(world):
     cfg, s1, s2, strategy = world
     for s in (s1, s2):
         trace = execute(cfg, s, strategy)
-        requests = [(r.task, r.location, r.time) for r in s.requests]
+        requests = list(s.requests)
         assert (trace.departures, trace.arrivals) == mini_execute(
             cfg.locations, cfg.horizon, requests, strategy.table
         )
@@ -391,7 +390,7 @@ def test_influence_respects_light_cone():
     """Adding one request changes the trace only inside its causal future."""
     cfg = SpacetimeConfig({"L": 0, "R": 1}, horizon=2)
     candidates = [
-        TaskRequest(task, loc, t)
+        (task, loc, t)
         for task in ("a", "b")
         for loc in cfg.agents
         for t in range(cfg.horizon + 1)
@@ -401,18 +400,19 @@ def test_influence_respects_light_cone():
     bases += [
         frozenset(pair)
         for pair in itertools.combinations(candidates, 2)
-        if len({(r.location, r.time) for r in pair}) == 2
+        if len({(loc, t) for _, loc, t in pair}) == 2
     ]
     checked = 0
     for strategy in influence_strategies(cfg):
         for base in bases:
-            taken = {(r.location, r.time) for r in base}
+            taken = {(loc, t) for _, loc, t in base}
             before = execute(cfg, Scenario(base), strategy)
             for extra in candidates:
-                if (extra.location, extra.time) in taken:
+                _, loc, t = extra
+                if (loc, t) in taken:
                     continue
                 after = execute(cfg, Scenario(base | {extra}), strategy)
-                source = Event(extra.location, extra.time)
+                source = Event(loc, t)
                 for event in changed_events(before, after):
                     assert causal_leq(source, event, cfg), (base, extra, event)
                 checked += 1

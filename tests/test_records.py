@@ -27,7 +27,6 @@ from nosignal import (
     Silence,
     SpacetimeConfig,
     Strategy,
-    TaskRequest,
     TaskSpec,
     Trace,
 )
@@ -37,7 +36,7 @@ from nosignal.audit import AuditViolation
 CFG = SpacetimeConfig({"L": 0, "R": 3}, 3)
 HIST = ("L", 0, ((0, "request", "task1"),))
 STRAT = Strategy({("L", 0, ((0, "request", "task1"),)): ("R",)})
-TR = TaskRequest("task1", "L", 0)
+TR = ("task1", "L", 0)
 SCEN = Scenario(frozenset({TR}))
 DELIVER = Deliver("L", "R", 3)
 SIL = Silence("R", "L")
@@ -51,7 +50,7 @@ NAMED = NamedRequirement("only", Rule.ALL)
 
 H_REPR = "('L', 0, ((0, 'request', 'task1'),))"
 STRAT_REPR = "Strategy(table={('L', 0, ((0, 'request', 'task1'),)): ('R',)})"
-SCEN_REPR = "Scenario(requests=frozenset({TaskRequest(task='task1', location='L', time=0)}))"
+SCEN_REPR = "Scenario(requests=frozenset({('task1', 'L', 0)}))"
 TASK_REPR = (
     "TaskSpec(id='task1', deliver=Deliver(origin='L', dest='R', at=3), "
     "silence=(Silence(origin='R', dest='L'),))"
@@ -74,8 +73,6 @@ CASES = [
     (Event, ("L", 2), ("L", 3), "location", "Event(location='L', time=2)"),
     (SpacetimeConfig, ({"L": 0, "R": 3}, 3), ({"L": 0, "R": 3}, 4), "locations", CFG_REPR),
     (Strategy, ({("L", 0, ((0, "request", "task1"),)): ("R",)},), ({},), "table", STRAT_REPR),
-    (TaskRequest, ("task1", "L", 0), ("task1", "L", 1), "task",
-     "TaskRequest(task='task1', location='L', time=0)"),
     (Scenario, (frozenset({TR}),), (frozenset(),), "requests", SCEN_REPR),
     (Trace, (frozenset({("task1", "L", 0)}), frozenset({("L", "R", 0)}), frozenset({("L", "R", 3)})),
      (frozenset(), frozenset(), frozenset()), "requests",
@@ -106,7 +103,7 @@ CASES = [
      f"scenarios={{'only': {SCEN_REPR}}}, requirements=[{NAMED!r}], limits={LIMITS_REPR})"),
 ]
 
-ORDERED = {Event, TaskRequest}
+ORDERED = {Event}
 MUTABLE = {Strategy, ConfigDocument}
 # Frozen, but a field holds a dict (directly or inside a Strategy).
 UNHASHABLE_FIELDS = {
@@ -120,7 +117,7 @@ cases = pytest.mark.parametrize("cls, args, other, field, text", CASES, ids=ids)
 
 
 def test_every_public_value_class_is_pinned():
-    assert len({case[0] for case in CASES}) == len(CASES) == 20
+    assert len({case[0] for case in CASES}) == len(CASES) == 19
 
 
 @cases
@@ -204,7 +201,6 @@ def test_keyword_construction_with_defaults():
     assert SearchLimits() == SearchLimits(max_branches=2_000_000, max_decision_points=10_000)
     assert AuditReport(checks=0) == AuditReport(0, ())
     assert Event(location="L", time=1) == Event("L", 1)
-    assert TaskRequest(task="t", location="L", time=0) == TR.__class__("t", "L", 0)
     assert Deliver(origin="L", dest="R", at=3) == DELIVER
     assert Silence(origin="R", dest="L") == SIL
     assert Requirement(scenario=SCEN, rule=Rule.ALL) == REQ

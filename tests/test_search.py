@@ -17,7 +17,6 @@ from nosignal import (
     Silence,
     SpacetimeConfig,
     Strategy,
-    TaskRequest,
     TaskSpec,
     ValidationError,
     evaluate_requirement,
@@ -40,7 +39,7 @@ from oracles import (
 
 
 def scenario(*requests):
-    return Scenario(frozenset(TaskRequest(*r) for r in requests))
+    return Scenario(frozenset(requests))
 
 
 class TestFindStrategy:
@@ -138,7 +137,7 @@ class TestFindStrategy:
         cfg = SpacetimeConfig({"A": 0, "B": 1, "C": 2}, horizon=2)
         task = TaskSpec("t", Deliver("A", "C", 2), (Silence("C", "A"),))
         requirement = Requirement(
-            Scenario(frozenset({TaskRequest("t", "A", 0)})), Rule.ALL
+            Scenario(frozenset({("t", "A", 0)})), Rule.ALL
         )
         outcome = find_strategy(cfg, [requirement], {"t": task})
         assert isinstance(outcome, Found)
@@ -336,35 +335,36 @@ _D2_CFG, _D2_TASKS, (_, _, _D2_BOTH) = make_instance(2)
 @example((_D2_CFG, _D2_TASKS, [_D2_BOTH]))  # at_least_one met while one task is lost
 @settings(max_examples=150, deadline=None)
 def test_pruning_keeps_outcomes(instance):
-    """Wherever the unpruned reference walk decides, the slice walk, the
-    backjumping walk and the cone walk reach the same outcome kind and the
-    same Found strategy. The slice and backjumping walks take no more
-    branches than the walk each prunes; the cone walk, which drops useless
-    sends, branches only on keys the reference walk branched on too, but
-    may take more branches than the backjumping walk."""
+    """The least pruned walk that decides within the cap is the reference:
+    the unpruned walk, else the slice walk, else the backjumping walk. Every
+    walk pruned further reaches its outcome kind and its Found strategy.
+    The slice and backjumping walks take no more branches than the walk
+    each prunes; the cone walk, which drops useless sends, branches only on
+    keys the unpruned walk branched on too, but may take more branches than
+    the backjumping walk."""
     cfg, tasks, requirements = instance
     limits = SearchLimits(max_branches=5_000)
-    reference = find_strategy(cfg, requirements, tasks, limits, prune="none")
-    sliced = find_strategy(cfg, requirements, tasks, limits, prune="slice")
-    jumped = find_strategy(cfg, requirements, tasks, limits, prune="backjump")
-    coned = find_strategy(cfg, requirements, tasks, limits, prune="cone")
-    if isinstance(reference, Aborted):
+    walks = {prune: find_strategy(cfg, requirements, tasks, limits, prune=prune)
+             for prune in ("none", "slice", "backjump", "cone")}
+    base = next((prune for prune in ("none", "slice", "backjump")
+                 if not isinstance(walks[prune], Aborted)), None)
+    if base is None:
         return
-    assert type(coned) is type(reference)
-    if isinstance(reference, Found):
-        assert strategy_rows(coned.strategy) == strategy_rows(reference.strategy)
-        assert coned == reference
-    else:
-        assert set(coned.certificate.decision_points) <= set(reference.certificate.decision_points)
-    for pruned, coarser in ((sliced, reference), (jumped, sliced)):
-        assert type(pruned) is type(reference)
+    reference = walks[base]
+    pruned = list(walks)[list(walks).index(base) + 1:]
+    for prune in pruned:
+        assert type(walks[prune]) is type(reference)
         if isinstance(reference, Found):
-            assert strategy_rows(pruned.strategy) == strategy_rows(reference.strategy)
-            assert pruned == reference
-        else:
-            cert, ref_cert = pruned.certificate, coarser.certificate
-            assert cert.strategies_explored <= ref_cert.strategies_explored
-            assert set(cert.decision_points) <= set(ref_cert.decision_points)
+            assert strategy_rows(walks[prune].strategy) == strategy_rows(reference.strategy)
+            assert walks[prune] == reference
+    if isinstance(reference, Impossible):
+        certs = {prune: walks[prune].certificate for prune in (base, *pruned)}
+        for finer, coarser in (("slice", "none"), ("backjump", "slice")):
+            if coarser in certs:
+                assert certs[finer].strategies_explored <= certs[coarser].strategies_explored
+                assert set(certs[finer].decision_points) <= set(certs[coarser].decision_points)
+        if base == "none":
+            assert set(certs["cone"].decision_points) <= set(certs["none"].decision_points)
 
 
 @st.composite

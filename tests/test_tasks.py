@@ -11,7 +11,6 @@ from nosignal import (
     Silence,
     SpacetimeConfig,
     Strategy,
-    TaskRequest,
     TaskSpec,
     Trace,
     ValidationError,
@@ -25,7 +24,7 @@ from nosignal.tasks import check_task
 
 
 def scenario(*requests):
-    return Scenario(frozenset(TaskRequest(*r) for r in requests))
+    return Scenario(frozenset(requests))
 
 
 class TestEvaluateTask:
@@ -138,7 +137,7 @@ def relabel_requirement(req):
     """Swap both labs; task ids stay put, so task1 now runs right-to-left."""
     return Requirement(
         Scenario(frozenset(
-            TaskRequest(r.task, SWAP[r.location], r.time) for r in req.scenario.requests
+            (task, SWAP[loc], t) for task, loc, t in req.scenario.requests
         )),
         req.rule,
     )
