@@ -8,7 +8,7 @@ across scenarios, an agent that cannot tell two scenarios apart is forced
 to act identically in both; that coupling is what makes the search honest
 about no-signaling.
 
-The default walk offers only sends that can still matter (the causal
+The walk offers only sends that can still matter (the causal
 diamond of Kent's no-summoning theorem, arXiv:1204.4022). Let ``(o, s)``
 range over the delivering departures ``(origin, at - distance)`` of the
 requested tasks, and ``latest[d] = max(s - dist(d, o))``. A send
@@ -83,7 +83,7 @@ class Certificate(Record):
     local history the search ever branched on, in first-encounter order.
     ``strategies_explored`` counts the refuted branches the walk visited:
     partial assignments cut at a time-slice boundary and complete ones that
-    failed. The default walk backjumps over the culprit's causal past; the
+    failed. The walk backjumps over the culprit's causal past; the
     branches it skips keep a refuted branch's conflicting decisions, so they
     are lost too and are not counted.
     ``leaf_failures`` holds, for each refuted branch in exploration order,
@@ -140,7 +140,6 @@ def find_strategy(
     tasks: Mapping[str, TaskSpec],
     limits: SearchLimits | None = None,
     on_leaf: Callable[[RawAssignment], None] | None = None,
-    prune: str = "cone",
 ) -> SearchOutcome:
     """Backtracking search over deterministic strategies on reachable histories.
 
@@ -148,34 +147,17 @@ def find_strategy(
     requirement (branch order is fixed: actions by ascending send-set size,
     then lexical destinations, so results are reproducible), ``Impossible``
     with a certificate once the whole tree is refuted, or ``Aborted`` when a
-    limit is hit. Every branch is judged at one site, a slice boundary; the
-    complete assignment is the boundary after the last slice. ``on_leaf``,
-    when given, observes each branch counted against ``max_branches`` before
-    it is recorded: each complete raw assignment, the winning one included,
-    and each partial one refuted at a slice boundary.
+    limit is hit. The walk is the one the module docstring describes:
+    menus of useful sends, live slots only (those whose menu holds more
+    than the empty action), every branch judged at a slice boundary, and a
+    backjump over the culprits' causal past after each refutation.
 
-    ``prune`` picks one of four walks of the same loop, which agree on the
-    outcome kind and on every ``Found`` strategy:
-
-    - ``"cone"`` (the default, and the walk the CLI runs) backjumps like
-      ``"backjump"``, but offers an agent only the subsets of its useful
-      destinations (see the module docstring) and steps only live slots,
-      those whose menu holds more than the empty action; a slice is the
-      live slots of one time;
-    - ``"backjump"`` refutes at slice boundaries and then jumps back over
-      the culprit's causal past: to the deepest decision that assigned a
-      history key the lost requirement's run read inside the past light
-      cone of the departure that lost it;
-    - ``"slice"`` refutes at slice boundaries and backtracks chronologically;
-    - ``"none"`` judges only complete assignments and backtracks
-      chronologically; it is the reference walk for leaf-count oracles.
-
-    The last three offer every agent all ``2^(labs-1)`` actions at every
-    time, so every slot is live.
+    ``on_leaf``, when given, observes each branch counted against
+    ``max_branches`` before it is recorded: each complete assignment, the
+    winning one included, and each partial one refuted at a slice boundary.
+    It receives the walk's live raw assignment dict, which the walk goes on
+    changing; a caller that keeps it must copy it.
     """
-    if prune not in ("cone", "backjump", "slice", "none"):
-        raise ValueError(f"prune: expected 'cone', 'backjump', 'slice' or 'none', got {prune!r}")
-    backjump = prune in ("cone", "backjump")
     limits = limits or SearchLimits()
     # Per requirement: its rule, per task the one departure that can produce
     # the delivery and the banned pairs, and all banned pairs; per time, the
@@ -194,15 +176,13 @@ def find_strategy(
     horizon = cfg.horizon
     lag = {o: [distance(a, o, cfg) for a in agents] for o in agents}
     others = {a: cfg.others(a) for a in agents}
-    last = horizon
-    if prune == "cone":
-        # latest[d]: the last time an arrival at d can still reach the origin
-        # of a delivering departure by its departure time. No lab has a
-        # useful send after its own latest, so none is stepped after ``last``.
-        departs = {dep for _, rows, _ in judge for dep, _ in rows}
-        latest = {d: max((s - lag[o][i] for o, _, s in departs), default=-1)
-                  for i, d in enumerate(agents)}
-        last = min(horizon, max(latest.values()))
+    # latest[d]: the last time an arrival at d can still reach the origin
+    # of a delivering departure by its departure time. No lab has a useful
+    # send after its own latest, so none is stepped after ``last``.
+    departs = {dep for _, rows, _ in judge for dep, _ in rows}
+    latest = {d: max((s - lag[o][i] for o, _, s in departs), default=-1)
+              for i, d in enumerate(agents)}
+    last = min(horizon, max(latest.values()))
 
     runs = [Run(cfg, requirement.scenario) for requirement in requirements]
     # Per slot: (t, run, agent, menu, index just past the slots of time t).
@@ -220,9 +200,8 @@ def find_strategy(
         due.update(due_at.get(t, ()))
         live = []
         for ai, agent in enumerate(agents):
-            dests = others[agent]
-            if prune == "cone":
-                dests = tuple(d for d in dests if t + lag[d][ai] <= latest[d] or (agent, d, t) in departs)
+            dests = tuple(d for d in others[agent]
+                          if t + lag[d][ai] <= latest[d] or (agent, d, t) in departs)
             if dests:
                 # ``dests`` is sorted, so each size comes out in lexical order.
                 menu = menus.get(dests)
@@ -236,9 +215,8 @@ def find_strategy(
                 for ai, agent, menu in live:
                     lanes[ri][ai].append(len(slots))
                     slots.append((t, run, agent, menu, end))
-            if prune != "none":
-                judges[end] = (t, due)
-                due = set()
+            judges[end] = (t, due)
+            due = set()
     n_slots = len(slots)
     judges[n_slots] = (horizon, set(range(len(runs))))
 
@@ -329,10 +307,8 @@ def find_strategy(
             continue
 
         leaf_failures.append(lost[0])
-        # The frames to jump back over: None stands for every decision
-        # frame, which makes the jump chronological backtracking.
-        conflict = conflict_set(*lost) if backjump else None
-        while stack and (conflict is None or conflict):
+        conflict = conflict_set(*lost)
+        while stack and conflict:
             key, sends, choice = stack.pop()
             origins.pop()
             slot_idx = len(stack)
@@ -341,13 +317,12 @@ def find_strategy(
                 run.unapply(t, agent, sends)
             if choice < 0:
                 continue
-            if conflict is None or slot_idx in conflict:
-                if conflict:
-                    conflict.discard(slot_idx)
-                    if slot_idx in carried:
-                        carried[slot_idx] |= conflict
-                    elif conflict:
-                        carried[slot_idx] = conflict
+            if slot_idx in conflict:
+                conflict.discard(slot_idx)
+                if slot_idx in carried:
+                    carried[slot_idx] |= conflict
+                elif conflict:
+                    carried[slot_idx] = conflict
                 choice += 1
                 if choice < len(menu):
                     sends = assignment[key] = menu[choice]
@@ -356,8 +331,7 @@ def find_strategy(
                     stack.append((key, sends, choice))
                     reuse_end = end
                     break
-                if conflict is not None:
-                    conflict = carried.pop(slot_idx, set())
+                conflict = carried.pop(slot_idx, set())
             del assignment[key]
             del decided[key]
             carried.pop(slot_idx, None)

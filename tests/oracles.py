@@ -80,73 +80,21 @@ def action_menu(locations):
 def recount_assignments(locations, horizon, scenarios, points):
     """Enumerate ALL total assignments over ``points`` by brute force.
 
-    scenarios: list of (requests, rule, task_rows). For each total assignment
-    runs every scenario, checks that some requirement fails, that every
-    queried key is one of ``points``, and collects the assignment restricted
-    to the keys actually queried. Returns (distinct restriction count,
-    total assignments, all_failed flag).
+    scenarios: list of (requests, rule, task_rows). Every key outside
+    ``points`` sends nothing. Runs every scenario under each assignment and
+    returns (total assignments, how many of them fail some requirement).
     """
     menu = action_menu(locations)
     point_list = sorted(points)
-    point_set = set(point_list)
     choices = [menu[agent] for agent, _, _ in point_list]
-    restrictions = set()
-    all_failed = True
-    total = 0
+    total = failed = 0
     for combo in itertools.product(*choices):
         total += 1
         assignment = dict(zip(point_list, combo))
-        queried = set()
-        failed = False
-        for requests, rule, task_rows in scenarios:
-            deps, arrs = mini_execute(locations, horizon, requests, assignment, record=queried)
-            if not requirement_ok(deps, arrs, rule, task_rows):
-                failed = True
-        if not failed:
-            all_failed = False
-        if not queried <= point_set:
-            raise AssertionError(f"reachable keys escaped the certificate: {queried - point_set}")
-        restrictions.add(frozenset((k, assignment[k]) for k in queried))
-    return len(restrictions), total, all_failed
-
-
-def recount_leaves(locations, horizon, scenarios):
-    """Lazy recount of complete strategies over reachable histories.
-
-    Independent traversal: re-runs every scenario from scratch at each node
-    and branches on the earliest-time missing key (canonical tiebreak),
-    which differs from the library's slot order. Returns (leaves,
-    any_leaf_satisfies_all).
-    """
-    menu = action_menu(locations)
-    counts = {"leaves": 0, "winners": 0}
-
-    def missing_key(assignment):
-        queried = set()
-        failed = False
-        for requests, rule, task_rows in scenarios:
-            deps, arrs = mini_execute(locations, horizon, requests, assignment, record=queried)
-            if not requirement_ok(deps, arrs, rule, task_rows):
-                failed = True
-        missing = sorted((k for k in queried if k not in assignment),
-                         key=lambda k: (k[1], k[0], k[2]))
-        return (missing[0] if missing else None), failed
-
-    def rec(assignment):
-        key, failed = missing_key(assignment)
-        if key is None:
-            counts["leaves"] += 1
-            if not failed:
-                counts["winners"] += 1
-            return
-        agent = key[0]
-        for sends in menu[agent]:
-            assignment[key] = sends
-            rec(assignment)
-            del assignment[key]
-
-    rec({})
-    return counts["leaves"], counts["winners"] > 0
+        if not all(requirement_ok(*mini_execute(locations, horizon, requests, assignment), rule, task_rows)
+                   for requests, rule, task_rows in scenarios):
+            failed += 1
+    return total, failed
 
 
 def requirement_lost(locations, departures, upto, rule, task_rows):
@@ -176,50 +124,50 @@ def truncated_departures(locations, horizon, requests, assignment, upto):
     return frozenset(dep for dep in departures if dep[2] <= upto)
 
 
-def recount_refuted(locations, horizon, scenarios):
-    """Lazy recount of the search refuted at time-slice boundaries.
+def decide(locations, horizon, scenarios, max_nodes):
+    """Whether some strategy over reachable histories meets every scenario.
 
-    Same traversal as ``recount_leaves``, but once every key queried up to
-    time t is assigned (slice t complete), the node is refuted when some
+    scenarios: list of (requests, rule, task_rows). Independent traversal
+    over full menus: re-runs every scenario from scratch at each node and
+    branches on the earliest-time missing key (canonical tiebreak), which
+    differs from the library's slot order. Once every key queried up to
+    time t is assigned (slice t complete), the node is cut when some
     requirement is already lost at t, judged by ``requirement_lost`` on the
-    truncated run; complete assignments are judged in full. Returns
-    (refuted count, {requirement index: count it failed first}, any
-    complete assignment satisfies all).
+    truncated run. Returns True at the first complete assignment meeting
+    every requirement, False once the tree is exhausted, and None once
+    more than ``max_nodes`` nodes were visited.
     """
     menu = action_menu(locations)
-    counts = {"refuted": 0, "winners": 0}
-    first_failures: dict[int, int] = {}
-
-    def first_lost(assignment, upto):
-        for index, (requests, rule, task_rows) in enumerate(scenarios):
-            departures = truncated_departures(locations, horizon, requests, assignment, upto)
-            if requirement_lost(locations, departures, upto, rule, task_rows):
-                return index
-        return None
+    nodes = 0
 
     def rec(assignment):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            return None
         queried = set()
-        for requests, _, _ in scenarios:
-            mini_execute(locations, horizon, requests, assignment, record=queried)
+        runs = [(mini_execute(locations, horizon, requests, assignment, record=queried), rule, task_rows)
+                for requests, rule, task_rows in scenarios]
         missing = sorted((k for k in queried if k not in assignment),
                          key=lambda k: (k[1], k[0], k[2]))
-        complete_upto = missing[0][1] - 1 if missing else horizon
-        failing = first_lost(assignment, complete_upto) if complete_upto >= 0 else None
-        if failing is not None:
-            counts["refuted"] += 1
-            first_failures[failing] = first_failures.get(failing, 0) + 1
-            return
         if not missing:
-            counts["winners"] += 1
-            return
+            return all(requirement_ok(deps, arrs, rule, task_rows)
+                       for (deps, arrs), rule, task_rows in runs)
+        upto = missing[0][1] - 1
+        if upto >= 0 and any(
+                requirement_lost(locations, {dep for dep in deps if dep[2] <= upto}, upto, rule, task_rows)
+                for (deps, _), rule, task_rows in runs):
+            return False
         key = missing[0]
         for sends in menu[key[0]]:
             assignment[key] = sends
-            rec(assignment)
+            verdict = rec(assignment)
             del assignment[key]
+            if verdict is not False:
+                return verdict
+        return False
 
-    rec({})
-    return counts["refuted"], first_failures, counts["winners"] > 0
+    return rec({})
 
 
 def brute_force_joint_satisfiable(locations, horizon, task_rows):

@@ -379,21 +379,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("name", ["replay1_seed0.json", "replay2_seed0.json"])
     def test_random_document_decided_in_few_branches(self, capsys, name):
         """Random benchmark documents (3 labs at horizon 30, 4 labs at horizon
-        120) where the slice walk needs over 100,000 and 32,768 branches;
-        the backjumping walks refute each in a handful."""
+        120) where a chronologically backtracking walk needs over 100,000 and
+        32,768 branches; the walk refutes each in a handful."""
         assert main(["search", "--config", str(GOLDEN.parent / name), "--json"]) == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["outcome"] == "impossible"
         assert payload["strategies_explored"] <= 20
 
     def test_largest_random_document_decided_in_few_branches(self, capsys):
-        """A random benchmark document (8 labs at horizon 400) that the
-        full-menu backjumping walk has not decided after 20,000 branches; the
-        cone walk refutes it in 66."""
-        assert main(["search", "--config", str(GOLDEN.parent / "replay4_seed0.json"), "--json"]) == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["outcome"] == "impossible"
-        assert payload["strategies_explored"] <= 100
+        """A random benchmark document (8 labs at horizon 400), refuted in
+        the 66 branches of its golden."""
+        assert main(["search", "--config", str(REPLAY4), "--json"]) == 3
+        assert capsys.readouterr().out == (GOLDEN / "search_replay4.json").read_text()
 
     @pytest.mark.parametrize("document", ["config", "strategy"])
     def test_deeply_nested_document_exits_2(self, capsys, tmp_path, document):
@@ -542,6 +539,7 @@ JSON_CASES = [
     (["check", "--config", str(REPLAY1), "--strategy", "obedient"], "check_replay1.json", 3),
     (["check", "--config", str(REPLAY2), "--strategy", "obedient"], "check_replay2.json", 3),
     (["check", "--config", str(REPLAY4), "--strategy", "obedient"], "check_replay4.json", 3),
+    (["search", "--config", str(REPLAY4)], "search_replay4.json", 3),
 ]
 # An edit value that deletes the key instead.
 DROP = object()

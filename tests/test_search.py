@@ -26,14 +26,14 @@ from nosignal import (
     no_signaling_audit,
     obedient_strategy,
 )
-from nosignal.config import strategy_rows
 from nosignal.search import _lost
 from nosignal.tasks import paradox_requirements
 from oracles import (
     brute_force_joint_satisfiable,
-    recount_leaves,
-    recount_refuted,
+    decide,
+    mini_execute,
     requirement_lost,
+    requirement_ok,
     truncated_departures,
 )
 
@@ -145,19 +145,6 @@ class TestFindStrategy:
 
 
 class TestCertificateSoundness:
-    def test_counts_match_independent_recount(self):
-        """The lazy recount re-derives the leaf count with its own executor
-        and a different traversal order."""
-        for gap in (1, 2, 3):
-            cfg, tasks, bundle = make_instance(gap)
-            outcome = find_strategy(cfg, bundle, tasks, prune="none")
-            assert isinstance(outcome, Impossible)
-            leaves, any_winner = recount_leaves(
-                cfg.locations, cfg.horizon, oracle_scenarios(bundle, tasks)
-            )
-            assert leaves == outcome.certificate.strategies_explored
-            assert not any_winner
-
     def test_decision_points_well_formed(self, d3):
         cfg, tasks, bundle = d3
         outcome = find_strategy(cfg, bundle, tasks)
@@ -179,8 +166,8 @@ def three_lab_paradox():
     return cfg, tasks, paradox_requirements(cfg, task1, task2)
 
 
-def pruned_instances():
-    """Impossible instances the pruned-certificate oracles are checked on."""
+def paradox_instances():
+    """Impossible instances the walk's refutations are checked on."""
     yield from (make_instance(gap) for gap in range(1, 7))
     yield three_lab_paradox()
 
@@ -189,7 +176,8 @@ def assert_refutations_sound(cfg, tasks, bundle, assignments, failures):
     """Each observed branch, run to its last slice, has already lost its requirement.
 
     ``failures`` gives the recorded requirement index per branch; where it is
-    None (a Found outcome records none), some requirement must be lost.
+    None (a Found or Aborted outcome records none), some requirement must be
+    lost.
     """
     scenarios = oracle_scenarios(bundle, tasks)
     for i, assignment in enumerate(assignments):
@@ -204,78 +192,51 @@ def assert_refutations_sound(cfg, tasks, bundle, assignments, failures):
 
 
 class TestPrunedCertificate:
-    def test_counts_match_independent_recount(self):
-        """The slice walk's counts are those of the oracle's slice-pruned recount."""
-        for cfg, tasks, bundle in pruned_instances():
-            outcome = find_strategy(cfg, bundle, tasks, prune="slice")
-            assert isinstance(outcome, Impossible)
-            cert = outcome.certificate
-            refuted, first_failures, any_winner = recount_refuted(
-                cfg.locations, cfg.horizon, oracle_scenarios(bundle, tasks)
-            )
-            assert refuted == cert.strategies_explored
-            assert first_failures == cert.failures_by_requirement()
-            assert not any_winner
-
     def test_singles_bundle_recount_finds_a_winner(self, d3):
         cfg, tasks, (r1, r2, _) = d3
         assert isinstance(find_strategy(cfg, [r1, r2], tasks), Found)
-        refuted, _, any_winner = recount_refuted(
-            cfg.locations, cfg.horizon, oracle_scenarios([r1, r2], tasks)
-        )
-        assert any_winner and refuted > 0
+        assert decide(cfg.locations, cfg.horizon, oracle_scenarios([r1, r2], tasks), 5_000)
 
     def test_every_refuted_branch_already_lost(self, d3):
-        """Every branch the cone walk or the backjumping walk refutes has lost its requirement."""
-        for prune in ("cone", "backjump"):
-            for cfg, tasks, bundle in pruned_instances():
-                seen = []
-                outcome = find_strategy(cfg, bundle, tasks, on_leaf=lambda a: seen.append(dict(a)),
-                                        prune=prune)
-                failures = outcome.certificate.leaf_failures
-                assert len(seen) == len(failures)
-                assert_refutations_sound(cfg, tasks, bundle, seen, failures)
-
-            cfg, tasks, (r1, r2, _) = d3
+        """Every branch the walk refutes has lost its requirement."""
+        for cfg, tasks, bundle in paradox_instances():
             seen = []
-            outcome = find_strategy(cfg, [r1, r2], tasks, on_leaf=lambda a: seen.append(dict(a)),
-                                    prune=prune)
-            assert isinstance(outcome, Found)
-            assert_refutations_sound(cfg, tasks, [r1, r2], seen[:-1], None)  # last one won
+            outcome = find_strategy(cfg, bundle, tasks, on_leaf=lambda a: seen.append(dict(a)))
+            failures = outcome.certificate.leaf_failures
+            assert len(seen) == len(failures)
+            assert_refutations_sound(cfg, tasks, bundle, seen, failures)
+
+        cfg, tasks, (r1, r2, _) = d3
+        seen = []
+        outcome = find_strategy(cfg, [r1, r2], tasks, on_leaf=lambda a: seen.append(dict(a)))
+        assert isinstance(outcome, Found)
+        assert_refutations_sound(cfg, tasks, [r1, r2], seen[:-1], None)  # last one won
 
     def test_paradox_refuted_at_time_zero(self):
-        """Gate: the slice walk takes 16 branches over the 4 decision points of t=0, at any gap."""
+        """Gate: at H = 16 every branch is cut at the t=0 slice boundary; no
+        key of a later time is ever assigned."""
         cfg, tasks, bundle = make_instance(16)
-        outcome = find_strategy(cfg, bundle, tasks, prune="slice")
+        seen = []
+        outcome = find_strategy(cfg, bundle, tasks, on_leaf=lambda a: seen.append(dict(a)))
         assert isinstance(outcome, Impossible)
-        assert outcome.certificate.strategies_explored == 16
-        assert len(outcome.certificate.decision_points) == 4
-        assert all(t == 0 for _, t, _ in outcome.certificate.decision_points)
+        assert len(seen) == outcome.certificate.strategies_explored
+        assert all(t == 0 for assignment in seen for _, t, _ in assignment)
 
     @pytest.mark.parametrize("gap", [1, 16])
     def test_paradox_backjumps_to_the_shared_key(self, gap):
-        """Gate: the backjumping walk takes 3 branches over the same 4 decision points.
+        """Gate: 3 branches over the 4 decision points of t=0, at any gap.
 
         Not sending at L's shared key loses requirement 0, not sending at R's
         loses requirement 1, and sending at both breaks both bans in the dual
         scenario; each refutation blames only the keys in the culprit's past.
         """
         cfg, tasks, bundle = make_instance(gap)
-        outcome = find_strategy(cfg, bundle, tasks, prune="backjump")
+        outcome = find_strategy(cfg, bundle, tasks)
         assert isinstance(outcome, Impossible)
         cert = outcome.certificate
         assert (cert.strategies_explored, cert.leaf_failures) == (3, (0, 1, 2))
         assert len(cert.decision_points) == 4
         assert all(t == 0 for _, t, _ in cert.decision_points)
-
-    def test_three_lab_paradox_backjumps(self):
-        """Gate: 10 branches where the slice walk takes 1,024."""
-        cfg, tasks, bundle = three_lab_paradox()
-        outcome = find_strategy(cfg, bundle, tasks, prune="backjump")
-        assert isinstance(outcome, Impossible)
-        assert outcome.certificate.strategies_explored == 10
-        slice_walk = find_strategy(cfg, bundle, tasks, prune="slice")
-        assert slice_walk.certificate.strategies_explored == 1024
 
     def test_three_lab_paradox_cone(self):
         """Gate: 3 branches. No send to or from the relay B can reach A or C
@@ -289,16 +250,14 @@ class TestPrunedCertificate:
         assert {(agent, t) for agent, t, _ in cert.decision_points} == {("A", 0), ("C", 0)}
 
     def test_idle_deep_horizon_found_with_no_slot(self):
-        """No task is requested, so no send is useful: the cone walk steps no
-        slot and judges one empty assignment at H = 600. The full-menu walk
-        steps all 1,202 slots to the same Found."""
+        """No task is requested, so no send is useful: the walk steps no slot
+        and judges one empty assignment at H = 600."""
         cfg = SpacetimeConfig({"L": 0, "R": 5}, horizon=600)
         idle = [Requirement(Scenario(), Rule.ALL)]
         seen = []
         outcome = find_strategy(cfg, idle, {}, on_leaf=lambda a: seen.append(dict(a)))
         assert isinstance(outcome, Found) and outcome.strategy.table == {}
         assert seen == [{}]
-        assert find_strategy(cfg, idle, {}, prune="backjump") == outcome
 
 
 @st.composite
@@ -334,37 +293,27 @@ _D2_CFG, _D2_TASKS, (_, _, _D2_BOTH) = make_instance(2)
 @given(small_instances())
 @example((_D2_CFG, _D2_TASKS, [_D2_BOTH]))  # at_least_one met while one task is lost
 @settings(max_examples=150, deadline=None)
-def test_pruning_keeps_outcomes(instance):
-    """The least pruned walk that decides within the cap is the reference:
-    the unpruned walk, else the slice walk, else the backjumping walk. Every
-    walk pruned further reaches its outcome kind and its Found strategy.
-    The slice and backjumping walks take no more branches than the walk
-    each prunes; the cone walk, which drops useless sends, branches only on
-    keys the unpruned walk branched on too, but may take more branches than
-    the backjumping walk."""
+def test_walk_agrees_with_oracle(instance):
+    """Wherever the oracle decider decides within 5,000 nodes, the walk
+    reaches the same outcome kind within 5,000 branches. A Found strategy
+    meets every scenario on the oracle's executor, and every branch the
+    walk reports refuted has already lost a requirement."""
     cfg, tasks, requirements = instance
-    limits = SearchLimits(max_branches=5_000)
-    walks = {prune: find_strategy(cfg, requirements, tasks, limits, prune=prune)
-             for prune in ("none", "slice", "backjump", "cone")}
-    base = next((prune for prune in ("none", "slice", "backjump")
-                 if not isinstance(walks[prune], Aborted)), None)
-    if base is None:
-        return
-    reference = walks[base]
-    pruned = list(walks)[list(walks).index(base) + 1:]
-    for prune in pruned:
-        assert type(walks[prune]) is type(reference)
-        if isinstance(reference, Found):
-            assert strategy_rows(walks[prune].strategy) == strategy_rows(reference.strategy)
-            assert walks[prune] == reference
-    if isinstance(reference, Impossible):
-        certs = {prune: walks[prune].certificate for prune in (base, *pruned)}
-        for finer, coarser in (("slice", "none"), ("backjump", "slice")):
-            if coarser in certs:
-                assert certs[finer].strategies_explored <= certs[coarser].strategies_explored
-                assert set(certs[finer].decision_points) <= set(certs[coarser].decision_points)
-        if base == "none":
-            assert set(certs["cone"].decision_points) <= set(certs["none"].decision_points)
+    scenarios = oracle_scenarios(requirements, tasks)
+    seen = []
+    outcome = find_strategy(cfg, requirements, tasks, SearchLimits(max_branches=5_000),
+                            on_leaf=lambda a: seen.append(dict(a)))
+    verdict = decide(cfg.locations, cfg.horizon, scenarios, 5_000)
+    if verdict is not None:
+        assert type(outcome) is (Found if verdict else Impossible)
+    if isinstance(outcome, Found):
+        for requests, rule, task_rows in scenarios:
+            departures, arrivals = mini_execute(cfg.locations, cfg.horizon, requests,
+                                                outcome.strategy.table)
+            assert requirement_ok(departures, arrivals, rule, task_rows)
+        seen.pop()  # the winning branch
+    failures = outcome.certificate.leaf_failures if isinstance(outcome, Impossible) else None
+    assert_refutations_sound(cfg, tasks, requirements, seen, failures)
 
 
 @st.composite
