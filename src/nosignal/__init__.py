@@ -17,10 +17,10 @@ _HOMES = {
     "audit": "AuditReport indistinguishable no_signaling_audit",
     "errors": "DuplicateTask InvalidScenario ParseError SameLocation SimulationError "
               "UnachievableTask UnknownLocation ValidationError",
-    "protocol": "Scenario Strategy Trace execute local_history obedient_strategy",
+    "protocol": "Scenario Trace execute local_history obedient_strategy",
     "search": "Aborted Certificate Found Impossible SearchLimits SearchOutcome "
               "find_strategy mutually_exclusive",
-    "spacetime": "Event SpacetimeConfig causal_leq distance signal_arrival",
+    "spacetime": "SpacetimeConfig causal_leq distance signal_arrival",
     "tasks": "Deliver Requirement RequirementReport Rule Silence TaskSpec "
              "evaluate_requirement evaluate_task paradox_requirements",
 }

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .protocol import RawKey, Scenario, Strategy, execute, local_history
+from .protocol import RawAssignment, RawKey, Scenario, execute, local_history
 from .record import Record
 from .spacetime import SpacetimeConfig
 
 
 def indistinguishable(
     cfg: SpacetimeConfig,
-    strategy: Strategy,
+    strategy: RawAssignment,
     s1: Scenario,
     s2: Scenario,
     agent: str,
@@ -53,7 +53,7 @@ class AuditReport(Record):
 
 def no_signaling_audit(
     cfg: SpacetimeConfig,
-    strategy: Strategy,
+    strategy: RawAssignment,
     scenario_pairs: Iterable[tuple[Scenario, Scenario]],
 ) -> AuditReport:
     """Audit that indistinguishable histories produce identical behavior.

@@ -34,7 +34,7 @@ from .config import (
 )
 from .diagram import render_diagram
 from .errors import ParseError, SimulationError
-from .protocol import Scenario, Strategy, Trace, execute, obedient_strategy, strategy_slots
+from .protocol import RawAssignment, Scenario, Trace, execute, obedient_strategy, strategy_slots
 from .search import Aborted, Found, Impossible, SearchLimits, find_strategy
 from .tasks import RequirementReport, evaluate_requirement, evaluate_task
 
@@ -65,7 +65,7 @@ def _pick_scenario(doc: ConfigDocument, name: str) -> Scenario:
     return doc.scenarios[name]
 
 
-def _pick_strategy(source: str, doc: ConfigDocument) -> Strategy:
+def _pick_strategy(source: str, doc: ConfigDocument) -> RawAssignment:
     if source == "obedient":
         return obedient_strategy(doc.spacetime, doc.tasks)
     return load_strategy(_read(source), doc.spacetime, doc.tasks)

@@ -13,7 +13,7 @@ import json
 from collections.abc import Callable, Mapping
 
 from .errors import ParseError, SimulationError, ValidationError
-from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, Scenario, Strategy, check_request
+from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, Scenario, check_request
 from .record import Record
 from .search import SearchLimits
 from .spacetime import SpacetimeConfig
@@ -30,13 +30,10 @@ class NamedRequirement(Record):
 
 
 class ConfigDocument(Record):
-    """A loaded config document. Mutable, so unhashable; a new document
-    gets a new empty requirement list unless one is given."""
+    """A loaded config document. Its dict fields make it unhashable; a new
+    document gets a new empty requirement list unless one is given."""
 
     __slots__ = ("spacetime", "tasks", "scenarios", "requirements", "limits")
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
     def __init__(self, spacetime: SpacetimeConfig, tasks: dict[str, TaskSpec],
                  scenarios: dict[str, Scenario], requirements: list[NamedRequirement] | None = None,
@@ -232,7 +229,7 @@ def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
     return (time, kind, label)
 
 
-def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> Strategy:
+def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> RawAssignment:
     """Parse and validate a strategy document against a configuration."""
     (rows,) = _fields(_parse(text), _STRATEGY, ())
     table: RawAssignment = {}
@@ -259,17 +256,17 @@ def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]
         sends = tuple(sorted(dests))
         if table.setdefault(key, sends) != sends:
             _fail(("rows", i), "conflicting duplicate of an earlier row")
-    return Strategy(table)
+    return table
 
 
-def strategy_rows(strategy: Strategy) -> list[dict[str, object]]:
-    """Strategy table as JSON-ready rows in canonical order."""
+def strategy_rows(strategy: RawAssignment) -> list[dict[str, object]]:
+    """A strategy's table as JSON-ready rows in canonical order."""
     return [
         {
             "agent": agent,
             "history": {"upto": upto, "events": [_event_to_json(e) for e in events]},
             "action": {"send": sorted(sends)},
         }
-        for (agent, upto, events), sends in sorted(strategy.table.items())
+        for (agent, upto, events), sends in sorted(strategy.items())
     ]
 

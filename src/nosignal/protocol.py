@@ -23,7 +23,7 @@ from collections.abc import Iterable, Mapping
 
 from .errors import InvalidScenario, SameLocation, UnachievableTask, ValidationError
 from .record import Record
-from .spacetime import Event, SpacetimeConfig, check_event, distance
+from .spacetime import SpacetimeConfig, check_event, distance
 
 # ``TaskSpec`` (from ``.tasks``, which imports this module) appears in annotations only.
 
@@ -35,29 +35,13 @@ KIND_SIGNAL = "signal"  # sorts after "request", giving the canonical order for 
 # events are (time, kind, label) tuples in canonical order, which is tuple
 # order: ascending time, requests before signal arrivals, then label. The
 # label is a task id for a request and the origin lab for an arrival. Equal
-# keys are the same observation record. A strategy's table maps these keys
-# to sorted tuples of distinct destinations; ``find_strategy`` hands such
-# assignments to its ``on_leaf`` callback and lists them in its certificates.
+# keys are the same observation record. A strategy is a ``RawAssignment``
+# dict from these keys to sorted tuples of distinct destinations; an
+# unmapped key sends nothing, so every dict is a total strategy and ``{}``
+# does nothing. ``find_strategy`` hands such assignments to its ``on_leaf``
+# callback and lists their keys in its certificates.
 RawKey = tuple[str, int, tuple[tuple[int, str, str], ...]]
 RawAssignment = dict[RawKey, tuple[str, ...]]
-
-
-class Strategy(Record):
-    """Deterministic map from an agent's raw history key to the labs it sends to.
-
-    ``table`` maps ``(agent, t, events)`` to a sorted tuple of distinct
-    destinations. Unmapped keys send nothing, which makes every table a
-    total strategy and "do nothing" the base case. Mutable, so unhashable;
-    a new strategy gets a new empty table.
-    """
-
-    __slots__ = ("table",)
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-
-    def __init__(self, table: RawAssignment | None = None):
-        self._fill({} if table is None else table)
 
 
 class Scenario(Record):
@@ -131,7 +115,7 @@ def local_history(trace: Trace, agent: str, t: int, cfg: SpacetimeConfig) -> Raw
     Contains exactly the requests submitted at the agent's location and the
     signal arrivals delivered there, up to and including ``t``.
     """
-    check_event(Event(agent, t), cfg)
+    check_event((agent, t), cfg)
     events = [
         (time, KIND_REQUEST, task)
         for task, loc, time in trace.requests
@@ -196,12 +180,12 @@ class Run:
                 self.received[dest].pop()
 
 
-def strategy_slots(cfg: SpacetimeConfig, strategy: Strategy) -> list[tuple[int, str]]:
-    """The in-horizon ``(t, agent)`` slots the table names, t then agent ascending."""
-    return sorted({(t, a) for a, t, _ in strategy.table if 0 <= t <= cfg.horizon and a in cfg.locations})
+def strategy_slots(cfg: SpacetimeConfig, strategy: RawAssignment) -> list[tuple[int, str]]:
+    """The in-horizon ``(t, agent)`` slots the strategy names, t then agent ascending."""
+    return sorted({(t, a) for a, t, _ in strategy if 0 <= t <= cfg.horizon and a in cfg.locations})
 
 
-def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy,
+def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: RawAssignment,
             slots: list[tuple[int, str]] | None = None) -> Trace:
     """Run the synchronous loop through the strategy's slots; return the trace.
 
@@ -210,17 +194,16 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy,
     turn each send into a departure at t arriving at t + distance. A row
     keyed ``(agent, t, events)`` can only match that agent's history at
     that t, and every other agent-step sends nothing, so only the
-    ``(t, agent)`` slots the table names are looked up: t ascending, agents
+    ``(t, agent)`` slots the strategy names are looked up: t ascending, agents
     in ``cfg.agents`` order. Identical inputs yield identical traces. A
     send to the agent itself, to an unknown lab or twice to one lab is
     refused. A caller that runs one strategy on several scenarios may pass
     ``strategy_slots(cfg, strategy)`` as ``slots`` to find them once.
     """
     check_scenario(scenario, cfg)
-    table = strategy.table
     run = Run(cfg, scenario)
     for t, agent in strategy_slots(cfg, strategy) if slots is None else slots:
-        sends = table.get(run.key(t, agent))
+        sends = strategy.get(run.key(t, agent))
         if sends:
             for dest in sends:
                 if dest == agent:
@@ -239,7 +222,7 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: Strategy,
     )
 
 
-def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> Strategy:
+def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> RawAssignment:
     """The strategy where each agent does exactly what a request asks.
 
     For a task delivering origin -> dest at time ``at``, the request is
@@ -260,4 +243,4 @@ def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> St
                 f"takes to reach {deliver.dest!r}"
             )
         table[(deliver.origin, submit, ((submit, KIND_REQUEST, task_id),))] = (deliver.dest,)
-    return Strategy(table)
+    return table

@@ -7,9 +7,8 @@ instances of the same class only), a ``Name(field=value, ...)`` repr, a
 guard that rejects assignment, and pickling through the constructor.
 Nothing is generated or ``exec``-ed at import; each class only looks up an
 ``operator.attrgetter`` of its fields and their slots' setters, so fields
-are read and written in C. ``Ordered`` adds the comparisons. A mutable
-subclass sets ``__hash__ = None`` and restores ``object.__setattr__`` and
-``object.__delattr__``.
+are read and written in C. No subclass overrides any of this: every
+record is frozen and unordered.
 """
 
 from operator import attrgetter
@@ -50,23 +49,3 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
-
-
-class Ordered(Record):
-    """A record that orders like its field tuple.
-
-    Python answers ``a > b`` with ``b < a`` and ``a >= b`` with ``b <= a``,
-    so the two methods below are all the ordering needs.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) < other._values(other)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) <= other._values(other)

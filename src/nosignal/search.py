@@ -51,7 +51,7 @@ import itertools
 from collections.abc import Callable, Collection, Mapping, Sequence
 
 from .errors import ValidationError
-from .protocol import RawAssignment, RawKey, Run, Strategy, check_scenario
+from .protocol import RawAssignment, RawKey, Run, check_scenario
 from .record import Record
 from .spacetime import SpacetimeConfig, distance
 from .tasks import (
@@ -108,7 +108,7 @@ class Found(Record):
 
     __slots__ = ("strategy", "reports")
 
-    def __init__(self, strategy: Strategy, reports: tuple[RequirementReport, ...]):
+    def __init__(self, strategy: RawAssignment, reports: tuple[RequirementReport, ...]):
         self._fill(strategy, reports)
 
 
@@ -278,7 +278,7 @@ def find_strategy(
                 if on_leaf is not None:
                     on_leaf(assignment)
                 if lost is None:
-                    strategy = Strategy({key: sends for key, sends in assignment.items() if sends})
+                    strategy = {key: sends for key, sends in assignment.items() if sends}
                     reports = tuple(evaluate_requirement(cfg, strategy, requirement, tasks)
                                     for requirement in requirements)
                     assert all(r.satisfied for r in reports)

@@ -9,7 +9,7 @@ light signal could connect them.
 from __future__ import annotations
 
 from .errors import SameLocation, UnknownLocation, ValidationError
-from .record import Ordered, Record
+from .record import Record
 
 
 class SpacetimeConfig(Record):
@@ -47,19 +47,12 @@ class SpacetimeConfig(Record):
         return tuple(a for a in self.agents if a != loc)
 
 
-class Event(Ordered):
-    """A (location, time) point on the lattice."""
-
-    __slots__ = ("location", "time")
-
-    def __init__(self, location: str, time: int):
-        self._fill(location, time)
-
-
-def check_event(event: Event, cfg: SpacetimeConfig) -> None:
-    cfg.coord(event.location)
-    if not 0 <= event.time <= cfg.horizon:
-        raise ValidationError(f"event time {event.time} outside [0, {cfg.horizon}]")
+def check_event(event: tuple[str, int], cfg: SpacetimeConfig) -> None:
+    """The ``(location, time)`` point is on the lattice: a known lab, a time in the horizon."""
+    location, time = event
+    cfg.coord(location)
+    if not 0 <= time <= cfg.horizon:
+        raise ValidationError(f"event time {time} outside [0, {cfg.horizon}]")
 
 
 def distance(a: str, b: str, cfg: SpacetimeConfig) -> int:
@@ -81,13 +74,14 @@ def signal_arrival(origin: str, dest: str, depart: int, cfg: SpacetimeConfig) ->
     return depart + d
 
 
-def causal_leq(e1: Event, e2: Event, cfg: SpacetimeConfig) -> bool:
-    """True iff an influence moving at most one cell per step from ``e1``
-    can reach ``e2``.
+def causal_leq(e1: tuple[str, int], e2: tuple[str, int], cfg: SpacetimeConfig) -> bool:
+    """True iff an influence moving at most one cell per step from the
+    ``(location, time)`` event ``e1`` can reach ``e2``.
 
     Includes the lightlike boundary, since signals here travel at exactly
     light speed. Reflexive, and a partial order over valid events.
     """
     check_event(e1, cfg)
     check_event(e2, cfg)
-    return e2.time - e1.time >= distance(e1.location, e2.location, cfg)
+    (loc1, t1), (loc2, t2) = e1, e2
+    return t2 - t1 >= distance(loc1, loc2, cfg)

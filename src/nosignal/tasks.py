@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from enum import Enum
 
 from .errors import DuplicateTask, UnknownLocation, ValidationError
-from .protocol import Scenario, Strategy, Trace, execute
+from .protocol import RawAssignment, Scenario, Trace, execute
 from .record import Record
 from .spacetime import SpacetimeConfig
 
@@ -118,7 +118,7 @@ def evaluate_task(trace: Trace, task: TaskSpec, cfg: SpacetimeConfig) -> bool:
 
 def evaluate_requirement(
     cfg: SpacetimeConfig,
-    strategy: Strategy,
+    strategy: RawAssignment,
     requirement: Requirement,
     tasks: Mapping[str, TaskSpec],
     slots: list[tuple[int, str]] | None = None,

@@ -19,7 +19,6 @@ from nosignal import (
     Impossible,
     Scenario,
     SpacetimeConfig,
-    Strategy,
     evaluate_requirement,
     evaluate_task,
     execute,
@@ -147,7 +146,7 @@ def _random_world(rng):
             events.append((rng.randint(0, upto), "signal", rng.choice(cfg.others(agent))))
         sends = tuple(d for d in cfg.others(agent) if rng.random() < 0.5)
         table[(agent, upto, tuple(sorted(events)))] = sends
-    return cfg, s1, s2, Strategy(table)
+    return cfg, s1, s2, table
 
 
 def test_criterion_5_indistinguishability():

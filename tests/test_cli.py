@@ -20,7 +20,6 @@ from nosignal import (
     SearchLimits,
     Silence,
     SpacetimeConfig,
-    Strategy,
     TaskSpec,
     Trace,
     ValidationError,
@@ -102,7 +101,7 @@ def strategy_documents(draw):
             events |= st.tuples(times, st.just("request"), st.sampled_from(sorted(doc.tasks)))
         key = (agent, upto, tuple(sorted(draw(st.lists(events, max_size=3, unique=True)))))
         table[key] = tuple(sorted(draw(st.lists(st.sampled_from(cfg.others(agent)), unique=True))))
-    return doc, Strategy(table)
+    return doc, table
 
 
 class TestLoadConfig:

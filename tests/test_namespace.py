@@ -12,10 +12,10 @@ import nosignal
 
 REPO = Path(__file__).resolve().parent.parent
 PUBLIC = [
-    "Aborted", "AuditReport", "Certificate", "Deliver", "DuplicateTask", "Event",
+    "Aborted", "AuditReport", "Certificate", "Deliver", "DuplicateTask",
     "Found", "Impossible", "InvalidScenario", "ParseError", "Requirement",
     "RequirementReport", "Rule", "SameLocation", "Scenario", "SearchLimits",
-    "SearchOutcome", "Silence", "SimulationError", "SpacetimeConfig", "Strategy",
+    "SearchOutcome", "Silence", "SimulationError", "SpacetimeConfig",
     "TaskSpec", "Trace", "UnachievableTask", "UnknownLocation",
     "ValidationError", "causal_leq", "distance", "evaluate_requirement", "evaluate_task",
     "execute", "find_strategy", "indistinguishable", "local_history", "mutually_exclusive",
@@ -28,11 +28,10 @@ HOMES = {
     "audit": ["AuditReport", "indistinguishable", "no_signaling_audit"],
     "errors": ["DuplicateTask", "InvalidScenario", "ParseError", "SameLocation",
                "SimulationError", "UnachievableTask", "UnknownLocation", "ValidationError"],
-    "protocol": ["Scenario", "Strategy", "Trace", "execute", "local_history",
-                 "obedient_strategy"],
+    "protocol": ["Scenario", "Trace", "execute", "local_history", "obedient_strategy"],
     "search": ["Aborted", "Certificate", "Found", "Impossible", "SearchLimits", "SearchOutcome",
                "find_strategy", "mutually_exclusive"],
-    "spacetime": ["Event", "SpacetimeConfig", "causal_leq", "distance", "signal_arrival"],
+    "spacetime": ["SpacetimeConfig", "causal_leq", "distance", "signal_arrival"],
     "tasks": ["Deliver", "Requirement", "RequirementReport", "Rule", "Silence", "TaskSpec",
               "evaluate_requirement", "evaluate_task", "paradox_requirements"],
 }

@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 from nosignal import (
-    Event,
     InvalidScenario,
     Scenario,
     SimulationError,
     SpacetimeConfig,
-    Strategy,
     SameLocation,
     Trace,
     UnachievableTask,
@@ -45,7 +43,7 @@ CFG3 = SpacetimeConfig({"L": 0, "R": 3}, horizon=3)
     lambda: SpacetimeConfig({"L": 0}, horizon=3),
     lambda: SpacetimeConfig({"L": 0, "R": 0}, horizon=3),
     lambda: SpacetimeConfig({"L": 0, "R": 3}, horizon=0),
-    lambda: check_event(Event("L", 4), CFG3),
+    lambda: check_event(("L", 4), CFG3),
     lambda: signal_arrival("L", "R", 4, CFG3),
     lambda: check_trace(Trace(arrivals=frozenset({("L", "R", 3)})), CFG3),
     lambda: check_trace(Trace(departures=frozenset({("L", "R", 0)})), CFG3),
@@ -144,7 +142,7 @@ class TestExecute:
 
     def test_late_departure_never_arrives(self, d3):
         cfg, _, _ = d3
-        strategy = Strategy({("L", 2, ()): ("R",)})
+        strategy = {("L", 2, ()): ("R",)}
         trace = execute(cfg, Scenario(), strategy)
         assert trace.departures == {("L", "R", 2)}  # would arrive at 5 > horizon
         assert trace.arrivals == frozenset()
@@ -156,29 +154,29 @@ class TestReachability:
 
     def test_reached_self_send_raises(self, d3):
         cfg, _, _ = d3
-        strategy = Strategy({("R", 1, ()): ("R",)})
+        strategy = {("R", 1, ()): ("R",)}
         with pytest.raises(SameLocation):
             execute(cfg, Scenario(), strategy)
 
     def test_reached_send_to_unknown_lab_raises(self, d3):
         cfg, _, _ = d3
-        strategy = Strategy({("L", 0, ()): ("Z",)})
+        strategy = {("L", 0, ()): ("Z",)}
         with pytest.raises(UnknownLocation):
             execute(cfg, Scenario(), strategy)
 
     def test_reached_repeated_send_raises(self, d3):
         cfg, _, _ = d3
-        strategy = Strategy({("L", 0, ()): ("R", "R")})
+        strategy = {("L", 0, ()): ("R", "R")}
         with pytest.raises(ValidationError, match="^agent 'L' sends to 'R' more than once$"):
             execute(cfg, Scenario(), strategy)
 
     def test_unreached_rows_are_ignored(self, d3):
         cfg, _, _ = d3
-        strategy = Strategy({
+        strategy = {
             ("R", 1, ((0, "request", "task2"),)): ("R",),
             ("L", cfg.horizon + 2, ()): ("Z",),
             ("X", 0, ()): ("L",),
-        })
+        }
         assert execute(cfg, Scenario(), strategy) == Trace()
 
     def test_looks_up_only_the_slots_the_table_names(self, d3, monkeypatch):
@@ -191,12 +189,12 @@ class TestReachability:
             return key(run, t, agent)
 
         monkeypatch.setattr(Run, "key", counted)
-        strategy = Strategy({
+        strategy = {
             ("L", 0, ((0, "request", "task1"),)): ("R",),
             ("L", 0, ()): (),
             ("R", 3, ((3, "signal", "L"),)): ("L",),
             ("R", cfg.horizon + 1, ()): ("L",),
-        })
+        }
         trace = execute(cfg, scenario(("task1", "L", 0)), strategy)
         assert sorted(calls) == [("L", 0), ("R", 3)]
         assert trace.departures == {("L", "R", 0), ("R", "L", 3)}
@@ -206,17 +204,17 @@ class TestObedientStrategy:
     def test_sends_on_request(self, d3):
         cfg, tasks, _ = d3
         strategy = obedient_strategy(cfg, tasks)
-        assert strategy.table.get(("L", 0, ((0, "request", "task1"),)), ()) == ("R",)
+        assert strategy.get(("L", 0, ((0, "request", "task1"),)), ()) == ("R",)
 
     def test_idle_without_request(self, d3):
         cfg, tasks, _ = d3
         strategy = obedient_strategy(cfg, tasks)
-        assert strategy.table.get(("R", 0, ()), ()) == ()
+        assert strategy.get(("R", 0, ()), ()) == ()
 
     def test_symmetric_task(self, d3):
         cfg, tasks, _ = d3
         strategy = obedient_strategy(cfg, tasks)
-        assert strategy.table.get(("R", 0, ((0, "request", "task2"),)), ()) == ("L",)
+        assert strategy.get(("R", 0, ((0, "request", "task2"),)), ()) == ("L",)
 
     def test_unachievable_delivery_rejected(self):
         cfg, tasks, _ = make_instance(3)
@@ -268,7 +266,7 @@ def worlds(draw):
             events.append((draw(st.integers(0, upto)), "signal", origin))
         sends = draw(st.lists(st.sampled_from(cfg.others(agent)), unique=True))
         table[(agent, upto, tuple(sorted(events)))] = tuple(sorted(sends))
-    return cfg, s1, s2, Strategy(table)
+    return cfg, s1, s2, table
 
 
 @st.composite
@@ -338,7 +336,7 @@ def test_local_history_is_the_run_key(world):
             for agent in cfg.agents:
                 key = run.key(t, agent)
                 assert local_history(trace, agent, t, cfg) == key
-                run.apply(t, agent, strategy.table.get(key, ()))
+                run.apply(t, agent, strategy.get(key, ()))
 
 
 @given(worlds())
@@ -361,7 +359,7 @@ def test_execute_matches_oracle_executor(world):
         trace = execute(cfg, s, strategy)
         requests = list(s.requests)
         assert (trace.departures, trace.arrivals) == mini_execute(
-            cfg.locations, cfg.horizon, requests, strategy.table
+            cfg.locations, cfg.horizon, requests, strategy
         )
 
 
@@ -375,14 +373,14 @@ def influence_strategies(cfg):
         react[(agent, 0, ((0, "request", "a" if agent == "L" else "b"),))] = (other,)
         react[(agent, 1, ((1, "signal", other),))] = (other,)
     spontaneous = {("L", 1, ()): ("R",)}
-    return [Strategy({}), Strategy(react), Strategy({**react, **spontaneous})]
+    return [{}, react, {**react, **spontaneous}]
 
 
 def changed_events(before, after):
     """Events hosting any trace element that differs between two traces."""
-    events = {Event(loc, t) for _, loc, t in before.requests ^ after.requests}
-    events |= {Event(o, t) for o, _, t in before.departures ^ after.departures}
-    events |= {Event(d, t) for _, d, t in before.arrivals ^ after.arrivals}
+    events = {(loc, t) for _, loc, t in before.requests ^ after.requests}
+    events |= {(o, t) for o, _, t in before.departures ^ after.departures}
+    events |= {(d, t) for _, d, t in before.arrivals ^ after.arrivals}
     return events
 
 
@@ -412,7 +410,7 @@ def test_influence_respects_light_cone():
                 if (loc, t) in taken:
                     continue
                 after = execute(cfg, Scenario(base | {extra}), strategy)
-                source = Event(loc, t)
+                source = (loc, t)
                 for event in changed_events(before, after):
                     assert causal_leq(source, event, cfg), (base, extra, event)
                 checked += 1

@@ -1,7 +1,7 @@
 """Value semantics of every public value class.
 
 Pins what callers may rely on: field-tuple equality within one class,
-hashing (and which classes refuse it), which classes order, the exact
+hashing (and which classes refuse it), that none orders, the exact
 ``repr``, the frozen guard, keyword construction with defaults, and
 pickle/deepcopy round trips.
 """
@@ -16,7 +16,6 @@ from nosignal import (
     AuditReport,
     Certificate,
     Deliver,
-    Event,
     Found,
     Impossible,
     Requirement,
@@ -26,7 +25,6 @@ from nosignal import (
     SearchLimits,
     Silence,
     SpacetimeConfig,
-    Strategy,
     TaskSpec,
     Trace,
 )
@@ -35,7 +33,7 @@ from nosignal.audit import AuditViolation
 
 CFG = SpacetimeConfig({"L": 0, "R": 3}, 3)
 HIST = ("L", 0, ((0, "request", "task1"),))
-STRAT = Strategy({("L", 0, ((0, "request", "task1"),)): ("R",)})
+STRAT = {("L", 0, ((0, "request", "task1"),)): ("R",)}
 TR = ("task1", "L", 0)
 SCEN = Scenario(frozenset({TR}))
 DELIVER = Deliver("L", "R", 3)
@@ -49,7 +47,7 @@ VIOL = AuditViolation(0, "L", 0, HIST, (frozenset({"R"}), frozenset()))
 NAMED = NamedRequirement("only", Rule.ALL)
 
 H_REPR = "('L', 0, ((0, 'request', 'task1'),))"
-STRAT_REPR = "Strategy(table={('L', 0, ((0, 'request', 'task1'),)): ('R',)})"
+STRAT_REPR = "{('L', 0, ((0, 'request', 'task1'),)): ('R',)}"
 SCEN_REPR = "Scenario(requests=frozenset({('task1', 'L', 0)}))"
 TASK_REPR = (
     "TaskSpec(id='task1', deliver=Deliver(origin='L', dest='R', at=3), "
@@ -70,9 +68,7 @@ CFG_REPR = "SpacetimeConfig(locations={'L': 0, 'R': 3}, horizon=3)"
 
 # (class, constructor args, args of an unequal instance, first field, repr)
 CASES = [
-    (Event, ("L", 2), ("L", 3), "location", "Event(location='L', time=2)"),
     (SpacetimeConfig, ({"L": 0, "R": 3}, 3), ({"L": 0, "R": 3}, 4), "locations", CFG_REPR),
-    (Strategy, ({("L", 0, ((0, "request", "task1"),)): ("R",)},), ({},), "table", STRAT_REPR),
     (Scenario, (frozenset({TR}),), (frozenset(),), "requests", SCEN_REPR),
     (Trace, (frozenset({("task1", "L", 0)}), frozenset({("L", "R", 0)}), frozenset({("L", "R", 3)})),
      (frozenset(), frozenset(), frozenset()), "requests",
@@ -86,7 +82,7 @@ CASES = [
      "requirement", REPORT_REPR),
     (SearchLimits, (10, 5), (10, 6), "max_branches", LIMITS_REPR),
     (Certificate, ((HIST,), 3, (0, 1, 0)), ((), 0, ()), "decision_points", CERT_REPR),
-    (Found, (STRAT, (REPORT,)), (Strategy(), ()), "strategy",
+    (Found, (STRAT, (REPORT,)), ({}, ()), "strategy",
      f"Found(strategy={STRAT_REPR}, reports=({REPORT_REPR},))"),
     (Impossible, (CERT,), (Certificate((), 0, ()),), "certificate",
      f"Impossible(certificate={CERT_REPR})"),
@@ -103,13 +99,12 @@ CASES = [
      f"scenarios={{'only': {SCEN_REPR}}}, requirements=[{NAMED!r}], limits={LIMITS_REPR})"),
 ]
 
-ORDERED = {Event}
-MUTABLE = {Strategy, ConfigDocument}
-# Frozen, but a field holds a dict (directly or inside a Strategy).
+# Frozen, but a field holds a dict.
 UNHASHABLE_FIELDS = {
     SpacetimeConfig: "unhashable type: 'dict'",
     RequirementReport: "unhashable type: 'dict'",
-    Found: "unhashable type: 'Strategy'",
+    Found: "unhashable type: 'dict'",
+    ConfigDocument: "unhashable type: 'dict'",
 }
 
 ids = [case[0].__name__ for case in CASES]
@@ -117,7 +112,7 @@ cases = pytest.mark.parametrize("cls, args, other, field, text", CASES, ids=ids)
 
 
 def test_every_public_value_class_is_pinned():
-    assert len({case[0] for case in CASES}) == len(CASES) == 19
+    assert len({case[0] for case in CASES}) == len(CASES) == 17
 
 
 @cases
@@ -134,10 +129,7 @@ def test_equality_is_per_class_field_tuple(cls, args, other, field, text):
 @cases
 def test_hash(cls, args, other, field, text):
     a, b = cls(*args), cls(*args)
-    if cls in MUTABLE:
-        with pytest.raises(TypeError, match=f"unhashable type: '{cls.__name__}'"):
-            hash(a)
-    elif cls in UNHASHABLE_FIELDS:
+    if cls in UNHASHABLE_FIELDS:
         with pytest.raises(TypeError) as err:
             hash(a)
         assert str(err.value) == UNHASHABLE_FIELDS[cls]
@@ -149,18 +141,8 @@ def test_hash(cls, args, other, field, text):
 @cases
 def test_ordering(cls, args, other, field, text):
     a, b = cls(*args), cls(*other)
-    if cls in ORDERED:
-        assert (a < b) == (args < other)
-        assert (a <= b) == (args <= other)
-        assert (a > b) == (args > other)
-        assert (a >= b) == (args >= other)
-        assert a <= cls(*args) and a >= cls(*args)
-        assert sorted([b, a]) == sorted([a, b])
-        with pytest.raises(TypeError):
-            a < args
-    else:
-        with pytest.raises(TypeError):
-            a < b
+    with pytest.raises(TypeError):
+        a < b
 
 
 @cases
@@ -171,9 +153,6 @@ def test_repr_is_literal(cls, args, other, field, text):
 @cases
 def test_fields_are_read_only(cls, args, other, field, text):
     a = cls(*args)
-    if cls in MUTABLE:
-        setattr(a, field, getattr(a, field))
-        return
     with pytest.raises(AttributeError) as err:
         setattr(a, field, None)
     assert str(err.value) == f"cannot assign to field {field!r}"
@@ -200,7 +179,6 @@ def test_keyword_construction_with_defaults():
     assert TaskSpec(id="t", deliver=DELIVER) == TaskSpec("t", DELIVER, ())
     assert SearchLimits() == SearchLimits(max_branches=2_000_000, max_decision_points=10_000)
     assert AuditReport(checks=0) == AuditReport(0, ())
-    assert Event(location="L", time=1) == Event("L", 1)
     assert Deliver(origin="L", dest="R", at=3) == DELIVER
     assert Silence(origin="R", dest="L") == SIL
     assert Requirement(scenario=SCEN, rule=Rule.ALL) == REQ
@@ -213,8 +191,6 @@ def test_keyword_construction_with_defaults():
     assert NamedRequirement(scenario="only", rule=Rule.ALL) == NAMED
 
     # Mutable defaults are fresh per instance.
-    s1, s2 = Strategy(), Strategy()
-    assert s1.table == {} and s1.table is not s2.table
     d1 = ConfigDocument(spacetime=CFG, tasks={}, scenarios={})
     d2 = ConfigDocument(CFG, {}, {})
     assert d1.requirements == [] and d1.requirements is not d2.requirements

@@ -16,7 +16,6 @@ from nosignal import (
     SearchLimits,
     Silence,
     SpacetimeConfig,
-    Strategy,
     TaskSpec,
     ValidationError,
     evaluate_requirement,
@@ -131,7 +130,7 @@ class TestFindStrategy:
         cfg, tasks, _ = d3
         outcome = find_strategy(cfg, [], tasks)
         assert isinstance(outcome, Found)
-        assert outcome.strategy.table == {}
+        assert outcome.strategy == {}
 
     def test_three_locations(self):
         cfg = SpacetimeConfig({"A": 0, "B": 1, "C": 2}, horizon=2)
@@ -191,8 +190,8 @@ def assert_refutations_sound(cfg, tasks, bundle, assignments, failures):
         assert any(lost), assignment
 
 
-class TestPrunedCertificate:
-    def test_singles_bundle_recount_finds_a_winner(self, d3):
+class TestWalkCertificate:
+    def test_singles_bundle_finds_a_winner(self, d3):
         cfg, tasks, (r1, r2, _) = d3
         assert isinstance(find_strategy(cfg, [r1, r2], tasks), Found)
         assert decide(cfg.locations, cfg.horizon, oracle_scenarios([r1, r2], tasks), 5_000)
@@ -256,7 +255,7 @@ class TestPrunedCertificate:
         idle = [Requirement(Scenario(), Rule.ALL)]
         seen = []
         outcome = find_strategy(cfg, idle, {}, on_leaf=lambda a: seen.append(dict(a)))
-        assert isinstance(outcome, Found) and outcome.strategy.table == {}
+        assert isinstance(outcome, Found) and outcome.strategy == {}
         assert seen == [{}]
 
 
@@ -309,7 +308,7 @@ def test_walk_agrees_with_oracle(instance):
     if isinstance(outcome, Found):
         for requests, rule, task_rows in scenarios:
             departures, arrivals = mini_execute(cfg.locations, cfg.horizon, requests,
-                                                outcome.strategy.table)
+                                                outcome.strategy)
             assert requirement_ok(departures, arrivals, rule, task_rows)
         seen.pop()  # the winning branch
     failures = outcome.certificate.leaf_failures if isinstance(outcome, Impossible) else None
@@ -438,7 +437,7 @@ class TestIndistinguishable:
         cfg, tasks, _ = d3
         single = scenario(("task1", "L", 0))
         dual = scenario(("task1", "L", 0), ("task2", "R", 0))
-        for strategy in (obedient_strategy(cfg, tasks), Strategy()):
+        for strategy in (obedient_strategy(cfg, tasks), {}):
             assert indistinguishable(cfg, strategy, single, dual, "L", 0)
 
     def test_crossing_signal_distinguishes_later(self, d3):
@@ -471,7 +470,7 @@ class TestNoSignalingAudit:
             (scenario(("task1", "L", 0)), scenario(("task2", "R", 0))),
             (Scenario(), scenario(("task1", "L", 0), ("task2", "R", 0))),
         ]
-        assert no_signaling_audit(cfg, Strategy(), pairs).ok
+        assert no_signaling_audit(cfg, {}, pairs).ok
 
 
 from test_protocol import worlds  # noqa: E402  (reuse the randomized world builder)

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from nosignal import (
-    Event,
     SameLocation,
     SpacetimeConfig,
     UnknownLocation,
@@ -70,21 +69,21 @@ class TestSignalArrival:
 
 class TestCausalOrder:
     def test_reflexive(self):
-        assert causal_leq(Event("L", 0), Event("L", 0), CFG)
+        assert causal_leq(("L", 0), ("L", 0), CFG)
 
     def test_simultaneous_distant_events_unordered(self):
-        assert not causal_leq(Event("R", 0), Event("L", 0), CFG)
+        assert not causal_leq(("R", 0), ("L", 0), CFG)
 
     def test_lightlike_boundary_included(self):
-        assert causal_leq(Event("L", 0), Event("R", 3), CFG)
+        assert causal_leq(("L", 0), ("R", 3), CFG)
 
     def test_rejects_unknown_location(self):
         with pytest.raises(UnknownLocation):
-            causal_leq(Event("X", 0), Event("L", 0), CFG)
+            causal_leq(("X", 0), ("L", 0), CFG)
 
     def test_rejects_out_of_range_time(self):
         with pytest.raises(ValueError):
-            causal_leq(Event("L", 9), Event("L", 9), CFG)
+            causal_leq(("L", 9), ("L", 9), CFG)
 
 
 def small_configs(universe=range(5), max_horizon=4):
@@ -98,7 +97,7 @@ def small_configs(universe=range(5), max_horizon=4):
 def test_partial_order_exhaustive():
     """Reflexivity, transitivity, and antisymmetry over all small configs."""
     for cfg in small_configs():
-        events = [Event(loc, t) for loc in cfg.agents for t in range(cfg.horizon + 1)]
+        events = [(loc, t) for loc in cfg.agents for t in range(cfg.horizon + 1)]
         leq = {
             (e1, e2): causal_leq(e1, e2, cfg)
             for e1 in events
@@ -120,7 +119,7 @@ def test_partial_order_exhaustive():
 def test_spacelike_symmetry_exhaustive():
     """Unreachability at equal times is mutual."""
     for cfg in small_configs():
-        events = [Event(loc, t) for loc in cfg.agents for t in range(cfg.horizon + 1)]
+        events = [(loc, t) for loc in cfg.agents for t in range(cfg.horizon + 1)]
         for e1, e2 in itertools.permutations(events, 2):
-            if e1.time == e2.time and not causal_leq(e1, e2, cfg):
+            if e1[1] == e2[1] and not causal_leq(e1, e2, cfg):
                 assert not causal_leq(e2, e1, cfg)

@@ -10,7 +10,6 @@ from nosignal import (
     Scenario,
     Silence,
     SpacetimeConfig,
-    Strategy,
     TaskSpec,
     Trace,
     ValidationError,
@@ -89,13 +88,13 @@ class TestEvaluateRequirement:
 
     def test_idle_strategy_fails(self, d3):
         cfg, tasks, (r1, _, _) = d3
-        report = evaluate_requirement(cfg, Strategy(), r1, tasks)
+        report = evaluate_requirement(cfg, {}, r1, tasks)
         assert not report.satisfied
 
     def test_all_rule_is_vacuous_on_empty_scenario(self, d3):
         cfg, tasks, _ = d3
         report = evaluate_requirement(
-            cfg, Strategy(), Requirement(Scenario(), Rule.ALL), tasks
+            cfg, {}, Requirement(Scenario(), Rule.ALL), tasks
         )
         assert report.satisfied and report.verdicts == {}
 
