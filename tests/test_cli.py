@@ -602,6 +602,16 @@ INVALID_EDITS = [
     (("tasks", "task1", "silence", 0, "to"), "R", "tasks.task1.silence[0]: endpoints must differ"),
     (("tasks", "task1", "silence", 0, "from"), "X",
      "tasks.task1.silence[0].from: unknown location 'X'"),
+    # A task with two faults reports the one it reaches first: the delivery's
+    # fields and endpoints, then each ban's fields and endpoints, then the
+    # labs in that order, then the delivery time.
+    (("tasks", "task1"), {"deliver": {"from": "L", "to": "L", "at": 3}, "silence": ["R"]},
+     "tasks.task1.deliver: endpoints must differ"),
+    (("tasks", "task1"), {"deliver": {"from": "L", "to": "R", "at": 5},
+                          "silence": [{"from": "R", "to": "L"}, {"from": "R", "to": "X"}]},
+     "tasks.task1.silence[1].to: unknown location 'X'"),
+    (("tasks", "task1"), {"deliver": {"from": 0, "to": "R", "at": 3}, "silence": [{"from": "R", "to": "R"}]},
+     "tasks.task1.deliver.from: expected a string, got 0"),
     (("scenarios", "both", 1, "location"), "X", "scenarios.both[1].location: unknown location 'X'"),
     (("scenarios", "both", 1, "time"), 9, "scenarios.both[1].time: 9 outside [0, 3]"),
     (("scenarios", "both", 1, "location"), "L",
