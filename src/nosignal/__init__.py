@@ -21,8 +21,8 @@ _HOMES = {
     "search": "Aborted Certificate Found Impossible SearchLimits SearchOutcome "
               "find_strategy mutually_exclusive",
     "spacetime": "SpacetimeConfig causal_leq distance signal_arrival",
-    "tasks": "Deliver Requirement RequirementReport Rule Silence TaskSpec "
-             "evaluate_requirement evaluate_task paradox_requirements",
+    "tasks": "Requirement RequirementReport Rule evaluate_requirement evaluate_task "
+             "paradox_requirements",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 

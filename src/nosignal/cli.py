@@ -21,6 +21,7 @@ unsatisfiable or unsatisfied, 4 search aborted on limits.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from collections.abc import Callable
@@ -308,18 +309,26 @@ def _plain_args(argv) -> SimpleNamespace | None:
 
 
 def main(argv=None) -> int:
-    args = _plain_args(sys.argv[1:] if argv is None else argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exit_:  # 0 after help, 2 after a usage error
-            return EXIT_USAGE if exit_.code else EXIT_OK
+    # Freeze what exists before the command, imports above all, so collections see only its own.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
-        return args.func(args)
-    except (SimulationError, OSError) as err:
-        message = str(err)  # a JSON path holds its keys as written, newlines included
-        print(f"error: {message if message.isprintable() else repr(message)[1:-1]}", file=sys.stderr)
-        return EXIT_INVALID
+        args = _plain_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exit_:  # 0 after help, 2 after a usage error
+                return EXIT_USAGE if exit_.code else EXIT_OK
+        try:
+            return args.func(args)
+        except (SimulationError, OSError) as err:
+            message = str(err)  # a JSON path holds its keys as written, newlines included
+            print(f"error: {message if message.isprintable() else repr(message)[1:-1]}", file=sys.stderr)
+            return EXIT_INVALID
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

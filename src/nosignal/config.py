@@ -17,7 +17,7 @@ from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, Scenario, check_
 from .record import Record
 from .search import SearchLimits
 from .spacetime import SpacetimeConfig
-from .tasks import Deliver, Requirement, Rule, Silence, TaskSpec, check_requirement, check_task
+from .tasks import Requirement, Rule, Task, check_requirement, check_task
 
 
 class NamedRequirement(Record):
@@ -35,7 +35,7 @@ class ConfigDocument(Record):
 
     __slots__ = ("spacetime", "tasks", "scenarios", "requirements", "limits")
 
-    def __init__(self, spacetime: SpacetimeConfig, tasks: dict[str, TaskSpec],
+    def __init__(self, spacetime: SpacetimeConfig, tasks: dict[str, Task],
                  scenarios: dict[str, Scenario], requirements: list[NamedRequirement] | None = None,
                  limits: SearchLimits | None = None):
         self._fill(spacetime, tasks, scenarios, [] if requirements is None else requirements, limits)
@@ -142,6 +142,32 @@ def _checked(path: tuple, sep: str, check: Callable, *args):
         raise ValidationError(f"{_text(path)}{sep}{err}") from None
 
 
+def _task(body, task_id: str) -> Task:
+    """The tuple of a task object, read at once when its objects all have
+    just their keys, in order, of their JSON types, and otherwise in reading
+    order, its delivery's fields and endpoints and then each ban's, so the
+    first fault is the one raised. ``check_task`` checks the rest."""
+    if type(body) is dict and tuple(body) == _TASK[1]:
+        deliver, silence = body.values()
+        if type(deliver) is dict and tuple(deliver) == _DELIVER[1] and type(silence) is list:
+            origin, dest, at = delivery = tuple(deliver.values())
+            bans = [pair for ban in silence if type(ban) is dict and tuple(ban) == _SILENCE[1]
+                    and type((pair := tuple(ban.values()))[0]) is str and type(pair[1]) is str]
+            if type(origin) is str and type(dest) is str and type(at) is int and len(bans) == len(silence):
+                return delivery, tuple(bans)
+    path = ("tasks", task_id)
+    fields = _fields(body, _TASK, path)
+    delivery = tuple(_fields(next(fields), _DELIVER, (*path, "deliver")))
+    if delivery[0] == delivery[1]:
+        _fail((*path, "deliver"), "endpoints must differ")
+    bans = []
+    for i, ban in enumerate(next(fields)):
+        bans.append(tuple(_fields(ban, _SILENCE, (*path, "silence", i))))
+        if bans[-1][0] == bans[-1][1]:
+            _fail((*path, "silence", i), "endpoints must differ")
+    return delivery, tuple(bans)
+
+
 def load_config(text: str) -> ConfigDocument:
     """Parse and validate a config document.
 
@@ -155,17 +181,9 @@ def load_config(text: str) -> ConfigDocument:
         _typed(coord, int, ("locations", name))
     cfg = SpacetimeConfig(locations, next(document))
 
-    tasks: dict[str, TaskSpec] = {}
+    tasks: dict[str, Task] = {}
     for task_id, body in next(document).items():
-        fields = _fields(body, _TASK, ("tasks", task_id))
-        deliver = _checked(("tasks", task_id, "deliver"), ": ", Deliver,
-                           *_fields(next(fields), _DELIVER, ("tasks", task_id, "deliver")))
-        silence = tuple(
-            _checked(("tasks", task_id, "silence", i), ": ", Silence,
-                     *_fields(ban, _SILENCE, ("tasks", task_id, "silence", i)))
-            for i, ban in enumerate(next(fields))
-        )
-        tasks[task_id] = task = TaskSpec(task_id, deliver, silence)
+        tasks[task_id] = task = _task(body, task_id)
         _checked(("tasks", task_id), ".", check_task, task, cfg)
 
     scenarios: dict[str, Scenario] = {}
@@ -209,7 +227,7 @@ def _event_to_json(event: tuple[int, str, str]) -> dict[str, object]:
 
 
 def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
-                     tasks: Mapping[str, TaskSpec], path: tuple) -> tuple[int, str, str]:
+                     tasks: Mapping[str, Task], path: tuple) -> tuple[int, str, str]:
     # Unless it has just its kind's keys, in order, its kind and time come before its keys.
     kind = raw.get("kind") if type(raw) is dict else None
     if kind not in _KINDS or tuple(raw) != _EVENTS[kind][1]:
@@ -229,7 +247,7 @@ def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
     return (time, kind, label)
 
 
-def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> RawAssignment:
+def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:
     """Parse and validate a strategy document against a configuration."""
     (rows,) = _fields(_parse(text), _STRATEGY, ())
     table: RawAssignment = {}

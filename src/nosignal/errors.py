@@ -22,7 +22,7 @@ class UnachievableTask(SimulationError):
 
 
 class DuplicateTask(SimulationError):
-    """Two task arguments that must be distinct share an id."""
+    """Two task ids that must be distinct are the same."""
 
 
 class ParseError(SimulationError):

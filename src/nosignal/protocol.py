@@ -25,7 +25,7 @@ from .errors import InvalidScenario, SameLocation, UnachievableTask, ValidationE
 from .record import Record
 from .spacetime import SpacetimeConfig, check_event, distance
 
-# ``TaskSpec`` (from ``.tasks``, which imports this module) appears in annotations only.
+# ``Task`` (from ``.tasks``, which imports this module) appears in annotations only.
 
 KIND_REQUEST = "request"
 KIND_SIGNAL = "signal"  # sorts after "request", giving the canonical order for free
@@ -222,7 +222,7 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: RawAssignment,
     )
 
 
-def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> RawAssignment:
+def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:
     """The strategy where each agent does exactly what a request asks.
 
     For a task delivering origin -> dest at time ``at``, the request is
@@ -233,14 +233,14 @@ def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, TaskSpec]) -> Ra
     """
     table: RawAssignment = {}
     for task_id in sorted(tasks):
-        deliver = tasks[task_id].deliver
-        travel = distance(deliver.origin, deliver.dest, cfg)
-        submit = deliver.at - travel
+        (origin, dest, at), _ = tasks[task_id]
+        travel = distance(origin, dest, cfg)
+        submit = at - travel
         if submit < 0:
             raise UnachievableTask(
-                f"task {task_id!r}: delivery at t={deliver.at} comes sooner than the "
-                f"{travel} step{'s' * (travel != 1)} a signal from {deliver.origin!r} "
-                f"takes to reach {deliver.dest!r}"
+                f"task {task_id!r}: delivery at t={at} comes sooner than the "
+                f"{travel} step{'s' * (travel != 1)} a signal from {origin!r} "
+                f"takes to reach {dest!r}"
             )
-        table[(deliver.origin, submit, ((submit, KIND_REQUEST, task_id),))] = (deliver.dest,)
+        table[(origin, submit, ((submit, KIND_REQUEST, task_id),))] = (dest,)
     return table

@@ -58,7 +58,7 @@ from .tasks import (
     Requirement,
     RequirementReport,
     Rule,
-    TaskSpec,
+    Task,
     check_task,
     evaluate_requirement,
     requested_tasks,
@@ -137,7 +137,7 @@ SearchOutcome = Found | Impossible | Aborted
 def find_strategy(
     cfg: SpacetimeConfig,
     requirements: Sequence[Requirement],
-    tasks: Mapping[str, TaskSpec],
+    tasks: Mapping[str, Task],
     limits: SearchLimits | None = None,
     on_leaf: Callable[[RawAssignment], None] | None = None,
 ) -> SearchOutcome:
@@ -348,12 +348,11 @@ def find_strategy(
 _Row = tuple[tuple[str, str, int], frozenset[tuple[str, str]]]
 
 
-def _task_row(task: TaskSpec, cfg: SpacetimeConfig) -> _Row:
+def _task_row(task: Task, cfg: SpacetimeConfig) -> _Row:
     """The task's row, once ``check_task`` passes."""
     check_task(task, cfg)
-    origin, dest, at = task.deliver.origin, task.deliver.dest, task.deliver.at
-    return ((origin, dest, at - distance(origin, dest, cfg)),
-            frozenset((ban.origin, ban.dest) for ban in task.silence))
+    (origin, dest, at), bans = task
+    return (origin, dest, at - distance(origin, dest, cfg)), frozenset(bans)
 
 
 def _lost(rule: Rule, rows: Sequence[_Row], departures: Collection[tuple[str, str, int]],
@@ -383,7 +382,7 @@ def _lost(rule: Rule, rows: Sequence[_Row], departures: Collection[tuple[str, st
     return [min(culprits)] if rule is Rule.ALL and culprits else culprits
 
 
-def mutually_exclusive(cfg: SpacetimeConfig, a: TaskSpec, b: TaskSpec) -> bool:
+def mutually_exclusive(cfg: SpacetimeConfig, a: Task, b: Task) -> bool:
     """Strategy-independent bound: can NO departure pattern satisfy both tasks?
 
     Any satisfying departure set contains both delivering departures, and

@@ -1,10 +1,11 @@
 """Task predicates, requirement bundles, and their evaluation against traces.
 
-A task succeeds on a trace when its single delivery atom is matched by an
-arrival at exactly the requested time and none of its silence bans is
-broken by any departure over the whole run. A requirement pairs a scenario
-with a rule saying whether every requested task must succeed or any one
-suffices; a set of requirements is the requester's whole range of freedom.
+A task is the raw tuple ``((origin, dest, at), bans)``. It succeeds on a
+trace when its single delivery atom is matched by an arrival at exactly the
+requested time and none of its silence bans is broken by any departure over
+the whole run. A requirement pairs a scenario with a rule saying whether
+every requested task must succeed or any one suffices; a set of
+requirements is the requester's whole range of freedom.
 """
 
 from __future__ import annotations
@@ -18,35 +19,7 @@ from .record import Record
 from .spacetime import SpacetimeConfig
 
 
-class Deliver(Record):
-    """Require an arrival ``origin -> dest`` at exactly time ``at``."""
-
-    __slots__ = ("origin", "dest", "at")
-
-    def __init__(self, origin: str, dest: str, at: int):
-        if origin == dest:
-            raise ValidationError("endpoints must differ")
-        self._fill(origin, dest, at)
-
-
-class Silence(Record):
-    """Forbid any departure ``origin -> dest`` at any time in the run."""
-
-    __slots__ = ("origin", "dest")
-
-    def __init__(self, origin: str, dest: str):
-        if origin == dest:
-            raise ValidationError("endpoints must differ")
-        self._fill(origin, dest)
-
-
-class TaskSpec(Record):
-    """Success predicate over traces: one exact delivery plus silence bans."""
-
-    __slots__ = ("id", "deliver", "silence")
-
-    def __init__(self, id: str, deliver: Deliver, silence: tuple[Silence, ...] = ()):
-        self._fill(id, deliver, tuple(silence))
+Task = tuple[tuple[str, str, int], tuple[tuple[str, str], ...]]  # ((origin, dest, at), bans)
 
 
 class Rule(str, Enum):
@@ -79,24 +52,28 @@ class RequirementReport(Record):
         self._fill(requirement, verdicts, satisfied)
 
 
-def check_task(task: TaskSpec, cfg: SpacetimeConfig) -> None:
-    """Every lab the task names exists and its delivery falls within the horizon."""
-    deliver = task.deliver
+def check_task(task: Task, cfg: SpacetimeConfig) -> None:
+    """The task's endpoints differ, its labs exist and its delivery falls within
+    the horizon; the first failure in that order, delivery before bans, is raised."""
+    (origin, dest, at), bans = task
     labs = cfg.locations
-    if not (deliver.origin in labs and deliver.dest in labs
-            and all(ban.origin in labs and ban.dest in labs for ban in task.silence)):
-        ends = [("deliver.from", deliver.origin), ("deliver.to", deliver.dest)]
-        for i, ban in enumerate(task.silence):
-            ends += [(f"silence[{i}].from", ban.origin), (f"silence[{i}].to", ban.dest)]
-        field, loc = next(end for end in ends if end[1] not in labs)
+    fine = origin != dest and origin in labs and dest in labs
+    for o, d in bans:
+        fine = fine and o != d and o in labs and d in labs
+    if not fine:
+        ends = [("deliver", origin, dest), *((f"silence[{i}]", o, d) for i, (o, d) in enumerate(bans))]
+        for field, o, d in ends:
+            if o == d:
+                raise ValidationError(f"{field}: endpoints must differ")
+        field, loc = next((f"{field}.{end}", loc) for field, o, d in ends
+                          for end, loc in (("from", o), ("to", d)) if loc not in labs)
         raise UnknownLocation(f"{field}: unknown location {loc!r}")
-    if not 0 <= deliver.at <= cfg.horizon:
-        raise ValidationError(
-            f"deliver.at: {deliver.at} outside [0, {cfg.horizon}]; horizon too small"
-        )
+    if not 0 <= at <= cfg.horizon:
+        raise ValidationError(f"deliver.at: {at} outside [0, {cfg.horizon}]"
+                              f"{'; horizon too small' if at > cfg.horizon else ''}")
 
 
-def requested_tasks(scenario: Scenario, tasks: Mapping[str, TaskSpec]) -> dict[str, TaskSpec]:
+def requested_tasks(scenario: Scenario, tasks: Mapping[str, Task]) -> dict[str, Task]:
     """The scenario's tasks by id, in id order; each id must name one of ``tasks``."""
     requested = {}
     for task_id in scenario.task_ids():
@@ -106,21 +83,19 @@ def requested_tasks(scenario: Scenario, tasks: Mapping[str, TaskSpec]) -> dict[s
     return requested
 
 
-def evaluate_task(trace: Trace, task: TaskSpec, cfg: SpacetimeConfig) -> bool:
+def evaluate_task(trace: Trace, task: Task, cfg: SpacetimeConfig) -> bool:
     """Pure predicate: delivery arrived exactly on time and silence held."""
     check_task(task, cfg)
-    deliver = task.deliver
-    if (deliver.origin, deliver.dest, deliver.at) not in trace.arrivals:
-        return False
-    banned = {(ban.origin, ban.dest) for ban in task.silence}
-    return not banned or banned.isdisjoint([(origin, dest) for origin, dest, _ in trace.departures])
+    delivery, bans = task
+    return delivery in trace.arrivals and (
+        not bans or set(bans).isdisjoint([(origin, dest) for origin, dest, _ in trace.departures]))
 
 
 def evaluate_requirement(
     cfg: SpacetimeConfig,
     strategy: RawAssignment,
     requirement: Requirement,
-    tasks: Mapping[str, TaskSpec],
+    tasks: Mapping[str, Task],
     slots: list[tuple[int, str]] | None = None,
 ) -> RequirementReport:
     """Execute the requirement's scenario once (``slots`` as for ``execute``) and judge each task."""
@@ -134,23 +109,21 @@ def evaluate_requirement(
 
 
 def paradox_requirements(
-    cfg: SpacetimeConfig, task1: TaskSpec, task2: TaskSpec
+    cfg: SpacetimeConfig, tasks: Mapping[str, Task], task1: str, task2: str
 ) -> list[Requirement]:
-    """The three-way bundle that creates the choice trap.
+    """The three-way bundle that creates the choice trap, for two of ``tasks`` by id.
 
     Each task alone must succeed (rules All), and when both are requested
     at t=0 either one would do (rule AtLeastOne). Requests are submitted at
     each task's delivery origin.
     """
-    if task1.id == task2.id:
-        raise DuplicateTask(f"need two distinct tasks, got {task1.id!r} twice")
-    check_task(task1, cfg)
-    check_task(task2, cfg)
-    single = [
-        Requirement(Scenario({(t.id, t.deliver.origin, 0)}), Rule.ALL) for t in (task1, task2)
-    ]
-    both = Requirement(
-        Scenario({(task1.id, task1.deliver.origin, 0), (task2.id, task2.deliver.origin, 0)}),
-        Rule.AT_LEAST_ONE,
-    )
-    return [*single, both]
+    if task1 == task2:
+        raise DuplicateTask(f"need two distinct tasks, got {task1!r} twice")
+    requests = []
+    for task_id in (task1, task2):
+        if task_id not in tasks:
+            raise ValidationError(f"undefined task {task_id!r}")
+        check_task(tasks[task_id], cfg)
+        requests.append((task_id, tasks[task_id][0][0], 0))
+    single = [Requirement(Scenario([request]), Rule.ALL) for request in requests]
+    return [*single, Requirement(Scenario(requests), Rule.AT_LEAST_ONE)]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nosignal import Deliver, Silence, SpacetimeConfig, TaskSpec
+from nosignal import SpacetimeConfig
 from nosignal.config import strategy_rows
 from nosignal.tasks import paradox_requirements
 
@@ -10,10 +10,8 @@ from nosignal.tasks import paradox_requirements
 def make_instance(gap: int):
     """Canonical two-lab instance: labs a distance ``gap`` apart, horizon ``gap``."""
     cfg = SpacetimeConfig({"L": 0, "R": gap}, horizon=gap)
-    task1 = TaskSpec("task1", Deliver("L", "R", gap), (Silence("R", "L"),))
-    task2 = TaskSpec("task2", Deliver("R", "L", gap), (Silence("L", "R"),))
-    tasks = {"task1": task1, "task2": task2}
-    return cfg, tasks, paradox_requirements(cfg, task1, task2)
+    tasks = {"task1": (("L", "R", gap), (("R", "L"),)), "task2": (("R", "L", gap), (("L", "R"),))}
+    return cfg, tasks, paradox_requirements(cfg, tasks, "task1", "task2")
 
 
 def oracle_scenarios(requirements, tasks):
@@ -21,13 +19,7 @@ def oracle_scenarios(requirements, tasks):
     out = []
     for req in requirements:
         requests = list(req.scenario.requests)
-        rows = [
-            (
-                (tasks[tid].deliver.origin, tasks[tid].deliver.dest, tasks[tid].deliver.at),
-                {(b.origin, b.dest) for b in tasks[tid].silence},
-            )
-            for tid in req.scenario.task_ids()
-        ]
+        rows = [(tasks[tid][0], set(tasks[tid][1])) for tid in req.scenario.task_ids()]
         out.append((requests, req.rule.value, rows))
     return out
 
@@ -44,10 +36,10 @@ def serialize_config(doc) -> str:
         "horizon": doc.spacetime.horizon,
         "tasks": {
             task_id: {
-                "deliver": {"from": task.deliver.origin, "to": task.deliver.dest, "at": task.deliver.at},
-                "silence": [{"from": ban.origin, "to": ban.dest} for ban in task.silence],
+                "deliver": {"from": origin, "to": dest, "at": at},
+                "silence": [{"from": o, "to": d} for o, d in bans],
             }
-            for task_id, task in sorted(doc.tasks.items())
+            for task_id, ((origin, dest, at), bans) in sorted(doc.tasks.items())
         },
         "scenarios": {
             name: [{"task": task, "location": loc, "time": t}

@@ -1,5 +1,6 @@
 """Config documents, strategy files, diagrams, and the exit-code contract."""
 
+import gc
 import json
 import os
 import re
@@ -13,17 +14,15 @@ from hypothesis import strategies as st
 
 from conftest import serialize_config, serialize_strategy
 from nosignal import (
-    Deliver,
     ParseError,
     Rule,
     Scenario,
     SearchLimits,
-    Silence,
     SpacetimeConfig,
-    TaskSpec,
     Trace,
     ValidationError,
     cli,
+    evaluate_task,
     execute,
     obedient_strategy,
 )
@@ -36,6 +35,7 @@ from nosignal.config import (
     strategy_rows,
 )
 from nosignal.diagram import render_diagram
+from oracles import mini_execute, task_ok
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -49,6 +49,7 @@ FOURLAB_STRATEGY = GOLDEN.parent / "diagram_4lab_strategy.json"
 REPLAY1 = GOLDEN.parent / "replay1_seed0.json"
 REPLAY2 = GOLDEN.parent / "replay2_seed0.json"
 REPLAY4 = GOLDEN.parent / "replay4_seed0.json"
+INVALID_TASK = GOLDEN.parent / "invalid_task.json"  # a task with two faults; CI checks it too
 
 
 def load_fixture_doc():
@@ -60,17 +61,16 @@ NAMES = st.text(min_size=1, max_size=3)
 
 @st.composite
 def config_documents(draw):
-    """A valid config document of 2 to 4 labs, built from the value classes."""
+    """A valid config document of 2 to 4 labs, built from the loader's own forms."""
     labs = draw(st.lists(NAMES, min_size=2, max_size=4, unique=True))
     coords = draw(st.lists(st.integers(-6, 6), min_size=len(labs), max_size=len(labs), unique=True))
     horizon = draw(st.integers(1, 8))
-    pairs = st.permutations(labs).map(lambda order: order[:2])
+    pairs = st.permutations(labs).map(lambda order: tuple(order[:2]))
     tasks = {}
     for task_id in draw(st.lists(NAMES, max_size=3, unique=True)):
         origin, dest = draw(pairs)
         bans = draw(st.lists(pairs, max_size=3))
-        tasks[task_id] = TaskSpec(task_id, Deliver(origin, dest, draw(st.integers(0, horizon))),
-                                  tuple(Silence(*ban) for ban in bans))
+        tasks[task_id] = (origin, dest, draw(st.integers(0, horizon))), tuple(bans)
     slots = st.lists(st.tuples(st.sampled_from(labs), st.integers(0, horizon)), max_size=3 if tasks else 0,
                      unique=True)
     scenarios = {
@@ -253,6 +253,36 @@ class TestStrategyFiles:
         with pytest.raises(ValidationError,
                            match=r"^rows\[1\]: conflicting duplicate of an earlier row$"):
             load_strategy(json.dumps(rows), doc.spacetime, doc.tasks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategy_documents())
+def test_loaded_tasks_are_judged_as_the_oracle_judges(case):
+    """Each loaded task is the tuple read straight from its JSON, and on every
+    scenario ``evaluate_task`` gives the oracle's verdict on the oracle's run.
+    The drawn strategy gets the obedient row of each task that can depart in
+    time, and each such task a scenario asking for it there, so that
+    deliveries happen and bans are broken."""
+    doc, table = case
+    raw = json.loads(serialize_config(doc))
+    loaded = load_config(json.dumps(raw))
+    cfg = loaded.spacetime
+    rows = {task_id: ((task["deliver"]["from"], task["deliver"]["to"], task["deliver"]["at"]),
+                      tuple((ban["from"], ban["to"]) for ban in task["silence"]))
+            for task_id, task in raw["tasks"].items()}
+    assert loaded.tasks == rows
+    scenarios = list(loaded.scenarios.values())
+    for task_id, ((origin, dest, at), _) in rows.items():
+        submit = at - abs(cfg.locations[origin] - cfg.locations[dest])
+        if submit >= 0:
+            table.setdefault((origin, submit, ((submit, "request", task_id),)), (dest,))
+            scenarios.append(Scenario([(task_id, origin, submit)]))
+    for scenario in scenarios:
+        departures, arrivals = mini_execute(cfg.locations, cfg.horizon, scenario.requests, table)
+        trace = execute(cfg, scenario, table)
+        for task_id, (deliver, bans) in rows.items():
+            assert evaluate_task(trace, loaded.tasks[task_id], cfg) == task_ok(
+                departures, arrivals, deliver, set(bans))
 
 
 class TestDiagrams:
@@ -599,6 +629,7 @@ INVALID_EDITS = [
     (("tasks", "task1", "deliver", "to"), "X", "tasks.task1.deliver.to: unknown location 'X'"),
     (("tasks", "task1", "deliver", "at"), 5,
      "tasks.task1.deliver.at: 5 outside [0, 3]; horizon too small"),
+    (("tasks", "task1", "deliver", "at"), -1, "tasks.task1.deliver.at: -1 outside [0, 3]"),
     (("tasks", "task1", "silence", 0, "to"), "R", "tasks.task1.silence[0]: endpoints must differ"),
     (("tasks", "task1", "silence", 0, "from"), "X",
      "tasks.task1.silence[0].from: unknown location 'X'"),
@@ -775,6 +806,8 @@ def _cli_cases():
                        ("", "error: task 'task1': delivery at t=1 comes sooner than the 3 steps "
                             "a signal from 'L' takes to reach 'R'\n", 2),
                        id="simulate-delivery-sooner-than-travel")
+    yield pytest.param(["check", "--config", str(INVALID_TASK), "--strategy", "obedient"], None, None,
+                       ("", (GOLDEN / "check_invalid_task.txt").read_text(), 2), id="check-invalid-task")
     for i, (rows, message) in enumerate(INVALID_STRATEGIES):
         yield pytest.param(["check", "--config", str(PARADOX)], None, {"rows": rows},
                            ("", f"error: {message}\n", 2), id=f"strategy-{i}")
@@ -815,6 +848,48 @@ def test_start_up_imports_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == IMPOSSIBLE_TEXT + "[]\n"
+
+
+def test_main_runs_clear_of_start_up_objects():
+    """``main`` freezes the objects that exist when it starts, so a search on
+    the paradox sets off no collection, however close to the generation-0
+    threshold the objects made before it have brought the collector."""
+    probe = (
+        "import gc, os, sys, nosignal.cli\n"
+        f"argv = ['search', '--config', {str(PARADOX)!r}]\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "starts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+        "pad = []\n"
+        "while gc.get_count()[0] < gc.get_threshold()[0] - 3:\n"
+        "    pad.append([])\n"
+        "before = len(starts)\n"
+        "code = nosignal.cli.main(argv)\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, len(starts) - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3 0\n"
+
+
+def test_main_leaves_the_freeze_count_as_it_found_it(capsys, monkeypatch):
+    inside = []
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda text: inside.append(gc.get_freeze_count()) or load(text))
+    assert gc.get_freeze_count() == 0
+    assert main(["search", "--config", str(PARADOX)]) == 3
+    assert gc.get_freeze_count() == 0 and inside[0] > 0
+    gc.freeze()  # a caller's own frozen objects stay frozen, and no others join them
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(["search", "--config", str(PARADOX)]) == 3
+        assert inside[1] == gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 # Argv for the grammar tests: the plain form of each command, then at most

@@ -12,11 +12,11 @@ import nosignal
 
 REPO = Path(__file__).resolve().parent.parent
 PUBLIC = [
-    "Aborted", "AuditReport", "Certificate", "Deliver", "DuplicateTask",
+    "Aborted", "AuditReport", "Certificate", "DuplicateTask",
     "Found", "Impossible", "InvalidScenario", "ParseError", "Requirement",
     "RequirementReport", "Rule", "SameLocation", "Scenario", "SearchLimits",
-    "SearchOutcome", "Silence", "SimulationError", "SpacetimeConfig",
-    "TaskSpec", "Trace", "UnachievableTask", "UnknownLocation",
+    "SearchOutcome", "SimulationError", "SpacetimeConfig",
+    "Trace", "UnachievableTask", "UnknownLocation",
     "ValidationError", "causal_leq", "distance", "evaluate_requirement", "evaluate_task",
     "execute", "find_strategy", "indistinguishable", "local_history", "mutually_exclusive",
     "no_signaling_audit", "obedient_strategy", "paradox_requirements", "signal_arrival",
@@ -32,8 +32,8 @@ HOMES = {
     "search": ["Aborted", "Certificate", "Found", "Impossible", "SearchLimits", "SearchOutcome",
                "find_strategy", "mutually_exclusive"],
     "spacetime": ["SpacetimeConfig", "causal_leq", "distance", "signal_arrival"],
-    "tasks": ["Deliver", "Requirement", "RequirementReport", "Rule", "Silence", "TaskSpec",
-              "evaluate_requirement", "evaluate_task", "paradox_requirements"],
+    "tasks": ["Requirement", "RequirementReport", "Rule", "evaluate_requirement", "evaluate_task",
+              "paradox_requirements"],
 }
 
 

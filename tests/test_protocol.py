@@ -218,9 +218,7 @@ class TestObedientStrategy:
 
     def test_unachievable_delivery_rejected(self):
         cfg, tasks, _ = make_instance(3)
-        from nosignal import Deliver, TaskSpec
-
-        too_late = {"t": TaskSpec("t", Deliver("L", "R", 2))}  # needs submit at -1
+        too_late = {"t": (("L", "R", 2), ())}  # needs submit at -1
         with pytest.raises(UnachievableTask, match="^task 't': delivery at t=2 comes sooner than "
                                                    "the 3 steps a signal from 'L' takes to reach 'R'$"):
             obedient_strategy(cfg, too_late)

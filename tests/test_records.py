@@ -15,7 +15,6 @@ from nosignal import (
     Aborted,
     AuditReport,
     Certificate,
-    Deliver,
     Found,
     Impossible,
     Requirement,
@@ -23,9 +22,7 @@ from nosignal import (
     Rule,
     Scenario,
     SearchLimits,
-    Silence,
     SpacetimeConfig,
-    TaskSpec,
     Trace,
 )
 from nosignal.config import ConfigDocument, NamedRequirement
@@ -36,9 +33,7 @@ HIST = ("L", 0, ((0, "request", "task1"),))
 STRAT = {("L", 0, ((0, "request", "task1"),)): ("R",)}
 TR = ("task1", "L", 0)
 SCEN = Scenario(frozenset({TR}))
-DELIVER = Deliver("L", "R", 3)
-SIL = Silence("R", "L")
-TASK = TaskSpec("task1", DELIVER, (SIL,))
+TASK = (("L", "R", 3), (("R", "L"),))
 REQ = Requirement(SCEN, Rule.ALL)
 REPORT = RequirementReport(REQ, {"task1": True}, True)
 LIMITS = SearchLimits(10, 5)
@@ -49,10 +44,7 @@ NAMED = NamedRequirement("only", Rule.ALL)
 H_REPR = "('L', 0, ((0, 'request', 'task1'),))"
 STRAT_REPR = "{('L', 0, ((0, 'request', 'task1'),)): ('R',)}"
 SCEN_REPR = "Scenario(requests=frozenset({('task1', 'L', 0)}))"
-TASK_REPR = (
-    "TaskSpec(id='task1', deliver=Deliver(origin='L', dest='R', at=3), "
-    "silence=(Silence(origin='R', dest='L'),))"
-)
+TASK_REPR = "(('L', 'R', 3), (('R', 'L'),))"
 REQ_REPR = f"Requirement(scenario={SCEN_REPR}, rule=<Rule.ALL: 'all'>)"
 REPORT_REPR = f"RequirementReport(requirement={REQ_REPR}, verdicts={{'task1': True}}, satisfied=True)"
 CERT_REPR = (
@@ -74,9 +66,6 @@ CASES = [
      (frozenset(), frozenset(), frozenset()), "requests",
      "Trace(requests=frozenset({('task1', 'L', 0)}), departures=frozenset({('L', 'R', 0)}), "
      "arrivals=frozenset({('L', 'R', 3)}))"),
-    (Deliver, ("L", "R", 3), ("R", "L", 3), "origin", "Deliver(origin='L', dest='R', at=3)"),
-    (Silence, ("R", "L"), ("L", "R"), "origin", "Silence(origin='R', dest='L')"),
-    (TaskSpec, ("task1", DELIVER, (SIL,)), ("task1", DELIVER, ()), "id", TASK_REPR),
     (Requirement, (SCEN, Rule.ALL), (SCEN, Rule.AT_LEAST_ONE), "scenario", REQ_REPR),
     (RequirementReport, (REQ, {"task1": True}, True), (REQ, {"task1": False}, False),
      "requirement", REPORT_REPR),
@@ -112,7 +101,7 @@ cases = pytest.mark.parametrize("cls, args, other, field, text", CASES, ids=ids)
 
 
 def test_every_public_value_class_is_pinned():
-    assert len({case[0] for case in CASES}) == len(CASES) == 17
+    assert len({case[0] for case in CASES}) == len(CASES) == 14
 
 
 @cases
@@ -176,11 +165,8 @@ def test_pickle_and_deepcopy_round_trip(cls, args, other, field, text):
 def test_keyword_construction_with_defaults():
     assert Scenario() == Scenario(requests=frozenset())
     assert Trace() == Trace(requests=frozenset(), departures=frozenset(), arrivals=frozenset())
-    assert TaskSpec(id="t", deliver=DELIVER) == TaskSpec("t", DELIVER, ())
     assert SearchLimits() == SearchLimits(max_branches=2_000_000, max_decision_points=10_000)
     assert AuditReport(checks=0) == AuditReport(0, ())
-    assert Deliver(origin="L", dest="R", at=3) == DELIVER
-    assert Silence(origin="R", dest="L") == SIL
     assert Requirement(scenario=SCEN, rule=Rule.ALL) == REQ
     assert RequirementReport(requirement=REQ, verdicts={"task1": True}, satisfied=True) == REPORT
     assert SpacetimeConfig(locations={"L": 0, "R": 3}, horizon=3) == CFG
@@ -199,7 +185,6 @@ def test_keyword_construction_with_defaults():
 
 def test_constructors_convert_and_validate():
     assert Scenario([TR]).requests == frozenset({TR})
-    assert TaskSpec("t", DELIVER, [SIL]).silence == (SIL,)
     locations = {"L": 0, "R": 3}
     cfg = SpacetimeConfig(locations, 3)
     assert cfg.locations == locations and cfg.locations is not locations

@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 from conftest import make_instance, oracle_scenarios
 from nosignal import (
     Aborted,
-    Deliver,
     Found,
     Impossible,
     Requirement,
     Rule,
     Scenario,
     SearchLimits,
-    Silence,
     SpacetimeConfig,
-    TaskSpec,
     ValidationError,
     evaluate_requirement,
     find_strategy,
@@ -134,7 +131,7 @@ class TestFindStrategy:
 
     def test_three_locations(self):
         cfg = SpacetimeConfig({"A": 0, "B": 1, "C": 2}, horizon=2)
-        task = TaskSpec("t", Deliver("A", "C", 2), (Silence("C", "A"),))
+        task = (("A", "C", 2), (("C", "A"),))
         requirement = Requirement(
             Scenario(frozenset({("t", "A", 0)})), Rule.ALL
         )
@@ -159,10 +156,8 @@ class TestCertificateSoundness:
 def three_lab_paradox():
     """The paradox task pair between A and C with a relay lab B in between."""
     cfg = SpacetimeConfig({"A": 0, "B": 1, "C": 2}, horizon=2)
-    task1 = TaskSpec("task1", Deliver("A", "C", 2), (Silence("C", "A"),))
-    task2 = TaskSpec("task2", Deliver("C", "A", 2), (Silence("A", "C"),))
-    tasks = {"task1": task1, "task2": task2}
-    return cfg, tasks, paradox_requirements(cfg, task1, task2)
+    tasks = {"task1": (("A", "C", 2), (("C", "A"),)), "task2": (("C", "A", 2), (("A", "C"),))}
+    return cfg, tasks, paradox_requirements(cfg, tasks, "task1", "task2")
 
 
 def paradox_instances():
@@ -274,7 +269,7 @@ def small_instances(draw):
         origin, dest = draw(st.sampled_from(pairs))
         at = draw(st.integers(0, cfg.horizon))
         bans = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2))
-        tasks[name] = TaskSpec(name, Deliver(origin, dest, at), tuple(Silence(*b) for b in bans))
+        tasks[name] = ((origin, dest, at), tuple(bans))
     requirements = []
     for _ in range(draw(st.integers(1, 3))):
         requests = draw(st.lists(
@@ -369,14 +364,13 @@ def exclusivity_instances(draw):
     cfg = SpacetimeConfig(dict(locations), draw(st.integers(1, 3 if len(locations) == 2 else 1)))
     pairs = [(o, d) for o in cfg.agents for d in cfg.agents if o != d]
 
-    def task(name):
+    def task():
         origin, dest = draw(st.sampled_from(pairs))
         bans = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2))
-        return TaskSpec(name, Deliver(origin, dest, draw(st.integers(0, cfg.horizon))),
-                        tuple(Silence(o, d) for o, d in bans))
+        return (origin, dest, draw(st.integers(0, cfg.horizon))), tuple(bans)
 
-    a = task("a")
-    return cfg, a, a if draw(st.booleans()) else task("b")
+    a = task()
+    return cfg, a, a if draw(st.booleans()) else task()
 
 
 class TestMutuallyExclusive:
@@ -393,10 +387,10 @@ class TestMutuallyExclusive:
         """With both silence bans removed, {(L,R,0), (R,L,0)} satisfies both;
         removing only one ban leaves the other task's ban in force."""
         cfg, _, _ = d3
-        bare1 = TaskSpec("task1", Deliver("L", "R", 3))
-        bare2 = TaskSpec("task2", Deliver("R", "L", 3))
+        bare1 = (("L", "R", 3), ())
+        bare2 = (("R", "L", 3), ())
         assert not mutually_exclusive(cfg, bare1, bare2)
-        still_banned = TaskSpec("task1", Deliver("L", "R", 3), (Silence("R", "L"),))
+        still_banned = (("L", "R", 3), (("R", "L"),))
         assert mutually_exclusive(cfg, still_banned, bare2)
 
     def test_agrees_with_independent_enumeration(self, d3):
@@ -411,22 +405,18 @@ class TestMutuallyExclusive:
         )
 
     @given(exclusivity_instances())
-    @example((SpacetimeConfig({"L": 0, "R": 2}, 3), TaskSpec("a", Deliver("L", "R", 1)),
-              TaskSpec("b", Deliver("R", "L", 3))))  # a cannot depart in time
+    @example((SpacetimeConfig({"L": 0, "R": 2}, 3), (("L", "R", 1), ()),
+              (("R", "L", 3), ())))  # a cannot depart in time
     @example((SpacetimeConfig({"L": 0, "R": 1}, 2),
-              TaskSpec("a", Deliver("L", "R", 2), (Silence("L", "R"),)),
-              TaskSpec("b", Deliver("R", "L", 1))))  # a bans its own delivery
+              (("L", "R", 2), (("L", "R"),)),
+              (("R", "L", 1), ())))  # a bans its own delivery
     @example((SpacetimeConfig({"A": 0, "B": 1, "C": 3}, 1),
-              TaskSpec("a", Deliver("A", "B", 1), (Silence("C", "A"),)),
-              TaskSpec("a", Deliver("A", "B", 1), (Silence("C", "A"),))))  # a == b
+              (("A", "B", 1), (("C", "A"),)),
+              (("A", "B", 1), (("C", "A"),))))  # a == b
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_brute_force(self, instance):
         cfg, a, b = instance
-        rows = [
-            ((t.deliver.origin, t.deliver.dest, t.deliver.at),
-             {(ban.origin, ban.dest) for ban in t.silence})
-            for t in (a, b)
-        ]
+        rows = [(delivery, set(bans)) for delivery, bans in (a, b)]
         assert mutually_exclusive(cfg, a, b) == (
             not brute_force_joint_satisfiable(cfg.locations, cfg.horizon, rows)
         )

@@ -3,14 +3,12 @@
 import pytest
 
 from nosignal import (
-    Deliver,
     DuplicateTask,
     Requirement,
     Rule,
     Scenario,
-    Silence,
+    SimulationError,
     SpacetimeConfig,
-    TaskSpec,
     Trace,
     ValidationError,
     evaluate_requirement,
@@ -51,7 +49,7 @@ class TestEvaluateTask:
         early = Trace(departures=frozenset({("L", "R", 0)}),
                       arrivals=frozenset({("L", "R", 3)}))
         assert evaluate_task(early, tasks["task1"], cfg)
-        shifted = TaskSpec("task1", Deliver("L", "R", 2), (Silence("R", "L"),))
+        shifted = (("L", "R", 2), (("R", "L"),))
         assert not evaluate_task(early, shifted, cfg)
 
     def test_silence_covers_whole_horizon(self, d3):
@@ -71,7 +69,26 @@ class TestEvaluateTask:
     def test_rejects_delivery_beyond_horizon(self, d3):
         cfg, _, _ = d3
         with pytest.raises(ValidationError):
-            check_task(TaskSpec("t", Deliver("L", "R", 9)), cfg)
+            check_task((("L", "R", 9), ()), cfg)
+
+
+# Library input gets the loader's checks and order: endpoints, the delivery's
+# before each ban's, then labs, then the delivery time.
+CHECK_TASK_FAULTS = [
+    ((("L", "L", 3), ()), "deliver: endpoints must differ"),
+    ((("L", "X", 9), (("R", "L"), ("R", "R"))), "silence[1]: endpoints must differ"),
+    ((("L", "R", 9), (("R", "L"), ("X", "L"))), "silence[1].from: unknown location 'X'"),
+    ((("L", "R", 9), ()), "deliver.at: 9 outside [0, 3]; horizon too small"),
+    ((("L", "R", -1), ()), "deliver.at: -1 outside [0, 3]"),
+]
+
+
+@pytest.mark.parametrize("task, message", CHECK_TASK_FAULTS)
+def test_check_task_raises_the_first_fault(d3, task, message):
+    cfg, _, _ = d3
+    with pytest.raises(SimulationError) as err:
+        check_task(task, cfg)
+    assert str(err.value) == message
 
 
 class TestEvaluateRequirement:
@@ -106,7 +123,7 @@ class TestEvaluateRequirement:
 class TestParadoxRequirements:
     def test_canonical_bundle(self, d3):
         cfg, tasks, _ = d3
-        r1, r2, r3 = paradox_requirements(cfg, tasks["task1"], tasks["task2"])
+        r1, r2, r3 = paradox_requirements(cfg, tasks, "task1", "task2")
         assert r1 == Requirement(scenario(("task1", "L", 0)), Rule.ALL)
         assert r2 == Requirement(scenario(("task2", "R", 0)), Rule.ALL)
         assert r3 == Requirement(
@@ -116,13 +133,17 @@ class TestParadoxRequirements:
     def test_duplicate_task_rejected(self, d3):
         cfg, tasks, _ = d3
         with pytest.raises(DuplicateTask):
-            paradox_requirements(cfg, tasks["task1"], tasks["task1"])
+            paradox_requirements(cfg, tasks, "task1", "task1")
+
+    def test_undefined_task_rejected(self, d3):
+        cfg, tasks, _ = d3
+        with pytest.raises(ValidationError, match="^undefined task 'task3'$"):
+            paradox_requirements(cfg, tasks, "task1", "task3")
 
     def test_swapped_labs_give_symmetric_bundle(self, d3):
         cfg, tasks, bundle = d3
-        swapped1 = TaskSpec("task1", Deliver("R", "L", 3), (Silence("L", "R"),))
-        swapped2 = TaskSpec("task2", Deliver("L", "R", 3), (Silence("R", "L"),))
-        got = paradox_requirements(cfg, swapped1, swapped2)
+        swapped = {"task1": (("R", "L", 3), (("L", "R"),)), "task2": (("L", "R", 3), (("R", "L"),))}
+        got = paradox_requirements(cfg, swapped, "task1", "task2")
         assert got == [relabel_requirement(r) for r in bundle]
 
 
@@ -148,11 +169,8 @@ def relabel_cfg(cfg):
 
 
 def relabel_task(task):
-    return TaskSpec(
-        SWAP_TASK[task.id],
-        Deliver(SWAP[task.deliver.origin], SWAP[task.deliver.dest], task.deliver.at),
-        tuple(Silence(SWAP[b.origin], SWAP[b.dest]) for b in task.silence),
-    )
+    (origin, dest, at), bans = task
+    return (SWAP[origin], SWAP[dest], at), tuple((SWAP[o], SWAP[d]) for o, d in bans)
 
 
 def relabel_trace(trace):
