@@ -1,12 +1,16 @@
-"""Value semantics of every public value class.
+"""Value semantics of every public value class, and of the raw task rows.
 
 Pins what callers may rely on: field-tuple equality within one class,
 hashing (and which classes refuse it), that none orders, the exact
 ``repr``, the frozen guard, keyword construction with defaults, and
-pickle/deepcopy round trips.
+pickle/deepcopy round trips. A task is no class but the plain tuple
+``((origin, dest, at), bans)`` the loader reads; its parts are pinned as
+plain tuples on the same checks.
 """
 
+import ast
 import copy
+import json
 import pickle
 
 import pytest
@@ -25,7 +29,7 @@ from nosignal import (
     SpacetimeConfig,
     Trace,
 )
-from nosignal.config import ConfigDocument, NamedRequirement
+from nosignal.config import ConfigDocument, NamedRequirement, load_config
 from nosignal.audit import AuditViolation
 
 CFG = SpacetimeConfig({"L": 0, "R": 3}, 3)
@@ -96,8 +100,31 @@ UNHASHABLE_FIELDS = {
     ConfigDocument: "unhashable type: 'dict'",
 }
 
-ids = [case[0].__name__ for case in CASES]
-cases = pytest.mark.parametrize("cls, args, other, field, text", CASES, ids=ids)
+
+def _parts(task_body: dict) -> list:
+    """The delivery, the first ban and the whole task, as ``load_config``
+    reads ``task_body`` on the ``CFG`` line."""
+    doc = {"locations": CFG.locations, "horizon": CFG.horizon, "tasks": {"task1": task_body}}
+    task = load_config(json.dumps(doc)).tasks["task1"]
+    return [task[0], task[1][0], task]
+
+
+# A task object with its keys in order is read at once; the same object with
+# its keys reordered is read field by field. Both must give the same tuples.
+IN_ORDER = _parts({"deliver": {"from": "L", "to": "R", "at": 3}, "silence": [{"from": "R", "to": "L"}]})
+BY_FIELD = {repr(part): part for part in _parts(
+    {"silence": [{"to": "L", "from": "R"}], "deliver": {"at": 3, "to": "R", "from": "L"}})}
+
+# (tuple, (loaded row,), (an unequal row,), first index, repr), named for the
+# task part each row holds: the delivery, a silence ban, the whole task.
+ROW_CASES = [
+    (tuple, (IN_ORDER[0],), (("R", "L", 3),), 0, "('L', 'R', 3)"),
+    (tuple, (IN_ORDER[1],), (("L", "R"),), 0, "('R', 'L')"),
+    (tuple, (IN_ORDER[2],), ((("L", "R", 3), ()),), 0, TASK_REPR),
+]
+
+ids = [case[0].__name__ for case in CASES] + ["Deliver", "Silence", "TaskSpec"]
+cases = pytest.mark.parametrize("cls, args, other, field, text", CASES + ROW_CASES, ids=ids)
 
 
 def test_every_public_value_class_is_pinned():
@@ -107,6 +134,12 @@ def test_every_public_value_class_is_pinned():
 @cases
 def test_equality_is_per_class_field_tuple(cls, args, other, field, text):
     a, b = cls(*args), cls(*args)
+    if cls is tuple:
+        # A row is its own field tuple, whichever way the loader read it.
+        assert type(a) is tuple and a == ast.literal_eval(text) == BY_FIELD[text]
+        assert a != cls(*other)
+        assert all(a != c[0](*c[1]) for c in CASES)
+        return
     assert a == b and not a != b
     assert a != cls(*other)
     assert a != args and args != a
@@ -130,6 +163,10 @@ def test_hash(cls, args, other, field, text):
 @cases
 def test_ordering(cls, args, other, field, text):
     a, b = cls(*args), cls(*other)
+    if cls is tuple:
+        # Unequal rows order as tuples do.
+        assert (a < b) is not (b < a)
+        return
     with pytest.raises(TypeError):
         a < b
 
@@ -142,6 +179,15 @@ def test_repr_is_literal(cls, args, other, field, text):
 @cases
 def test_fields_are_read_only(cls, args, other, field, text):
     a = cls(*args)
+    if cls is tuple:
+        with pytest.raises(TypeError):
+            a[field] = None
+        with pytest.raises(TypeError):
+            del a[field]
+        with pytest.raises(AttributeError):
+            a.not_a_field = 1
+        assert repr(a) == text
+        return
     with pytest.raises(AttributeError) as err:
         setattr(a, field, None)
     assert str(err.value) == f"cannot assign to field {field!r}"
