@@ -8,21 +8,26 @@ impossibility when no strategy can satisfy a requirement set.
 
 Each public name is imported from its home module on first use, so
 ``import nosignal`` loads no submodule and a caller pays only for the
-modules it touches.
+modules it touches. The command line loads ``cli``, ``config``,
+``protocol``, ``tasks``, ``spacetime``, ``search``, ``diagram``, ``record``
+and ``errors``; ``text`` only to print text other than a diagram (help
+and usage errors included), and ``faults`` only for a document with a
+shape fault. It never loads ``audit``, the home of the library-only
+helpers.
 """
 
 __version__ = "0.1.0"
 
 _HOMES = {
-    "audit": "AuditReport indistinguishable no_signaling_audit",
+    "audit": "AuditReport causal_leq indistinguishable local_history no_signaling_audit "
+             "paradox_requirements signal_arrival",
     "errors": "DuplicateTask InvalidScenario ParseError SameLocation SimulationError "
               "UnachievableTask UnknownLocation ValidationError",
-    "protocol": "Scenario Trace execute local_history obedient_strategy",
+    "protocol": "Scenario Trace execute obedient_strategy",
     "search": "Aborted Certificate Found Impossible SearchLimits SearchOutcome "
               "find_strategy mutually_exclusive",
-    "spacetime": "SpacetimeConfig causal_leq distance signal_arrival",
-    "tasks": "Requirement RequirementReport Rule evaluate_requirement evaluate_task "
-             "paradox_requirements",
+    "spacetime": "SpacetimeConfig distance",
+    "tasks": "Requirement RequirementReport Rule evaluate_requirement evaluate_task",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 

@@ -5,15 +5,17 @@ and diagram), ``search`` (synthesize a strategy for the document's
 requirements or certify impossibility), ``check`` (evaluate a strategy
 file against every requirement), and ``diagram`` (print just the picture).
 Each builds one result: ``--json`` prints it, and the text is rendered
-from it.
+from it, by ``text`` for every command but ``diagram``, whose text is the
+picture. The config reader imports ``faults`` only for a document with a
+shape fault, and nothing here imports ``audit``.
 
 The grammar is one table, ``_COMMANDS`` and ``_COMMON``, of each option's
 ``add_argument`` keywords. The plain form ``CMD (--opt VALUE | --json)*``
 with exact option names is parsed straight from it. Any other argv (help,
 abbreviations, ``--opt=value``, every usage error) goes to the argparse
-tree that ``build_parser`` makes from the same table, so its output is
-argparse's own; only then is ``argparse`` imported. Its usage-error exit
-status 2 is reported as 1.
+tree that ``build_parser`` has ``text`` make from the same table, so its
+output is argparse's own; only then are ``text`` and ``argparse``
+imported. Its usage-error exit status 2 is reported as 1.
 
 Exit codes: 0 ok/found, 1 usage error, 2 invalid input, 3 requirements
 unsatisfiable or unsatisfied, 4 search aborted on limits.
@@ -24,7 +26,6 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from collections.abc import Callable
 from types import SimpleNamespace
 
 from .config import (
@@ -74,36 +75,8 @@ def _pick_strategy(source: str, doc: ConfigDocument) -> RawAssignment:
 
 def _pick_limits(args, doc: ConfigDocument) -> SearchLimits:
     limits = doc.limits or SearchLimits()
-    if args.limits_branches is not None:
-        limits = SearchLimits(args.limits_branches, limits.max_decision_points)
-    if args.limits_decisions is not None:
-        limits = SearchLimits(limits.max_branches, args.limits_decisions)
-    return limits
-
-
-def _count(n: int, noun: str) -> str:
-    """``n`` and ``noun``, in the plural unless ``n`` is 1."""
-    return f"{n} {noun}" if n == 1 else f"{n} {noun}{'es' if noun.endswith('ch') else 's'}"
-
-
-def _trace_lines(trace: dict[str, list]) -> list[str]:
-    rows = [(t, 0, f"  t={t}  request {task} at {loc}") for task, loc, t in trace["requests"]]
-    rows += [(t, 1, f"  t={t}  depart  {o} -> {d}") for o, d, t in trace["departures"]]
-    rows += [(t, 2, f"  t={t}  arrive  {o} -> {d}") for o, d, t in trace["arrivals"]]
-    return [text for _, _, text in sorted(rows)] or ["  (empty trace)"]
-
-
-def _event_label(event: dict[str, object]) -> str:
-    if event["kind"] == "request":
-        return f"request {event['task']} @{event['time']}"
-    return f"signal from {event['origin']} @{event['time']}"
-
-
-def _row_line(row: dict) -> str:
-    history = row["history"]
-    events = ", ".join(_event_label(event) for event in history["events"])
-    sends = ", ".join(row["action"]["send"]) or "nothing"
-    return f"  {row['agent']}  t={history['upto']}  [{events}]  -> send {sends}"
+    return SearchLimits(limits.max_branches if args.limits_branches is None else args.limits_branches,
+                        limits.max_decision_points if args.limits_decisions is None else args.limits_decisions)
 
 
 def _report_json(report: RequirementReport, label: str) -> dict[str, object]:
@@ -115,17 +88,18 @@ def _report_json(report: RequirementReport, label: str) -> dict[str, object]:
     }
 
 
-def _report_line(i: int, report: dict) -> str:
-    verdicts = ", ".join(f"{tid}={'ok' if ok else 'fail'}" for tid, ok in report["verdicts"].items())
-    status = "satisfied" if report["satisfied"] else "UNSATISFIED"
-    return (f"requirement {i} ({report['rule']} of {report['scenario']!r}): "
-            f"{status}  [{verdicts or 'no tasks requested'}]")
-
-
-def _emit(args, code: int, payload: dict[str, object], lines: Callable[[], list[str]]) -> int:
+def _emit(args, code: int, payload: dict[str, object], *context) -> int:
     """Print a command's result, the payload with ``--json`` and otherwise
-    the text lines ``lines()`` renders from it; return the exit code."""
-    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines()))
+    its text: the picture for ``diagram``, else the lines that ``text``
+    renders from the payload and ``context``. Return the exit code."""
+    if args.json:
+        out = json.dumps(payload, indent=2)
+    elif args.command == "diagram":
+        out = payload["diagram"].removesuffix("\n")
+    else:
+        from . import text  # only text output needs the renderers
+        out = "\n".join(getattr(text, args.command)(payload, *context))
+    print(out)
     return code
 
 
@@ -154,54 +128,33 @@ def cmd_simulate(args) -> int:
         },
         "diagram": picture,
     }
-    return _emit(args, EXIT_OK, payload, lambda: [
-        f"scenario {args.scenario!r} with strategy {args.strategy!r}",
-        *_trace_lines(payload["trace"]),
-        "verdicts:",
-        *(f"  {task_id}: {'satisfied' if ok else 'unsatisfied'}"
-          for task_id, ok in payload["verdicts"].items()),
-        "",
-        picture.removesuffix("\n"),
-    ])
+    return _emit(args, EXIT_OK, payload)
 
 
 def cmd_search(args) -> int:
     doc = _load_document(args.config)
-    requirements = doc.resolve_requirements()
-    outcome = find_strategy(doc.spacetime, requirements, doc.tasks, _pick_limits(args, doc))
+    outcome = find_strategy(doc.spacetime, doc.resolve_requirements(), doc.tasks, _pick_limits(args, doc))
 
     if isinstance(outcome, Found):
-        rows = strategy_rows(outcome.strategy)
         return _emit(args, EXIT_OK, {
             "outcome": "found",
-            "strategy": {"rows": rows},
+            "strategy": {"rows": strategy_rows(outcome.strategy)},
             "reports": [
                 _report_json(report, named.scenario)
                 for report, named in zip(outcome.reports, doc.requirements)
             ],
-        }, lambda: [
-            f"found a strategy satisfying all {_count(len(requirements), 'requirement')}:",
-            *([_row_line(row) for row in rows]
-              or ["  (empty table: every agent always does nothing)"]),
-        ])
+        })
 
     if isinstance(outcome, Impossible):
         cert = outcome.certificate
-        explored = cert.strategies_explored
-        failures = sorted(cert.failures_by_requirement().items())
         return _emit(args, EXIT_UNSATISFIED, {
             "outcome": "impossible",
-            "strategies_explored": explored,
+            "strategies_explored": cert.strategies_explored,
             "decision_points": len(cert.decision_points),
-            "failures_by_requirement": {str(idx): count for idx, count in failures},
-        }, lambda: [
-            f"impossible: all {_count(explored, 'refuted branch')} over "
-            f"{_count(len(cert.decision_points), 'decision point')} "
-            f"{'fails' if explored == 1 else 'fail'} some requirement",
-            *(f"  requirement {idx + 1} ({doc.requirements[idx].rule.value} of "
-              f"{doc.requirements[idx].scenario!r}): first failure on {_count(count, 'branch')}"
-              for idx, count in failures),
-        ])
+            "failures_by_requirement": {
+                str(idx): count for idx, count in sorted(cert.failures_by_requirement().items())
+            },
+        }, doc.requirements)
 
     assert isinstance(outcome, Aborted)
     return _emit(args, EXIT_ABORTED, {
@@ -209,10 +162,7 @@ def cmd_search(args) -> int:
         "limit": outcome.limit,
         "strategies_explored": outcome.strategies_explored,
         "decision_points": outcome.decision_points,
-    }, lambda: [
-        f"aborted: {outcome.limit} limit hit after {_count(outcome.strategies_explored, 'branch')} "
-        f"and {_count(outcome.decision_points, 'decision point')}",
-    ])
+    })
 
 
 def cmd_check(args) -> int:
@@ -228,15 +178,12 @@ def cmd_check(args) -> int:
     return _emit(args, EXIT_OK if all_ok else EXIT_UNSATISFIED, {
         "reports": reports,
         "all_satisfied": all_ok,
-    }, lambda: [
-        *(_report_line(i, report) for i, report in enumerate(reports, 1)),
-        "all requirements satisfied" if all_ok else "some requirements unsatisfied",
-    ])
+    })
 
 
 def cmd_diagram(args) -> int:
     _, _, picture = _run_scenario(args)
-    return _emit(args, EXIT_OK, {"diagram": picture}, lambda: [picture.removesuffix("\n")])
+    return _emit(args, EXIT_OK, {"diagram": picture})
 
 
 # The grammar: each option's ``add_argument`` keywords, common options first,
@@ -265,17 +212,9 @@ _COMMANDS = {
 
 
 def build_parser():
-    import argparse  # only help and usage errors need it
+    from .text import parser  # only help and usage errors need the argparse tree
 
-    parser = argparse.ArgumentParser(prog="nosignal",
-                                     description="simulate and search local signaling strategies")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func, own) in _COMMANDS.items():
-        command = sub.add_parser(name, help=summary)
-        for flag, keywords in {**_COMMON, **own}.items():
-            command.add_argument(flag, **keywords)
-        command.set_defaults(func=func)
-    return parser
+    return parser(_COMMANDS, _COMMON)
 
 
 def _plain_args(argv) -> SimpleNamespace | None:

@@ -5,6 +5,12 @@ scenarios, requirements, optional search limits) and the strategy document
 (explicit rows of agent, history, action; unlisted histories send
 nothing). Validation errors carry the JSON path of the offending value,
 parse errors the line and column.
+
+A well-shaped document, whatever the order of its keys and whichever
+optional keys it leaves out, is read here in one pass per list. Only a
+shape fault (a wrong JSON type, or a missing or unexpected key) loads
+``faults``, the field-by-field reader that finds the first fault in reading
+order. Both raise every fault in that order, so they give one behaviour.
 """
 
 from __future__ import annotations
@@ -47,73 +53,36 @@ class ConfigDocument(Record):
         ]
 
 
-def _shape(table: dict) -> tuple:
-    """``table``, which maps each key of a JSON object in reading order to its
-    JSON type, or to ``(type, default)`` if it may be left out; its keys; their types."""
-    return table, tuple(table), tuple(kind if type(kind) is type else kind[0] for kind in table.values())
+class _Misshapen(Exception):
+    """A shape fault, which the field-by-field reader in ``faults`` reports."""
 
 
-_DOCUMENT = _shape({"locations": dict, "horizon": int, "tasks": (dict, {}), "scenarios": (dict, {}),
-                    "requirements": (list, ()), "limits": (dict, None)})
-_TASK = _shape({"deliver": dict, "silence": (list, ())})
+def _shape(table: dict, **defaults) -> tuple:
+    """``table``, which maps each key of a JSON object in reading order to
+    its JSON type; the defaults of the keys that may be left out; the list
+    of the types in order; a template, the table's keys in order mapped to
+    their defaults or to None."""
+    return table, defaults, [*table.values()], {**dict.fromkeys(table), **defaults}
+
+
+# The {} of "limits" only marks it optional: a document that leaves it out has no limits.
+_DOCUMENT = _shape({"locations": dict, "horizon": int, "tasks": dict, "scenarios": dict, "requirements": list,
+                    "limits": dict}, tasks={}, scenarios={}, requirements=[], limits={})
+_TASK = _shape({"deliver": dict, "silence": list}, silence=[])
 _DELIVER = _shape({"from": str, "to": str, "at": int})
 _SILENCE = _shape({"from": str, "to": str})
 _REQUEST = _shape({"task": str, "location": str, "time": int})
 _REQUIREMENT = _shape({"scenario": str, "rule": str})
-_LIMITS = _shape({"max_branches": (int, None), "max_decision_points": (int, None)})
+# Either limit may be left out, for SearchLimits' own default; these stand-ins are never read.
+_LIMITS = _shape({"max_branches": int, "max_decision_points": int}, max_branches=0, max_decision_points=0)
 _STRATEGY = _shape({"rows": list})
 _ROW = _shape({"agent": str, "history": dict, "action": dict})
-_HISTORY = _shape({"upto": int, "events": (list, ())})
-_ACTION = _shape({"send": (list, ())})
-_EVENT = {"kind": str, "time": int}
+_HISTORY = _shape({"upto": int, "events": list}, events=[])
+_ACTION = _shape({"send": list}, send=[])
 _KINDS = (KIND_REQUEST, KIND_SIGNAL)  # compared by ==, so a kind of any JSON type can be looked up
-_EVENTS = {KIND_REQUEST: _shape({**_EVENT, "task": str}), KIND_SIGNAL: _shape({**_EVENT, "origin": str})}
-_TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+_EVENTS = {KIND_REQUEST: _shape({"kind": str, "time": int, "task": str}),
+           KIND_SIGNAL: _shape({"kind": str, "time": int, "origin": str})}
 _RULES = {rule.value: rule for rule in Rule}
-
-
-def _text(path: tuple) -> str:
-    """A JSON path, the keys and list indices down to a value, as text."""
-    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
-
-
-def _fail(path: tuple, message: str):
-    raise ValidationError(f"{_text(path) or 'document'}: {message}")
-
-
-def _typed(value, kind: type, path: tuple):
-    """``value``, if its JSON type is ``kind`` (a bool is no integer)."""
-    if type(value) is not kind:
-        _fail(path, f"expected {_TYPES[kind]}, got "
-                    f"{type(value).__name__ if kind is dict or kind is list else repr(value)}")
-    return value
-
-
-def _fields(value, shape: tuple, path: tuple):
-    """An iterator over the values of a JSON object's ``shape`` keys. An
-    object with just those keys, in that order and of those types, is read
-    at once; any other by ``_read``."""
-    table, keys, types = shape
-    if type(value) is dict and tuple(value) == keys and tuple(map(type, value.values())) == types:
-        return iter(value.values())
-    return _read(value, table, path)
-
-
-def _read(value, table: dict, path: tuple, closed: bool = True):
-    """Yield ``table``'s values in order, checking the object's type and,
-    when ``closed``, its keys as the first is taken, and each key's presence
-    and type as its value is, so the caller checks a value before the next."""
-    _typed(value, dict, path)
-    if closed and not value.keys() <= table.keys():
-        _fail(path, f"unexpected key {next(key for key in value if key not in table)!r}")
-    for key, kind in table.items():
-        if key in value:
-            kind = kind if type(kind) is type else kind[0]
-            yield value[key] if type(value[key]) is kind else _typed(value[key], kind, (*path, key))
-        elif type(kind) is tuple:
-            yield kind[1]
-        else:
-            _fail(path, f"missing key {key!r}")
 
 
 def _parse(text: str) -> object:
@@ -127,94 +96,105 @@ def _parse(text: str) -> object:
         raise ParseError("integer literal has too many digits") from None
 
 
-def _location(value, cfg: SpacetimeConfig, path: tuple) -> str:
-    if type(value) is not str or value not in cfg.locations:
-        _fail(path, f"unknown location {_typed(value, str, path)!r}")
-    return value
+def _rows(objects, shape: tuple) -> list[tuple]:
+    """The values of each JSON object in ``objects`` in ``shape``'s key
+    order, whatever its own, an optional key left out giving its default,
+    which is of the key's type; ``_Misshapen`` on a wrong JSON type, or a
+    missing or unexpected key."""
+    if not objects:
+        return []
+    _, _, types, template = shape
+    # Filled into the template, a key left out without a default stays None, of no JSON type
+    # here, and an unexpected key adds a value, so either makes the row's types wrong.
+    rows = [tuple({**template, **row}.values()) for row in objects if type(row) is dict]
+    if len(rows) < len(objects) or [type(value) for row in rows for value in row] != types * len(rows):
+        raise _Misshapen
+    return rows
 
 
-def _checked(path: tuple, sep: str, check: Callable, *args):
+def _check_names(names, path: str) -> None:
+    """Refuse a lab name or task id holding a lone surrogate (JSON's
+    ``\\ud800`` escape, say), which is no Unicode text and cannot be printed."""
+    for name in names:
+        try:
+            name.encode()
+        except UnicodeEncodeError:
+            raise ValidationError(f"{path}: name {name!r} is not Unicode text (a lone surrogate)") from None
+
+
+def _checked(prefix: str, check: Callable, *args):
     """``check(*args)``, a constructor or checker; an input error it raises
-    is raised again with ``path`` and ``sep`` in front."""
+    is raised again with ``prefix``, the JSON path of what it checks, in front."""
     try:
         return check(*args)
     except SimulationError as err:
-        raise ValidationError(f"{_text(path)}{sep}{err}") from None
-
-
-def _task(body, task_id: str) -> Task:
-    """The tuple of a task object, read at once when its objects all have
-    just their keys, in order, of their JSON types, and otherwise in reading
-    order, its delivery's fields and endpoints and then each ban's, so the
-    first fault is the one raised. ``check_task`` checks the rest."""
-    if type(body) is dict and tuple(body) == _TASK[1]:
-        deliver, silence = body.values()
-        if type(deliver) is dict and tuple(deliver) == _DELIVER[1] and type(silence) is list:
-            origin, dest, at = delivery = tuple(deliver.values())
-            bans = [pair for ban in silence if type(ban) is dict and tuple(ban) == _SILENCE[1]
-                    and type((pair := tuple(ban.values()))[0]) is str and type(pair[1]) is str]
-            if type(origin) is str and type(dest) is str and type(at) is int and len(bans) == len(silence):
-                return delivery, tuple(bans)
-    path = ("tasks", task_id)
-    fields = _fields(body, _TASK, path)
-    delivery = tuple(_fields(next(fields), _DELIVER, (*path, "deliver")))
-    if delivery[0] == delivery[1]:
-        _fail((*path, "deliver"), "endpoints must differ")
-    bans = []
-    for i, ban in enumerate(next(fields)):
-        bans.append(tuple(_fields(ban, _SILENCE, (*path, "silence", i))))
-        if bans[-1][0] == bans[-1][1]:
-            _fail((*path, "silence", i), "endpoints must differ")
-    return delivery, tuple(bans)
+        raise ValidationError(f"{prefix}{err}") from None
 
 
 def load_config(text: str) -> ConfigDocument:
     """Parse and validate a config document.
 
-    JSON types, keys and names (tasks, scenarios, rules) are checked here;
-    every other invariant by the constructor or checker that owns it, whose
-    message gets the JSON path of the offending value in front.
+    A well-shaped document is read in one pass per list, each invariant
+    checked in reading order by the constructor or checker that owns it,
+    whose message gets the JSON path of the offending value in front. A
+    document with a shape fault is read by ``faults.read_config``, which
+    raises the first fault in the same order.
     """
-    document = _fields(_parse(text), _DOCUMENT, ())
-    locations = next(document)
-    for name, coord in locations.items():
-        _typed(coord, int, ("locations", name))
-    cfg = SpacetimeConfig(locations, next(document))
+    value = _parse(text)
+    try:
+        return _config(value)
+    except _Misshapen:
+        pass
+    from .faults import read_config  # loaded only for a document with a shape fault
+    return read_config(value)
 
-    tasks: dict[str, Task] = {}
-    for task_id, body in next(document).items():
-        tasks[task_id] = task = _task(body, task_id)
-        _checked(("tasks", task_id), ".", check_task, task, cfg)
 
-    scenarios: dict[str, Scenario] = {}
-    for name, entries in next(document).items():
-        requests = []
-        for i, entry in enumerate(_typed(entries, list, ("scenarios", name))):
-            fields = _fields(entry, _REQUEST, ("scenarios", name, i))
-            task_id = next(fields)
-            if task_id not in tasks:
-                _fail(("scenarios", name, i, "task"), f"undefined task {task_id!r}")
-            request = (task_id, *fields)
-            _checked(("scenarios", name, i), ".", check_request, request, cfg)
-            requests.append(request)
-        scenarios[name] = _checked(("scenarios", name), ": ", Scenario, requests)
+def _config(value) -> ConfigDocument:
+    [(locations, horizon, bodies, lists, named, body)] = _rows([value], _DOCUMENT)
+    if not all(type(coord) is int for coord in locations.values()):
+        raise _Misshapen
+    _check_names(locations, "locations")
+    cfg = SpacetimeConfig(locations, horizon)
 
-    requirements: list[NamedRequirement] = []
-    for i, entry in enumerate(next(document)):
-        fields = _fields(entry, _REQUIREMENT, ("requirements", i))
-        name = next(fields)
+    _check_names(bodies, "tasks")
+    rows = _rows(bodies.values(), _TASK)
+    bans = iter(_rows([ban for _, silence in rows for ban in silence], _SILENCE))
+    tasks = {}
+    for task_id, delivery, (_, silence) in zip(bodies, _rows([deliver for deliver, _ in rows], _DELIVER), rows):
+        tasks[task_id] = task = delivery, tuple([next(bans) for _ in silence])
+        try:
+            check_task(task, cfg)
+        except SimulationError as err:
+            raise ValidationError(f"tasks.{task_id}.{err}") from None
+
+    if not all(type(requests) is list for requests in lists.values()):
+        raise _Misshapen
+    entries = iter(_rows([entry for requests in lists.values() for entry in requests], _REQUEST))
+    scenarios = {}
+    for name, requests in lists.items():
+        requests = [next(entries) for _ in requests]
+        try:
+            for i, request in enumerate(requests):
+                if request[0] not in tasks:
+                    raise ValidationError(f"task: undefined task {request[0]!r}")
+                check_request(request, cfg)
+        except SimulationError as err:
+            raise ValidationError(f"scenarios.{name}[{i}].{err}") from None
+        scenarios[name] = _checked(f"scenarios.{name}: ", Scenario, requests)
+
+    requirements = []
+    for i, (name, rule) in enumerate(_rows(named, _REQUIREMENT)):
         if name not in scenarios:
-            _fail(("requirements", i, "scenario"), f"undefined scenario {name!r}")
-        rule = _RULES.get(rule_raw := next(fields))
-        if rule is None:
-            _fail(("requirements", i, "rule"), f"expected 'all' or 'at_least_one', got {rule_raw!r}")
-        _checked(("requirements", i), ": ", check_requirement, scenarios[name], rule)
-        requirements.append(NamedRequirement(name, rule))
+            raise ValidationError(f"requirements[{i}].scenario: undefined scenario {name!r}")
+        if rule not in _RULES:
+            raise ValidationError(f"requirements[{i}].rule: expected 'all' or 'at_least_one', got {rule!r}")
+        _checked(f"requirements[{i}]: ", check_requirement, scenarios[name], _RULES[rule])
+        requirements.append(NamedRequirement(name, _RULES[rule]))
 
-    limits, body = None, next(document)
-    if body is not None:
-        _, _ = _fields(body, _LIMITS, ("limits",))  # the keys are SearchLimits' own
-        limits = _checked(("limits",), ": ", lambda: SearchLimits(**body))
+    limits = None
+    if "limits" in value:
+        _rows([body], _LIMITS)  # the keys are SearchLimits' own
+        limits = _checked("limits: ", lambda: SearchLimits(**body))
 
     return ConfigDocument(cfg, tasks, scenarios, requirements, limits)
 
@@ -226,54 +206,63 @@ def _event_to_json(event: tuple[int, str, str]) -> dict[str, object]:
     return {"kind": "signal", "time": time, "origin": label}
 
 
-def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
-                     tasks: Mapping[str, Task], path: tuple) -> tuple[int, str, str]:
-    # Unless it has just its kind's keys, in order, its kind and time come before its keys.
-    kind = raw.get("kind") if type(raw) is dict else None
-    if kind not in _KINDS or tuple(raw) != _EVENTS[kind][1]:
-        head = _read(raw, _EVENT, path, closed=False)
-        kind = next(head)
-        if kind not in _KINDS:
-            _fail((*path, "kind"), f"expected 'request' or 'signal', got {kind!r}")
-        next(head)
-    _, time, label = _fields(raw, _EVENTS[kind], path)
-    if kind == KIND_REQUEST:
-        if label not in tasks:
-            _fail((*path, "task"), f"undefined task {label!r}")
-    else:
-        _location(label, cfg, (*path, "origin"))
-        if label == agent:
-            _fail((*path, "origin"), "signal origin cannot be the receiving agent")
-    return (time, kind, label)
-
-
 def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:
-    """Parse and validate a strategy document against a configuration."""
-    (rows,) = _fields(_parse(text), _STRATEGY, ())
-    table: RawAssignment = {}
-    for i, row in enumerate(rows):
-        fields = _fields(row, _ROW, ("rows", i))
-        agent = _location(next(fields), cfg, ("rows", i, "agent"))
-        history = _fields(next(fields), _HISTORY, ("rows", i, "history"))
-        upto = next(history)
+    """Parse and validate a strategy document against a configuration: a
+    well-shaped one in one pass, one with a shape fault by
+    ``faults.read_strategy``, as ``load_config`` reads a config document."""
+    value = _parse(text)
+    try:
+        return _strategy(value, cfg, tasks)
+    except _Misshapen:
+        pass
+    from .faults import read_strategy  # loaded only for a document with a shape fault
+    return read_strategy(value, cfg, tasks)
+
+
+def _event(raw) -> tuple[int, str, str]:
+    kind = raw.get("kind") if type(raw) is dict else None
+    if kind not in _KINDS:
+        raise _Misshapen  # an event's kind decides its keys
+    [(_, time, label)] = _rows([raw], _EVENTS[kind])
+    return time, kind, label
+
+
+def _strategy(value, cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:
+    [(rows,)] = _rows([value], _STRATEGY)
+    rows = _rows(rows, _ROW)
+    histories = _rows([history for _, history, _ in rows], _HISTORY)
+    actions = _rows([action for _, _, action in rows], _ACTION)
+    event_lists = [[_event(event) for event in events] for _, events in histories]
+    if not all(type(dest) is str for send, in actions for dest in send):
+        raise _Misshapen
+    labs, table = cfg.locations, {}
+    for i, ((agent, _, _), (upto, _), events, (send,)) in enumerate(zip(rows, histories, event_lists, actions)):
+        # The row's faults in reading order: agent, upto, each event, each send, event times.
+        if agent not in labs:
+            raise ValidationError(f"rows[{i}].agent: unknown location {agent!r}")
         if not 0 <= upto <= cfg.horizon:
-            _fail(("rows", i, "history", "upto"), f"{upto} outside [0, {cfg.horizon}]")
-        events = tuple(_event_from_json(event, cfg, agent, tasks, ("rows", i, "history", "events", j))
-                       for j, event in enumerate(next(history)))
-        (send,) = _fields(next(fields), _ACTION, ("rows", i, "action"))
-        dests = set()
+            raise ValidationError(f"rows[{i}].history.upto: {upto} outside [0, {cfg.horizon}]")
+        for j, (_, kind, label) in enumerate(events):
+            if kind == KIND_REQUEST:
+                if label not in tasks:
+                    raise ValidationError(f"rows[{i}].history.events[{j}].task: undefined task {label!r}")
+            elif label not in labs:
+                raise ValidationError(f"rows[{i}].history.events[{j}].origin: unknown location {label!r}")
+            elif label == agent:
+                raise ValidationError(f"rows[{i}].history.events[{j}].origin: "
+                                      "signal origin cannot be the receiving agent")
         for j, dest in enumerate(send):
-            _location(dest, cfg, ("rows", i, "action", "send", j))
+            if dest not in labs:
+                raise ValidationError(f"rows[{i}].action.send[{j}]: unknown location {dest!r}")
             if dest == agent:
-                _fail(("rows", i, "action", "send", j), "agent cannot send to itself")
-            dests.add(dest)
+                raise ValidationError(f"rows[{i}].action.send[{j}]: agent cannot send to itself")
         for j, (time, _, _) in enumerate(events):
             if not 0 <= time <= upto:
-                _fail(("rows", i, "history", "events", j, "time"), f"{time} outside [0, {upto}]")
+                raise ValidationError(f"rows[{i}].history.events[{j}].time: {time} outside [0, {upto}]")
         key = (agent, upto, tuple(sorted(events)))
-        sends = tuple(sorted(dests))
+        sends = tuple(sorted(set(send)))
         if table.setdefault(key, sends) != sends:
-            _fail(("rows", i), "conflicting duplicate of an earlier row")
+            raise ValidationError(f"rows[{i}]: conflicting duplicate of an earlier row")
     return table
 
 

@@ -23,7 +23,7 @@ from collections.abc import Iterable, Mapping
 
 from .errors import InvalidScenario, SameLocation, UnachievableTask, ValidationError
 from .record import Record
-from .spacetime import SpacetimeConfig, check_event, distance
+from .spacetime import SpacetimeConfig, distance
 
 # ``Task`` (from ``.tasks``, which imports this module) appears in annotations only.
 
@@ -96,37 +96,6 @@ def check_scenario(scenario: Scenario, cfg: SpacetimeConfig) -> None:
     """Every request passes ``check_request``; the first failure in request order is raised."""
     for request in sorted(scenario.requests):
         check_request(request, cfg)
-
-
-def check_trace(trace: Trace, cfg: SpacetimeConfig) -> None:
-    """Assert the departure/arrival matching invariants of a trace."""
-    for origin, dest, at in trace.arrivals:
-        if (origin, dest, at - distance(origin, dest, cfg)) not in trace.departures:
-            raise ValidationError(f"arrival {(origin, dest, at)} has no matching departure")
-    for origin, dest, t in trace.departures:
-        arrives = t + distance(origin, dest, cfg)
-        if arrives <= cfg.horizon and (origin, dest, arrives) not in trace.arrivals:
-            raise ValidationError(f"departure {(origin, dest, t)} lost its arrival at t={arrives}")
-
-
-def local_history(trace: Trace, agent: str, t: int, cfg: SpacetimeConfig) -> RawKey:
-    """The raw key of ``agent``'s observation record at time ``t``.
-
-    Contains exactly the requests submitted at the agent's location and the
-    signal arrivals delivered there, up to and including ``t``.
-    """
-    check_event((agent, t), cfg)
-    events = [
-        (time, KIND_REQUEST, task)
-        for task, loc, time in trace.requests
-        if loc == agent and time <= t
-    ]
-    events += [
-        (at, KIND_SIGNAL, origin)
-        for origin, dest, at in trace.arrivals
-        if dest == agent and at <= t
-    ]
-    return (agent, t, tuple(sorted(events)))
 
 
 class Run:

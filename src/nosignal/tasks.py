@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from enum import Enum
 
-from .errors import DuplicateTask, UnknownLocation, ValidationError
+from .errors import UnknownLocation, ValidationError
 from .protocol import RawAssignment, Scenario, Trace, execute
 from .record import Record
 from .spacetime import SpacetimeConfig
@@ -106,24 +106,3 @@ def evaluate_requirement(
     }
     combine = all if requirement.rule is Rule.ALL else any
     return RequirementReport(requirement, verdicts, combine(verdicts.values()))
-
-
-def paradox_requirements(
-    cfg: SpacetimeConfig, tasks: Mapping[str, Task], task1: str, task2: str
-) -> list[Requirement]:
-    """The three-way bundle that creates the choice trap, for two of ``tasks`` by id.
-
-    Each task alone must succeed (rules All), and when both are requested
-    at t=0 either one would do (rule AtLeastOne). Requests are submitted at
-    each task's delivery origin.
-    """
-    if task1 == task2:
-        raise DuplicateTask(f"need two distinct tasks, got {task1!r} twice")
-    requests = []
-    for task_id in (task1, task2):
-        if task_id not in tasks:
-            raise ValidationError(f"undefined task {task_id!r}")
-        check_task(tasks[task_id], cfg)
-        requests.append((task_id, tasks[task_id][0][0], 0))
-    single = [Requirement(Scenario([request]), Rule.ALL) for request in requests]
-    return [*single, Requirement(Scenario(requests), Rule.AT_LEAST_ONE)]

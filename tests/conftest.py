@@ -4,7 +4,7 @@ import pytest
 
 from nosignal import SpacetimeConfig
 from nosignal.config import strategy_rows
-from nosignal.tasks import paradox_requirements
+from nosignal.audit import paradox_requirements
 
 
 def make_instance(gap: int):

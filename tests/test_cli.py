@@ -18,12 +18,15 @@ from nosignal import (
     Rule,
     Scenario,
     SearchLimits,
+    SimulationError,
     SpacetimeConfig,
     Trace,
     ValidationError,
     cli,
+    config,
     evaluate_task,
     execute,
+    faults,
     obedient_strategy,
 )
 from nosignal.cli import main
@@ -50,6 +53,7 @@ REPLAY1 = GOLDEN.parent / "replay1_seed0.json"
 REPLAY2 = GOLDEN.parent / "replay2_seed0.json"
 REPLAY4 = GOLDEN.parent / "replay4_seed0.json"
 INVALID_TASK = GOLDEN.parent / "invalid_task.json"  # a task with two faults; CI checks it too
+MISSHAPEN_TASK = GOLDEN.parent / "misshapen_task.json"  # its first fault is of shape; CI checks it too
 
 
 def load_fixture_doc():
@@ -643,6 +647,10 @@ INVALID_EDITS = [
      "tasks.task1.silence[1].to: unknown location 'X'"),
     (("tasks", "task1"), {"deliver": {"from": 0, "to": "R", "at": 3}, "silence": [{"from": "R", "to": "R"}]},
      "tasks.task1.deliver.from: expected a string, got 0"),
+    (("scenarios", "both", 1), {"task": "task9", "location": "X", "time": 9},
+     "scenarios.both[1].task: undefined task 'task9'"),
+    (("requirements", 0), {"scenario": "none", "rule": "some"},
+     "requirements[0].scenario: undefined scenario 'none'"),
     (("scenarios", "both", 1, "location"), "X", "scenarios.both[1].location: unknown location 'X'"),
     (("scenarios", "both", 1, "time"), 9, "scenarios.both[1].time: 9 outside [0, 3]"),
     (("scenarios", "both", 1, "location"), "L",
@@ -679,6 +687,15 @@ INVALID_STRATEGIES = [
         {"kind": "request", "time": 5, "task": "task1"}, {"kind": "bogus", "time": 0}]},
        "action": {"send": ["R"]}}],
      "rows[0].history.events[1].kind: expected 'request' or 'signal', got 'bogus'"),
+    ([{"agent": "X", "history": {"upto": 9, "events": [{"kind": "signal", "time": 9, "origin": "X"}]},
+       "action": {"send": ["X"]}}],
+     "rows[0].agent: unknown location 'X'"),
+    ([{"agent": "L", "history": {"upto": 9, "events": [{"kind": "signal", "time": 9, "origin": "X"}]},
+       "action": {"send": ["X"]}}],
+     "rows[0].history.upto: 9 outside [0, 3]"),
+    ([{"agent": "L", "history": {"upto": 2, "events": [{"kind": "signal", "time": 9, "origin": "L"}]},
+       "action": {"send": ["X"]}}],
+     "rows[0].history.events[0].origin: signal origin cannot be the receiving agent"),
     # An event's kind is checked before its other fields.
     ([{"agent": "L", "history": {"upto": 2, "events": [{"kind": "bogus"}]}, "action": {}}],
      "rows[0].history.events[0].kind: expected 'request' or 'signal', got 'bogus'"),
@@ -753,6 +770,16 @@ INVALID_STRATEGIES = [
 ]
 
 
+# A name renamed to end in a lone surrogate: (argv, document, name, what `error: ` says).
+SURROGATES = [
+    (["simulate", "--scenario", "both"], PARADOX, "L",
+     "locations: name 'L\\ud800' is not Unicode text (a lone surrogate)"),
+    (["check", "--strategy", "obedient"], PARADOX, "task1",
+     "tasks: name 'task1\\ud800' is not Unicode text (a lone surrogate)"),
+    (["search"], SINGLE, "R", "locations: name 'R\\ud800' is not Unicode text (a lone surrogate)"),
+]
+
+
 def _edited_paradox(keys, value):
     if not keys:
         return value
@@ -808,6 +835,12 @@ def _cli_cases():
                        id="simulate-delivery-sooner-than-travel")
     yield pytest.param(["check", "--config", str(INVALID_TASK), "--strategy", "obedient"], None, None,
                        ("", (GOLDEN / "check_invalid_task.txt").read_text(), 2), id="check-invalid-task")
+    yield pytest.param(["check", "--config", str(MISSHAPEN_TASK), "--strategy", "obedient"], None, None,
+                       ("", (GOLDEN / "check_misshapen_task.txt").read_text(), 2), id="check-misshapen-task")
+    # A lab name or task id holding a lone surrogate (the JSON escape \ud800) cannot be printed.
+    for argv, path, name, message in SURROGATES:
+        config = json.loads(path.read_text().replace(f'"{name}"', f'"{name}\\ud800"'))
+        yield pytest.param(argv, config, None, ("", f"error: {message}\n", 2), id=f"surrogate-{argv[0]}")
     for i, (rows, message) in enumerate(INVALID_STRATEGIES):
         yield pytest.param(["check", "--config", str(PARADOX)], None, {"rows": rows},
                            ("", f"error: {message}\n", 2), id=f"strategy-{i}")
@@ -1039,3 +1072,148 @@ def test_cli_fuzz(tmp_path_factory, capsys, command, config, strategy, scenario,
         assert len(captured.err.splitlines()) == 1
     elif code != 1:  # a usage error prints argparse's usage lines first
         assert captured.err == ""
+
+
+def _strings(node):
+    """Every string in a JSON value, keys included."""
+    if isinstance(node, str):
+        yield node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _strings(key)
+        yield from _strings(child)
+
+
+@st.composite
+def mutated(draw, value, names=()):
+    """The JSON value ``value`` with one field changed: a value replaced (a
+    string by a name the document or ``names`` holds, or an unknown or
+    unprintable one, an integer by a small one, or either by any JSON value),
+    a key dropped or added, an object's keys reversed, or a list entry
+    doubled."""
+    value = json.loads(json.dumps(value))
+    paths = [path for path in _paths(value) if path] or [()]
+    leaves = [path for path in paths if not isinstance(_at(value, path), (dict, list))]
+    path = draw(st.sampled_from(leaves if leaves and draw(st.integers(0, 3)) else paths))
+    parent, target = _at(value, path[:-1]) if path else None, _at(value, path)
+    # Mostly a value of the same type, so that faults other than of shape come up too.
+    same = (st.sampled_from(sorted({*_strings(value), *names, "X", "L\ud800", "all", "at_least_one", "signal"}))
+            if isinstance(target, str) else st.integers(-3, 12) if type(target) is int else JSON_VALUES)
+    replacement = st.one_of(same, same, same, JSON_VALUES)
+    kinds = ["replace"] * 4 + (["drop", "add"] if isinstance(parent, dict) else [])
+    kinds += ["reverse"] if isinstance(target, dict) else []
+    kinds += ["double"] if isinstance(target, list) and target else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "replace":
+        if parent is None:
+            return draw(replacement)
+        parent[path[-1]] = draw(replacement)
+    elif kind == "drop":
+        del parent[path[-1]]
+    elif kind == "add":
+        parent[draw(st.sampled_from(["extra", "at", "task", "origin", "limits", "silence", "events", "send"]))] = \
+            draw(replacement)
+    elif kind == "reverse":
+        reversed_items = list(target.items())[::-1]
+        target.clear()
+        target.update(reversed_items)
+    else:
+        target.append(target[draw(st.integers(0, len(target) - 1))])
+    return value
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _read_or_fault(read, *args):
+    try:
+        return read(*args)
+    except SimulationError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_one_pass_config_reader_agrees_with_the_fault_reader(data):
+    """``load_config`` reads a well-shaped document in one pass and hands one
+    with a shape fault to the field-by-field fault reader. On one or two
+    single-field mutations of random documents both give equal documents or
+    the same fault, and a document the one-pass reader hands on has one."""
+    raw = json.loads(serialize_config(data.draw(config_documents())))
+    for _ in range(data.draw(st.integers(1, 2))):  # two faults: the first in reading order is raised
+        raw = data.draw(mutated(raw))
+    expected = _read_or_fault(faults.read_config, raw)
+    assert _read_or_fault(load_config, json.dumps(raw)) == expected
+    try:
+        config._config(raw)
+    except config._Misshapen:
+        assert isinstance(expected, str)
+    except SimulationError:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_one_pass_strategy_reader_agrees_with_the_fault_reader(data):
+    """As for config documents: mutations of random strategy rows load to
+    equal tables or to the same fault through ``load_strategy`` as through
+    the fault reader."""
+    doc, table = data.draw(strategy_documents())
+    raw = json.loads(serialize_strategy(table))
+    for _ in range(data.draw(st.integers(1, 2))):
+        raw = data.draw(mutated(raw, [*doc.spacetime.locations, *doc.tasks]))
+    expected = _read_or_fault(faults.read_strategy, raw, doc.spacetime, doc.tasks)
+    assert _read_or_fault(load_strategy, json.dumps(raw), doc.spacetime, doc.tasks) == expected
+    try:
+        config._strategy(raw, doc.spacetime, doc.tasks)
+    except config._Misshapen:
+        assert isinstance(expected, str)
+    except SimulationError:
+        pass
+
+
+def test_valid_commands_load_no_fault_reader_text_or_library_helpers(tmp_path):
+    """Valid commands that print JSON or a diagram, and documents whose only
+    faults are an unknown lab or duplicate coordinates, load neither the
+    fault reader nor the text renderers, and nothing loads the library-only
+    helpers in ``audit``. A document with a shape fault loads the fault
+    reader, which reports its first fault. ``-S`` keeps a site ``.pth`` file
+    from loading any of them first."""
+    unknown = json.loads(PARADOX.read_text())
+    unknown["tasks"]["task1"]["deliver"]["to"] = "L-R-x"
+    doubled = json.loads(PARADOX.read_text())
+    doubled["locations"] = {"L": 0, "R": 0}
+    (tmp_path / "unknown.json").write_text(json.dumps(unknown))
+    (tmp_path / "doubled.json").write_text(json.dumps(doubled))
+    runs = [
+        ["simulate", "--json", "--config", str(PARADOX), "--scenario", "both"],
+        ["check", "--json", "--config", str(SINGLE), "--strategy", str(OBEDIENT)],
+        ["search", "--json", "--config", str(SINGLE)],
+        ["search", "--json", "--config", str(PARADOX)],
+        ["diagram", "--config", str(PARADOX), "--scenario", "both"],
+        ["check", "--config", str(tmp_path / "unknown.json"), "--strategy", "obedient"],
+        ["check", "--config", str(tmp_path / "doubled.json"), "--strategy", "obedient"],
+    ]
+    probe = (
+        "import contextlib, io, sys, nosignal.cli\n"
+        "lazy = ('nosignal.faults', 'nosignal.text', 'nosignal.audit')\n"
+        "codes, errors = [], io.StringIO()\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(errors):\n"
+        "        codes.append(nosignal.cli.main(argv))\n"
+        "print(codes, errors.getvalue().splitlines(), [m for m in lazy if m in sys.modules])\n"
+        f"code = nosignal.cli.main(['check', '--config', {str(MISSHAPEN_TASK)!r}, '--strategy', 'obedient'])\n"
+        "print(code, [m for m in lazy if m in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    refusals = ["error: tasks.task1.deliver.to: unknown location 'L-R-x'",
+                "error: locations: coordinates must be pairwise distinct"]
+    assert proc.stdout == f"[0, 0, 0, 3, 0, 2, 2] {refusals} []\n2 ['nosignal.faults']\n"
+    assert proc.stderr == (GOLDEN / "check_misshapen_task.txt").read_text()

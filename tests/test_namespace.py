@@ -23,17 +23,18 @@ PUBLIC = [
 ]
 
 
-# Where each name is defined; the audit is the one module the CLI never loads.
+# Where each name is defined; the audit, with the helpers only a library
+# caller runs, is the one module the CLI never loads.
 HOMES = {
-    "audit": ["AuditReport", "indistinguishable", "no_signaling_audit"],
+    "audit": ["AuditReport", "causal_leq", "indistinguishable", "local_history", "no_signaling_audit",
+              "paradox_requirements", "signal_arrival"],
     "errors": ["DuplicateTask", "InvalidScenario", "ParseError", "SameLocation",
                "SimulationError", "UnachievableTask", "UnknownLocation", "ValidationError"],
-    "protocol": ["Scenario", "Trace", "execute", "local_history", "obedient_strategy"],
+    "protocol": ["Scenario", "Trace", "execute", "obedient_strategy"],
     "search": ["Aborted", "Certificate", "Found", "Impossible", "SearchLimits", "SearchOutcome",
                "find_strategy", "mutually_exclusive"],
-    "spacetime": ["SpacetimeConfig", "causal_leq", "distance", "signal_arrival"],
-    "tasks": ["Requirement", "RequirementReport", "Rule", "evaluate_requirement", "evaluate_task",
-              "paradox_requirements"],
+    "spacetime": ["SpacetimeConfig", "distance"],
+    "tasks": ["Requirement", "RequirementReport", "Rule", "evaluate_requirement", "evaluate_task"],
 }
 
 

@@ -27,8 +27,8 @@ from nosignal import (
     obedient_strategy,
     signal_arrival,
 )
-from nosignal.protocol import Run, check_trace
-from nosignal.spacetime import check_event
+from nosignal.audit import check_event, check_trace
+from nosignal.protocol import Run
 from oracles import mini_execute
 
 

@@ -30,6 +30,7 @@ from nosignal import (
     Trace,
 )
 from nosignal.config import ConfigDocument, NamedRequirement, load_config
+from nosignal.faults import read_config
 from nosignal.audit import AuditViolation
 
 CFG = SpacetimeConfig({"L": 0, "R": 3}, 3)
@@ -101,19 +102,20 @@ UNHASHABLE_FIELDS = {
 }
 
 
-def _parts(task_body: dict) -> list:
-    """The delivery, the first ban and the whole task, as ``load_config``
-    reads ``task_body`` on the ``CFG`` line."""
+def _parts(task_body: dict, read=lambda doc: load_config(json.dumps(doc))) -> list:
+    """The delivery, the first ban and the whole task, as ``read`` reads
+    ``task_body`` on the ``CFG`` line."""
     doc = {"locations": CFG.locations, "horizon": CFG.horizon, "tasks": {"task1": task_body}}
-    task = load_config(json.dumps(doc)).tasks["task1"]
+    task = read(doc).tasks["task1"]
     return [task[0], task[1][0], task]
 
 
-# A task object with its keys in order is read at once; the same object with
-# its keys reordered is read field by field. Both must give the same tuples.
+# ``load_config`` reads a task object with its keys in order at once; the
+# fault reader reads the same object, its keys reordered, field by field.
+# Both must give the same tuples.
 IN_ORDER = _parts({"deliver": {"from": "L", "to": "R", "at": 3}, "silence": [{"from": "R", "to": "L"}]})
 BY_FIELD = {repr(part): part for part in _parts(
-    {"silence": [{"to": "L", "from": "R"}], "deliver": {"at": 3, "to": "R", "from": "L"}})}
+    {"silence": [{"to": "L", "from": "R"}], "deliver": {"at": 3, "to": "R", "from": "L"}}, read_config)}
 
 # (tuple, (loaded row,), (an unequal row,), first index, repr), named for the
 # task part each row holds: the delivery, a silence ban, the whole task.

@@ -23,7 +23,7 @@ from nosignal import (
     obedient_strategy,
 )
 from nosignal.search import _lost
-from nosignal.tasks import paradox_requirements
+from nosignal.audit import paradox_requirements
 from oracles import (
     brute_force_joint_satisfiable,
     decide,
