@@ -925,6 +925,34 @@ def test_main_leaves_the_freeze_count_as_it_found_it(capsys, monkeypatch):
         gc.unfreeze()
 
 
+@pytest.mark.parametrize("runs, printed", [(1, "1\n"), (3, "1\n"), (0, "0\nfinalized\n")])
+def test_main_leaves_what_is_alive_at_exit_to_the_os(runs, printed):
+    """Once a command has run, one exit hook freezes the objects still alive,
+    however many commands ran, so the shutdown collection does not finalize
+    a cycle alive then. Importing the CLI registers nothing, and without a
+    command the cycle is finalized."""
+    probe = (
+        "import atexit, contextlib, io, os\n"
+        "hooks = atexit._ncallbacks()\n"  # CPython's count of registrations
+        "import nosignal.cli\n"
+        "class Cycle:\n"
+        "    def __del__(self):\n"
+        "        os.write(1, b'finalized\\n')\n"
+        "keep = Cycle()\n"
+        "keep.self = keep\n"
+        f"for _ in range({runs}):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        nosignal.cli.main(['search', '--config', {str(PARADOX)!r}])\n"
+        "print(atexit._ncallbacks() - hooks, flush=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == printed
+
+
 # Argv for the grammar tests: the plain form of each command, then at most
 # one token it does not take: another command's option, an abbreviation, an
 # ``=`` form, help, ``--``, a dash value or junk.
@@ -1017,11 +1045,14 @@ JSON_VALUES = st.recursive(
 PARADOX_RAW = json.loads(PARADOX.read_text())
 
 
+def _keys(node):
+    return list(node) if isinstance(node, dict) else list(range(len(node))) if isinstance(node, list) else []
+
+
 def _paths(node, prefix=()):
     yield prefix
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield from _paths(child, (*prefix, key))
+    for key in _keys(node):
+        yield from _paths(node[key], (*prefix, key))
 
 
 PARADOX_PATHS = [path for path in _paths(PARADOX_RAW) if path]
@@ -1085,20 +1116,40 @@ def _strings(node):
 
 
 @st.composite
-def mutated(draw, value, names=()):
-    """The JSON value ``value`` with one field changed: a value replaced (a
-    string by a name the document or ``names`` holds, or an unknown or
-    unprintable one, an integer by a small one, or either by any JSON value),
-    a key dropped or added, an object's keys reversed, or a list entry
-    doubled."""
+def mutated(draw, value, names=(), near=None):
+    """The JSON value ``value`` with one field changed, and that field's
+    path: a value replaced (a string by a name the document or ``names``
+    holds, or an unknown or unprintable one, an integer by a small one, an
+    object or list by an empty one or a copy of another in the document of
+    the same ``_kind``, or any of them by any JSON value), a key dropped or
+    added, an object's keys reversed, or a list entry doubled. Given the
+    path ``near`` of an earlier change, the field is mostly one of that
+    field's siblings, given a value of its own type, so that two faults sit
+    in one object."""
     value = json.loads(json.dumps(value))
-    paths = [path for path in _paths(value) if path] or [()]
-    leaves = [path for path in paths if not isinstance(_at(value, path), (dict, list))]
-    path = draw(st.sampled_from(leaves if leaves and draw(st.integers(0, 3)) else paths))
+    siblings = []
+    if near and draw(st.integers(0, 3)):
+        siblings = [key for key in _keys(_at(value, near[:-1])) if key != near[-1]]
+    if siblings:
+        path = (*near[:-1], draw(st.sampled_from(siblings)))
+    else:  # a walk down from the root, so that each part of a document comes up about as often
+        path = ()
+        while _keys(_at(value, path)) and (not path or draw(st.integers(0, 3))):
+            path = (*path, draw(st.sampled_from(_keys(_at(value, path)))))
     parent, target = _at(value, path[:-1]) if path else None, _at(value, path)
     # Mostly a value of the same type, so that faults other than of shape come up too.
-    same = (st.sampled_from(sorted({*_strings(value), *names, "X", "L\ud800", "all", "at_least_one", "signal"}))
-            if isinstance(target, str) else st.integers(-3, 12) if type(target) is int else JSON_VALUES)
+    if isinstance(target, str):
+        same = st.sampled_from(sorted({*_strings(value), *names, "X", "L\ud800", "all", "at_least_one", "signal"}))
+    elif type(target) is int:
+        same = st.integers(-3, 12)
+    else:
+        alike = {json.dumps(node) for node in (_at(value, other) for other in _paths(value))
+                 if _kind(node) == _kind(target)}
+        alike = sorted((alike | {json.dumps(type(target)())}) - {json.dumps(target)})
+        same = st.sampled_from(alike).map(json.loads) if alike else JSON_VALUES
+    if siblings:  # a second fault of shape would send both readers to the fault reader
+        parent[path[-1]] = draw(same)
+        return value, path
     replacement = st.one_of(same, same, same, JSON_VALUES)
     kinds = ["replace"] * 4 + (["drop", "add"] if isinstance(parent, dict) else [])
     kinds += ["reverse"] if isinstance(target, dict) else []
@@ -1106,7 +1157,7 @@ def mutated(draw, value, names=()):
     kind = draw(st.sampled_from(kinds))
     if kind == "replace":
         if parent is None:
-            return draw(replacement)
+            return draw(replacement), path
         parent[path[-1]] = draw(replacement)
     elif kind == "drop":
         del parent[path[-1]]
@@ -1119,7 +1170,14 @@ def mutated(draw, value, names=()):
         target.update(reversed_items)
     else:
         target.append(target[draw(st.integers(0, len(target) - 1))])
-    return value
+    return value, path
+
+
+def _kind(node):
+    """A JSON value's type, with an object's keys and the kinds of a list's entries."""
+    if isinstance(node, dict):
+        return dict, frozenset(node)
+    return (list, frozenset(map(_kind, node))) if isinstance(node, list) else type(node)
 
 
 def _at(value, path):
@@ -1135,16 +1193,25 @@ def _read_or_fault(read, *args):
         return f"{type(err).__name__}: {err}"
 
 
+# Bundled documents to mutate besides random ones: they have every part,
+# where a random document often lacks requirements or strategy events.
+FIXTURE_CONFIGS = [json.loads(path.read_text()) for path in (PARADOX, SINGLE, FOURLAB)]
+FIXTURE_STRATEGIES = [(load_config(config.read_text()), json.loads(strategy.read_text()))
+                      for config, strategy in ((PARADOX, OBEDIENT), (FOURLAB, FOURLAB_STRATEGY))]
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_one_pass_config_reader_agrees_with_the_fault_reader(data):
     """``load_config`` reads a well-shaped document in one pass and hands one
     with a shape fault to the field-by-field fault reader. On one or two
-    single-field mutations of random documents both give equal documents or
-    the same fault, and a document the one-pass reader hands on has one."""
-    raw = json.loads(serialize_config(data.draw(config_documents())))
+    single-field mutations of bundled or random documents both give equal
+    documents or the same fault, and a document the one-pass reader hands
+    on has one."""
+    raw = data.draw(st.sampled_from(FIXTURE_CONFIGS) | config_documents().map(serialize_config).map(json.loads))
+    near = None
     for _ in range(data.draw(st.integers(1, 2))):  # two faults: the first in reading order is raised
-        raw = data.draw(mutated(raw))
+        raw, near = data.draw(mutated(raw, near=near))
     expected = _read_or_fault(faults.read_config, raw)
     assert _read_or_fault(load_config, json.dumps(raw)) == expected
     try:
@@ -1158,13 +1225,14 @@ def test_one_pass_config_reader_agrees_with_the_fault_reader(data):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_one_pass_strategy_reader_agrees_with_the_fault_reader(data):
-    """As for config documents: mutations of random strategy rows load to
-    equal tables or to the same fault through ``load_strategy`` as through
-    the fault reader."""
-    doc, table = data.draw(strategy_documents())
-    raw = json.loads(serialize_strategy(table))
+    """As for config documents: mutations of bundled or random strategy
+    rows load to equal tables or to the same fault through ``load_strategy``
+    as through the fault reader."""
+    doc, raw = data.draw(st.sampled_from(FIXTURE_STRATEGIES) | strategy_documents().map(
+        lambda pair: (pair[0], json.loads(serialize_strategy(pair[1])))))
+    near = None
     for _ in range(data.draw(st.integers(1, 2))):
-        raw = data.draw(mutated(raw, [*doc.spacetime.locations, *doc.tasks]))
+        raw, near = data.draw(mutated(raw, [*doc.spacetime.locations, *doc.tasks], near))
     expected = _read_or_fault(faults.read_strategy, raw, doc.spacetime, doc.tasks)
     assert _read_or_fault(load_strategy, json.dumps(raw), doc.spacetime, doc.tasks) == expected
     try:
