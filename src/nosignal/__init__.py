@@ -23,11 +23,11 @@ _HOMES = {
              "paradox_requirements signal_arrival",
     "errors": "DuplicateTask InvalidScenario ParseError SameLocation SimulationError "
               "UnachievableTask UnknownLocation ValidationError",
-    "protocol": "Scenario Trace execute obedient_strategy",
+    "protocol": "Trace execute obedient_strategy",
     "search": "Aborted Certificate Found Impossible SearchLimits SearchOutcome "
               "find_strategy mutually_exclusive",
     "spacetime": "SpacetimeConfig distance",
-    "tasks": "Requirement RequirementReport Rule evaluate_requirement evaluate_task",
+    "tasks": "RequirementReport Rule evaluate_requirement evaluate_task",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .errors import DuplicateTask, SameLocation, ValidationError
-from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, RawKey, Scenario, Trace, execute
+from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, RawKey, Scenario, Trace, check_slots, execute
 from .record import Record
 from .spacetime import SpacetimeConfig, distance
 from .tasks import Requirement, Rule, Task, check_task
@@ -172,5 +172,6 @@ def paradox_requirements(
             raise ValidationError(f"undefined task {task_id!r}")
         check_task(tasks[task_id], cfg)
         requests.append((task_id, tasks[task_id][0][0], 0))
-    single = [Requirement(Scenario([request]), Rule.ALL) for request in requests]
-    return [*single, Requirement(Scenario(requests), Rule.AT_LEAST_ONE)]
+    check_slots(requests)
+    single = [(frozenset([request]), Rule.ALL) for request in requests]
+    return [*single, (frozenset(requests), Rule.AT_LEAST_ONE)]

@@ -89,9 +89,10 @@ def _pick_limits(args, doc: ConfigDocument) -> SearchLimits:
 
 
 def _report_json(report: RequirementReport, label: str) -> dict[str, object]:
+    _, rule = report.requirement
     return {
         "scenario": label,
-        "rule": report.requirement.rule.value,
+        "rule": rule.value,
         "verdicts": dict(sorted(report.verdicts.items())),
         "satisfied": report.satisfied,
     }
@@ -149,8 +150,8 @@ def cmd_search(args) -> int:
             "outcome": "found",
             "strategy": {"rows": strategy_rows(outcome.strategy)},
             "reports": [
-                _report_json(report, named.scenario)
-                for report, named in zip(outcome.reports, doc.requirements)
+                _report_json(report, name)
+                for report, (name, _) in zip(outcome.reports, doc.requirements)
             ],
         })
 
@@ -179,9 +180,8 @@ def cmd_check(args) -> int:
     strategy = _pick_strategy(args.strategy, doc)
     slots = strategy_slots(doc.spacetime, strategy)
     reports = [
-        _report_json(evaluate_requirement(doc.spacetime, strategy, requirement, doc.tasks, slots),
-                     named.scenario)
-        for named, requirement in zip(doc.requirements, doc.resolve_requirements())
+        _report_json(evaluate_requirement(doc.spacetime, strategy, requirement, doc.tasks, slots), name)
+        for (name, _), requirement in zip(doc.requirements, doc.resolve_requirements())
     ]
     all_ok = all(report["satisfied"] for report in reports)
     return _emit(args, EXIT_OK if all_ok else EXIT_UNSATISFIED, {

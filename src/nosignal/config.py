@@ -19,20 +19,13 @@ import json
 from collections.abc import Callable, Mapping
 
 from .errors import ParseError, SimulationError, ValidationError
-from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, Scenario, check_request
+from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, Scenario, check_request, check_slots
 from .record import Record
 from .search import SearchLimits
 from .spacetime import SpacetimeConfig
 from .tasks import Requirement, Rule, Task, check_requirement, check_task
 
-
-class NamedRequirement(Record):
-    """A requirement referencing one of the document's scenarios by name."""
-
-    __slots__ = ("scenario", "rule")
-
-    def __init__(self, scenario: str, rule: Rule):
-        self._fill(scenario, rule)
+NamedRequirement = tuple[str, Rule]  # (scenario name, rule)
 
 
 class ConfigDocument(Record):
@@ -47,10 +40,7 @@ class ConfigDocument(Record):
         self._fill(spacetime, tasks, scenarios, [] if requirements is None else requirements, limits)
 
     def resolve_requirements(self) -> list[Requirement]:
-        return [
-            Requirement(self.scenarios[named.scenario], named.rule)
-            for named in self.requirements
-        ]
+        return [(self.scenarios[name], rule) for name, rule in self.requirements]
 
 
 class _Misshapen(Exception):
@@ -180,7 +170,8 @@ def _config(value) -> ConfigDocument:
                 check_request(request, cfg)
         except SimulationError as err:
             raise ValidationError(f"scenarios.{name}[{i}].{err}") from None
-        scenarios[name] = _checked(f"scenarios.{name}: ", Scenario, requests)
+        _checked(f"scenarios.{name}: ", check_slots, requests)
+        scenarios[name] = frozenset(requests)
 
     requirements = []
     for i, (name, rule) in enumerate(_rows(named, _REQUIREMENT)):
@@ -189,7 +180,7 @@ def _config(value) -> ConfigDocument:
         if rule not in _RULES:
             raise ValidationError(f"requirements[{i}].rule: expected 'all' or 'at_least_one', got {rule!r}")
         _checked(f"requirements[{i}]: ", check_requirement, scenarios[name], _RULES[rule])
-        requirements.append(NamedRequirement(name, _RULES[rule]))
+        requirements.append((name, _RULES[rule]))
 
     limits = None
     if "limits" in value:

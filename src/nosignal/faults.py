@@ -34,7 +34,7 @@ from .config import (
     _shape,
 )
 from .errors import ValidationError
-from .protocol import KIND_REQUEST, RawAssignment, Scenario, check_request
+from .protocol import KIND_REQUEST, RawAssignment, Scenario, check_request, check_slots
 from .search import SearchLimits
 from .spacetime import SpacetimeConfig
 from .tasks import Task, check_requirement, check_task
@@ -137,7 +137,8 @@ def read_config(value: object) -> ConfigDocument:
             request = (task_id, *fields)
             _checked(f"scenarios.{name}[{i}].", check_request, request, cfg)
             requests.append(request)
-        scenarios[name] = _checked(f"scenarios.{name}: ", Scenario, requests)
+        _checked(f"scenarios.{name}: ", check_slots, requests)
+        scenarios[name] = frozenset(requests)
 
     requirements: list[NamedRequirement] = []
     for i, entry in enumerate(next(document)):
@@ -149,7 +150,7 @@ def read_config(value: object) -> ConfigDocument:
         if rule is None:
             _fail(("requirements", i, "rule"), f"expected 'all' or 'at_least_one', got {rule_raw!r}")
         _checked(f"requirements[{i}]: ", check_requirement, scenarios[name], rule)
-        requirements.append(NamedRequirement(name, rule))
+        requirements.append((name, rule))
 
     limits, body = None, next(document)
     if "limits" in value:

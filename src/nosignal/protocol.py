@@ -15,11 +15,14 @@ plain tuples: ``execute`` steps it through a fixed strategy and
 cannot disagree on what an agent sees. A run records its departures and
 what each agent receives, and nothing that can be derived from them: not
 an undo log, not the arrivals.
+A scenario is the frozenset of ``(task, location, time)`` requests that
+``Trace.requests`` holds; ``check_scenario`` checks it where ``execute``
+takes it in.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Mapping
 
 from .errors import InvalidScenario, SameLocation, UnachievableTask, ValidationError
 from .record import Record
@@ -44,25 +47,8 @@ RawKey = tuple[str, int, tuple[tuple[int, str, str], ...]]
 RawAssignment = dict[RawKey, tuple[str, ...]]
 
 
-class Scenario(Record):
-    """The requester's choice of which tasks to ask for, where and when: a
-    frozenset of ``(task, location, time)`` triples, the form
-    ``Trace.requests`` holds, at most one per (location, time) slot."""
-
-    __slots__ = ("requests",)
-
-    def __init__(self, requests: Iterable[tuple[str, str, int]] = frozenset()):
-        requests = list(requests)
-        if len({(location, time) for _, location, time in requests}) < len(requests):
-            slots = set()
-            for _, location, time in sorted(requests):
-                if (location, time) in slots:
-                    raise InvalidScenario(f"duplicate request slot ({location!r}, {time})")
-                slots.add((location, time))
-        self._fill(frozenset(requests))
-
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({task for task, _, _ in self.requests}))
+# The requester's choice of which tasks to ask for, where and when, at most one per slot.
+Scenario = frozenset[tuple[str, str, int]]
 
 
 class Trace(Record):
@@ -92,10 +78,22 @@ def check_request(request: tuple[str, str, int], cfg: SpacetimeConfig) -> None:
         raise InvalidScenario(f"time: {time} outside [0, {cfg.horizon}]")
 
 
+def check_slots(requests: Collection[tuple[str, str, int]]) -> None:
+    """At most one request per (location, time) slot, a request given twice
+    in a list included; the first repeat in request order is raised."""
+    if len({(location, time) for _, location, time in requests}) < len(requests):
+        slots = set()
+        for _, location, time in sorted(requests):
+            if (location, time) in slots:
+                raise InvalidScenario(f"duplicate request slot ({location!r}, {time})")
+            slots.add((location, time))
+
+
 def check_scenario(scenario: Scenario, cfg: SpacetimeConfig) -> None:
-    """Every request passes ``check_request``; the first failure in request order is raised."""
-    for request in sorted(scenario.requests):
+    """``check_request`` on every request in request order, then ``check_slots``."""
+    for request in sorted(scenario):
         check_request(request, cfg)
+    check_slots(scenario)
 
 
 class Run:
@@ -122,7 +120,7 @@ class Run:
         # Per agent every event it will see, in any time: its requests, then
         # signal arrivals in the order they were applied, so unapply pops.
         self.received: dict[str, list[tuple[int, str, str]]] = {a: [] for a in self.coords}
-        for task, location, time in scenario.requests:
+        for task, location, time in scenario:
             self.received[location].append((time, KIND_REQUEST, task))
         self.departures: set[tuple[str, str, int]] = set()
 
@@ -185,7 +183,7 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: RawAssignment,
     coords = cfg.locations
     arrivals = ((o, d, t + abs(coords[o] - coords[d])) for o, d, t in run.departures)
     return Trace(
-        requests=scenario.requests,
+        requests=scenario,
         departures=frozenset(run.departures),
         arrivals=frozenset(a for a in arrivals if a[2] <= cfg.horizon),
     )

@@ -59,6 +59,7 @@ from .tasks import (
     RequirementReport,
     Rule,
     Task,
+    check_requirement,
     check_task,
     evaluate_requirement,
     requested_tasks,
@@ -164,11 +165,11 @@ def find_strategy(
     # requirements with a delivering departure falling due then.
     judge = []
     due_at: dict[int, set[int]] = {}
-    for ri, requirement in enumerate(requirements):
-        check_scenario(requirement.scenario, cfg)
-        rows = [_task_row(task, cfg)
-                for task in requested_tasks(requirement.scenario, tasks).values()]
-        judge.append((requirement.rule, rows, frozenset().union(*(banned for _, banned in rows))))
+    for ri, (scenario, rule) in enumerate(requirements):
+        check_requirement(scenario, rule)
+        check_scenario(scenario, cfg)
+        rows = [_task_row(task, cfg) for task in requested_tasks(scenario, tasks).values()]
+        judge.append((rule, rows, frozenset().union(*(banned for _, banned in rows))))
         for (_, _, s), _ in rows:
             due_at.setdefault(max(s, 0), set()).add(ri)
 
@@ -184,7 +185,7 @@ def find_strategy(
               for i, d in enumerate(agents)}
     last = min(horizon, max(latest.values()))
 
-    runs = [Run(cfg, requirement.scenario) for requirement in requirements]
+    runs = [Run(cfg, scenario) for scenario, _ in requirements]
     # Per slot: (t, run, agent, menu, index just past the slots of time t).
     slots = []
     # Per run and agent, the indices of its slots, in time order.

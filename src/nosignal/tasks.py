@@ -3,9 +3,9 @@
 A task is the raw tuple ``((origin, dest, at), bans)``. It succeeds on a
 trace when its single delivery atom is matched by an arrival at exactly the
 requested time and none of its silence bans is broken by any departure over
-the whole run. A requirement pairs a scenario with a rule saying whether
-every requested task must succeed or any one suffices; a set of
-requirements is the requester's whole range of freedom.
+the whole run. A requirement is the raw pair ``(requests, rule)``, a
+scenario and whether every requested task must succeed or any one
+suffices; a set of requirements is the requester's whole range of freedom.
 """
 
 from __future__ import annotations
@@ -27,19 +27,12 @@ class Rule(str, Enum):
     AT_LEAST_ONE = "at_least_one"
 
 
-class Requirement(Record):
-    """One scenario plus how many of its requested tasks must succeed."""
-
-    __slots__ = ("scenario", "rule")
-
-    def __init__(self, scenario: Scenario, rule: Rule):
-        check_requirement(scenario, rule)
-        self._fill(scenario, rule)
+Requirement = tuple[Scenario, Rule]  # (requests, rule)
 
 
 def check_requirement(scenario: Scenario, rule: Rule) -> None:
     """Rule ``at_least_one`` needs a request to succeed on."""
-    if rule is Rule.AT_LEAST_ONE and not scenario.requests:
+    if rule is Rule.AT_LEAST_ONE and not scenario:
         raise ValidationError("at_least_one over an empty scenario")
 
 
@@ -76,7 +69,7 @@ def check_task(task: Task, cfg: SpacetimeConfig) -> None:
 def requested_tasks(scenario: Scenario, tasks: Mapping[str, Task]) -> dict[str, Task]:
     """The scenario's tasks by id, in id order; each id must name one of ``tasks``."""
     requested = {}
-    for task_id in scenario.task_ids():
+    for task_id in sorted({task for task, _, _ in scenario}):
         if task_id not in tasks:
             raise ValidationError(f"scenario references undefined task {task_id!r}")
         requested[task_id] = tasks[task_id]
@@ -99,10 +92,12 @@ def evaluate_requirement(
     slots: list[tuple[int, str]] | None = None,
 ) -> RequirementReport:
     """Execute the requirement's scenario once (``slots`` as for ``execute``) and judge each task."""
-    trace = execute(cfg, requirement.scenario, strategy, slots)
+    scenario, rule = requirement
+    check_requirement(scenario, rule)
+    trace = execute(cfg, scenario, strategy, slots)
     verdicts = {
         task_id: evaluate_task(trace, task, cfg)
-        for task_id, task in requested_tasks(requirement.scenario, tasks).items()
+        for task_id, task in requested_tasks(scenario, tasks).items()
     }
-    combine = all if requirement.rule is Rule.ALL else any
+    combine = all if rule is Rule.ALL else any
     return RequirementReport(requirement, verdicts, combine(verdicts.values()))

@@ -58,7 +58,7 @@ def simulate(result: dict) -> list[str]:
 
 def search(result: dict, requirements: Sequence = ()) -> list[str]:
     """The text of a search outcome; ``requirements`` are the document's
-    named requirements, which an impossibility names."""
+    ``(scenario name, rule)`` pairs, which an impossibility names."""
     if result["outcome"] == "found":
         return [
             f"found a strategy satisfying all {_count(len(result['reports']), 'requirement')}:",
@@ -70,9 +70,10 @@ def search(result: dict, requirements: Sequence = ()) -> list[str]:
         return [
             f"impossible: all {_count(explored, 'refuted branch')} over "
             f"{_count(points, 'decision point')} {'fails' if explored == 1 else 'fail'} some requirement",
-            *(f"  requirement {int(idx) + 1} ({requirements[int(idx)].rule.value} of "
-              f"{requirements[int(idx)].scenario!r}): first failure on {_count(count, 'branch')}"
-              for idx, count in result["failures_by_requirement"].items()),
+            *(f"  requirement {int(idx) + 1} ({rule.value} of {name!r}): "
+              f"first failure on {_count(count, 'branch')}"
+              for idx, count in result["failures_by_requirement"].items()
+              for name, rule in [requirements[int(idx)]]),
         ]
     return [f"aborted: {result['limit']} limit hit after {_count(explored, 'branch')} "
             f"and {_count(points, 'decision point')}"]

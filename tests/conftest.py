@@ -17,10 +17,9 @@ def make_instance(gap: int):
 def oracle_scenarios(requirements, tasks):
     """Requirements in the plain-tuple form the test oracles consume."""
     out = []
-    for req in requirements:
-        requests = list(req.scenario.requests)
-        rows = [(tasks[tid][0], set(tasks[tid][1])) for tid in req.scenario.task_ids()]
-        out.append((requests, req.rule.value, rows))
+    for requests, rule in requirements:
+        rows = [(tasks[tid][0], set(tasks[tid][1])) for tid in sorted({tid for tid, _, _ in requests})]
+        out.append((list(requests), rule.value, rows))
     return out
 
 
@@ -43,11 +42,10 @@ def serialize_config(doc) -> str:
         },
         "scenarios": {
             name: [{"task": task, "location": loc, "time": t}
-                   for task, loc, t in sorted(doc.scenarios[name].requests)]
+                   for task, loc, t in sorted(doc.scenarios[name])]
             for name in sorted(doc.scenarios)
         },
-        "requirements": [{"scenario": named.scenario, "rule": named.rule.value}
-                         for named in doc.requirements],
+        "requirements": [{"scenario": name, "rule": rule.value} for name, rule in doc.requirements],
     }
     if doc.limits is not None:
         payload["limits"] = {

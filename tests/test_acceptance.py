@@ -17,7 +17,6 @@ from conftest import make_instance, oracle_scenarios, serialize_config, serializ
 from nosignal import (
     Found,
     Impossible,
-    Scenario,
     SpacetimeConfig,
     evaluate_requirement,
     evaluate_task,
@@ -92,7 +91,7 @@ def test_criterion_2_restricted_choice_possibility(tmp_path, capsys):
 def test_criterion_3_forced_dual_failure():
     with criterion(3, "obedient dual run sends both signals and fails both tasks"):
         cfg, tasks, _ = make_instance(3)
-        dual = Scenario(frozenset({("task1", "L", 0), ("task2", "R", 0)}))
+        dual = frozenset({("task1", "L", 0), ("task2", "R", 0)})
         trace = execute(cfg, dual, obedient_strategy(cfg, tasks))
         assert trace.departures == {("L", "R", 0), ("R", "L", 0)}
         assert not evaluate_task(trace, tasks["task1"], cfg)
@@ -123,13 +122,11 @@ def _random_world(rng):
     def random_scenario():
         slots = [(loc, t) for loc in cfg.agents for t in range(cfg.horizon + 1)]
         chosen = rng.sample(slots, rng.randint(0, min(3, len(slots))))
-        return Scenario(frozenset(
-            (rng.choice(("a", "b")), loc, t) for loc, t in chosen
-        ))
+        return frozenset((rng.choice(("a", "b")), loc, t) for loc, t in chosen)
 
     s1, s2 = random_scenario(), random_scenario()
     table = {}
-    for task, loc, t in sorted(s1.requests | s2.requests):
+    for task, loc, t in sorted(s1 | s2):
         if rng.random() < 0.7:
             key = (loc, t, ((t, "request", task),))
             table[key] = tuple(d for d in cfg.others(loc) if rng.random() < 0.6)
@@ -149,8 +146,7 @@ def _random_world(rng):
 def test_criterion_5_indistinguishability():
     with criterion(5, "left agent cannot see the second request; audit clean on 1000 instances"):
         cfg, tasks, bundle = make_instance(3)
-        single_requests = bundle[0].scenario.requests
-        dual_requests = bundle[2].scenario.requests
+        (single_requests, _), _, (dual_requests, _) = bundle
 
         def left_key_at_zero(requests):
             events = tuple(sorted(

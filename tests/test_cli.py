@@ -16,7 +16,6 @@ from conftest import serialize_config, serialize_strategy
 from nosignal import (
     ParseError,
     Rule,
-    Scenario,
     SearchLimits,
     SimulationError,
     SpacetimeConfig,
@@ -32,7 +31,6 @@ from nosignal import (
 from nosignal.cli import main
 from nosignal.config import (
     ConfigDocument,
-    NamedRequirement,
     load_config,
     load_strategy,
     strategy_rows,
@@ -65,26 +63,26 @@ NAMES = st.text(min_size=1, max_size=3)
 
 @st.composite
 def config_documents(draw):
-    """A valid config document of 2 to 4 labs, built from the loader's own forms."""
+    """A valid config document of 2 to 4 labs, built from the loader's own
+    forms, with at least one task, scenario and requirement."""
     labs = draw(st.lists(NAMES, min_size=2, max_size=4, unique=True))
     coords = draw(st.lists(st.integers(-6, 6), min_size=len(labs), max_size=len(labs), unique=True))
     horizon = draw(st.integers(1, 8))
     pairs = st.permutations(labs).map(lambda order: tuple(order[:2]))
     tasks = {}
-    for task_id in draw(st.lists(NAMES, max_size=3, unique=True)):
+    for task_id in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)):
         origin, dest = draw(pairs)
         bans = draw(st.lists(pairs, max_size=3))
         tasks[task_id] = (origin, dest, draw(st.integers(0, horizon))), tuple(bans)
-    slots = st.lists(st.tuples(st.sampled_from(labs), st.integers(0, horizon)), max_size=3 if tasks else 0,
-                     unique=True)
+    slots = st.lists(st.tuples(st.sampled_from(labs), st.integers(0, horizon)), max_size=3, unique=True)
     scenarios = {
-        name: Scenario([(draw(st.sampled_from(sorted(tasks))), lab, t) for lab, t in draw(slots)])
-        for name in draw(st.lists(st.text(max_size=3), max_size=3, unique=True))
+        name: frozenset([(draw(st.sampled_from(sorted(tasks))), lab, t) for lab, t in draw(slots)])
+        for name in draw(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True))
     }
     requirements = []
-    for name in draw(st.lists(st.sampled_from(sorted(scenarios)), max_size=3)) if scenarios else ():
-        rules = list(Rule) if scenarios[name].requests else [Rule.ALL]
-        requirements.append(NamedRequirement(name, draw(st.sampled_from(rules))))
+    for name in draw(st.lists(st.sampled_from(sorted(scenarios)), min_size=1, max_size=3)):
+        rules = list(Rule) if scenarios[name] else [Rule.ALL]
+        requirements.append((name, draw(st.sampled_from(rules))))
     limits = draw(st.none() | st.builds(SearchLimits, st.integers(1, 10**7), st.integers(1, 10**4)))
     return ConfigDocument(SpacetimeConfig(dict(zip(labs, coords)), horizon), tasks, scenarios,
                           requirements, limits)
@@ -115,7 +113,7 @@ class TestLoadConfig:
         assert doc.spacetime.horizon == 3
         assert set(doc.tasks) == {"task1", "task2"}
         assert set(doc.scenarios) == {"empty", "only_task1", "only_task2", "both"}
-        assert [(r.scenario, r.rule.value) for r in doc.requirements] == [
+        assert [(name, rule.value) for name, rule in doc.requirements] == [
             ("only_task1", "all"),
             ("only_task2", "all"),
             ("both", "at_least_one"),
@@ -141,6 +139,16 @@ class TestLoadConfig:
         ]
         with pytest.raises(ValidationError, match="duplicate request slot"):
             load_config(json.dumps(raw))
+
+    def test_same_request_given_twice_rejected(self):
+        """Both readers check a scenario's request list before it becomes a set."""
+        raw = json.loads(PARADOX.read_text())
+        raw["scenarios"]["bad"] = [{"task": "task1", "location": "L", "time": 0}] * 2
+        message = r"^scenarios\.bad: duplicate request slot \('L', 0\)$"
+        with pytest.raises(ValidationError, match=message):
+            load_config(json.dumps(raw))
+        with pytest.raises(ValidationError, match=message):
+            faults.read_config(raw)
 
     def test_unknown_location_in_task_rejected(self):
         raw = json.loads(PARADOX.read_text())
@@ -280,9 +288,9 @@ def test_loaded_tasks_are_judged_as_the_oracle_judges(case):
         submit = at - abs(cfg.locations[origin] - cfg.locations[dest])
         if submit >= 0:
             table.setdefault((origin, submit, ((submit, "request", task_id),)), (dest,))
-            scenarios.append(Scenario([(task_id, origin, submit)]))
+            scenarios.append(frozenset([(task_id, origin, submit)]))
     for scenario in scenarios:
-        departures, arrivals = mini_execute(cfg.locations, cfg.horizon, scenario.requests, table)
+        departures, arrivals = mini_execute(cfg.locations, cfg.horizon, scenario, table)
         trace = execute(cfg, scenario, table)
         for task_id, (deliver, bans) in rows.items():
             assert evaluate_task(trace, loaded.tasks[task_id], cfg) == task_ok(
@@ -515,12 +523,9 @@ found a strategy satisfying all 2 requirements:
   L  t=0  [request task1 @0]  -> send R
   R  t=0  [request task2 @0]  -> send L
 """
-IMPOSSIBLE_TEXT = """\
-impossible: all 3 refuted branches over 4 decision points fail some requirement
-  requirement 1 (all of 'only_task1'): first failure on 1 branch
-  requirement 2 (all of 'only_task2'): first failure on 1 branch
-  requirement 3 (at_least_one of 'both'): first failure on 1 branch
-"""
+# The two texts that name a requirement's rule and scenario are goldens, which CI diffs the entry point with.
+IMPOSSIBLE_TEXT = (GOLDEN / "search_impossible.txt").read_text()
+CHECK_PARADOX_TEXT = (GOLDEN / "check_paradox.txt").read_text()
 SIMULATE_TEXT = """\
 scenario 'only_task1' with strategy 'obedient'
   t=0  request task1 at L
@@ -531,12 +536,6 @@ verdicts:
   task2: unsatisfied
 
 """ + (GOLDEN / "diagram_only_task1.txt").read_text()
-CHECK_PARADOX_TEXT = """\
-requirement 1 (all of 'only_task1'): satisfied  [task1=ok]
-requirement 2 (all of 'only_task2'): satisfied  [task2=ok]
-requirement 3 (at_least_one of 'both'): UNSATISFIED  [task1=fail, task2=fail]
-some requirements unsatisfied
-"""
 CHECK_SINGLE_TEXT = """\
 requirement 1 (all of 'only_task1'): satisfied  [task1=ok]
 requirement 2 (all of 'only_task2'): satisfied  [task2=ok]

@@ -13,8 +13,8 @@ import nosignal
 REPO = Path(__file__).resolve().parent.parent
 PUBLIC = [
     "Aborted", "AuditReport", "Certificate", "DuplicateTask",
-    "Found", "Impossible", "InvalidScenario", "ParseError", "Requirement",
-    "RequirementReport", "Rule", "SameLocation", "Scenario", "SearchLimits",
+    "Found", "Impossible", "InvalidScenario", "ParseError",
+    "RequirementReport", "Rule", "SameLocation", "SearchLimits",
     "SearchOutcome", "SimulationError", "SpacetimeConfig",
     "Trace", "UnachievableTask", "UnknownLocation",
     "ValidationError", "causal_leq", "distance", "evaluate_requirement", "evaluate_task",
@@ -30,11 +30,11 @@ HOMES = {
               "paradox_requirements", "signal_arrival"],
     "errors": ["DuplicateTask", "InvalidScenario", "ParseError", "SameLocation",
                "SimulationError", "UnachievableTask", "UnknownLocation", "ValidationError"],
-    "protocol": ["Scenario", "Trace", "execute", "obedient_strategy"],
+    "protocol": ["Trace", "execute", "obedient_strategy"],
     "search": ["Aborted", "Certificate", "Found", "Impossible", "SearchLimits", "SearchOutcome",
                "find_strategy", "mutually_exclusive"],
     "spacetime": ["SpacetimeConfig", "distance"],
-    "tasks": ["Requirement", "RequirementReport", "Rule", "evaluate_requirement", "evaluate_task"],
+    "tasks": ["RequirementReport", "Rule", "evaluate_requirement", "evaluate_task"],
 }
 
 

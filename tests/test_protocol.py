@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import make_instance
 from nosignal import (
     InvalidScenario,
-    Scenario,
     SimulationError,
     SpacetimeConfig,
     SameLocation,
@@ -28,12 +27,12 @@ from nosignal import (
     signal_arrival,
 )
 from nosignal.audit import check_event, check_trace
-from nosignal.protocol import Run
+from nosignal.protocol import Run, check_slots
 from oracles import mini_execute
 
 
 def scenario(*requests):
-    return Scenario(frozenset(requests))
+    return frozenset(requests)
 
 
 CFG3 = SpacetimeConfig({"L": 0, "R": 3}, horizon=3)
@@ -84,7 +83,7 @@ class TestExecute:
 
     def test_empty_scenario_is_silent(self, d3):
         cfg, tasks, _ = d3
-        trace = execute(cfg, Scenario(), obedient_strategy(cfg, tasks))
+        trace = execute(cfg, frozenset(), obedient_strategy(cfg, tasks))
         assert trace.departures == frozenset()
         assert trace.arrivals == frozenset()
 
@@ -114,15 +113,17 @@ class TestExecute:
             execute(cfg, scenario(("task1", "L", 9)), obedient_strategy(cfg, tasks))
 
     def test_rejection_names_the_same_request_under_every_hash_seed(self):
-        """With several bad requests, the one named must not depend on set order."""
+        """With several bad requests, the one named must not depend on set order:
+        three unknown labs, or slots taken twice and three times."""
         probe = (
-            "from nosignal import Scenario, SpacetimeConfig\n"
+            "from nosignal import SpacetimeConfig\n"
             "from nosignal.protocol import check_scenario\n"
-            "requests = [(f't{i}', lab, 0) for i, lab in enumerate('bac')]\n"
-            "try:\n"
-            "    check_scenario(Scenario(requests), SpacetimeConfig({'L': 0, 'R': 3}, 3))\n"
-            "except Exception as err:\n"
-            "    print(type(err).__name__, err)\n"
+            "for slots in (['b0', 'a0', 'c0'], ['R1', 'L2', 'L2', 'R1', 'R1']):\n"
+            "    requests = frozenset((f't{i}', lab, int(t)) for i, (lab, t) in enumerate(slots))\n"
+            "    try:\n"
+            "        check_scenario(requests, SpacetimeConfig({'L': 0, 'R': 3}, 3))\n"
+            "    except Exception as err:\n"
+            "        print(type(err).__name__, err)\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         messages = {
@@ -132,18 +133,20 @@ class TestExecute:
             ).stdout
             for seed in range(6)
         }
-        assert messages == {"InvalidScenario location: unknown location 'b'\n"}
+        assert messages == {"InvalidScenario location: unknown location 'b'\n"
+                            "InvalidScenario duplicate request slot ('L', 2)\n"}
 
-    def test_one_request_per_slot(self):
-        with pytest.raises(InvalidScenario):
-            scenario(("task1", "L", 0), ("task2", "L", 0))
-        with pytest.raises(InvalidScenario):  # the same request given twice
-            Scenario([("task1", "L", 0)] * 2)
+    def test_one_request_per_slot(self, d3):
+        cfg, tasks, _ = d3
+        with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
+            execute(cfg, scenario(("task1", "L", 0), ("task2", "L", 0)), obedient_strategy(cfg, tasks))
+        with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
+            check_slots([("task1", "L", 0)] * 2)  # the same request given twice
 
     def test_late_departure_never_arrives(self, d3):
         cfg, _, _ = d3
         strategy = {("L", 2, ()): ("R",)}
-        trace = execute(cfg, Scenario(), strategy)
+        trace = execute(cfg, frozenset(), strategy)
         assert trace.departures == {("L", "R", 2)}  # would arrive at 5 > horizon
         assert trace.arrivals == frozenset()
         check_trace(trace, cfg)
@@ -156,19 +159,19 @@ class TestReachability:
         cfg, _, _ = d3
         strategy = {("R", 1, ()): ("R",)}
         with pytest.raises(SameLocation):
-            execute(cfg, Scenario(), strategy)
+            execute(cfg, frozenset(), strategy)
 
     def test_reached_send_to_unknown_lab_raises(self, d3):
         cfg, _, _ = d3
         strategy = {("L", 0, ()): ("Z",)}
         with pytest.raises(UnknownLocation):
-            execute(cfg, Scenario(), strategy)
+            execute(cfg, frozenset(), strategy)
 
     def test_reached_repeated_send_raises(self, d3):
         cfg, _, _ = d3
         strategy = {("L", 0, ()): ("R", "R")}
         with pytest.raises(ValidationError, match="^agent 'L' sends to 'R' more than once$"):
-            execute(cfg, Scenario(), strategy)
+            execute(cfg, frozenset(), strategy)
 
     def test_unreached_rows_are_ignored(self, d3):
         cfg, _, _ = d3
@@ -177,7 +180,7 @@ class TestReachability:
             ("L", cfg.horizon + 2, ()): ("Z",),
             ("X", 0, ()): ("L",),
         }
-        assert execute(cfg, Scenario(), strategy) == Trace()
+        assert execute(cfg, frozenset(), strategy) == Trace()
 
     def test_looks_up_only_the_slots_the_table_names(self, d3, monkeypatch):
         cfg, _, _ = d3
@@ -239,15 +242,13 @@ def worlds(draw):
     def draw_scenario():
         slots = [(loc, t) for loc in cfg.agents for t in range(cfg.horizon + 1)]
         chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=3))
-        return Scenario(frozenset(
-            (draw(st.sampled_from(TASK_NAMES)), loc, t) for loc, t in chosen
-        ))
+        return frozenset((draw(st.sampled_from(TASK_NAMES)), loc, t) for loc, t in chosen)
 
     s1, s2 = draw_scenario(), draw_scenario()
 
     table = {}
     # request-triggered rows, so signals actually flow
-    for task, loc, t in sorted(s1.requests | s2.requests):
+    for task, loc, t in sorted(s1 | s2):
         if draw(st.booleans()):
             key = (loc, t, ((t, "request", task),))
             sends = draw(st.lists(st.sampled_from(cfg.others(loc)), unique=True))
@@ -275,8 +276,7 @@ def run_moves(draw):
     cfg = SpacetimeConfig(dict(zip(labs, coords)), draw(st.integers(1, 5)))
     slots = [(t, agent) for t in range(cfg.horizon + 1) for agent in cfg.agents]
     requested = draw(st.lists(st.sampled_from(slots), unique=True, max_size=3))
-    scene = Scenario(frozenset((f"task{i}", agent, t)
-                               for i, (t, agent) in enumerate(requested)))
+    scene = frozenset((f"task{i}", agent, t) for i, (t, agent) in enumerate(requested))
     moves = [
         (t, agent, tuple(draw(st.lists(st.sampled_from(cfg.others(agent)), unique=True))))
         for t, agent in draw(st.lists(st.sampled_from(slots), unique=True, max_size=8))
@@ -355,7 +355,7 @@ def test_execute_matches_oracle_executor(world):
     cfg, s1, s2, strategy = world
     for s in (s1, s2):
         trace = execute(cfg, s, strategy)
-        requests = list(s.requests)
+        requests = list(s)
         assert (trace.departures, trace.arrivals) == mini_execute(
             cfg.locations, cfg.horizon, requests, strategy
         )
@@ -402,12 +402,12 @@ def test_influence_respects_light_cone():
     for strategy in influence_strategies(cfg):
         for base in bases:
             taken = {(loc, t) for _, loc, t in base}
-            before = execute(cfg, Scenario(base), strategy)
+            before = execute(cfg, base, strategy)
             for extra in candidates:
                 _, loc, t = extra
                 if (loc, t) in taken:
                     continue
-                after = execute(cfg, Scenario(base | {extra}), strategy)
+                after = execute(cfg, base | {extra}, strategy)
                 source = (loc, t)
                 for event in changed_events(before, after):
                     assert causal_leq(source, event, cfg), (base, extra, event)

@@ -4,11 +4,12 @@ Pins what callers may rely on: field-tuple equality within one class,
 hashing (and which classes refuse it), that none orders, the exact
 ``repr``, the frozen guard, keyword construction with defaults, and
 pickle/deepcopy round trips. A task is no class but the plain tuple
-``((origin, dest, at), bans)`` the loader reads; its parts are pinned as
-plain tuples on the same checks.
+``((origin, dest, at), bans)`` the loader reads, a scenario the frozenset of
+its request triples, a requirement the pair ``(requests, rule)`` and a
+document's requirement the pair ``(scenario name, rule)``; these are pinned
+as plain values on the same checks.
 """
 
-import ast
 import copy
 import json
 import pickle
@@ -21,15 +22,13 @@ from nosignal import (
     Certificate,
     Found,
     Impossible,
-    Requirement,
     RequirementReport,
     Rule,
-    Scenario,
     SearchLimits,
     SpacetimeConfig,
     Trace,
 )
-from nosignal.config import ConfigDocument, NamedRequirement, load_config
+from nosignal.config import ConfigDocument, load_config
 from nosignal.faults import read_config
 from nosignal.audit import AuditViolation
 
@@ -37,20 +36,21 @@ CFG = SpacetimeConfig({"L": 0, "R": 3}, 3)
 HIST = ("L", 0, ((0, "request", "task1"),))
 STRAT = {("L", 0, ((0, "request", "task1"),)): ("R",)}
 TR = ("task1", "L", 0)
-SCEN = Scenario(frozenset({TR}))
+SCEN = frozenset({TR})
 TASK = (("L", "R", 3), (("R", "L"),))
-REQ = Requirement(SCEN, Rule.ALL)
+REQ = (SCEN, Rule.ALL)
 REPORT = RequirementReport(REQ, {"task1": True}, True)
 LIMITS = SearchLimits(10, 5)
 CERT = Certificate((HIST,), 3, (0, 1, 0))
 VIOL = AuditViolation(0, "L", 0, HIST, (frozenset({"R"}), frozenset()))
-NAMED = NamedRequirement("only", Rule.ALL)
+NAMED = ("only", Rule.ALL)
 
 H_REPR = "('L', 0, ((0, 'request', 'task1'),))"
 STRAT_REPR = "{('L', 0, ((0, 'request', 'task1'),)): ('R',)}"
-SCEN_REPR = "Scenario(requests=frozenset({('task1', 'L', 0)}))"
+SCEN_REPR = "frozenset({('task1', 'L', 0)})"
 TASK_REPR = "(('L', 'R', 3), (('R', 'L'),))"
-REQ_REPR = f"Requirement(scenario={SCEN_REPR}, rule=<Rule.ALL: 'all'>)"
+REQ_REPR = f"({SCEN_REPR}, <Rule.ALL: 'all'>)"
+NAMED_REPR = "('only', <Rule.ALL: 'all'>)"
 REPORT_REPR = f"RequirementReport(requirement={REQ_REPR}, verdicts={{'task1': True}}, satisfied=True)"
 CERT_REPR = (
     f"Certificate(decision_points=({H_REPR},), "
@@ -66,12 +66,10 @@ CFG_REPR = "SpacetimeConfig(locations={'L': 0, 'R': 3}, horizon=3)"
 # (class, constructor args, args of an unequal instance, first field, repr)
 CASES = [
     (SpacetimeConfig, ({"L": 0, "R": 3}, 3), ({"L": 0, "R": 3}, 4), "locations", CFG_REPR),
-    (Scenario, (frozenset({TR}),), (frozenset(),), "requests", SCEN_REPR),
     (Trace, (frozenset({("task1", "L", 0)}), frozenset({("L", "R", 0)}), frozenset({("L", "R", 3)})),
      (frozenset(), frozenset(), frozenset()), "requests",
      "Trace(requests=frozenset({('task1', 'L', 0)}), departures=frozenset({('L', 'R', 0)}), "
      "arrivals=frozenset({('L', 'R', 3)}))"),
-    (Requirement, (SCEN, Rule.ALL), (SCEN, Rule.AT_LEAST_ONE), "scenario", REQ_REPR),
     (RequirementReport, (REQ, {"task1": True}, True), (REQ, {"task1": False}, False),
      "requirement", REPORT_REPR),
     (SearchLimits, (10, 5), (10, 6), "max_branches", LIMITS_REPR),
@@ -85,12 +83,10 @@ CASES = [
     (AuditViolation, (0, "L", 0, HIST, (frozenset({"R"}), frozenset())),
      (1, "L", 0, HIST, (frozenset({"R"}), frozenset())), "pair_index", VIOL_REPR),
     (AuditReport, (3, (VIOL,)), (3, ()), "checks", f"AuditReport(checks=3, violations=({VIOL_REPR},))"),
-    (NamedRequirement, ("only", Rule.ALL), ("both", Rule.ALL), "scenario",
-     "NamedRequirement(scenario='only', rule=<Rule.ALL: 'all'>)"),
     (ConfigDocument, (CFG, {"task1": TASK}, {"only": SCEN}, [NAMED], LIMITS),
      (CFG, {}, {}, [], None), "spacetime",
      f"ConfigDocument(spacetime={CFG_REPR}, tasks={{'task1': {TASK_REPR}}}, "
-     f"scenarios={{'only': {SCEN_REPR}}}, requirements=[{NAMED!r}], limits={LIMITS_REPR})"),
+     f"scenarios={{'only': {SCEN_REPR}}}, requirements=[{NAMED_REPR}], limits={LIMITS_REPR})"),
 ]
 
 # Frozen, but a field holds a dict.
@@ -102,43 +98,56 @@ UNHASHABLE_FIELDS = {
 }
 
 
-def _parts(task_body: dict, read=lambda doc: load_config(json.dumps(doc))) -> list:
-    """The delivery, the first ban and the whole task, as ``read`` reads
-    ``task_body`` on the ``CFG`` line."""
-    doc = {"locations": CFG.locations, "horizon": CFG.horizon, "tasks": {"task1": task_body}}
-    task = read(doc).tasks["task1"]
-    return [task[0], task[1][0], task]
+def _parts(task: dict, request: dict, requirement: dict,
+           read=lambda doc: load_config(json.dumps(doc))) -> dict:
+    """The delivery, the first ban, the whole task, the scenario, the
+    requirement and the document's requirement, by repr, as ``read`` reads a
+    document on the ``CFG`` line holding ``task``, a scenario of ``request``
+    and ``requirement``."""
+    doc = read({"locations": CFG.locations, "horizon": CFG.horizon, "tasks": {"task1": task},
+                "scenarios": {"only": [request]}, "requirements": [requirement]})
+    task = doc.tasks["task1"]
+    parts = [task[0], task[1][0], task, doc.scenarios["only"], *doc.resolve_requirements(), *doc.requirements]
+    return {repr(part): part for part in parts}
 
 
-# ``load_config`` reads a task object with its keys in order at once; the
-# fault reader reads the same object, its keys reordered, field by field.
-# Both must give the same tuples.
-IN_ORDER = _parts({"deliver": {"from": "L", "to": "R", "at": 3}, "silence": [{"from": "R", "to": "L"}]})
-BY_FIELD = {repr(part): part for part in _parts(
-    {"silence": [{"to": "L", "from": "R"}], "deliver": {"at": 3, "to": "R", "from": "L"}}, read_config)}
+# ``load_config`` reads objects with their keys in order at once; the fault
+# reader reads the same objects, their keys reordered, field by field. Both
+# must give the same plain values.
+IN_ORDER = _parts({"deliver": {"from": "L", "to": "R", "at": 3}, "silence": [{"from": "R", "to": "L"}]},
+                  {"task": "task1", "location": "L", "time": 0}, {"scenario": "only", "rule": "all"})
+BY_FIELD = _parts({"silence": [{"to": "L", "from": "R"}], "deliver": {"at": 3, "to": "R", "from": "L"}},
+                  {"time": 0, "location": "L", "task": "task1"}, {"rule": "all", "scenario": "only"},
+                  read_config)
 
-# (tuple, (loaded row,), (an unequal row,), first index, repr), named for the
-# task part each row holds: the delivery, a silence ban, the whole task.
+# (type, (plain value,), (an unequal one,), first index, repr), named for the
+# part each value holds: the delivery, a silence ban, the whole task, the
+# scenario, the requirement, the document's requirement.
 ROW_CASES = [
-    (tuple, (IN_ORDER[0],), (("R", "L", 3),), 0, "('L', 'R', 3)"),
-    (tuple, (IN_ORDER[1],), (("L", "R"),), 0, "('R', 'L')"),
-    (tuple, (IN_ORDER[2],), ((("L", "R", 3), ()),), 0, TASK_REPR),
+    (tuple, (TASK[0],), (("R", "L", 3),), 0, "('L', 'R', 3)"),
+    (tuple, (TASK[1][0],), (("L", "R"),), 0, "('R', 'L')"),
+    (tuple, (TASK,), ((("L", "R", 3), ()),), 0, TASK_REPR),
+    (frozenset, (SCEN,), (frozenset(),), 0, SCEN_REPR),
+    (tuple, (REQ,), ((SCEN, Rule.AT_LEAST_ONE),), 0, REQ_REPR),
+    (tuple, (NAMED,), (("both", Rule.ALL),), 0, NAMED_REPR),
 ]
+ROW_TYPES = (tuple, frozenset)
 
-ids = [case[0].__name__ for case in CASES] + ["Deliver", "Silence", "TaskSpec"]
+ids = [case[0].__name__ for case in CASES] + ["Deliver", "Silence", "TaskSpec", "Scenario", "Requirement",
+                                               "NamedRequirement"]
 cases = pytest.mark.parametrize("cls, args, other, field, text", CASES + ROW_CASES, ids=ids)
 
 
 def test_every_public_value_class_is_pinned():
-    assert len({case[0] for case in CASES}) == len(CASES) == 14
+    assert len({case[0] for case in CASES}) == len(CASES) == 11
 
 
 @cases
 def test_equality_is_per_class_field_tuple(cls, args, other, field, text):
     a, b = cls(*args), cls(*args)
-    if cls is tuple:
-        # A row is its own field tuple, whichever way the loader read it.
-        assert type(a) is tuple and a == ast.literal_eval(text) == BY_FIELD[text]
+    if cls in ROW_TYPES:
+        # A plain value, the same whichever way the loader read it.
+        assert type(a) is cls and a == IN_ORDER[text] == BY_FIELD[text]
         assert a != cls(*other)
         assert all(a != c[0](*c[1]) for c in CASES)
         return
@@ -165,8 +174,8 @@ def test_hash(cls, args, other, field, text):
 @cases
 def test_ordering(cls, args, other, field, text):
     a, b = cls(*args), cls(*other)
-    if cls is tuple:
-        # Unequal rows order as tuples do.
+    if cls in ROW_TYPES:
+        # Unequal plain values order as tuples (or sets, by inclusion) do.
         assert (a < b) is not (b < a)
         return
     with pytest.raises(TypeError):
@@ -181,7 +190,7 @@ def test_repr_is_literal(cls, args, other, field, text):
 @cases
 def test_fields_are_read_only(cls, args, other, field, text):
     a = cls(*args)
-    if cls is tuple:
+    if cls in ROW_TYPES:
         with pytest.raises(TypeError):
             a[field] = None
         with pytest.raises(TypeError):
@@ -211,18 +220,15 @@ def test_pickle_and_deepcopy_round_trip(cls, args, other, field, text):
 
 
 def test_keyword_construction_with_defaults():
-    assert Scenario() == Scenario(requests=frozenset())
     assert Trace() == Trace(requests=frozenset(), departures=frozenset(), arrivals=frozenset())
     assert SearchLimits() == SearchLimits(max_branches=2_000_000, max_decision_points=10_000)
     assert AuditReport(checks=0) == AuditReport(0, ())
-    assert Requirement(scenario=SCEN, rule=Rule.ALL) == REQ
     assert RequirementReport(requirement=REQ, verdicts={"task1": True}, satisfied=True) == REPORT
     assert SpacetimeConfig(locations={"L": 0, "R": 3}, horizon=3) == CFG
     assert Certificate(decision_points=(), strategies_explored=0, leaf_failures=()).leaf_failures == ()
     assert Found(strategy=STRAT, reports=()).strategy is STRAT
     assert Impossible(certificate=CERT).certificate is CERT
     assert Aborted(limit="branches", strategies_explored=1, decision_points=2).decision_points == 2
-    assert NamedRequirement(scenario="only", rule=Rule.ALL) == NAMED
 
     # Mutable defaults are fresh per instance.
     d1 = ConfigDocument(spacetime=CFG, tasks={}, scenarios={})
@@ -232,7 +238,6 @@ def test_keyword_construction_with_defaults():
 
 
 def test_constructors_convert_and_validate():
-    assert Scenario([TR]).requests == frozenset({TR})
     locations = {"L": 0, "R": 3}
     cfg = SpacetimeConfig(locations, 3)
     assert cfg.locations == locations and cfg.locations is not locations

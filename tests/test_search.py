@@ -9,9 +9,8 @@ from nosignal import (
     Aborted,
     Found,
     Impossible,
-    Requirement,
+    InvalidScenario,
     Rule,
-    Scenario,
     SearchLimits,
     SpacetimeConfig,
     ValidationError,
@@ -35,7 +34,7 @@ from oracles import (
 
 
 def scenario(*requests):
-    return Scenario(frozenset(requests))
+    return frozenset(requests)
 
 
 class TestFindStrategy:
@@ -132,12 +131,20 @@ class TestFindStrategy:
     def test_three_locations(self):
         cfg = SpacetimeConfig({"A": 0, "B": 1, "C": 2}, horizon=2)
         task = (("A", "C", 2), (("C", "A"),))
-        requirement = Requirement(
-            Scenario(frozenset({("t", "A", 0)})), Rule.ALL
-        )
+        requirement = (frozenset({("t", "A", 0)}), Rule.ALL)
         outcome = find_strategy(cfg, [requirement], {"t": task})
         assert isinstance(outcome, Found)
         assert evaluate_requirement(cfg, outcome.strategy, requirement, {"t": task}).satisfied
+
+    def test_raw_requirements_are_checked_at_the_boundary(self, d3):
+        """A request set with two requests on one slot, or an empty one under
+        ``at_least_one``, is refused as no value class stands in front."""
+        cfg, tasks, _ = d3
+        two_on_one_slot = (scenario(("task1", "L", 0), ("task2", "L", 0)), Rule.ALL)
+        with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
+            find_strategy(cfg, [two_on_one_slot], tasks)
+        with pytest.raises(ValidationError, match="^at_least_one over an empty scenario$"):
+            find_strategy(cfg, [(frozenset(), Rule.AT_LEAST_ONE)], tasks)
 
 
 class TestCertificateSoundness:
@@ -247,7 +254,7 @@ class TestWalkCertificate:
         """No task is requested, so no send is useful: the walk steps no slot
         and judges one empty assignment at H = 600."""
         cfg = SpacetimeConfig({"L": 0, "R": 5}, horizon=600)
-        idle = [Requirement(Scenario(), Rule.ALL)]
+        idle = [(frozenset(), Rule.ALL)]
         seen = []
         outcome = find_strategy(cfg, idle, {}, on_leaf=lambda a: seen.append(dict(a)))
         assert isinstance(outcome, Found) and outcome.strategy == {}
@@ -277,7 +284,7 @@ def small_instances(draw):
             min_size=1, max_size=2, unique_by=lambda r: r[1:],  # one request per slot
         ))
         rule = draw(st.sampled_from((Rule.ALL, Rule.AT_LEAST_ONE)))
-        requirements.append(Requirement(scenario(*requests), rule))
+        requirements.append((scenario(*requests), rule))
     return cfg, tasks, requirements
 
 
@@ -458,7 +465,7 @@ class TestNoSignalingAudit:
         cfg, tasks, _ = d3
         pairs = [
             (scenario(("task1", "L", 0)), scenario(("task2", "R", 0))),
-            (Scenario(), scenario(("task1", "L", 0), ("task2", "R", 0))),
+            (frozenset(), scenario(("task1", "L", 0), ("task2", "R", 0))),
         ]
         assert no_signaling_audit(cfg, {}, pairs).ok
 

@@ -4,9 +4,8 @@ import pytest
 
 from nosignal import (
     DuplicateTask,
-    Requirement,
+    InvalidScenario,
     Rule,
-    Scenario,
     SimulationError,
     SpacetimeConfig,
     Trace,
@@ -21,7 +20,7 @@ from nosignal.tasks import check_task
 
 
 def scenario(*requests):
-    return Scenario(frozenset(requests))
+    return frozenset(requests)
 
 
 class TestEvaluateTask:
@@ -110,25 +109,28 @@ class TestEvaluateRequirement:
 
     def test_all_rule_is_vacuous_on_empty_scenario(self, d3):
         cfg, tasks, _ = d3
-        report = evaluate_requirement(
-            cfg, {}, Requirement(Scenario(), Rule.ALL), tasks
-        )
+        report = evaluate_requirement(cfg, {}, (frozenset(), Rule.ALL), tasks)
         assert report.satisfied and report.verdicts == {}
 
-    def test_at_least_one_needs_requests(self):
-        with pytest.raises(ValidationError):
-            Requirement(Scenario(), Rule.AT_LEAST_ONE)
+    def test_at_least_one_needs_requests(self, d3):
+        cfg, tasks, _ = d3
+        with pytest.raises(ValidationError, match="^at_least_one over an empty scenario$"):
+            evaluate_requirement(cfg, {}, (frozenset(), Rule.AT_LEAST_ONE), tasks)
+
+    def test_one_request_per_slot(self, d3):
+        cfg, tasks, _ = d3
+        requirement = (scenario(("task1", "L", 0), ("task2", "L", 0)), Rule.AT_LEAST_ONE)
+        with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
+            evaluate_requirement(cfg, obedient_strategy(cfg, tasks), requirement, tasks)
 
 
 class TestParadoxRequirements:
     def test_canonical_bundle(self, d3):
         cfg, tasks, _ = d3
         r1, r2, r3 = paradox_requirements(cfg, tasks, "task1", "task2")
-        assert r1 == Requirement(scenario(("task1", "L", 0)), Rule.ALL)
-        assert r2 == Requirement(scenario(("task2", "R", 0)), Rule.ALL)
-        assert r3 == Requirement(
-            scenario(("task1", "L", 0), ("task2", "R", 0)), Rule.AT_LEAST_ONE
-        )
+        assert r1 == (scenario(("task1", "L", 0)), Rule.ALL)
+        assert r2 == (scenario(("task2", "R", 0)), Rule.ALL)
+        assert r3 == (scenario(("task1", "L", 0), ("task2", "R", 0)), Rule.AT_LEAST_ONE)
 
     def test_duplicate_task_rejected(self, d3):
         cfg, tasks, _ = d3
@@ -139,6 +141,13 @@ class TestParadoxRequirements:
         cfg, tasks, _ = d3
         with pytest.raises(ValidationError, match="^undefined task 'task3'$"):
             paradox_requirements(cfg, tasks, "task1", "task3")
+
+    def test_tasks_from_one_origin_rejected(self, d3):
+        """Both requests would take the origin's slot at t=0."""
+        cfg, tasks, _ = d3
+        same_origin = {**tasks, "task3": (("L", "R", 3), ())}
+        with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
+            paradox_requirements(cfg, same_origin, "task1", "task3")
 
     def test_swapped_labs_give_symmetric_bundle(self, d3):
         cfg, tasks, bundle = d3
@@ -155,12 +164,8 @@ SWAP_TASK = {"task1": "task2", "task2": "task1"}
 
 def relabel_requirement(req):
     """Swap both labs; task ids stay put, so task1 now runs right-to-left."""
-    return Requirement(
-        Scenario(frozenset(
-            (task, SWAP[loc], t) for task, loc, t in req.scenario.requests
-        )),
-        req.rule,
-    )
+    requests, rule = req
+    return frozenset((task, SWAP[loc], t) for task, loc, t in requests), rule
 
 
 def relabel_cfg(cfg):
