@@ -23,11 +23,11 @@ _HOMES = {
              "paradox_requirements signal_arrival",
     "errors": "DuplicateTask InvalidScenario ParseError SameLocation SimulationError "
               "UnachievableTask UnknownLocation ValidationError",
-    "protocol": "Trace execute obedient_strategy",
+    "protocol": "execute obedient_strategy",
     "search": "Aborted Certificate Found Impossible SearchLimits SearchOutcome "
               "find_strategy mutually_exclusive",
     "spacetime": "SpacetimeConfig distance",
-    "tasks": "RequirementReport Rule evaluate_requirement evaluate_task",
+    "tasks": "Rule evaluate_requirement evaluate_task",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 

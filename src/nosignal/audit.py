@@ -58,12 +58,13 @@ def causal_leq(e1: tuple[str, int], e2: tuple[str, int], cfg: SpacetimeConfig) -
 
 def check_trace(trace: Trace, cfg: SpacetimeConfig) -> None:
     """Assert the departure/arrival matching invariants of a trace."""
-    for origin, dest, at in trace.arrivals:
-        if (origin, dest, at - distance(origin, dest, cfg)) not in trace.departures:
+    _, departures, arrivals = trace
+    for origin, dest, at in arrivals:
+        if (origin, dest, at - distance(origin, dest, cfg)) not in departures:
             raise ValidationError(f"arrival {(origin, dest, at)} has no matching departure")
-    for origin, dest, t in trace.departures:
+    for origin, dest, t in departures:
         arrives = t + distance(origin, dest, cfg)
-        if arrives <= cfg.horizon and (origin, dest, arrives) not in trace.arrivals:
+        if arrives <= cfg.horizon and (origin, dest, arrives) not in arrivals:
             raise ValidationError(f"departure {(origin, dest, t)} lost its arrival at t={arrives}")
 
 
@@ -74,14 +75,15 @@ def local_history(trace: Trace, agent: str, t: int, cfg: SpacetimeConfig) -> Raw
     signal arrivals delivered there, up to and including ``t``.
     """
     check_event((agent, t), cfg)
+    requests, _, arrivals = trace
     events = [
         (time, KIND_REQUEST, task)
-        for task, loc, time in trace.requests
+        for task, loc, time in requests
         if loc == agent and time <= t
     ]
     events += [
         (at, KIND_SIGNAL, origin)
-        for origin, dest, at in trace.arrivals
+        for origin, dest, at in arrivals
         if dest == agent and at <= t
     ]
     return (agent, t, tuple(sorted(events)))
@@ -146,8 +148,8 @@ def no_signaling_audit(
                 if h1 != h2:
                     continue
                 checks += 1
-                sent1 = frozenset(d for o, d, tt in trace1.departures if o == agent and tt == t)
-                sent2 = frozenset(d for o, d, tt in trace2.departures if o == agent and tt == t)
+                sent1, sent2 = (frozenset(d for o, d, tt in departures if o == agent and tt == t)
+                                for _, departures, _ in (trace1, trace2))
                 if sent1 != sent2:
                     violations.append(
                         AuditViolation(pair_index, agent, t, h1, (sent1, sent2))

@@ -39,6 +39,7 @@ from types import SimpleNamespace
 
 from .config import (
     ConfigDocument,
+    NamedRequirement,
     load_config,
     load_strategy,
     strategy_rows,
@@ -88,14 +89,10 @@ def _pick_limits(args, doc: ConfigDocument) -> SearchLimits:
                         limits.max_decision_points if args.limits_decisions is None else args.limits_decisions)
 
 
-def _report_json(report: RequirementReport, label: str) -> dict[str, object]:
-    _, rule = report.requirement
-    return {
-        "scenario": label,
-        "rule": rule.value,
-        "verdicts": dict(sorted(report.verdicts.items())),
-        "satisfied": report.satisfied,
-    }
+def _report_json(report: RequirementReport, named: NamedRequirement) -> dict[str, object]:
+    verdicts, satisfied = report  # verdicts come in task-id order
+    label, rule = named
+    return {"scenario": label, "rule": rule.value, "verdicts": verdicts, "satisfied": satisfied}
 
 
 def _emit(args, code: int, payload: dict[str, object], *context) -> int:
@@ -124,14 +121,12 @@ def _run_scenario(args) -> tuple[ConfigDocument, Trace, str]:
 
 def cmd_simulate(args) -> int:
     doc, trace, picture = _run_scenario(args)
+    requests, departures, arrivals = trace
     payload = {
         "scenario": args.scenario,
         "strategy": args.strategy,
-        "trace": {
-            "requests": [list(r) for r in sorted(trace.requests)],
-            "departures": [list(d) for d in sorted(trace.departures)],
-            "arrivals": [list(a) for a in sorted(trace.arrivals)],
-        },
+        # json writes each triple, a tuple, as an array
+        "trace": {"requests": sorted(requests), "departures": sorted(departures), "arrivals": sorted(arrivals)},
         "verdicts": {
             task_id: evaluate_task(trace, task, doc.spacetime)
             for task_id, task in sorted(doc.tasks.items())
@@ -150,8 +145,7 @@ def cmd_search(args) -> int:
             "outcome": "found",
             "strategy": {"rows": strategy_rows(outcome.strategy)},
             "reports": [
-                _report_json(report, name)
-                for report, (name, _) in zip(outcome.reports, doc.requirements)
+                _report_json(report, named) for report, named in zip(outcome.reports, doc.requirements)
             ],
         })
 
@@ -180,8 +174,8 @@ def cmd_check(args) -> int:
     strategy = _pick_strategy(args.strategy, doc)
     slots = strategy_slots(doc.spacetime, strategy)
     reports = [
-        _report_json(evaluate_requirement(doc.spacetime, strategy, requirement, doc.tasks, slots), name)
-        for (name, _), requirement in zip(doc.requirements, doc.resolve_requirements())
+        _report_json(evaluate_requirement(doc.spacetime, strategy, requirement, doc.tasks, slots), named)
+        for named, requirement in zip(doc.requirements, doc.resolve_requirements())
     ]
     all_ok = all(report["satisfied"] for report in reports)
     return _emit(args, EXIT_OK if all_ok else EXIT_UNSATISFIED, {

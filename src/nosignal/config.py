@@ -192,9 +192,7 @@ def _config(value) -> ConfigDocument:
 
 def _event_to_json(event: tuple[int, str, str]) -> dict[str, object]:
     time, kind, label = event
-    if kind == KIND_REQUEST:
-        return {"kind": "request", "time": time, "task": label}
-    return {"kind": "signal", "time": time, "origin": label}
+    return dict(zip(_EVENTS[kind][0], (kind, time, label)))
 
 
 def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:

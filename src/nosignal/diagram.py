@@ -13,15 +13,19 @@ so one line is always one row and every cell sits under its label.
 Rows are built from their marks alone: a row is its prefix, then each mark
 in x order with blank cells between, trimmed on the right. Drawing costs
 O(departures × distance + marks + bytes written); blank cells between
-marks are written, never visited one by one.
+marks are written, never visited one by one. A picture of more than
+``_MAX_CELLS`` cells (columns × rows) is refused before any row is built.
 """
 
 from __future__ import annotations
 
+from .errors import ValidationError
 from .protocol import Trace
 from .spacetime import SpacetimeConfig
 
 _CELL = 3
+# At most 30 MB of text; the largest benchmark picture has about 400,000 cells.
+_MAX_CELLS = 10_000_000
 
 
 def _printable(text: str) -> str:
@@ -56,13 +60,18 @@ def _line(prefix: str, marks: dict[int, str], xmin: int) -> str:
 
 
 def render_diagram(trace: Trace, cfg: SpacetimeConfig) -> str:
-    """Deterministic text rendering of a trace; newline-terminated, no
-    trailing spaces."""
+    """Deterministic text rendering of a trace ``(requests, departures,
+    arrivals)``; newline-terminated, no trailing spaces."""
+    requests, departures, arrivals = trace
     coords = cfg.locations
     xmin = min(coords.values())
+    width, height = max(coords.values()) - xmin + 1, cfg.horizon + 1
+    if width * height > _MAX_CELLS:
+        raise ValidationError(f"diagram: {width} columns by {height} rows exceed the "
+                              f"{_MAX_CELLS} cells a picture may hold")
 
     rows: dict[int, dict[int, str]] = {}
-    for origin, dest, depart in trace.departures:
+    for origin, dest, depart in departures:
         x0, x1 = coords[origin], coords[dest]
         step = 1 if x1 > x0 else -1
         glyph = ">" if step > 0 else "<"
@@ -70,9 +79,9 @@ def render_diagram(trace: Trace, cfg: SpacetimeConfig) -> str:
             row = rows.setdefault(depart + k, {})
             x = x0 + step * k
             row[x] = glyph if row.get(x, glyph) == glyph else "X"
-    for _, dest, at in trace.arrivals:
+    for _, dest, at in arrivals:
         rows.setdefault(at, {})[coords[dest]] = "*"
-    for task_id, location, time in trace.requests:
+    for task_id, location, time in requests:
         rows.setdefault(time, {})[coords[location]] = _task_marker(task_id)
 
     header = {x: _lab_label(name) for name, x in coords.items()}

@@ -15,9 +15,10 @@ plain tuples: ``execute`` steps it through a fixed strategy and
 cannot disagree on what an agent sees. A run records its departures and
 what each agent receives, and nothing that can be derived from them: not
 an undo log, not the arrivals.
-A scenario is the frozenset of ``(task, location, time)`` requests that
-``Trace.requests`` holds; ``check_scenario`` checks it where ``execute``
-takes it in.
+A scenario is the frozenset of ``(task, location, time)`` requests;
+``check_scenario`` checks it where ``execute`` takes it in. A trace is the
+triple ``(requests, departures, arrivals)`` of frozensets ``execute``
+returns, its requests the scenario it was given.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping
 
 from .errors import InvalidScenario, SameLocation, UnachievableTask, ValidationError
-from .record import Record
 from .spacetime import SpacetimeConfig, distance
 
 # ``Task`` (from ``.tasks``, which imports this module) appears in annotations only.
@@ -50,22 +50,10 @@ RawAssignment = dict[RawKey, tuple[str, ...]]
 # The requester's choice of which tasks to ask for, where and when, at most one per slot.
 Scenario = frozenset[tuple[str, str, int]]
 
-
-class Trace(Record):
-    """Complete record of one execution.
-
-    An arrival is listed only when it lands at or before the horizon; a
-    departure too late to arrive still shows up in ``departures``.
-    Triples are (task, location, time) for requests and
-    (origin, dest, time) for departures and arrivals.
-    """
-
-    __slots__ = ("requests", "departures", "arrivals")
-
-    def __init__(self, requests: frozenset[tuple[str, str, int]] = frozenset(),
-                 departures: frozenset[tuple[str, str, int]] = frozenset(),
-                 arrivals: frozenset[tuple[str, str, int]] = frozenset()):
-        self._fill(requests, departures, arrivals)
+# One execution: (requests, departures, arrivals), the last two of
+# (origin, dest, time) triples. An arrival is listed only when it lands at
+# or before the horizon; a departure too late to arrive is still listed.
+Trace = tuple[Scenario, frozenset[tuple[str, str, int]], frozenset[tuple[str, str, int]]]
 
 
 def check_request(request: tuple[str, str, int], cfg: SpacetimeConfig) -> None:
@@ -154,7 +142,8 @@ def strategy_slots(cfg: SpacetimeConfig, strategy: RawAssignment) -> list[tuple[
 
 def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: RawAssignment,
             slots: list[tuple[int, str]] | None = None) -> Trace:
-    """Run the synchronous loop through the strategy's slots; return the trace.
+    """Run the synchronous loop through the strategy's slots; return the
+    trace ``(requests, departures, arrivals)``.
 
     Per step: deliver requests submitted at t and signals arriving at t,
     then let every agent look up the sends for its history up to t, then
@@ -182,11 +171,7 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: RawAssignment,
 
     coords = cfg.locations
     arrivals = ((o, d, t + abs(coords[o] - coords[d])) for o, d, t in run.departures)
-    return Trace(
-        requests=scenario,
-        departures=frozenset(run.departures),
-        arrivals=frozenset(a for a in arrivals if a[2] <= cfg.horizon),
-    )
+    return scenario, frozenset(run.departures), frozenset(a for a in arrivals if a[2] <= cfg.horizon)
 
 
 def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:

@@ -105,7 +105,8 @@ class Certificate(Record):
 
 
 class Found(Record):
-    """A complete strategy satisfying every requirement, plus its reports."""
+    """A complete strategy satisfying every requirement, plus its reports,
+    one ``(verdicts, satisfied)`` pair per requirement."""
 
     __slots__ = ("strategy", "reports")
 
@@ -282,7 +283,7 @@ def find_strategy(
                     strategy = {key: sends for key, sends in assignment.items() if sends}
                     reports = tuple(evaluate_requirement(cfg, strategy, requirement, tasks)
                                     for requirement in requirements)
-                    assert all(r.satisfied for r in reports)
+                    assert all(satisfied for _, satisfied in reports)
                     return Found(strategy, reports)
 
         if lost is None:

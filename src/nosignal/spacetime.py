@@ -16,8 +16,10 @@ from .record import Record
 class SpacetimeConfig(Record):
     """Static geometry: named lattice locations plus the simulation horizon.
 
-    Coordinates must be pairwise distinct; co-located laboratories would let
-    one agent observe another's requests directly, which is outside the model.
+    Coordinates and the horizon are integers, as the loader reads them (a
+    bool is none). Coordinates must be pairwise distinct; co-located
+    laboratories would let one agent observe another's requests directly,
+    which is outside the model.
     """
 
     __slots__ = ("locations", "horizon")
@@ -25,8 +27,13 @@ class SpacetimeConfig(Record):
     def __init__(self, locations: dict[str, int], horizon: int):
         if len(locations) < 2:
             raise ValidationError("locations: need at least 2 locations")
+        for name, coord in locations.items():
+            if type(coord) is not int:
+                raise ValidationError(f"locations.{name}: expected an integer, got {coord!r}")
         if len(set(locations.values())) != len(locations):
             raise ValidationError("locations: coordinates must be pairwise distinct")
+        if type(horizon) is not int:
+            raise ValidationError(f"horizon: expected an integer, got {horizon!r}")
         if horizon < 1:
             raise ValidationError(f"horizon: must be >= 1, got {horizon}")
         self._fill(dict(locations), horizon)

@@ -1,11 +1,14 @@
 """Task predicates, requirement bundles, and their evaluation against traces.
 
 A task is the raw tuple ``((origin, dest, at), bans)``. It succeeds on a
-trace when its single delivery atom is matched by an arrival at exactly the
-requested time and none of its silence bans is broken by any departure over
-the whole run. A requirement is the raw pair ``(requests, rule)``, a
-scenario and whether every requested task must succeed or any one
-suffices; a set of requirements is the requester's whole range of freedom.
+trace ``(requests, departures, arrivals)`` when its single delivery atom is
+matched by an arrival at exactly the requested time and none of its
+silence bans is broken by any departure over the whole run. A requirement
+is the raw pair ``(requests, rule)``, a scenario and whether every
+requested task must succeed or any one suffices; a set of requirements is
+the requester's whole range of freedom. A requirement's report is the pair
+``(verdicts, satisfied)``: each requested task's verdict by id, in id
+order, and the verdicts combined by the rule.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from enum import Enum
 
 from .errors import UnknownLocation, ValidationError
 from .protocol import RawAssignment, Scenario, Trace, execute
-from .record import Record
 from .spacetime import SpacetimeConfig
 
 
@@ -28,21 +30,17 @@ class Rule(str, Enum):
 
 
 Requirement = tuple[Scenario, Rule]  # (requests, rule)
+RequirementReport = tuple[dict[str, bool], bool]  # (verdicts, satisfied)
 
 
 def check_requirement(scenario: Scenario, rule: Rule) -> None:
-    """Rule ``at_least_one`` needs a request to succeed on."""
+    """The rule is a ``Rule``: every site compares rules by identity, so a
+    string, even one equal to a ``Rule``, would take the wrong branch. Rule
+    ``at_least_one`` needs a request to succeed on."""
+    if type(rule) is not Rule:
+        raise ValidationError(f"rule: expected Rule.ALL or Rule.AT_LEAST_ONE, got {rule!r}")
     if rule is Rule.AT_LEAST_ONE and not scenario:
         raise ValidationError("at_least_one over an empty scenario")
-
-
-class RequirementReport(Record):
-    """Per-task verdicts for one requirement and the combined outcome."""
-
-    __slots__ = ("requirement", "verdicts", "satisfied")
-
-    def __init__(self, requirement: Requirement, verdicts: dict[str, bool], satisfied: bool):
-        self._fill(requirement, verdicts, satisfied)
 
 
 def check_task(task: Task, cfg: SpacetimeConfig) -> None:
@@ -80,8 +78,9 @@ def evaluate_task(trace: Trace, task: Task, cfg: SpacetimeConfig) -> bool:
     """Pure predicate: delivery arrived exactly on time and silence held."""
     check_task(task, cfg)
     delivery, bans = task
-    return delivery in trace.arrivals and (
-        not bans or set(bans).isdisjoint([(origin, dest) for origin, dest, _ in trace.departures]))
+    _, departures, arrivals = trace
+    return delivery in arrivals and (
+        not bans or set(bans).isdisjoint([(origin, dest) for origin, dest, _ in departures]))
 
 
 def evaluate_requirement(
@@ -91,7 +90,8 @@ def evaluate_requirement(
     tasks: Mapping[str, Task],
     slots: list[tuple[int, str]] | None = None,
 ) -> RequirementReport:
-    """Execute the requirement's scenario once (``slots`` as for ``execute``) and judge each task."""
+    """Execute the requirement's scenario once (``slots`` as for ``execute``),
+    judge each task and return the report ``(verdicts, satisfied)``."""
     scenario, rule = requirement
     check_requirement(scenario, rule)
     trace = execute(cfg, scenario, strategy, slots)
@@ -100,4 +100,4 @@ def evaluate_requirement(
         for task_id, task in requested_tasks(scenario, tasks).items()
     }
     combine = all if rule is Rule.ALL else any
-    return RequirementReport(requirement, verdicts, combine(verdicts.values()))
+    return verdicts, combine(verdicts.values())

@@ -204,8 +204,9 @@ def dense_diagram(trace, cfg):
     xmax = max(coords.values())
     span = xmax - xmin + 1
 
+    requests, departures, arrivals = trace
     fronts: dict[tuple[int, int], set[str]] = {}
-    for origin, dest, depart in sorted(trace.departures):
+    for origin, dest, depart in sorted(departures):
         x0, x1 = coords[origin], coords[dest]
         step = 1 if x1 > x0 else -1
         glyph = ">" if step > 0 else "<"
@@ -218,9 +219,9 @@ def dense_diagram(trace, cfg):
     cells: dict[tuple[int, int], str] = {}
     for (t, x), glyphs in fronts.items():
         cells[(t, x)] = glyphs.pop() if len(glyphs) == 1 else "X"
-    for origin, dest, at in trace.arrivals:
+    for origin, dest, at in arrivals:
         cells[(at, coords[dest])] = "*"
-    for task_id, location, time in trace.requests:
+    for task_id, location, time in requests:
         cells[(time, coords[location])] = _task_marker(task_id)
 
     names = {coords[name]: name for name in coords}

@@ -72,7 +72,8 @@ def test_criterion_2_restricted_choice_possibility(tmp_path, capsys):
         outcome = find_strategy(cfg, [r1, r2], tasks)
         assert isinstance(outcome, Found)
         for req in (r1, r2):
-            assert evaluate_requirement(cfg, outcome.strategy, req, tasks).satisfied
+            _, satisfied = evaluate_requirement(cfg, outcome.strategy, req, tasks)
+            assert satisfied
         # independent end-to-end check run over the serialized strategy
         strategy_file = tmp_path / "found.json"
         strategy_file.write_text(serialize_strategy(outcome.strategy))
@@ -81,11 +82,13 @@ def test_criterion_2_restricted_choice_possibility(tmp_path, capsys):
 
         alone = find_strategy(cfg, [r3], tasks)
         assert isinstance(alone, Found)
-        assert evaluate_requirement(cfg, alone.strategy, r3, tasks).satisfied
+        _, satisfied = evaluate_requirement(cfg, alone.strategy, r3, tasks)
+        assert satisfied
 
         obedient = obedient_strategy(cfg, tasks)
         for req in (r1, r2):
-            assert evaluate_requirement(cfg, obedient, req, tasks).satisfied
+            _, satisfied = evaluate_requirement(cfg, obedient, req, tasks)
+            assert satisfied
 
 
 def test_criterion_3_forced_dual_failure():
@@ -93,7 +96,8 @@ def test_criterion_3_forced_dual_failure():
         cfg, tasks, _ = make_instance(3)
         dual = frozenset({("task1", "L", 0), ("task2", "R", 0)})
         trace = execute(cfg, dual, obedient_strategy(cfg, tasks))
-        assert trace.departures == {("L", "R", 0), ("R", "L", 0)}
+        _, departures, _ = trace
+        assert departures == {("L", "R", 0), ("R", "L", 0)}
         assert not evaluate_task(trace, tasks["task1"], cfg)
         assert not evaluate_task(trace, tasks["task2"], cfg)
 

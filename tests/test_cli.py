@@ -19,7 +19,6 @@ from nosignal import (
     SearchLimits,
     SimulationError,
     SpacetimeConfig,
-    Trace,
     ValidationError,
     cli,
     config,
@@ -321,7 +320,7 @@ class TestDiagrams:
     def test_rendering_is_pure_and_clean(self):
         trace, cfg = self.run_scenario("both")
         once = render_diagram(trace, cfg)
-        assert once == render_diagram(Trace(trace.requests, trace.departures, trace.arrivals), cfg)
+        assert once == render_diagram(tuple(frozenset(part) for part in trace), cfg)
         assert once.endswith("\n")
         assert not any(line != line.rstrip() for line in once.splitlines())
 
@@ -508,6 +507,25 @@ class TestExitCodes:
     def test_diagram_subcommand(self, capsys):
         assert main(["diagram", "--config", str(PARADOX), "--scenario", "both"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "diagram_both.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["diagram", "simulate"])
+    @pytest.mark.parametrize("locations, horizon, size", [
+        ({"L": 0, "R": 10**9}, 3, "1000000001 columns by 4 rows"),
+        ({"L": 0, "R": 3}, 10**11, "4 columns by 100000000001 rows"),
+    ], ids=["far-lab", "long-horizon"])
+    def test_picture_too_large_to_draw_exits_2(self, tmp_path, command, locations, horizon, size):
+        """Refused before any row is built. The child may map 600 MB, so
+        drawing the picture would end in a ``MemoryError`` traceback."""
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps({"locations": locations, "horizon": horizon, "scenarios": {"idle": []}}))
+        capped = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20)); "
+                  "runpy.run_module('nosignal', run_name='__main__')")
+        proc = subprocess.run(
+            [sys.executable, "-c", capped, command, "--config", str(doc), "--scenario", "idle"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: diagram: {size} exceed the 10000000 cells a picture may hold\n"
 
     def test_end_to_end_subprocess(self):
         proc = subprocess.run(

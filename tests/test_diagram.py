@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nosignal import SpacetimeConfig, Trace
+from nosignal import SpacetimeConfig
 from nosignal.diagram import render_diagram
 from oracles import dense_diagram
 
@@ -13,7 +13,8 @@ TASK_IDS = ("task1", "task2", "t", "task42", "task123", "x\ty", "")
 
 @st.composite
 def pictures(draw):
-    """A random trace, not necessarily one an executor could produce.
+    """A random trace ``(requests, departures, arrivals)``, not necessarily
+    one an executor could produce.
 
     2-5 labs at distinct coordinates around a random (often negative)
     offset; departures in opposite directions cross, their fronts may run
@@ -49,7 +50,7 @@ def pictures(draw):
     for _, dest, at in sorted(arrivals):
         if draw(st.booleans()):
             requests.add((draw(st.sampled_from(TASK_IDS)), dest, at))
-    return Trace(frozenset(requests), frozenset(departures), frozenset(arrivals)), cfg
+    return (frozenset(requests), frozenset(departures), frozenset(arrivals)), cfg
 
 
 @given(pictures())

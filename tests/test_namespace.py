@@ -14,9 +14,9 @@ REPO = Path(__file__).resolve().parent.parent
 PUBLIC = [
     "Aborted", "AuditReport", "Certificate", "DuplicateTask",
     "Found", "Impossible", "InvalidScenario", "ParseError",
-    "RequirementReport", "Rule", "SameLocation", "SearchLimits",
+    "Rule", "SameLocation", "SearchLimits",
     "SearchOutcome", "SimulationError", "SpacetimeConfig",
-    "Trace", "UnachievableTask", "UnknownLocation",
+    "UnachievableTask", "UnknownLocation",
     "ValidationError", "causal_leq", "distance", "evaluate_requirement", "evaluate_task",
     "execute", "find_strategy", "indistinguishable", "local_history", "mutually_exclusive",
     "no_signaling_audit", "obedient_strategy", "paradox_requirements", "signal_arrival",
@@ -30,11 +30,11 @@ HOMES = {
               "paradox_requirements", "signal_arrival"],
     "errors": ["DuplicateTask", "InvalidScenario", "ParseError", "SameLocation",
                "SimulationError", "UnachievableTask", "UnknownLocation", "ValidationError"],
-    "protocol": ["Trace", "execute", "obedient_strategy"],
+    "protocol": ["execute", "obedient_strategy"],
     "search": ["Aborted", "Certificate", "Found", "Impossible", "SearchLimits", "SearchOutcome",
                "find_strategy", "mutually_exclusive"],
     "spacetime": ["SpacetimeConfig", "distance"],
-    "tasks": ["RequirementReport", "Rule", "evaluate_requirement", "evaluate_task"],
+    "tasks": ["Rule", "evaluate_requirement", "evaluate_task"],
 }
 
 

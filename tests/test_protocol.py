@@ -16,7 +16,6 @@ from nosignal import (
     SimulationError,
     SpacetimeConfig,
     SameLocation,
-    Trace,
     UnachievableTask,
     UnknownLocation,
     ValidationError,
@@ -36,6 +35,7 @@ def scenario(*requests):
 
 
 CFG3 = SpacetimeConfig({"L": 0, "R": 3}, horizon=3)
+EMPTY = (frozenset(), frozenset(), frozenset())  # the trace (requests, departures, arrivals) of no run
 
 
 @pytest.mark.parametrize("call", [
@@ -44,9 +44,9 @@ CFG3 = SpacetimeConfig({"L": 0, "R": 3}, horizon=3)
     lambda: SpacetimeConfig({"L": 0, "R": 3}, horizon=0),
     lambda: check_event(("L", 4), CFG3),
     lambda: signal_arrival("L", "R", 4, CFG3),
-    lambda: check_trace(Trace(arrivals=frozenset({("L", "R", 3)})), CFG3),
-    lambda: check_trace(Trace(departures=frozenset({("L", "R", 0)})), CFG3),
-    lambda: local_history(Trace(), "L", 4, CFG3),
+    lambda: check_trace((frozenset(), frozenset(), frozenset({("L", "R", 3)})), CFG3),
+    lambda: check_trace((frozenset(), frozenset({("L", "R", 0)}), frozenset()), CFG3),
+    lambda: local_history(EMPTY, "L", 4, CFG3),
 ], ids=["one-location", "shared-coordinate", "zero-horizon", "event-time",
         "departure-time", "orphan-arrival", "lost-arrival", "history-time"])
 def test_input_errors_are_simulation_errors(call):
@@ -76,25 +76,22 @@ class TestLocalHistory:
 class TestExecute:
     def test_single_request_produces_one_signal(self, d3):
         cfg, tasks, _ = d3
-        trace = execute(cfg, scenario(("task1", "L", 0)), obedient_strategy(cfg, tasks))
-        assert trace.departures == {("L", "R", 0)}
-        assert trace.arrivals == {("L", "R", 3)}
-        assert not any(o == "R" for o, _, _ in trace.departures)
+        requests = scenario(("task1", "L", 0))
+        trace = execute(cfg, requests, obedient_strategy(cfg, tasks))
+        assert trace == (requests, {("L", "R", 0)}, {("L", "R", 3)})
 
     def test_empty_scenario_is_silent(self, d3):
         cfg, tasks, _ = d3
-        trace = execute(cfg, frozenset(), obedient_strategy(cfg, tasks))
-        assert trace.departures == frozenset()
-        assert trace.arrivals == frozenset()
+        assert execute(cfg, frozenset(), obedient_strategy(cfg, tasks)) == EMPTY
 
     def test_dual_request_sends_both_signals(self, d3):
         cfg, tasks, _ = d3
-        trace = execute(
+        _, departures, _ = execute(
             cfg,
             scenario(("task1", "L", 0), ("task2", "R", 0)),
             obedient_strategy(cfg, tasks),
         )
-        assert trace.departures == {("L", "R", 0), ("R", "L", 0)}
+        assert departures == {("L", "R", 0), ("R", "L", 0)}
 
     def test_deterministic(self, d3):
         cfg, tasks, _ = d3
@@ -147,8 +144,7 @@ class TestExecute:
         cfg, _, _ = d3
         strategy = {("L", 2, ()): ("R",)}
         trace = execute(cfg, frozenset(), strategy)
-        assert trace.departures == {("L", "R", 2)}  # would arrive at 5 > horizon
-        assert trace.arrivals == frozenset()
+        assert trace == (frozenset(), {("L", "R", 2)}, frozenset())  # would arrive at 5 > horizon
         check_trace(trace, cfg)
 
 
@@ -180,7 +176,7 @@ class TestReachability:
             ("L", cfg.horizon + 2, ()): ("Z",),
             ("X", 0, ()): ("L",),
         }
-        assert execute(cfg, frozenset(), strategy) == Trace()
+        assert execute(cfg, frozenset(), strategy) == EMPTY
 
     def test_looks_up_only_the_slots_the_table_names(self, d3, monkeypatch):
         cfg, _, _ = d3
@@ -198,9 +194,9 @@ class TestReachability:
             ("R", 3, ((3, "signal", "L"),)): ("L",),
             ("R", cfg.horizon + 1, ()): ("L",),
         }
-        trace = execute(cfg, scenario(("task1", "L", 0)), strategy)
+        _, departures, _ = execute(cfg, scenario(("task1", "L", 0)), strategy)
         assert sorted(calls) == [("L", 0), ("R", 3)]
-        assert trace.departures == {("L", "R", 0), ("R", "L", 3)}
+        assert departures == {("L", "R", 0), ("R", "L", 3)}
 
 
 class TestObedientStrategy:
@@ -304,7 +300,8 @@ def test_run_unapply_restores_the_run(case):
 
 
 def observed_sends(trace, agent, t):
-    return frozenset(d for o, d, tt in trace.departures if o == agent and tt == t)
+    _, departures, _ = trace
+    return frozenset(d for o, d, tt in departures if o == agent and tt == t)
 
 
 @given(worlds())
@@ -354,11 +351,8 @@ def test_execute_matches_oracle_executor(world):
     """``execute`` and the independent tuple executor agree on every run."""
     cfg, s1, s2, strategy = world
     for s in (s1, s2):
-        trace = execute(cfg, s, strategy)
         requests = list(s)
-        assert (trace.departures, trace.arrivals) == mini_execute(
-            cfg.locations, cfg.horizon, requests, strategy
-        )
+        assert execute(cfg, s, strategy) == (s, *mini_execute(cfg.locations, cfg.horizon, requests, strategy))
 
 
 # --- causal influence --------------------------------------------------------
@@ -376,9 +370,10 @@ def influence_strategies(cfg):
 
 def changed_events(before, after):
     """Events hosting any trace element that differs between two traces."""
-    events = {(loc, t) for _, loc, t in before.requests ^ after.requests}
-    events |= {(o, t) for o, _, t in before.departures ^ after.departures}
-    events |= {(d, t) for _, d, t in before.arrivals ^ after.arrivals}
+    (requests, departures, arrivals), (requests2, departures2, arrivals2) = before, after
+    events = {(loc, t) for _, loc, t in requests ^ requests2}
+    events |= {(o, t) for o, _, t in departures ^ departures2}
+    events |= {(d, t) for _, d, t in arrivals ^ arrivals2}
     return events
 
 

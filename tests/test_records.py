@@ -5,9 +5,11 @@ hashing (and which classes refuse it), that none orders, the exact
 ``repr``, the frozen guard, keyword construction with defaults, and
 pickle/deepcopy round trips. A task is no class but the plain tuple
 ``((origin, dest, at), bans)`` the loader reads, a scenario the frozenset of
-its request triples, a requirement the pair ``(requests, rule)`` and a
-document's requirement the pair ``(scenario name, rule)``; these are pinned
-as plain values on the same checks.
+its request triples, a requirement the pair ``(requests, rule)``, a
+document's requirement the pair ``(scenario name, rule)``, a trace the
+triple ``(requests, departures, arrivals)`` and a requirement's report the
+pair ``(verdicts, satisfied)``; these are pinned as plain values on the
+same checks.
 """
 
 import copy
@@ -22,11 +24,11 @@ from nosignal import (
     Certificate,
     Found,
     Impossible,
-    RequirementReport,
     Rule,
     SearchLimits,
     SpacetimeConfig,
-    Trace,
+    evaluate_requirement,
+    execute,
 )
 from nosignal.config import ConfigDocument, load_config
 from nosignal.faults import read_config
@@ -39,7 +41,8 @@ TR = ("task1", "L", 0)
 SCEN = frozenset({TR})
 TASK = (("L", "R", 3), (("R", "L"),))
 REQ = (SCEN, Rule.ALL)
-REPORT = RequirementReport(REQ, {"task1": True}, True)
+TRACE = (SCEN, frozenset({("L", "R", 0)}), frozenset({("L", "R", 3)}))
+REPORT = ({"task1": True}, True)
 LIMITS = SearchLimits(10, 5)
 CERT = Certificate((HIST,), 3, (0, 1, 0))
 VIOL = AuditViolation(0, "L", 0, HIST, (frozenset({"R"}), frozenset()))
@@ -51,7 +54,8 @@ SCEN_REPR = "frozenset({('task1', 'L', 0)})"
 TASK_REPR = "(('L', 'R', 3), (('R', 'L'),))"
 REQ_REPR = f"({SCEN_REPR}, <Rule.ALL: 'all'>)"
 NAMED_REPR = "('only', <Rule.ALL: 'all'>)"
-REPORT_REPR = f"RequirementReport(requirement={REQ_REPR}, verdicts={{'task1': True}}, satisfied=True)"
+TRACE_REPR = f"({SCEN_REPR}, frozenset({{('L', 'R', 0)}}), frozenset({{('L', 'R', 3)}}))"
+REPORT_REPR = "({'task1': True}, True)"
 CERT_REPR = (
     f"Certificate(decision_points=({H_REPR},), "
     "strategies_explored=3, leaf_failures=(0, 1, 0))"
@@ -66,12 +70,6 @@ CFG_REPR = "SpacetimeConfig(locations={'L': 0, 'R': 3}, horizon=3)"
 # (class, constructor args, args of an unequal instance, first field, repr)
 CASES = [
     (SpacetimeConfig, ({"L": 0, "R": 3}, 3), ({"L": 0, "R": 3}, 4), "locations", CFG_REPR),
-    (Trace, (frozenset({("task1", "L", 0)}), frozenset({("L", "R", 0)}), frozenset({("L", "R", 3)})),
-     (frozenset(), frozenset(), frozenset()), "requests",
-     "Trace(requests=frozenset({('task1', 'L', 0)}), departures=frozenset({('L', 'R', 0)}), "
-     "arrivals=frozenset({('L', 'R', 3)}))"),
-    (RequirementReport, (REQ, {"task1": True}, True), (REQ, {"task1": False}, False),
-     "requirement", REPORT_REPR),
     (SearchLimits, (10, 5), (10, 6), "max_branches", LIMITS_REPR),
     (Certificate, ((HIST,), 3, (0, 1, 0)), ((), 0, ()), "decision_points", CERT_REPR),
     (Found, (STRAT, (REPORT,)), ({}, ()), "strategy",
@@ -89,25 +87,27 @@ CASES = [
      f"scenarios={{'only': {SCEN_REPR}}}, requirements=[{NAMED_REPR}], limits={LIMITS_REPR})"),
 ]
 
-# Frozen, but a field holds a dict.
+# Frozen, but a field holds a dict; a plain value is keyed by its repr.
 UNHASHABLE_FIELDS = {
     SpacetimeConfig: "unhashable type: 'dict'",
-    RequirementReport: "unhashable type: 'dict'",
     Found: "unhashable type: 'dict'",
     ConfigDocument: "unhashable type: 'dict'",
+    REPORT_REPR: "unhashable type: 'dict'",
 }
 
 
 def _parts(task: dict, request: dict, requirement: dict,
            read=lambda doc: load_config(json.dumps(doc))) -> dict:
     """The delivery, the first ban, the whole task, the scenario, the
-    requirement and the document's requirement, by repr, as ``read`` reads a
-    document on the ``CFG`` line holding ``task``, a scenario of ``request``
-    and ``requirement``."""
+    requirement, the document's requirement, and the trace and report of
+    ``STRAT`` on them, by repr, as ``read`` reads a document on the ``CFG``
+    line holding ``task``, a scenario of ``request`` and ``requirement``."""
     doc = read({"locations": CFG.locations, "horizon": CFG.horizon, "tasks": {"task1": task},
                 "scenarios": {"only": [request]}, "requirements": [requirement]})
     task = doc.tasks["task1"]
-    parts = [task[0], task[1][0], task, doc.scenarios["only"], *doc.resolve_requirements(), *doc.requirements]
+    [resolved] = doc.resolve_requirements()
+    parts = [task[0], task[1][0], task, doc.scenarios["only"], resolved, *doc.requirements,
+             execute(CFG, doc.scenarios["only"], STRAT), evaluate_requirement(CFG, STRAT, resolved, doc.tasks)]
     return {repr(part): part for part in parts}
 
 
@@ -122,7 +122,7 @@ BY_FIELD = _parts({"silence": [{"to": "L", "from": "R"}], "deliver": {"at": 3, "
 
 # (type, (plain value,), (an unequal one,), first index, repr), named for the
 # part each value holds: the delivery, a silence ban, the whole task, the
-# scenario, the requirement, the document's requirement.
+# scenario, the requirement, the document's requirement, the trace, the report.
 ROW_CASES = [
     (tuple, (TASK[0],), (("R", "L", 3),), 0, "('L', 'R', 3)"),
     (tuple, (TASK[1][0],), (("L", "R"),), 0, "('R', 'L')"),
@@ -130,16 +130,18 @@ ROW_CASES = [
     (frozenset, (SCEN,), (frozenset(),), 0, SCEN_REPR),
     (tuple, (REQ,), ((SCEN, Rule.AT_LEAST_ONE),), 0, REQ_REPR),
     (tuple, (NAMED,), (("both", Rule.ALL),), 0, NAMED_REPR),
+    (tuple, (TRACE,), ((frozenset(), frozenset(), frozenset()),), 0, TRACE_REPR),
+    (tuple, (REPORT,), (({"task1": False}, False),), 0, REPORT_REPR),
 ]
 ROW_TYPES = (tuple, frozenset)
 
 ids = [case[0].__name__ for case in CASES] + ["Deliver", "Silence", "TaskSpec", "Scenario", "Requirement",
-                                               "NamedRequirement"]
+                                               "NamedRequirement", "Trace", "RequirementReport"]
 cases = pytest.mark.parametrize("cls, args, other, field, text", CASES + ROW_CASES, ids=ids)
 
 
 def test_every_public_value_class_is_pinned():
-    assert len({case[0] for case in CASES}) == len(CASES) == 11
+    assert len({case[0] for case in CASES}) == len(CASES) == 9
 
 
 @cases
@@ -162,10 +164,11 @@ def test_equality_is_per_class_field_tuple(cls, args, other, field, text):
 @cases
 def test_hash(cls, args, other, field, text):
     a, b = cls(*args), cls(*args)
-    if cls in UNHASHABLE_FIELDS:
+    key = text if cls in ROW_TYPES else cls
+    if key in UNHASHABLE_FIELDS:
         with pytest.raises(TypeError) as err:
             hash(a)
-        assert str(err.value) == UNHASHABLE_FIELDS[cls]
+        assert str(err.value) == UNHASHABLE_FIELDS[key]
     else:
         assert hash(a) == hash(b)
         assert {a, b} == {a}
@@ -174,8 +177,9 @@ def test_hash(cls, args, other, field, text):
 @cases
 def test_ordering(cls, args, other, field, text):
     a, b = cls(*args), cls(*other)
-    if cls in ROW_TYPES:
-        # Unequal plain values order as tuples (or sets, by inclusion) do.
+    if cls in ROW_TYPES and text not in UNHASHABLE_FIELDS:
+        # Unequal plain values order as tuples (or sets, by inclusion) do;
+        # a dict in one orders no more than it hashes.
         assert (a < b) is not (b < a)
         return
     with pytest.raises(TypeError):
@@ -220,10 +224,8 @@ def test_pickle_and_deepcopy_round_trip(cls, args, other, field, text):
 
 
 def test_keyword_construction_with_defaults():
-    assert Trace() == Trace(requests=frozenset(), departures=frozenset(), arrivals=frozenset())
     assert SearchLimits() == SearchLimits(max_branches=2_000_000, max_decision_points=10_000)
     assert AuditReport(checks=0) == AuditReport(0, ())
-    assert RequirementReport(requirement=REQ, verdicts={"task1": True}, satisfied=True) == REPORT
     assert SpacetimeConfig(locations={"L": 0, "R": 3}, horizon=3) == CFG
     assert Certificate(decision_points=(), strategies_explored=0, leaf_failures=()).leaf_failures == ()
     assert Found(strategy=STRAT, reports=()).strategy is STRAT

@@ -42,14 +42,16 @@ class TestFindStrategy:
         cfg, tasks, (r1, r2, _) = d3
         outcome = find_strategy(cfg, [r1, r2], tasks)
         assert isinstance(outcome, Found)
-        assert all(report.satisfied for report in outcome.reports)
+        assert all(satisfied for _, satisfied in outcome.reports)
         # independent re-check of the returned strategy
         for req in (r1, r2):
-            assert evaluate_requirement(cfg, outcome.strategy, req, tasks).satisfied
+            _, satisfied = evaluate_requirement(cfg, outcome.strategy, req, tasks)
+            assert satisfied
         # the obedient strategy is among the valid answers
         obedient = obedient_strategy(cfg, tasks)
         for req in (r1, r2):
-            assert evaluate_requirement(cfg, obedient, req, tasks).satisfied
+            _, satisfied = evaluate_requirement(cfg, obedient, req, tasks)
+            assert satisfied
 
     def test_full_bundle_impossible(self, d3):
         cfg, tasks, bundle = d3
@@ -64,7 +66,8 @@ class TestFindStrategy:
         cfg, tasks, (_, _, r3) = d3
         outcome = find_strategy(cfg, [r3], tasks)
         assert isinstance(outcome, Found)
-        assert evaluate_requirement(cfg, outcome.strategy, r3, tasks).satisfied
+        _, satisfied = evaluate_requirement(cfg, outcome.strategy, r3, tasks)
+        assert satisfied
 
     def test_more_freedom_flips_found_to_impossible(self):
         for gap in (1, 2, 3):
@@ -134,7 +137,8 @@ class TestFindStrategy:
         requirement = (frozenset({("t", "A", 0)}), Rule.ALL)
         outcome = find_strategy(cfg, [requirement], {"t": task})
         assert isinstance(outcome, Found)
-        assert evaluate_requirement(cfg, outcome.strategy, requirement, {"t": task}).satisfied
+        _, satisfied = evaluate_requirement(cfg, outcome.strategy, requirement, {"t": task})
+        assert satisfied
 
     def test_raw_requirements_are_checked_at_the_boundary(self, d3):
         """A request set with two requests on one slot, or an empty one under
@@ -145,6 +149,14 @@ class TestFindStrategy:
             find_strategy(cfg, [two_on_one_slot], tasks)
         with pytest.raises(ValidationError, match="^at_least_one over an empty scenario$"):
             find_strategy(cfg, [(frozenset(), Rule.AT_LEAST_ONE)], tasks)
+
+    @pytest.mark.parametrize("rule", ["bogus", "all", "at_least_one", None])
+    def test_a_rule_that_is_no_rule_is_refused(self, d3, rule):
+        """Rules are compared by identity, so a string, even one equal to a
+        ``Rule``, would take another rule's branch; it is refused instead."""
+        cfg, tasks, (r1, _, _) = d3
+        with pytest.raises(ValidationError, match=f"^rule: expected Rule.ALL or Rule.AT_LEAST_ONE, got {rule!r}$"):
+            find_strategy(cfg, [(r1[0], rule)], tasks)
 
 
 class TestCertificateSoundness:

@@ -8,6 +8,7 @@ from nosignal import (
     SameLocation,
     SpacetimeConfig,
     UnknownLocation,
+    ValidationError,
     causal_leq,
     distance,
     signal_arrival,
@@ -28,6 +29,21 @@ class TestConfig:
     def test_horizon_positive(self):
         with pytest.raises(ValueError):
             SpacetimeConfig({"L": 0, "R": 3}, horizon=0)
+
+    @pytest.mark.parametrize("locations, horizon, message", [
+        ({"A": 0, "B": 1.5}, 3, "locations.B: expected an integer, got 1.5"),
+        ({"A": 0, "B": 2.0}, 3, "locations.B: expected an integer, got 2.0"),
+        ({"A": False, "B": 1}, 3, "locations.A: expected an integer, got False"),
+        ({"A": 0, "B": "1"}, 3, "locations.B: expected an integer, got '1'"),
+        ({"A": 0, "B": 1}, 2.5, "horizon: expected an integer, got 2.5"),
+        ({"A": 0, "B": 1}, True, "horizon: expected an integer, got True"),
+    ], ids=["float", "integral-float", "bool", "string", "float-horizon", "bool-horizon"])
+    def test_coordinates_and_horizon_are_integers(self, locations, horizon, message):
+        """As the loader reads them: a float or a bool would otherwise pass
+        and break drawing (a ``TypeError``) or draw one row for ``True``."""
+        with pytest.raises(ValidationError) as err:
+            SpacetimeConfig(locations, horizon)
+        assert str(err.value) == message
 
     def test_agents_sorted(self):
         cfg = SpacetimeConfig({"R": 3, "L": 0, "M": 1}, horizon=2)

@@ -8,7 +8,6 @@ from nosignal import (
     Rule,
     SimulationError,
     SpacetimeConfig,
-    Trace,
     ValidationError,
     evaluate_requirement,
     evaluate_task,
@@ -31,7 +30,7 @@ class TestEvaluateTask:
 
     def test_empty_trace_fails(self, d3):
         cfg, tasks, _ = d3
-        assert not evaluate_task(Trace(), tasks["task1"], cfg)
+        assert not evaluate_task((frozenset(), frozenset(), frozenset()), tasks["task1"], cfg)
 
     def test_dual_request_breaks_silence(self, d3):
         cfg, tasks, _ = d3
@@ -45,24 +44,20 @@ class TestEvaluateTask:
 
     def test_arrival_must_be_exactly_on_time(self, d3):
         cfg, tasks, _ = d3
-        early = Trace(departures=frozenset({("L", "R", 0)}),
-                      arrivals=frozenset({("L", "R", 3)}))
+        early = (frozenset(), frozenset({("L", "R", 0)}), frozenset({("L", "R", 3)}))
         assert evaluate_task(early, tasks["task1"], cfg)
         shifted = (("L", "R", 2), (("R", "L"),))
         assert not evaluate_task(early, shifted, cfg)
 
     def test_silence_covers_whole_horizon(self, d3):
         cfg, tasks, _ = d3
-        late_chatter = Trace(
-            departures=frozenset({("L", "R", 0), ("R", "L", 3)}),
-            arrivals=frozenset({("L", "R", 3)}),
-        )
+        late_chatter = (frozenset(), frozenset({("L", "R", 0), ("R", "L", 3)}), frozenset({("L", "R", 3)}))
         assert not evaluate_task(late_chatter, tasks["task1"], cfg)
 
     def test_pure_predicate(self, d3):
         cfg, tasks, _ = d3
         trace = execute(cfg, scenario(("task1", "L", 0)), obedient_strategy(cfg, tasks))
-        again = Trace(trace.requests, trace.departures, trace.arrivals)
+        again = tuple(frozenset(part) for part in trace)
         assert evaluate_task(trace, tasks["task1"], cfg) == evaluate_task(again, tasks["task1"], cfg)
 
     def test_rejects_delivery_beyond_horizon(self, d3):
@@ -93,24 +88,22 @@ def test_check_task_raises_the_first_fault(d3, task, message):
 class TestEvaluateRequirement:
     def test_single_request_all_satisfied(self, d3):
         cfg, tasks, (r1, _, _) = d3
-        report = evaluate_requirement(cfg, obedient_strategy(cfg, tasks), r1, tasks)
-        assert report.satisfied and report.verdicts == {"task1": True}
+        assert evaluate_requirement(cfg, obedient_strategy(cfg, tasks), r1, tasks) == ({"task1": True}, True)
 
     def test_dual_request_at_least_one_unsatisfied(self, d3):
         cfg, tasks, (_, _, r3) = d3
-        report = evaluate_requirement(cfg, obedient_strategy(cfg, tasks), r3, tasks)
-        assert not report.satisfied
-        assert report.verdicts == {"task1": False, "task2": False}
+        verdicts, satisfied = evaluate_requirement(cfg, obedient_strategy(cfg, tasks), r3, tasks)
+        assert not satisfied
+        assert list(verdicts.items()) == [("task1", False), ("task2", False)]  # in task-id order
 
     def test_idle_strategy_fails(self, d3):
         cfg, tasks, (r1, _, _) = d3
-        report = evaluate_requirement(cfg, {}, r1, tasks)
-        assert not report.satisfied
+        _, satisfied = evaluate_requirement(cfg, {}, r1, tasks)
+        assert not satisfied
 
     def test_all_rule_is_vacuous_on_empty_scenario(self, d3):
         cfg, tasks, _ = d3
-        report = evaluate_requirement(cfg, {}, (frozenset(), Rule.ALL), tasks)
-        assert report.satisfied and report.verdicts == {}
+        assert evaluate_requirement(cfg, {}, (frozenset(), Rule.ALL), tasks) == ({}, True)
 
     def test_at_least_one_needs_requests(self, d3):
         cfg, tasks, _ = d3
@@ -122,6 +115,15 @@ class TestEvaluateRequirement:
         requirement = (scenario(("task1", "L", 0), ("task2", "L", 0)), Rule.AT_LEAST_ONE)
         with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
             evaluate_requirement(cfg, obedient_strategy(cfg, tasks), requirement, tasks)
+
+
+    @pytest.mark.parametrize("rule", ["all", "at_least_one", "bogus"])
+    def test_a_rule_that_is_no_rule_is_refused(self, d3, rule):
+        """``"all"`` equals ``Rule.ALL`` but is not it, so were it taken it
+        would combine the verdicts with ``any``; it is refused instead."""
+        cfg, tasks, (_, _, r3) = d3
+        with pytest.raises(ValidationError, match=f"^rule: expected Rule.ALL or Rule.AT_LEAST_ONE, got {rule!r}$"):
+            evaluate_requirement(cfg, obedient_strategy(cfg, tasks), (r3[0], rule), tasks)
 
 
 class TestParadoxRequirements:
@@ -179,10 +181,11 @@ def relabel_task(task):
 
 
 def relabel_trace(trace):
-    return Trace(
-        frozenset((SWAP_TASK[task], SWAP[loc], t) for task, loc, t in trace.requests),
-        frozenset((SWAP[o], SWAP[d], t) for o, d, t in trace.departures),
-        frozenset((SWAP[o], SWAP[d], t) for o, d, t in trace.arrivals),
+    requests, departures, arrivals = trace
+    return (
+        frozenset((SWAP_TASK[task], SWAP[loc], t) for task, loc, t in requests),
+        frozenset((SWAP[o], SWAP[d], t) for o, d, t in departures),
+        frozenset((SWAP[o], SWAP[d], t) for o, d, t in arrivals),
     )
 
 
