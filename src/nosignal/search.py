@@ -179,12 +179,14 @@ def find_strategy(
     lag = {o: [distance(a, o, cfg) for a in agents] for o in agents}
     others = {a: cfg.others(a) for a in agents}
     # latest[d]: the last time an arrival at d can still reach the origin
-    # of a delivering departure by its departure time. No lab has a useful
-    # send after its own latest, so none is stepped after ``last``.
+    # of a delivering departure by its departure time. After ``reach`` the
+    # only useful sends are delivering departures, so the loop visits every
+    # time from 0 (where deliveries due before 0 fall due) to reach, then
+    # only the later delivering departures' times.
     departs = {dep for _, rows, _ in judge for dep, _ in rows}
     latest = {d: max((s - lag[o][i] for o, _, s in departs), default=-1)
               for i, d in enumerate(agents)}
-    last = min(horizon, max(latest.values()))
+    reach = max(0, *(latest[d] - lag[d][ai] for ai, a in enumerate(agents) for d in others[a]))
 
     runs = [Run(cfg, scenario) for scenario, _ in requirements]
     # Per slot: (t, run, agent, menu, index just past the slots of time t).
@@ -198,7 +200,7 @@ def find_strategy(
     judges: dict[int, tuple[int, set[int]]] = {}
     menus: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
     due: set[int] = set()
-    for t in range(last + 1):
+    for t in itertools.chain(range(reach + 1), sorted({s for _, _, s in departs if s > reach})):
         due.update(due_at.get(t, ()))
         live = []
         for ai, agent in enumerate(agents):
@@ -219,18 +221,24 @@ def find_strategy(
                     slots.append((t, run, agent, menu, end))
             judges[end] = (t, due)
             due = set()
+            # Each slot of the first run holds an (agent, t) no earlier slot
+            # has, so the walk aborts on max_decision_points before it
+            # applies the first run's slot of that index: build no further.
+            if len(slots) > len(runs) * limits.max_decision_points:
+                break
     n_slots = len(slots)
     judges[n_slots] = (horizon, set(range(len(runs))))
 
+    # The walk's state. Slots 0 .. depth-1 are applied; keys[j] is slot j's
+    # history key, and the key's sends are assignment[key]. points maps every
+    # key the search branched on, in first-encounter order, to the slot of
+    # the decision that last assigned it: an applied slot j is a decision iff
+    # points[keys[j]] == j, and otherwise reuses an earlier run's choice for
+    # the same agent and time. Each refuted branch appends the first
+    # requirement it lost to leaf_failures, so its length is the branch count.
     assignment: RawAssignment = {}
-    # Every key the search branched on, in first-encounter order.
-    points: dict[RawKey, None] = {}
-    branches = 0
+    points: dict[RawKey, int] = {}
     leaf_failures: list[int] = []
-    # Per applied slot j, the slot index of the decision that assigned its
-    # key (j itself, or an earlier run's slot of the same agent and time).
-    origins: list[int] = []
-    decided: dict[RawKey, int] = {}
 
     def first_lost(t: int, due: set[int]) -> tuple[int, list[tuple[int, str]]] | None:
         """The first requirement lost once the slots up to ``t`` are done, and its culprits."""
@@ -254,29 +262,23 @@ def find_strategy(
                 for j in lane:
                     if slots[j][0] > t1 - d:
                         break
-                    conflict.add(origins[j])
+                    conflict.add(points[keys[j]])
         return conflict
 
-    # One frame per applied slot, so frame j is slot j: (history key, the
-    # sends applied, index of the action in the slot's menu, or -1 where
-    # the key was assigned earlier).
-    stack: list[tuple[RawKey, tuple[str, ...], int]] = []
-    # Per decision frame, the conflicts carried back to it by later jumps.
+    # Per decision slot, the conflicts carried back to it by later jumps.
     carried: dict[int, set[int]] = {}
     # The key each slot last had. A key at t reads only sends made before
     # t, so after a jump to slot h the rest of h's slice keeps its keys.
     keys: list[RawKey | None] = [None] * n_slots
-    reuse_end = 0
+    depth = reuse_end = 0
     while True:
-        slot_idx = len(stack)
         lost = None
-        bound = judges.get(slot_idx)
+        bound = judges.get(depth)
         if bound is not None:
             lost = first_lost(*bound)
-            if lost is not None or slot_idx == n_slots:
-                if branches >= limits.max_branches:
-                    return Aborted("branches", branches, len(points))
-                branches += 1
+            if lost is not None or depth == n_slots:
+                if len(leaf_failures) >= limits.max_branches:
+                    return Aborted("branches", len(leaf_failures), len(points))
                 if on_leaf is not None:
                     on_leaf(assignment)
                 if lost is None:
@@ -287,60 +289,53 @@ def find_strategy(
                     return Found(strategy, reports)
 
         if lost is None:
-            t, run, agent, menu, _ = slots[slot_idx]
-            if slot_idx < reuse_end:
-                key = keys[slot_idx]
+            t, run, agent, menu, _ = slots[depth]
+            if depth < reuse_end:
+                key = keys[depth]
             else:
-                key = keys[slot_idx] = run.key(t, agent)
-            choice = -1
+                key = keys[depth] = run.key(t, agent)
             sends = assignment.get(key)
             if sends is None:
-                if key not in points:
-                    if len(points) >= limits.max_decision_points:
-                        return Aborted("decision_points", branches, len(points))
-                    points[key] = None
-                choice = 0
+                if key not in points and len(points) >= limits.max_decision_points:
+                    return Aborted("decision_points", len(leaf_failures), len(points))
+                points[key] = depth
                 sends = assignment[key] = menu[0]
-                decided[key] = slot_idx
-            origins.append(decided[key])
             if sends:
                 run.apply(t, agent, sends)
-            stack.append((key, sends, choice))
+            depth += 1
             continue
 
         leaf_failures.append(lost[0])
         conflict = conflict_set(*lost)
-        while stack and conflict:
-            key, sends, choice = stack.pop()
-            origins.pop()
-            slot_idx = len(stack)
-            t, run, agent, menu, end = slots[slot_idx]
+        while depth and conflict:
+            depth -= 1
+            t, run, agent, menu, end = slots[depth]
+            key = keys[depth]
+            sends = assignment[key]
             if sends:
                 run.unapply(t, agent, sends)
-            if choice < 0:
+            if points[key] != depth:
                 continue
-            if slot_idx in conflict:
-                conflict.discard(slot_idx)
-                if slot_idx in carried:
-                    carried[slot_idx] |= conflict
+            if depth in conflict:
+                conflict.discard(depth)
+                if depth in carried:
+                    carried[depth] |= conflict
                 elif conflict:
-                    carried[slot_idx] = conflict
-                choice += 1
+                    carried[depth] = conflict
+                choice = menu.index(sends) + 1
                 if choice < len(menu):
                     sends = assignment[key] = menu[choice]
-                    origins.append(slot_idx)
                     run.apply(t, agent, sends)  # only the first action is empty
-                    stack.append((key, sends, choice))
+                    depth += 1
                     reuse_end = end
                     break
-                conflict = carried.pop(slot_idx, set())
+                conflict = carried.pop(depth, set())
             del assignment[key]
-            del decided[key]
-            carried.pop(slot_idx, None)
+            carried.pop(depth, None)
         else:
             return Impossible(Certificate(
                 decision_points=tuple(points),
-                strategies_explored=branches,
+                strategies_explored=len(leaf_failures),
                 leaf_failures=tuple(leaf_failures),
             ))
 

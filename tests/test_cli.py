@@ -51,6 +51,8 @@ REPLAY2 = GOLDEN.parent / "replay2_seed0.json"
 REPLAY4 = GOLDEN.parent / "replay4_seed0.json"
 INVALID_TASK = GOLDEN.parent / "invalid_task.json"  # a task with two faults; CI checks it too
 MISSHAPEN_TASK = GOLDEN.parent / "misshapen_task.json"  # its first fault is of shape; CI checks it too
+FAR_HORIZON = GOLDEN.parent / "far_horizon.json"  # one delivery at t = 10**11; CI checks it too
+SHARED_KEY = GOLDEN.parent / "shared_key.json"  # found only through a key two runs share; CI checks it too
 
 
 def load_fixture_doc():
@@ -372,6 +374,16 @@ class TestDiagrams:
         assert header.index("R") == request_row.index("!1") == 16
 
 
+def run_capped(*argv):
+    """The CLI in a child process that may map 600 MB and run 60 s, where a
+    runaway allocation ends in a ``MemoryError`` instead of filling the
+    machine, and a runaway loop in ``TimeoutExpired``."""
+    capped = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20)); "
+              "runpy.run_module('nosignal', run_name='__main__')")
+    return subprocess.run([sys.executable, "-c", capped, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60)
+
+
 class TestExitCodes:
     def test_simulate_ok(self, capsys):
         assert main(["simulate", "--config", str(PARADOX), "--scenario", "only_task1"]) == 0
@@ -518,14 +530,43 @@ class TestExitCodes:
         drawing the picture would end in a ``MemoryError`` traceback."""
         doc = tmp_path / "huge.json"
         doc.write_text(json.dumps({"locations": locations, "horizon": horizon, "scenarios": {"idle": []}}))
-        capped = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20)); "
-                  "runpy.run_module('nosignal', run_name='__main__')")
-        proc = subprocess.run(
-            [sys.executable, "-c", capped, command, "--config", str(doc), "--scenario", "idle"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-        )
+        proc = run_capped(command, "--config", str(doc), "--scenario", "idle")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: diagram: {size} exceed the 10000000 cells a picture may hold\n"
+
+    def test_search_far_horizon_aborts_on_its_decision_limit(self):
+        """A delivery at t = 10**11 gives the first run a slot per time up to
+        it. The walk aborts on its 10,000th decision point, so it builds no
+        slot past that, within the child's 600 MB."""
+        proc = run_capped("search", "--config", str(FAR_HORIZON))
+        assert (proc.returncode, proc.stderr) == (4, "")
+        assert proc.stdout == (GOLDEN / "search_far_horizon.txt").read_text()
+
+    def test_search_steps_a_late_departure_alone(self, tmp_path):
+        """R is 10**11 away, so L's one useful send is its delivering
+        departure at t = 10**11, and R has none. The walk steps that time
+        alone instead of every empty time before it."""
+        far = 10**11
+        doc = tmp_path / "late.json"
+        doc.write_text(json.dumps({
+            "locations": {"L": 0, "R": far}, "horizon": 2 * far,
+            "tasks": {"t": {"deliver": {"from": "L", "to": "R", "at": 2 * far}}},
+            "scenarios": {"s": [{"task": "t", "location": "L", "time": far}]},
+            "requirements": [{"scenario": "s", "rule": "all"}],
+        }))
+        proc = run_capped("search", "--config", str(doc))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("found a strategy satisfying all 1 requirement:\n"
+                               f"  L  t={far}  [request t @{far}]  -> send R\n")
+
+    def test_search_idle_far_horizon_is_found(self, tmp_path):
+        """No task is requested at that horizon, so no slot is built."""
+        doc = tmp_path / "idle.json"
+        doc.write_text(json.dumps({**json.loads(FAR_HORIZON.read_text()), "tasks": {}, "scenarios": {"s": []}}))
+        proc = run_capped("search", "--config", str(doc))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("found a strategy satisfying all 1 requirement:\n"
+                               "  (empty table: every agent always does nothing)\n")
 
     def test_end_to_end_subprocess(self):
         proc = subprocess.run(
@@ -863,6 +904,8 @@ def _cli_cases():
                            ("", f"error: {message}\n", 2), id=f"strategy-{i}")
     yield pytest.param(["diagram", "--config", str(REPLAY2), "--scenario", "s0"], None, None,
                        ((GOLDEN / "diagram_replay2.txt").read_text(), "", 0), id="diagram-replay2")
+    yield pytest.param(["search", "--config", str(SHARED_KEY)], None, None,
+                       ((GOLDEN / "search_shared_key.txt").read_text(), "", 0), id="search-shared-key")
 
 
 @pytest.mark.parametrize("argv, config, strategy, expected", _cli_cases())
@@ -1051,11 +1094,11 @@ def test_help_describes_every_option(capsys, monkeypatch, command):
 
 # Documents for the fuzz test: bundled files, JSON values, edits of the
 # paradox document, raw bytes, and values too long or deep for the parser. Ints
-# stay small: a horizon or coordinate in the millions is not yet refused
-# before the search or the diagram allocates for it.
+# are small or far: the diagram refuses a picture too large to draw, and the
+# search builds no slot past its decision-point limit.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 12) | st.sampled_from(["L", "R", "task1", "all"])
-    | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(-3, 12) | st.sampled_from([10**9, 10**11, -10**9, 2**63])
+    | st.sampled_from(["L", "R", "task1", "all"]) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["L", "a\nb"]) | st.text(max_size=3), inner, max_size=3),
     max_leaves=6,

@@ -1,5 +1,7 @@
 """Strategy search, impossibility certificates, and the audit operations."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from nosignal import (
     no_signaling_audit,
     obedient_strategy,
 )
+from nosignal.config import load_config
 from nosignal.search import _lost
 from nosignal.audit import paradox_requirements
 from oracles import (
@@ -31,6 +34,9 @@ from oracles import (
     requirement_ok,
     truncated_departures,
 )
+
+
+SHARED_KEY = Path(__file__).resolve().parent / "fixtures" / "shared_key.json"
 
 
 def scenario(*requests):
@@ -262,6 +268,21 @@ class TestWalkCertificate:
         assert (cert.strategies_explored, cert.leaf_failures) == (3, (0, 1, 2))
         assert {(agent, t) for agent, t, _ in cert.decision_points} == {("A", 0), ("C", 0)}
 
+    def test_shared_key_blames_its_deciding_run(self):
+        """Gate: L1's empty t=7 history is decided in the idle first run and
+        reused in the second, where sending at it meets t1. A refutation in
+        the second run must blame the first run's slot that decided the key;
+        blaming the second run's slot skips that decision and refutes this
+        Found document."""
+        doc = load_config(SHARED_KEY.read_text())
+        cfg, requirements = doc.spacetime, doc.resolve_requirements()
+        outcome = find_strategy(cfg, requirements, doc.tasks)
+        assert isinstance(outcome, Found)
+        assert outcome.strategy == {("L1", 7, ()): ("L2",)}
+        for requests, rule, task_rows in oracle_scenarios(requirements, doc.tasks):
+            departures, arrivals = mini_execute(cfg.locations, cfg.horizon, requests, outcome.strategy)
+            assert requirement_ok(departures, arrivals, rule, task_rows)
+
     def test_idle_deep_horizon_found_with_no_slot(self):
         """No task is requested, so no send is useful: the walk steps no slot
         and judges one empty assignment at H = 600."""
@@ -275,7 +296,12 @@ class TestWalkCertificate:
 
 @st.composite
 def small_instances(draw):
-    """A random 2- or 3-lab config with 1-2 tasks and 1-3 requirements."""
+    """A random 2- or 3-lab config with 1-2 tasks and 1-3 requirements.
+
+    Requests fall at any time up to the horizon, and a rule-``all``
+    requirement may request nothing, so its run idles: another run can then
+    reuse a key the idle run decided.
+    """
     locations = draw(st.sampled_from((
         {"L": 0, "R": 1}, {"L": 0, "R": 2}, {"L": 0, "R": 3},
         {"A": 0, "B": 1, "C": 2}, {"A": 0, "B": 1, "C": 3},
@@ -291,11 +317,11 @@ def small_instances(draw):
         tasks[name] = ((origin, dest, at), tuple(bans))
     requirements = []
     for _ in range(draw(st.integers(1, 3))):
-        requests = draw(st.lists(
-            st.tuples(st.sampled_from(sorted(tasks)), st.sampled_from(agents), st.integers(0, 1)),
-            min_size=1, max_size=2, unique_by=lambda r: r[1:],  # one request per slot
-        ))
         rule = draw(st.sampled_from((Rule.ALL, Rule.AT_LEAST_ONE)))
+        requests = draw(st.lists(
+            st.tuples(st.sampled_from(sorted(tasks)), st.sampled_from(agents), st.integers(0, cfg.horizon)),
+            min_size=0 if rule is Rule.ALL else 1, max_size=2, unique_by=lambda r: r[1:],  # one request per slot
+        ))
         requirements.append((scenario(*requests), rule))
     return cfg, tasks, requirements
 
