@@ -98,15 +98,26 @@ def _report_json(report: RequirementReport, named: NamedRequirement) -> dict[str
 def _emit(args, code: int, payload: dict[str, object], *context) -> int:
     """Print a command's result, the payload with ``--json`` and otherwise
     its text: the picture for ``diagram``, else the lines that ``text``
-    renders from the payload and ``context``. Return the exit code."""
-    if args.json:
-        out = json.dumps(payload, indent=2)
+    renders from the payload and ``context``. Return the exit code.
+
+    The JSON is ``json.dumps(payload, indent=2)``, byte for byte. A picture,
+    always the payload's last value, that is ASCII and holds no ``"`` or
+    ``\\`` has no character to escape but its newlines, since the renderer
+    shows every other control character as ``?``. It is then written
+    between the two ends of the payload dumped without it, escaped by one
+    replace instead of ``json``'s per-character escaper. The ``diagram``
+    text is the picture, printed as it is."""
+    picture = payload.get("diagram")
+    if args.json and picture and picture.isascii() and '"' not in picture and "\\" not in picture:
+        head = json.dumps({**payload, "diagram": ""}, indent=2)  # ends '""\n}'
+        print(head[:-3], picture.replace("\n", "\\n"), '"\n}', sep="")
+    elif args.json:
+        print(json.dumps(payload, indent=2))
     elif args.command == "diagram":
-        out = payload["diagram"].removesuffix("\n")
+        print(picture, end="")
     else:
         from . import text  # only text output needs the renderers
-        out = "\n".join(getattr(text, args.command)(payload, *context))
-    print(out)
+        print("\n".join(getattr(text, args.command)(payload, *context)))
     return code
 
 

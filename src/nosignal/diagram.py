@@ -50,12 +50,15 @@ def _lab_label(name: str) -> str:
 
 
 def _line(prefix: str, marks: dict[int, str], xmin: int) -> str:
-    """``prefix``, then each mark left-justified in the cell at its x."""
+    """``prefix``, then each mark left-justified in the cell at its x. Only
+    the gaps before marks are padded, so unless the last mark ends in a
+    space the trim returns the joined row itself."""
     parts = [prefix]
-    x_next = xmin
+    col = _CELL * xmin  # where the text written so far ends
     for x in sorted(marks):
-        parts += (" " * (_CELL * (x - x_next)), marks[x].ljust(_CELL))
-        x_next = x + 1
+        mark = marks[x]
+        parts += (" " * (_CELL * x - col), mark)
+        col = _CELL * x + len(mark)
     return "".join(parts).rstrip()
 
 
@@ -88,4 +91,5 @@ def render_diagram(trace: Trace, cfg: SpacetimeConfig) -> str:
     lines = [_line("  t ", header, xmin)]
     lines += [_line(f"{t:>3} ", rows[t], xmin) if t in rows else f"{t:>3}"
               for t in range(cfg.horizon + 1)]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, joined in with the rows
+    return "\n".join(lines)

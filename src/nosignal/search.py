@@ -66,6 +66,11 @@ from .tasks import (
 )
 
 
+# An agent's menu holds every subset of its useful destinations, so it is
+# refused, before it is built, above 2**16 = 65,536 actions.
+_MAX_MENU_DESTINATIONS = 16
+
+
 class SearchLimits(Record):
     """Caps that turn a runaway exploration into an Aborted outcome."""
 
@@ -128,7 +133,7 @@ class Aborted(Record):
 
     __slots__ = ("limit", "strategies_explored", "decision_points")
 
-    # limit: "branches" or "decision_points"
+    # limit: "branches", "decision_points" or "menu_destinations"
     def __init__(self, limit: str, strategies_explored: int, decision_points: int):
         self._fill(limit, strategies_explored, decision_points)
 
@@ -210,6 +215,8 @@ def find_strategy(
                 # ``dests`` is sorted, so each size comes out in lexical order.
                 menu = menus.get(dests)
                 if menu is None:
+                    if len(dests) > _MAX_MENU_DESTINATIONS:
+                        return Aborted("menu_destinations", 0, 0)
                     menu = menus[dests] = [s for n in range(len(dests) + 1)
                                            for s in itertools.combinations(dests, n)]
                 live.append((ai, agent, menu))

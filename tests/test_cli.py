@@ -53,6 +53,7 @@ INVALID_TASK = GOLDEN.parent / "invalid_task.json"  # a task with two faults; CI
 MISSHAPEN_TASK = GOLDEN.parent / "misshapen_task.json"  # its first fault is of shape; CI checks it too
 FAR_HORIZON = GOLDEN.parent / "far_horizon.json"  # one delivery at t = 10**11; CI checks it too
 SHARED_KEY = GOLDEN.parent / "shared_key.json"  # found only through a key two runs share; CI checks it too
+QUOTED = GOLDEN.parent / "quoted_labs.json"  # labs named with ", \ and é; CI checks it too
 
 
 def load_fixture_doc():
@@ -384,6 +385,29 @@ def run_capped(*argv):
                           env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60)
 
 
+@pytest.mark.parametrize("name", ["Lab", "a\nb", "日本", 'a"b', "a\\b", "é"],
+                         ids=["ascii", "newline", "wide", "quote", "backslash", "non-ascii"])
+@pytest.mark.parametrize("command", ["simulate", "diagram"])
+def test_json_picture_bytes(capsys, tmp_path, command, name):
+    """``--json`` writes ``json.dumps(payload, indent=2)`` byte for byte,
+    whether the picture is plain ASCII (its label ``a?`` or ``??`` too) and
+    escaped by one replace, or holds a quote, a backslash or ``é`` and goes
+    through ``json`` itself. Its ``diagram`` is the trace's picture."""
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "locations": {name: 0, "M": 2, "R": 4}, "horizon": 6,
+        "tasks": {"task1": {"deliver": {"from": name, "to": "R", "at": 4}}},
+        "scenarios": {"one": [{"task": "task1", "location": name, "time": 0}]},
+    }))
+    assert main([command, "--json", "--config", str(doc), "--scenario", "one"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    loaded = load_config(doc.read_text())
+    trace = execute(loaded.spacetime, loaded.scenarios["one"], obedient_strategy(loaded.spacetime, loaded.tasks))
+    assert payload["diagram"] == render_diagram(trace, loaded.spacetime)
+
+
 class TestExitCodes:
     def test_simulate_ok(self, capsys):
         assert main(["simulate", "--config", str(PARADOX), "--scenario", "only_task1"]) == 0
@@ -559,6 +583,21 @@ class TestExitCodes:
         assert proc.stdout == ("found a strategy satisfying all 1 requirement:\n"
                                f"  L  t={far}  [request t @{far}]  -> send R\n")
 
+    def test_search_wide_menu_aborts_before_building_it(self, tmp_path):
+        """26 labs one apart: at t = 0, A00 can usefully send to all 25
+        others, a menu of 2**25 actions that the child's 600 MB cannot hold.
+        The search refuses it before building it."""
+        doc = tmp_path / "wide.json"
+        doc.write_text(json.dumps({
+            "locations": {f"A{i:02d}": i for i in range(26)}, "horizon": 80,
+            "tasks": {"t": {"deliver": {"from": "A00", "to": "A01", "at": 80}}},
+            "scenarios": {"s": [{"task": "t", "location": "A00", "time": 79}]},
+            "requirements": [{"scenario": "s", "rule": "all"}],
+        }))
+        proc = run_capped("search", "--config", str(doc))
+        assert (proc.returncode, proc.stderr) == (4, "")
+        assert proc.stdout == "aborted: menu_destinations limit hit after 0 branches and 0 decision points\n"
+
     def test_search_idle_far_horizon_is_found(self, tmp_path):
         """No task is requested at that horizon, so no slot is built."""
         doc = tmp_path / "idle.json"
@@ -631,6 +670,9 @@ JSON_CASES = [
     (["check", "--config", str(REPLAY2), "--strategy", "obedient"], "check_replay2.json", 3),
     (["check", "--config", str(REPLAY4), "--strategy", "obedient"], "check_replay4.json", 3),
     (["search", "--config", str(REPLAY4)], "search_replay4.json", 3),
+    # Lab names holding a quote, a backslash and a non-ASCII letter.
+    (["simulate", "--config", str(QUOTED), "--scenario", "both"], "simulate_quoted.json", 0),
+    (["diagram", "--config", str(QUOTED), "--scenario", "both"], "diagram_quoted.json", 0),
 ]
 # An edit value that deletes the key instead.
 DROP = object()

@@ -7,8 +7,10 @@ from nosignal import SpacetimeConfig
 from nosignal.diagram import render_diagram
 from oracles import dense_diagram
 
-LAB_NAMES = ("L", "R", "M", "lab", "Q7", "a b", "a\nb")
-TASK_IDS = ("task1", "task2", "t", "task42", "task123", "x\ty", "")
+# The id " " is marked "! ", trimmed when last on its row. A quote, a
+# backslash or "é" makes a picture that ``--json`` escapes through ``json``.
+LAB_NAMES = ("L", "R", "M", "lab", "Q7", "a b", "a\nb", 'q"', "b\\", "é", "日")
+TASK_IDS = ("task1", "task2", "t", "task42", "task123", "x\ty", "", " ")
 
 
 @st.composite

@@ -24,6 +24,7 @@ from nosignal import (
     obedient_strategy,
 )
 from nosignal.config import load_config
+from nosignal import search
 from nosignal.search import _lost
 from nosignal.audit import paradox_requirements
 from oracles import (
@@ -130,6 +131,20 @@ class TestFindStrategy:
         outcome = find_strategy(cfg, bundle, tasks, SearchLimits(max_decision_points=1))
         assert isinstance(outcome, Aborted)
         assert outcome.limit == "decision_points"
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_menu_destinations_cap(self, monkeypatch, cap):
+        """At t = 0, A0 can usefully send to all 3 others, a menu of 8
+        actions: refused before it is built under a cap of 2 destinations,
+        searched under a cap of 3."""
+        monkeypatch.setattr(search, "_MAX_MENU_DESTINATIONS", cap)
+        cfg = SpacetimeConfig({f"A{i}": i for i in range(4)}, horizon=10)
+        requirement = (frozenset({("t", "A0", 9)}), Rule.ALL)
+        outcome = find_strategy(cfg, [requirement], {"t": (("A0", "A1", 10), ())})
+        if cap == 2:
+            assert outcome == Aborted("menu_destinations", 0, 0)
+        else:
+            assert isinstance(outcome, Found)
 
     def test_no_requirements_is_trivially_found(self, d3):
         cfg, tasks, _ = d3
