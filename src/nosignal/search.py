@@ -19,8 +19,8 @@ useful send after ``latest`` of its own lab, so every key an agent with a
 useful send reads is made of useful sends only. Delete the useless sends
 from a winning strategy: its useful departures stay the same, and with
 them every delivery, while the bans see a subset of departures. A slot
-whose menu holds only the empty action is not stepped at all; an idle
-document builds no slot.
+holds an agent's useful destinations; the walk steps through their subsets
+from the empty one and never builds a menu. An idle document has no slot.
 
 Only histories actually reachable under the partial assignment become
 decision points, which keeps the space finite and small. Once every slot of
@@ -64,11 +64,6 @@ from .tasks import (
     evaluate_requirement,
     requested_tasks,
 )
-
-
-# An agent's menu holds every subset of its useful destinations, so it is
-# refused, before it is built, above 2**16 = 65,536 actions.
-_MAX_MENU_DESTINATIONS = 16
 
 
 class SearchLimits(Record):
@@ -133,7 +128,7 @@ class Aborted(Record):
 
     __slots__ = ("limit", "strategies_explored", "decision_points")
 
-    # limit: "branches", "decision_points" or "menu_destinations"
+    # limit: "branches" or "decision_points"
     def __init__(self, limit: str, strategies_explored: int, decision_points: int):
         self._fill(limit, strategies_explored, decision_points)
 
@@ -154,10 +149,9 @@ def find_strategy(
     requirement (branch order is fixed: actions by ascending send-set size,
     then lexical destinations, so results are reproducible), ``Impossible``
     with a certificate once the whole tree is refuted, or ``Aborted`` when a
-    limit is hit. The walk is the one the module docstring describes:
-    menus of useful sends, live slots only (those whose menu holds more
-    than the empty action), every branch judged at a slice boundary, and a
-    backjump over the culprits' causal past after each refutation.
+    limit is hit. The walk is the one the module docstring describes: useful
+    sends only, every branch judged at a slice boundary, and a backjump over
+    the culprits' causal past after each refutation.
 
     ``on_leaf``, when given, observes each branch counted against
     ``max_branches`` before it is recorded: each complete assignment, the
@@ -179,53 +173,48 @@ def find_strategy(
         for (_, _, s), _ in rows:
             due_at.setdefault(max(s, 0), set()).add(ri)
 
-    agents = cfg.agents
-    horizon = cfg.horizon
-    lag = {o: [distance(a, o, cfg) for a in agents] for o in agents}
-    others = {a: cfg.others(a) for a in agents}
+    coord = cfg.locations
     # latest[d]: the last time an arrival at d can still reach the origin
-    # of a delivering departure by its departure time. After ``reach`` the
-    # only useful sends are delivering departures, so the loop visits every
+    # of a delivering departure by its departure time. A useful send goes
+    # to a target (a lab with latest >= 1, or a delivering destination),
+    # and by the triangle inequality its sender's own latest is >= t >= 0.
+    # After ``reach``, the last useful time of a send between neighbouring
+    # labs, only delivering departures are useful, so the loop visits every
     # time from 0 (where deliveries due before 0 fall due) to reach, then
     # only the later delivering departures' times.
     departs = {dep for _, rows, _ in judge for dep, _ in rows}
-    latest = {d: max((s - lag[o][i] for o, _, s in departs), default=-1)
-              for i, d in enumerate(agents)}
-    reach = max(0, *(latest[d] - lag[d][ai] for ai, a in enumerate(agents) for d in others[a]))
+    latest = {d: max((s - abs(x - coord[o]) for o, _, s in departs), default=-1)
+              for d, x in coord.items()}
+    targets = sorted({d for d in coord if latest[d] >= 1}.union(d for _, d, _ in departs))
+    senders = [a for a in cfg.agents if latest[a] >= 0]
+    by_x = sorted(coord, key=coord.get)
+    reach = max([0, *(max(latest[a], latest[b]) - coord[b] + coord[a] for a, b in zip(by_x, by_x[1:]))])
 
     runs = [Run(cfg, scenario) for scenario, _ in requirements]
-    # Per slot: (t, run, agent, menu, index just past the slots of time t).
+    # Per slot: (t, run, agent, useful destinations, index just past time t's slots).
     slots = []
-    # Per run and agent, the indices of its slots, in time order.
-    lanes: list[list[list[int]]] = [[[] for _ in agents] for _ in runs]
+    # Per run and sender, the indices of its slots, in time order.
+    lanes: list[list[list[int]]] = [[[] for _ in senders] for _ in runs]
     # Slot index -> (time t, the requirements with a delivery due since the
     # previous boundary). Any other requirement can be newly lost at t only
     # by a banned departure at t, since departures happen only at times with
     # slots. The complete assignment judges every requirement.
     judges: dict[int, tuple[int, set[int]]] = {}
-    menus: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
     due: set[int] = set()
     for t in itertools.chain(range(reach + 1), sorted({s for _, _, s in departs if s > reach})):
         due.update(due_at.get(t, ()))
         live = []
-        for ai, agent in enumerate(agents):
-            dests = tuple(d for d in others[agent]
-                          if t + lag[d][ai] <= latest[d] or (agent, d, t) in departs)
+        for ai, agent in enumerate(senders):
+            dests = tuple(d for d in targets if d != agent and (
+                t + abs(coord[agent] - coord[d]) <= latest[d] or (agent, d, t) in departs))
             if dests:
-                # ``dests`` is sorted, so each size comes out in lexical order.
-                menu = menus.get(dests)
-                if menu is None:
-                    if len(dests) > _MAX_MENU_DESTINATIONS:
-                        return Aborted("menu_destinations", 0, 0)
-                    menu = menus[dests] = [s for n in range(len(dests) + 1)
-                                           for s in itertools.combinations(dests, n)]
-                live.append((ai, agent, menu))
+                live.append((ai, agent, dests))
         if live:
             end = len(slots) + len(runs) * len(live)
             for ri, run in enumerate(runs):
-                for ai, agent, menu in live:
+                for ai, agent, dests in live:
                     lanes[ri][ai].append(len(slots))
-                    slots.append((t, run, agent, menu, end))
+                    slots.append((t, run, agent, dests, end))
             judges[end] = (t, due)
             due = set()
             # Each slot of the first run holds an (agent, t) no earlier slot
@@ -234,7 +223,7 @@ def find_strategy(
             if len(slots) > len(runs) * limits.max_decision_points:
                 break
     n_slots = len(slots)
-    judges[n_slots] = (horizon, set(range(len(runs))))
+    judges[n_slots] = (cfg.horizon, set(range(len(runs))))
 
     # The walk's state. Slots 0 .. depth-1 are applied; keys[j] is slot j's
     # history key, and the key's sends are assignment[key]. points maps every
@@ -265,9 +254,10 @@ def find_strategy(
         decisions loses ``ri`` again. A culprit due before 0 names none."""
         conflict: set[int] = set()
         for t1, o in culprits:
-            for lane, d in zip(lanes[ri], lag[o]):
+            for lane, a in zip(lanes[ri], senders):
+                last = t1 - abs(coord[a] - coord[o])
                 for j in lane:
-                    if slots[j][0] > t1 - d:
+                    if slots[j][0] > last:
                         break
                     conflict.add(points[keys[j]])
         return conflict
@@ -296,7 +286,7 @@ def find_strategy(
                     return Found(strategy, reports)
 
         if lost is None:
-            t, run, agent, menu, _ = slots[depth]
+            t, run, agent, _, _ = slots[depth]
             if depth < reuse_end:
                 key = keys[depth]
             else:
@@ -306,8 +296,8 @@ def find_strategy(
                 if key not in points and len(points) >= limits.max_decision_points:
                     return Aborted("decision_points", len(leaf_failures), len(points))
                 points[key] = depth
-                sends = assignment[key] = menu[0]
-            if sends:
+                assignment[key] = ()
+            elif sends:
                 run.apply(t, agent, sends)
             depth += 1
             continue
@@ -316,7 +306,7 @@ def find_strategy(
         conflict = conflict_set(*lost)
         while depth and conflict:
             depth -= 1
-            t, run, agent, menu, end = slots[depth]
+            t, run, agent, dests, end = slots[depth]
             key = keys[depth]
             sends = assignment[key]
             if sends:
@@ -329,9 +319,8 @@ def find_strategy(
                     carried[depth] |= conflict
                 elif conflict:
                     carried[depth] = conflict
-                choice = menu.index(sends) + 1
-                if choice < len(menu):
-                    sends = assignment[key] = menu[choice]
+                if (sends := _successor(dests, sends)) is not None:
+                    assignment[key] = sends
                     run.apply(t, agent, sends)  # only the first action is empty
                     depth += 1
                     reuse_end = end
@@ -345,6 +334,17 @@ def find_strategy(
                 strategies_explored=len(leaf_failures),
                 leaf_failures=tuple(leaf_failures),
             ))
+
+
+def _successor(dests: tuple, sends: tuple) -> tuple | None:
+    """The subset of the sorted ``dests`` after ``sends`` in branch order,
+    by size then lexically; ``None`` after the full set."""
+    k = len(sends)
+    for i in reversed(range(k)):
+        j = dests.index(sends[i]) + 1
+        if len(dests) - j >= k - i:
+            return sends[:i] + dests[j:j + k - i]
+    return dests[:k + 1] if k < len(dests) else None
 
 
 # A task's delivering departure ``(origin, dest, at - distance)`` and its

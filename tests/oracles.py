@@ -190,6 +190,40 @@ def brute_force_joint_satisfiable(locations, horizon, task_rows):
     return False
 
 
+def magician(n, slack, k):
+    """The config document of the magician family, one member per (n, slack, k).
+
+    A hub lab ``H`` at 0 and requesters ``L0``..``L{n-1}`` at -1, +1, -2,
+    +2, ... (``L_i`` at +-(i // 2 + 1)). Task ``t_i`` delivers ``L_i`` ->
+    ``H`` at ``|x_i| + slack`` and bans every other ``L_j`` -> ``H``. There
+    is one scenario per set of 1..k requests (``t_i`` at ``L_i``, t = 0),
+    under rule ``all`` for one request and ``at_least_one`` for more. The
+    answer in closed form: Found for k = 1 (each lab obeys its request),
+    and for k >= 2 Found iff slack >= n, the time the two end labs need to
+    hear each other before they depart.
+    """
+    labs = [f"L{i}" for i in range(n)]
+    coords = [(i // 2 + 1) * (-1 if i % 2 == 0 else 1) for i in range(n)]
+    sets = {"r" + "_".join(map(str, c)): c for m in range(1, k + 1) for c in itertools.combinations(range(n), m)}
+    return {
+        "locations": {"H": 0, **dict(zip(labs, coords))},
+        "horizon": max(abs(x) for x in coords) + slack,
+        "tasks": {
+            f"t{i}": {
+                "deliver": {"from": labs[i], "to": "H", "at": abs(coords[i]) + slack},
+                "silence": [{"from": lab, "to": "H"} for lab in labs if lab != labs[i]],
+            }
+            for i in range(n)
+        },
+        "scenarios": {
+            name: [{"task": f"t{i}", "location": labs[i], "time": 0} for i in c] for name, c in sets.items()
+        },
+        "requirements": [
+            {"scenario": name, "rule": "all" if len(c) == 1 else "at_least_one"} for name, c in sets.items()
+        ],
+    }
+
+
 def dense_diagram(trace, cfg):
     """The per-cell diagram renderer: visits every (t, x) of span × horizon.
 

@@ -52,6 +52,7 @@ REPLAY4 = GOLDEN.parent / "replay4_seed0.json"
 INVALID_TASK = GOLDEN.parent / "invalid_task.json"  # a task with two faults; CI checks it too
 MISSHAPEN_TASK = GOLDEN.parent / "misshapen_task.json"  # its first fault is of shape; CI checks it too
 FAR_HORIZON = GOLDEN.parent / "far_horizon.json"  # one delivery at t = 10**11; CI checks it too
+WIDE_MENUS = GOLDEN.parent / "wide_menus.json"  # 161 labs, 608 menus of 2**23 actions in all; CI checks it too
 SHARED_KEY = GOLDEN.parent / "shared_key.json"  # found only through a key two runs share; CI checks it too
 QUOTED = GOLDEN.parent / "quoted_labs.json"  # labs named with ", \ and é; CI checks it too
 
@@ -567,9 +568,10 @@ class TestExitCodes:
         assert proc.stdout == (GOLDEN / "search_far_horizon.txt").read_text()
 
     def test_search_steps_a_late_departure_alone(self, tmp_path):
-        """R is 10**11 away, so L's one useful send is its delivering
-        departure at t = 10**11, and R has none. The walk steps that time
-        alone instead of every empty time before it."""
+        """R is 10**11 away, so the only useful sends are R's at t = 0,
+        which reaches L just as it departs, and L's delivering departure at
+        t = 10**11. The walk steps those two times alone instead of every
+        empty time between them."""
         far = 10**11
         doc = tmp_path / "late.json"
         doc.write_text(json.dumps({
@@ -583,20 +585,33 @@ class TestExitCodes:
         assert proc.stdout == ("found a strategy satisfying all 1 requirement:\n"
                                f"  L  t={far}  [request t @{far}]  -> send R\n")
 
-    def test_search_wide_menu_aborts_before_building_it(self, tmp_path):
-        """26 labs one apart: at t = 0, A00 can usefully send to all 25
-        others, a menu of 2**25 actions that the child's 600 MB cannot hold.
-        The search refuses it before building it."""
+    @pytest.mark.parametrize("labs", [26, 5000])
+    def test_search_wide_menu_is_found(self, tmp_path, labs):
+        """Labs one apart, and one task from the first to the second: at
+        t = 0 the first can usefully send to up to 39 others, a menu of up
+        to 2**39 actions that the walk steps through instead of building.
+        Set-up reads distances from the coordinates and holds no table of
+        agents x agents, so 5,000 labs fit the child's 600 MB too."""
+        names = [f"A{i:0{len(str(labs - 1))}d}" for i in range(labs)]
         doc = tmp_path / "wide.json"
         doc.write_text(json.dumps({
-            "locations": {f"A{i:02d}": i for i in range(26)}, "horizon": 80,
-            "tasks": {"t": {"deliver": {"from": "A00", "to": "A01", "at": 80}}},
-            "scenarios": {"s": [{"task": "t", "location": "A00", "time": 79}]},
+            "locations": {name: i for i, name in enumerate(names)}, "horizon": 80,
+            "tasks": {"t": {"deliver": {"from": names[0], "to": names[1], "at": 80}}},
+            "scenarios": {"s": [{"task": "t", "location": names[0], "time": 79}]},
             "requirements": [{"scenario": "s", "rule": "all"}],
         }))
         proc = run_capped("search", "--config", str(doc))
-        assert (proc.returncode, proc.stderr) == (4, "")
-        assert proc.stdout == "aborted: menu_destinations limit hit after 0 branches and 0 decision points\n"
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("found a strategy satisfying all 1 requirement:\n"
+                               f"  {names[0]}  t=79  [request t @79]  -> send {names[1]}\n")
+
+    def test_search_many_wide_menus_are_found(self):
+        """161 labs one apart and four tasks: no menu has more than 16
+        destinations, but the 608 distinct menus hold 2**23 actions in all,
+        none of which is built."""
+        proc = run_capped("search", "--config", str(WIDE_MENUS))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (GOLDEN / "search_wide_menus.txt").read_text()
 
     def test_search_idle_far_horizon_is_found(self, tmp_path):
         """No task is requested at that horizon, so no slot is built."""

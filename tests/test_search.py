@@ -1,5 +1,7 @@
 """Strategy search, impossibility certificates, and the audit operations."""
 
+import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -24,12 +26,12 @@ from nosignal import (
     obedient_strategy,
 )
 from nosignal.config import load_config
-from nosignal import search
-from nosignal.search import _lost
+from nosignal.search import _lost, _successor
 from nosignal.audit import paradox_requirements
 from oracles import (
     brute_force_joint_satisfiable,
     decide,
+    magician,
     mini_execute,
     requirement_lost,
     requirement_ok,
@@ -132,19 +134,25 @@ class TestFindStrategy:
         assert isinstance(outcome, Aborted)
         assert outcome.limit == "decision_points"
 
-    @pytest.mark.parametrize("cap", [2, 3])
-    def test_menu_destinations_cap(self, monkeypatch, cap):
+    def test_wide_menu_is_stepped(self):
         """At t = 0, A0 can usefully send to all 3 others, a menu of 8
-        actions: refused before it is built under a cap of 2 destinations,
-        searched under a cap of 3."""
-        monkeypatch.setattr(search, "_MAX_MENU_DESTINATIONS", cap)
+        actions the walk steps through without building it."""
         cfg = SpacetimeConfig({f"A{i}": i for i in range(4)}, horizon=10)
         requirement = (frozenset({("t", "A0", 9)}), Rule.ALL)
         outcome = find_strategy(cfg, [requirement], {"t": (("A0", "A1", 10), ())})
-        if cap == 2:
-            assert outcome == Aborted("menu_destinations", 0, 0)
-        else:
-            assert isinstance(outcome, Found)
+        assert isinstance(outcome, Found)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_successor_steps_by_size_then_lexically(self, n):
+        """From the empty action, ``_successor`` lists every subset of the
+        destinations once, in the branch order every golden count depends
+        on, and then ends."""
+        dests = tuple(f"D{i}" for i in range(n))
+        steps, sends = [], ()
+        while sends is not None:
+            steps.append(sends)
+            sends = _successor(dests, sends)
+        assert steps == [c for k in range(n + 1) for c in itertools.combinations(dests, k)]
 
     def test_no_requirements_is_trivially_found(self, d3):
         cfg, tasks, _ = d3
@@ -178,6 +186,51 @@ class TestFindStrategy:
         cfg, tasks, (r1, _, _) = d3
         with pytest.raises(ValidationError, match=f"^rule: expected Rule.ALL or Rule.AT_LEAST_ONE, got {rule!r}$"):
             find_strategy(cfg, [(r1[0], rule)], tasks)
+
+
+# Impossible branch counts of the magician members decided today, by
+# (n, slack); k = 2 and k = 3 take the same count.
+MAGICIAN_BRANCHES = {(2, 0): 3, (2, 1): 12, (3, 0): 4, (3, 1): 64,
+                     (4, 0): 5, (4, 1): 320, (5, 0): 6, (5, 1): 768}
+MAGICIAN_DECIDED = (
+    [(n, slack, 1) for n in range(2, 7) for slack in range(n + 2)]
+    + [(2, slack, 2) for slack in range(4)]
+    + [(n, slack, k) for n in range(3, 6) for slack in (0, 1) for k in (2, 3)]
+)
+
+
+def magician_outcome(n, slack, k):
+    doc = load_config(json.dumps(magician(n, slack, k)))
+    requirements = doc.resolve_requirements()
+    return doc, requirements, find_strategy(doc.spacetime, requirements, doc.tasks)
+
+
+class TestMagician:
+    """The paper's setting with n requesters: B may request any of n tasks
+    of A, up to k of them at once. Found for k = 1, and for k >= 2 Found
+    iff slack >= n."""
+
+    @pytest.mark.parametrize("n, slack, k", MAGICIAN_DECIDED)
+    def test_closed_form(self, n, slack, k):
+        """A Found strategy meets every requirement under the oracles; an
+        Impossible member is refuted in its pinned number of branches."""
+        doc, requirements, outcome = magician_outcome(n, slack, k)
+        cfg = doc.spacetime
+        if k == 1 or slack >= n:
+            assert isinstance(outcome, Found)
+            for requests, rule, rows in oracle_scenarios(requirements, doc.tasks):
+                run = mini_execute(cfg.locations, cfg.horizon, requests, outcome.strategy)
+                assert requirement_ok(*run, rule, rows)
+        else:
+            assert isinstance(outcome, Impossible)
+            assert outcome.certificate.strategies_explored == MAGICIAN_BRANCHES[n, slack]
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("slack", [0, 1])
+    def test_more_freedom_makes_it_impossible(self, n, slack):
+        """The magician's paradox: with slack < n, A can meet any one
+        request, but not a promise to meet one of any two."""
+        assert [type(magician_outcome(n, slack, k)[2]) for k in (1, 2)] == [Found, Impossible]
 
 
 class TestCertificateSoundness:
