@@ -12,8 +12,8 @@ modules it touches. The command line loads ``cli``, ``config``,
 ``protocol``, ``tasks``, ``spacetime``, ``search``, ``diagram``, ``record``
 and ``errors``; ``text`` only to print text other than a diagram (help
 and usage errors included), and ``faults`` only for a document with a
-shape fault. It never loads ``audit``, the home of the library-only
-helpers.
+fault of the loader's own (see ``faults``). It never loads ``audit``, the
+home of the library-only helpers.
 """
 
 __version__ = "0.1.0"

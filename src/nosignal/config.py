@@ -7,10 +7,11 @@ nothing). Validation errors carry the JSON path of the offending value,
 parse errors the line and column.
 
 A well-shaped document, whatever the order of its keys and whichever
-optional keys it leaves out, is read here in one pass per list. Only a
-shape fault (a wrong JSON type, or a missing or unexpected key) loads
-``faults``, the field-by-field reader that finds the first fault in reading
-order. Both raise every fault in that order, so they give one behaviour.
+optional keys it leaves out, is read here in one pass per list. A fault a
+checker owns is raised here with the JSON path in front; a fault of the
+loader's own is only detected, and ``faults`` reads the document again and
+reports it (its docstring states the rule). Both raise the first fault in
+reading order, so they give one behaviour.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class ConfigDocument(Record):
         return [(self.scenarios[name], rule) for name, rule in self.requirements]
 
 
-class _Misshapen(Exception):
-    """A shape fault, which the field-by-field reader in ``faults`` reports."""
+class _Fault(Exception):
+    """A fault of the loader's own, which the field-by-field reader in ``faults`` reports."""
 
 
 def _shape(table: dict, **defaults) -> tuple:
@@ -89,7 +90,7 @@ def _parse(text: str) -> object:
 def _rows(objects, shape: tuple) -> list[tuple]:
     """The values of each JSON object in ``objects`` in ``shape``'s key
     order, whatever its own, an optional key left out giving its default,
-    which is of the key's type; ``_Misshapen`` on a wrong JSON type, or a
+    which is of the key's type; ``_Fault`` on a wrong JSON type, or a
     missing or unexpected key."""
     if not objects:
         return []
@@ -98,18 +99,8 @@ def _rows(objects, shape: tuple) -> list[tuple]:
     # here, and an unexpected key adds a value, so either makes the row's types wrong.
     rows = [tuple({**template, **row}.values()) for row in objects if type(row) is dict]
     if len(rows) < len(objects) or [type(value) for row in rows for value in row] != types * len(rows):
-        raise _Misshapen
+        raise _Fault
     return rows
-
-
-def _check_names(names, path: str) -> None:
-    """Refuse a lab name or task id holding a lone surrogate (JSON's
-    ``\\ud800`` escape, say), which is no Unicode text and cannot be printed."""
-    for name in names:
-        try:
-            name.encode()
-        except UnicodeEncodeError:
-            raise ValidationError(f"{path}: name {name!r} is not Unicode text (a lone surrogate)") from None
 
 
 def _checked(prefix: str, check: Callable, *args):
@@ -127,26 +118,28 @@ def load_config(text: str) -> ConfigDocument:
     A well-shaped document is read in one pass per list, each invariant
     checked in reading order by the constructor or checker that owns it,
     whose message gets the JSON path of the offending value in front. A
-    document with a shape fault is read by ``faults.read_config``, which
-    raises the first fault in the same order.
+    document with a fault of the loader's own is read by
+    ``faults.read_config``, which raises the first fault in the same order.
     """
     value = _parse(text)
     try:
         return _config(value)
-    except _Misshapen:
+    except _Fault:
         pass
-    from .faults import read_config  # loaded only for a document with a shape fault
+    from .faults import read_config  # loaded only for a document with a fault of the loader's own
     return read_config(value)
 
 
 def _config(value) -> ConfigDocument:
     [(locations, horizon, bodies, lists, named, body)] = _rows([value], _DOCUMENT)
     if not all(type(coord) is int for coord in locations.values()):
-        raise _Misshapen
-    _check_names(locations, "locations")
+        raise _Fault
+    try:
+        "".join([*locations, *bodies]).encode()  # a lone surrogate (JSON's \ud800, say) is no Unicode text
+    except UnicodeEncodeError:
+        raise _Fault from None
     cfg = SpacetimeConfig(locations, horizon)
 
-    _check_names(bodies, "tasks")
     rows = _rows(bodies.values(), _TASK)
     bans = iter(_rows([ban for _, silence in rows for ban in silence], _SILENCE))
     tasks = {}
@@ -158,15 +151,15 @@ def _config(value) -> ConfigDocument:
             raise ValidationError(f"tasks.{task_id}.{err}") from None
 
     if not all(type(requests) is list for requests in lists.values()):
-        raise _Misshapen
-    entries = iter(_rows([entry for requests in lists.values() for entry in requests], _REQUEST))
-    scenarios = {}
+        raise _Fault
+    entries = _rows([entry for requests in lists.values() for entry in requests], _REQUEST)
+    if not all(task_id in tasks for task_id, _, _ in entries):
+        raise _Fault
+    entries, scenarios = iter(entries), {}
     for name, requests in lists.items():
         requests = [next(entries) for _ in requests]
         try:
             for i, request in enumerate(requests):
-                if request[0] not in tasks:
-                    raise ValidationError(f"task: undefined task {request[0]!r}")
                 check_request(request, cfg)
         except SimulationError as err:
             raise ValidationError(f"scenarios.{name}[{i}].{err}") from None
@@ -175,10 +168,8 @@ def _config(value) -> ConfigDocument:
 
     requirements = []
     for i, (name, rule) in enumerate(_rows(named, _REQUIREMENT)):
-        if name not in scenarios:
-            raise ValidationError(f"requirements[{i}].scenario: undefined scenario {name!r}")
-        if rule not in _RULES:
-            raise ValidationError(f"requirements[{i}].rule: expected 'all' or 'at_least_one', got {rule!r}")
+        if name not in scenarios or rule not in _RULES:
+            raise _Fault
         _checked(f"requirements[{i}]: ", check_requirement, scenarios[name], _RULES[rule])
         requirements.append((name, _RULES[rule]))
 
@@ -197,21 +188,22 @@ def _event_to_json(event: tuple[int, str, str]) -> dict[str, object]:
 
 def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:
     """Parse and validate a strategy document against a configuration: a
-    well-shaped one in one pass, one with a shape fault by
-    ``faults.read_strategy``, as ``load_config`` reads a config document."""
+    well-shaped one in one pass, one with a fault of the loader's own (every
+    fault of a strategy is) by ``faults.read_strategy``, as ``load_config``
+    reads a config document."""
     value = _parse(text)
     try:
         return _strategy(value, cfg, tasks)
-    except _Misshapen:
+    except _Fault:
         pass
-    from .faults import read_strategy  # loaded only for a document with a shape fault
+    from .faults import read_strategy  # loaded only for a document with a fault of the loader's own
     return read_strategy(value, cfg, tasks)
 
 
 def _event(raw) -> tuple[int, str, str]:
     kind = raw.get("kind") if type(raw) is dict else None
     if kind not in _KINDS:
-        raise _Misshapen  # an event's kind decides its keys
+        raise _Fault  # an event's kind decides its keys
     [(_, time, label)] = _rows([raw], _EVENTS[kind])
     return time, kind, label
 
@@ -222,36 +214,21 @@ def _strategy(value, cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssi
     histories = _rows([history for _, history, _ in rows], _HISTORY)
     actions = _rows([action for _, _, action in rows], _ACTION)
     event_lists = [[_event(event) for event in events] for _, events in histories]
-    if not all(type(dest) is str for send, in actions for dest in send):
-        raise _Misshapen
     labs, table = cfg.locations, {}
-    for i, ((agent, _, _), (upto, _), events, (send,)) in enumerate(zip(rows, histories, event_lists, actions)):
-        # The row's faults in reading order: agent, upto, each event, each send, event times.
-        if agent not in labs:
-            raise ValidationError(f"rows[{i}].agent: unknown location {agent!r}")
-        if not 0 <= upto <= cfg.horizon:
-            raise ValidationError(f"rows[{i}].history.upto: {upto} outside [0, {cfg.horizon}]")
-        for j, (_, kind, label) in enumerate(events):
-            if kind == KIND_REQUEST:
-                if label not in tasks:
-                    raise ValidationError(f"rows[{i}].history.events[{j}].task: undefined task {label!r}")
-            elif label not in labs:
-                raise ValidationError(f"rows[{i}].history.events[{j}].origin: unknown location {label!r}")
-            elif label == agent:
-                raise ValidationError(f"rows[{i}].history.events[{j}].origin: "
-                                      "signal origin cannot be the receiving agent")
-        for j, dest in enumerate(send):
-            if dest not in labs:
-                raise ValidationError(f"rows[{i}].action.send[{j}]: unknown location {dest!r}")
-            if dest == agent:
-                raise ValidationError(f"rows[{i}].action.send[{j}]: agent cannot send to itself")
-        for j, (time, _, _) in enumerate(events):
-            if not 0 <= time <= upto:
-                raise ValidationError(f"rows[{i}].history.events[{j}].time: {time} outside [0, {upto}]")
+    for (agent, _, _), (upto, _), events, (send,) in zip(rows, histories, event_lists, actions):
+        if agent not in labs or not 0 <= upto <= cfg.horizon:
+            raise _Fault
+        for time, kind, label in events:
+            known = label in tasks if kind == KIND_REQUEST else label in labs and label != agent
+            if not (known and 0 <= time <= upto):
+                raise _Fault
+        for dest in send:
+            if type(dest) is not str or dest not in labs or dest == agent:
+                raise _Fault
         key = (agent, upto, tuple(sorted(events)))
         sends = tuple(sorted(set(send)))
         if table.setdefault(key, sends) != sends:
-            raise ValidationError(f"rows[{i}]: conflicting duplicate of an earlier row")
+            raise _Fault
     return table
 
 

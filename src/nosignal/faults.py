@@ -1,11 +1,16 @@
-"""The field-by-field reader, for a document with a shape fault.
+"""The field-by-field reader, for a document with a fault of the loader's own.
 
 ``load_config`` and ``load_strategy`` read a well-shaped document in one
-pass per list and import this module only when they meet a shape fault: a
-wrong JSON type, or a missing or unexpected key. It reads the document
-again in reading order, checking each value's type and each invariant as it
-reaches it, so the fault it raises is the first in that order, whether of
-shape or not. ``tests/test_cli.py`` holds the two readers to one behaviour.
+pass per list. A constructor or checker owns each invariant of a value and
+its message; the one-pass readers only put the JSON path in front. Every
+other fault is the loader's own: a wrong JSON type, a missing or unexpected
+key, a name that is no Unicode text, an undefined task or scenario, an
+unknown rule, and every fault of a strategy row. The one-pass readers only
+detect such a fault and import this module, the one place that formats its
+message. It reads the document again in reading order, checking each
+value's type and each invariant as it reaches it, so the fault it raises is
+the first in that order, whoever owns it. ``tests/test_cli.py`` holds the
+two readers to one behaviour.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .config import (
     _TASK,
     ConfigDocument,
     NamedRequirement,
-    _check_names,
     _checked,
     _shape,
 )
@@ -85,6 +89,16 @@ def _read(value, shape: tuple, path: tuple, closed: bool = True):
             yield defaults[key]
         else:
             _fail(path, f"missing key {key!r}")
+
+
+def _check_names(names, path: str) -> None:
+    """Refuse a lab name or task id holding a lone surrogate (JSON's
+    ``\\ud800`` escape, say), which is no Unicode text and cannot be printed."""
+    for name in names:
+        try:
+            name.encode()
+        except UnicodeEncodeError:
+            raise ValidationError(f"{path}: name {name!r} is not Unicode text (a lone surrogate)") from None
 
 
 def _location(value, cfg: SpacetimeConfig, path: tuple) -> str:

@@ -51,6 +51,7 @@ REPLAY2 = GOLDEN.parent / "replay2_seed0.json"
 REPLAY4 = GOLDEN.parent / "replay4_seed0.json"
 INVALID_TASK = GOLDEN.parent / "invalid_task.json"  # a task with two faults; CI checks it too
 MISSHAPEN_TASK = GOLDEN.parent / "misshapen_task.json"  # its first fault is of shape; CI checks it too
+INVALID_STRATEGY = GOLDEN.parent / "invalid_strategy.json"  # a conflicting duplicate row; CI checks it too
 FAR_HORIZON = GOLDEN.parent / "far_horizon.json"  # one delivery at t = 10**11; CI checks it too
 WIDE_MENUS = GOLDEN.parent / "wide_menus.json"  # 161 labs, 608 menus of 2**23 actions in all; CI checks it too
 SHARED_KEY = GOLDEN.parent / "shared_key.json"  # found only through a key two runs share; CI checks it too
@@ -952,6 +953,8 @@ def _cli_cases():
                        ("", (GOLDEN / "check_invalid_task.txt").read_text(), 2), id="check-invalid-task")
     yield pytest.param(["check", "--config", str(MISSHAPEN_TASK), "--strategy", "obedient"], None, None,
                        ("", (GOLDEN / "check_misshapen_task.txt").read_text(), 2), id="check-misshapen-task")
+    yield pytest.param(["check", "--config", str(PARADOX), "--strategy", str(INVALID_STRATEGY)], None, None,
+                       ("", (GOLDEN / "check_invalid_strategy.txt").read_text(), 2), id="check-invalid-strategy")
     # A lab name or task id holding a lone surrogate (the JSON escape \ud800) cannot be printed.
     for argv, path, name, message in SURROGATES:
         config = json.loads(path.read_text().replace(f'"{name}"', f'"{name}\\ud800"'))
@@ -1322,10 +1325,10 @@ FIXTURE_STRATEGIES = [(load_config(config.read_text()), json.loads(strategy.read
 @given(st.data())
 def test_one_pass_config_reader_agrees_with_the_fault_reader(data):
     """``load_config`` reads a well-shaped document in one pass and hands one
-    with a shape fault to the field-by-field fault reader. On one or two
-    single-field mutations of bundled or random documents both give equal
-    documents or the same fault, and a document the one-pass reader hands
-    on has one."""
+    with a fault of the loader's own to the field-by-field fault reader. On
+    one or two single-field mutations of bundled or random documents both
+    give equal documents or the same fault, and a document the one-pass
+    reader hands on has one."""
     raw = data.draw(st.sampled_from(FIXTURE_CONFIGS) | config_documents().map(serialize_config).map(json.loads))
     near = None
     for _ in range(data.draw(st.sampled_from([2, 1]))):  # mostly two faults: the first in reading order is raised
@@ -1334,7 +1337,7 @@ def test_one_pass_config_reader_agrees_with_the_fault_reader(data):
     assert _read_or_fault(load_config, json.dumps(raw)) == expected
     try:
         config._config(raw)
-    except config._Misshapen:
+    except config._Fault:
         assert isinstance(expected, str)
     except SimulationError:
         pass
@@ -1345,7 +1348,7 @@ def test_one_pass_config_reader_agrees_with_the_fault_reader(data):
 def test_one_pass_strategy_reader_agrees_with_the_fault_reader(data):
     """As for config documents: mutations of bundled or random strategy
     rows load to equal tables or to the same fault through ``load_strategy``
-    as through the fault reader."""
+    as through the fault reader, every fault of a row being the loader's own."""
     doc, raw = data.draw(st.sampled_from(FIXTURE_STRATEGIES) | strategy_documents().map(
         lambda pair: (pair[0], json.loads(serialize_strategy(pair[1])))))
     near = None
@@ -1355,17 +1358,54 @@ def test_one_pass_strategy_reader_agrees_with_the_fault_reader(data):
     assert _read_or_fault(load_strategy, json.dumps(raw), doc.spacetime, doc.tasks) == expected
     try:
         config._strategy(raw, doc.spacetime, doc.tasks)
-    except config._Misshapen:
+    except config._Fault:
         assert isinstance(expected, str)
     except SimulationError:
         pass
 
 
+# What a fault of the loader's own says after its JSON path; a checker owns every other fault of a
+# config document, and a strategy document has no other.
+LOADER_OWN = re.compile(r": (expected an? |missing key |unexpected key |name .* is not Unicode text|undefined "
+                        r"task |undefined scenario |expected 'all' or 'at_least_one')")
+# Edits whose first fault a checker owns, with a fault of shape behind it: the one-pass reader types
+# a whole list before it checks any entry, so it meets the shape first and hands the document on.
+SHAPE_BEHIND = [(("tasks", "task1"), "tasks.task1.deliver: endpoints must differ")]
+
+
+def _one_pass_cases():
+    for i, (keys, value, message) in enumerate(INVALID_EDITS):
+        own = bool(LOADER_OWN.search(message)) or (keys, message) in SHAPE_BEHIND
+        yield pytest.param(config._config, (_edited_paradox(keys, value),), message, own, id=f"config-{i}")
+    for _, path, name, message in SURROGATES:
+        raw = json.loads(path.read_text().replace(f'"{name}"', f'"{name}\\ud800"'))
+        yield pytest.param(config._config, (raw,), message, True, id=f"surrogate-{name}")
+    doc = load_config(PARADOX.read_text())
+    for i, (rows, message) in enumerate(INVALID_STRATEGIES):
+        yield pytest.param(config._strategy, ({"rows": rows}, doc.spacetime, doc.tasks), message, True,
+                           id=f"strategy-{i}")
+
+
+@pytest.mark.parametrize("read, args, message, own", _one_pass_cases())
+def test_one_pass_readers_format_no_fault_of_the_loaders_own(read, args, message, own):
+    """Only ``faults`` formats a fault of the loader's own: the one-pass
+    readers raise ``config._Fault`` for it. A fault a checker owns they
+    raise with the message ``load_config`` prints."""
+    if own:
+        with pytest.raises(config._Fault):
+            read(*args)
+    else:
+        with pytest.raises(ValidationError) as err:
+            read(*args)
+        assert str(err.value) == message
+
+
 def test_valid_commands_load_no_fault_reader_text_or_library_helpers(tmp_path):
     """Valid commands that print JSON or a diagram, and documents whose only
-    faults are an unknown lab or duplicate coordinates, load neither the
-    fault reader nor the text renderers, and nothing loads the library-only
-    helpers in ``audit``. A document with a shape fault loads the fault
+    faults are an unknown lab or duplicate coordinates, and a zero branch
+    limit, load neither the fault reader nor the text renderers, and nothing
+    loads the library-only helpers in ``audit``. A document with a fault of
+    the loader's own, an undefined scenario or a shape fault, loads the fault
     reader, which reports its first fault. ``-S`` keeps a site ``.pth`` file
     from loading any of them first."""
     unknown = json.loads(PARADOX.read_text())
@@ -1374,6 +1414,8 @@ def test_valid_commands_load_no_fault_reader_text_or_library_helpers(tmp_path):
     doubled["locations"] = {"L": 0, "R": 0}
     (tmp_path / "unknown.json").write_text(json.dumps(unknown))
     (tmp_path / "doubled.json").write_text(json.dumps(doubled))
+    undefined = tmp_path / "undefined.json"
+    undefined.write_text(json.dumps(_edited_paradox(("requirements", 0, "scenario"), "none")))
     runs = [
         ["simulate", "--json", "--config", str(PARADOX), "--scenario", "both"],
         ["check", "--json", "--config", str(SINGLE), "--strategy", str(OBEDIENT)],
@@ -1382,6 +1424,7 @@ def test_valid_commands_load_no_fault_reader_text_or_library_helpers(tmp_path):
         ["diagram", "--config", str(PARADOX), "--scenario", "both"],
         ["check", "--config", str(tmp_path / "unknown.json"), "--strategy", "obedient"],
         ["check", "--config", str(tmp_path / "doubled.json"), "--strategy", "obedient"],
+        ["search", "--config", str(PARADOX), "--limits-branches", "0"],
     ]
     probe = (
         "import contextlib, io, sys, nosignal.cli\n"
@@ -1391,6 +1434,8 @@ def test_valid_commands_load_no_fault_reader_text_or_library_helpers(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(errors):\n"
         "        codes.append(nosignal.cli.main(argv))\n"
         "print(codes, errors.getvalue().splitlines(), [m for m in lazy if m in sys.modules])\n"
+        f"code = nosignal.cli.main(['search', '--config', {str(undefined)!r}])\n"
+        "print(code, [m for m in lazy if m in sys.modules])\n"
         f"code = nosignal.cli.main(['check', '--config', {str(MISSHAPEN_TASK)!r}, '--strategy', 'obedient'])\n"
         "print(code, [m for m in lazy if m in sys.modules])\n"
     )
@@ -1400,6 +1445,8 @@ def test_valid_commands_load_no_fault_reader_text_or_library_helpers(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     refusals = ["error: tasks.task1.deliver.to: unknown location 'L-R-x'",
-                "error: locations: coordinates must be pairwise distinct"]
-    assert proc.stdout == f"[0, 0, 0, 3, 0, 2, 2] {refusals} []\n2 ['nosignal.faults']\n"
-    assert proc.stderr == (GOLDEN / "check_misshapen_task.txt").read_text()
+                "error: locations: coordinates must be pairwise distinct",
+                "error: search limits must be >= 1"]
+    assert proc.stdout == f"[0, 0, 0, 3, 0, 2, 2, 2] {refusals} []\n2 ['nosignal.faults']\n2 ['nosignal.faults']\n"
+    assert proc.stderr == ("error: requirements[0].scenario: undefined scenario 'none'\n"
+                           + (GOLDEN / "check_misshapen_task.txt").read_text())
