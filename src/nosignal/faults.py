@@ -64,16 +64,6 @@ def _typed(value, kind: type, path: tuple):
     return value
 
 
-def _fields(value, shape: tuple, path: tuple):
-    """An iterator over the values of a JSON object's ``shape`` keys. An
-    object with just those keys, in that order and of those types, is read
-    at once; any other by ``_read``."""
-    table, _, types, _ = shape
-    if type(value) is dict and tuple(value) == tuple(table) and [*map(type, value.values())] == types:
-        return iter(value.values())
-    return _read(value, shape, path)
-
-
 def _read(value, shape: tuple, path: tuple, closed: bool = True):
     """Yield ``shape``'s values in order, checking the object's type and,
     when ``closed``, its keys as the first is taken, and each key's presence
@@ -84,7 +74,7 @@ def _read(value, shape: tuple, path: tuple, closed: bool = True):
         _fail(path, f"unexpected key {next(key for key in value if key not in table)!r}")
     for key, kind in table.items():
         if key in value:
-            yield value[key] if type(value[key]) is kind else _typed(value[key], kind, (*path, key))
+            yield _typed(value[key], kind, (*path, key))
         elif key in defaults:
             yield defaults[key]
         else:
@@ -112,13 +102,13 @@ def _task(body, task_id: str) -> Task:
     fields and endpoints and then each ban's, so the first fault is the one
     raised. ``check_task`` checks the rest."""
     path = ("tasks", task_id)
-    fields = _fields(body, _TASK, path)
-    delivery = tuple(_fields(next(fields), _DELIVER, (*path, "deliver")))
+    fields = _read(body, _TASK, path)
+    delivery = tuple(_read(next(fields), _DELIVER, (*path, "deliver")))
     if delivery[0] == delivery[1]:
         _fail((*path, "deliver"), "endpoints must differ")
     bans = []
     for i, ban in enumerate(next(fields)):
-        bans.append(tuple(_fields(ban, _SILENCE, (*path, "silence", i))))
+        bans.append(tuple(_read(ban, _SILENCE, (*path, "silence", i))))
         if bans[-1][0] == bans[-1][1]:
             _fail((*path, "silence", i), "endpoints must differ")
     return delivery, tuple(bans)
@@ -126,7 +116,7 @@ def _task(body, task_id: str) -> Task:
 
 def read_config(value: object) -> ConfigDocument:
     """The config document of the parsed JSON ``value``, read field by field."""
-    document = _fields(value, _DOCUMENT, ())
+    document = _read(value, _DOCUMENT, ())
     locations = next(document)
     for name, coord in locations.items():
         _typed(coord, int, ("locations", name))
@@ -144,7 +134,7 @@ def read_config(value: object) -> ConfigDocument:
     for name, entries in next(document).items():
         requests = []
         for i, entry in enumerate(_typed(entries, list, ("scenarios", name))):
-            fields = _fields(entry, _REQUEST, ("scenarios", name, i))
+            fields = _read(entry, _REQUEST, ("scenarios", name, i))
             task_id = next(fields)
             if task_id not in tasks:
                 _fail(("scenarios", name, i, "task"), f"undefined task {task_id!r}")
@@ -156,7 +146,7 @@ def read_config(value: object) -> ConfigDocument:
 
     requirements: list[NamedRequirement] = []
     for i, entry in enumerate(next(document)):
-        fields = _fields(entry, _REQUIREMENT, ("requirements", i))
+        fields = _read(entry, _REQUIREMENT, ("requirements", i))
         name = next(fields)
         if name not in scenarios:
             _fail(("requirements", i, "scenario"), f"undefined scenario {name!r}")
@@ -168,7 +158,7 @@ def read_config(value: object) -> ConfigDocument:
 
     limits, body = None, next(document)
     if "limits" in value:
-        _, _ = _fields(body, _LIMITS, ("limits",))  # the keys are SearchLimits' own
+        _, _ = _read(body, _LIMITS, ("limits",))  # the keys are SearchLimits' own
         limits = _checked("limits: ", lambda: SearchLimits(**body))
 
     return ConfigDocument(cfg, tasks, scenarios, requirements, limits)
@@ -176,15 +166,13 @@ def read_config(value: object) -> ConfigDocument:
 
 def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
                      tasks: Mapping[str, Task], path: tuple) -> tuple[int, str, str]:
-    # Unless it has just its kind's keys, in order, its kind and time come before its keys.
-    kind = raw.get("kind") if type(raw) is dict else None
-    if kind not in _KINDS or tuple(raw) != tuple(_EVENTS[kind][0]):
-        head = _read(raw, _EVENT, path, closed=False)
-        kind = next(head)
-        if kind not in _KINDS:
-            _fail((*path, "kind"), f"expected 'request' or 'signal', got {kind!r}")
-        next(head)
-    _, time, label = _fields(raw, _EVENTS[kind], path)
+    # Its kind and time come before its keys.
+    head = _read(raw, _EVENT, path, closed=False)
+    kind = next(head)
+    if kind not in _KINDS:
+        _fail((*path, "kind"), f"expected 'request' or 'signal', got {kind!r}")
+    next(head)
+    _, time, label = _read(raw, _EVENTS[kind], path)
     if kind == KIND_REQUEST:
         if label not in tasks:
             _fail((*path, "task"), f"undefined task {label!r}")
@@ -197,18 +185,18 @@ def _event_from_json(raw: object, cfg: SpacetimeConfig, agent: str,
 
 def read_strategy(value: object, cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:
     """The strategy of the parsed JSON ``value``, read field by field."""
-    (rows,) = _fields(value, _STRATEGY, ())
+    (rows,) = _read(value, _STRATEGY, ())
     table: RawAssignment = {}
     for i, row in enumerate(rows):
-        fields = _fields(row, _ROW, ("rows", i))
+        fields = _read(row, _ROW, ("rows", i))
         agent = _location(next(fields), cfg, ("rows", i, "agent"))
-        history = _fields(next(fields), _HISTORY, ("rows", i, "history"))
+        history = _read(next(fields), _HISTORY, ("rows", i, "history"))
         upto = next(history)
         if not 0 <= upto <= cfg.horizon:
             _fail(("rows", i, "history", "upto"), f"{upto} outside [0, {cfg.horizon}]")
         events = tuple(_event_from_json(event, cfg, agent, tasks, ("rows", i, "history", "events", j))
                        for j, event in enumerate(next(history)))
-        (send,) = _fields(next(fields), _ACTION, ("rows", i, "action"))
+        (send,) = _read(next(fields), _ACTION, ("rows", i, "action"))
         dests = set()
         for j, dest in enumerate(send):
             _location(dest, cfg, ("rows", i, "action", "send", j))
