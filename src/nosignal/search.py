@@ -19,8 +19,9 @@ useful send after ``latest`` of its own lab, so every key an agent with a
 useful send reads is made of useful sends only. Delete the useless sends
 from a winning strategy: its useful departures stay the same, and with
 them every delivery, while the bans see a subset of departures. A slot
-holds an agent's useful destinations; the walk steps through their subsets
-from the empty one and never builds a menu. An idle document has no slot.
+is (t, run, agent); one deadline per lab says whether it acts at t. The
+walk reads a menu, the sorted useful destinations, only to step a decision
+to its next subset, and builds no action list. An idle document has no slot.
 
 Only histories actually reachable under the partial assignment become
 decision points, which keeps the space finite and small. Once every slot of
@@ -178,20 +179,26 @@ def find_strategy(
     # of a delivering departure by its departure time. A useful send goes
     # to a target (a lab with latest >= 1, or a delivering destination),
     # and by the triangle inequality its sender's own latest is >= t >= 0.
-    # After ``reach``, the last useful time of a send between neighbouring
-    # labs, only delivering departures are useful, so the loop visits every
-    # time from 0 (where deliveries due before 0 fall due) to reach, then
-    # only the later delivering departures' times.
+    # until[a], the last time a has a useful send that is no delivering
+    # departure, is read off a's neighbours in coordinate order: for a
+    # target d beyond neighbour b, each delivering departure gives latest[d]
+    # <= latest[b] + |x_b - x_d|, so latest[d] - |x_a - x_d| <= latest[b] -
+    # |x_a - x_b|. After ``reach``, the last of them, only delivering
+    # departures are useful, so the loop visits every time from 0 (where
+    # deliveries due before 0 fall due) to reach, then only their times.
     departs = {dep for _, rows, _ in judge for dep, _ in rows}
     latest = {d: max((s - abs(x - coord[o]) for o, _, s in departs), default=-1)
               for d, x in coord.items()}
     targets = sorted({d for d in coord if latest[d] >= 1}.union(d for _, d, _ in departs))
     senders = [a for a in cfg.agents if latest[a] >= 0]
     by_x = sorted(coord, key=coord.get)
-    reach = max([0, *(max(latest[a], latest[b]) - coord[b] + coord[a] for a, b in zip(by_x, by_x[1:]))])
+    until = {a: max(latest[b] - abs(coord[a] - coord[b]) for b in by_x[max(i - 1, 0):i + 2] if b != a)
+             for i, a in enumerate(by_x)}
+    reach = max(0, *until.values())
+    origins = {(o, s) for o, _, s in departs}
 
     runs = [Run(cfg, scenario) for scenario, _ in requirements]
-    # Per slot: (t, run, agent, useful destinations, index just past time t's slots).
+    # Per slot: (t, run, agent, index just past time t's slots).
     slots = []
     # Per run and sender, the indices of its slots, in time order.
     lanes: list[list[list[int]]] = [[[] for _ in senders] for _ in runs]
@@ -203,18 +210,13 @@ def find_strategy(
     due: set[int] = set()
     for t in itertools.chain(range(reach + 1), sorted({s for _, _, s in departs if s > reach})):
         due.update(due_at.get(t, ()))
-        live = []
-        for ai, agent in enumerate(senders):
-            dests = tuple(d for d in targets if d != agent and (
-                t + abs(coord[agent] - coord[d]) <= latest[d] or (agent, d, t) in departs))
-            if dests:
-                live.append((ai, agent, dests))
+        live = [(ai, agent) for ai, agent in enumerate(senders) if t <= until[agent] or (agent, t) in origins]
         if live:
             end = len(slots) + len(runs) * len(live)
             for ri, run in enumerate(runs):
-                for ai, agent, dests in live:
+                for ai, agent in live:
                     lanes[ri][ai].append(len(slots))
-                    slots.append((t, run, agent, dests, end))
+                    slots.append((t, run, agent, end))
             judges[end] = (t, due)
             due = set()
             # Each slot of the first run holds an (agent, t) no earlier slot
@@ -286,7 +288,7 @@ def find_strategy(
                     return Found(strategy, reports)
 
         if lost is None:
-            t, run, agent, _, _ = slots[depth]
+            t, run, agent, _ = slots[depth]
             if depth < reuse_end:
                 key = keys[depth]
             else:
@@ -306,7 +308,7 @@ def find_strategy(
         conflict = conflict_set(*lost)
         while depth and conflict:
             depth -= 1
-            t, run, agent, dests, end = slots[depth]
+            t, run, agent, end = slots[depth]
             key = keys[depth]
             sends = assignment[key]
             if sends:
@@ -319,7 +321,9 @@ def find_strategy(
                     carried[depth] |= conflict
                 elif conflict:
                     carried[depth] = conflict
-                if (sends := _successor(dests, sends)) is not None:
+                menu = tuple(d for d in targets if d != agent and (
+                    t + abs(coord[agent] - coord[d]) <= latest[d] or (agent, d, t) in departs))
+                if (sends := _successor(menu, sends)) is not None:
                     assignment[key] = sends
                     run.apply(t, agent, sends)  # only the first action is empty
                     depth += 1

@@ -56,6 +56,7 @@ FAR_HORIZON = GOLDEN.parent / "far_horizon.json"  # one delivery at t = 10**11
 WIDE_MENUS = GOLDEN.parent / "wide_menus.json"  # 161 labs, 608 menus of 2**23 actions in all
 SHARED_KEY = GOLDEN.parent / "shared_key.json"  # found only through a key two runs share
 QUOTED = GOLDEN.parent / "quoted_labs.json"  # labs named with ", \ and é
+MAGICIAN = GOLDEN.parent / "magician_2_2_2.json"  # oracles.magician(2, 2, 2): slack = n, so Found
 
 
 def load_fixture_doc():
@@ -424,6 +425,9 @@ GOLDEN_CASES = [
     # destinations, but the 608 distinct menus hold 2**23 actions in all,
     # none of which is built.
     (["search", "--config", str(WIDE_MENUS)], "search_wide_menus.txt", "stdout", 0),
+    # The paper's magician with two requesters and slack 2 is Found: the
+    # hub acts on a signal, a row keyed by "signal from".
+    (["search", "--config", str(MAGICIAN)], "search_magician_2_2_2.txt", "stdout", 0),
     # Documents refused with the first fault in reading order.
     (["check", "--config", str(INVALID_TASK), "--strategy", "obedient"], "check_invalid_task.txt", "stderr", 2),
     (["check", "--config", str(MISSHAPEN_TASK), "--strategy", "obedient"], "check_misshapen_task.txt", "stderr", 2),
@@ -680,6 +684,24 @@ class TestExitCodes:
         assert proc.stdout == ("found a strategy satisfying all 1 requirement:\n"
                                f"  {names[0]}  t=79  [request t @79]  -> send {names[1]}\n")
 
+    def test_search_wide_set_up_stays_small(self, tmp_path):
+        """8,000 labs one apart, every one a target: set-up tells which labs
+        act at t from one deadline per lab and keeps no menu in a slot, so
+        its 16,000 slots fit the child's 600 MB and the walk aborts on its
+        10,000th decision point. Storing each slot's destinations and
+        scanning senders x targets per slice ended in a ``MemoryError``."""
+        names = [f"A{i:04d}" for i in range(8000)]
+        doc = tmp_path / "wide.json"
+        doc.write_text(json.dumps({
+            "locations": {name: i for i, name in enumerate(names)}, "horizon": 16_000,
+            "tasks": {"t": {"deliver": {"from": names[0], "to": names[1], "at": 16_000}}},
+            "scenarios": {"s": [{"task": "t", "location": names[0], "time": 15_999}]},
+            "requirements": [{"scenario": "s", "rule": "all"}],
+        }))
+        proc = run_capped("search", "--config", str(doc))
+        assert (proc.returncode, proc.stderr) == (4, "")
+        assert proc.stdout == "aborted: decision_points limit hit after 0 branches and 10000 decision points\n"
+
     def test_search_idle_far_horizon_is_found(self, tmp_path):
         """No task is requested at that horizon, so no slot is built."""
         doc = tmp_path / "idle.json"
@@ -798,6 +820,8 @@ INVALID_EDITS = [
      "tasks.task1.deliver.at: 5 outside [0, 3]; horizon too small"),
     (("tasks", "task1", "deliver", "at"), -1, "tasks.task1.deliver.at: -1 outside [0, 3]"),
     (("tasks", "task1", "silence", 0, "to"), "R", "tasks.task1.silence[0]: endpoints must differ"),
+    (("tasks", "task1", "silence"), [{"from": "R", "to": "R"}, "x"],
+     "tasks.task1.silence[0]: endpoints must differ"),
     (("tasks", "task1", "silence", 0, "from"), "X",
      "tasks.task1.silence[0].from: unknown location 'X'"),
     # A task with two faults reports the one it reaches first: the delivery's
@@ -1403,7 +1427,8 @@ LOADER_OWN = re.compile(r": (expected an? |missing key |unexpected key |name .* 
                         r"task |undefined scenario |expected 'all' or 'at_least_one')")
 # Edits whose first fault a checker owns, with a fault of shape behind it: the one-pass reader types
 # a whole list before it checks any entry, so it meets the shape first and hands the document on.
-SHAPE_BEHIND = [(("tasks", "task1"), "tasks.task1.deliver: endpoints must differ")]
+SHAPE_BEHIND = [(("tasks", "task1"), "tasks.task1.deliver: endpoints must differ"),
+                (("tasks", "task1", "silence"), "tasks.task1.silence[0]: endpoints must differ")]
 
 
 def _one_pass_cases():

@@ -170,14 +170,17 @@ class TestFindStrategy:
         assert satisfied
 
     def test_raw_requirements_are_checked_at_the_boundary(self, d3):
-        """A request set with two requests on one slot, or an empty one under
-        ``at_least_one``, is refused as no value class stands in front."""
+        """A request set with two requests on one slot, an empty one under
+        ``at_least_one``, or one naming an undefined task, is refused as no
+        value class stands in front."""
         cfg, tasks, _ = d3
         two_on_one_slot = (scenario(("task1", "L", 0), ("task2", "L", 0)), Rule.ALL)
         with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
             find_strategy(cfg, [two_on_one_slot], tasks)
         with pytest.raises(ValidationError, match="^at_least_one over an empty scenario$"):
             find_strategy(cfg, [(frozenset(), Rule.AT_LEAST_ONE)], tasks)
+        with pytest.raises(ValidationError, match="^scenario references undefined task 'nope'$"):
+            find_strategy(cfg, [(scenario(("nope", "L", 0)), Rule.ALL)], tasks)
 
     @pytest.mark.parametrize("rule", ["bogus", "all", "at_least_one", None])
     def test_a_rule_that_is_no_rule_is_refused(self, d3, rule):

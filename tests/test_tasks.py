@@ -111,10 +111,13 @@ class TestEvaluateRequirement:
             evaluate_requirement(cfg, {}, (frozenset(), Rule.AT_LEAST_ONE), tasks)
 
     def test_one_request_per_slot(self, d3):
+        """Each request names one slot and one defined task."""
         cfg, tasks, _ = d3
         requirement = (scenario(("task1", "L", 0), ("task2", "L", 0)), Rule.AT_LEAST_ONE)
         with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
             evaluate_requirement(cfg, obedient_strategy(cfg, tasks), requirement, tasks)
+        with pytest.raises(ValidationError, match="^scenario references undefined task 'nope'$"):
+            evaluate_requirement(cfg, obedient_strategy(cfg, tasks), (scenario(("nope", "L", 0)), Rule.ALL), tasks)
 
 
     @pytest.mark.parametrize("rule", ["all", "at_least_one", "bogus"])
