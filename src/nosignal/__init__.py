@@ -19,7 +19,7 @@ home of the library-only helpers.
 __version__ = "0.1.0"
 
 _HOMES = {
-    "audit": "AuditReport causal_leq indistinguishable local_history no_signaling_audit "
+    "audit": "causal_leq indistinguishable local_history no_signaling_audit "
              "paradox_requirements signal_arrival",
     "errors": "DuplicateTask InvalidScenario ParseError SameLocation SimulationError "
               "UnachievableTask UnknownLocation ValidationError",
@@ -27,7 +27,7 @@ _HOMES = {
     "search": "Aborted Certificate Found Impossible SearchLimits SearchOutcome "
               "find_strategy mutually_exclusive",
     "spacetime": "SpacetimeConfig distance",
-    "tasks": "Rule evaluate_requirement evaluate_task",
+    "tasks": "evaluate_requirement evaluate_task",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 

@@ -4,10 +4,12 @@ Both audit checks replay scenarios through ``execute`` and rebuild each
 agent's history from the finished trace with ``local_history``, not from
 the history keys the executor steps on. That second derivation is what
 makes the audit a check on the executor rather than a restatement of it.
-The module also holds the checks of a trace and of a lattice event, the
-signal arrival time and causal order of the geometry, and the paradox's
-requirement bundle. The command line never imports this module, so none
-of it is compiled when a command starts.
+The audit's report is the pair ``(checks, violations)``, a violation the
+triple ``(pair_index, key, (sends1, sends2))``: plain tuples, like a
+requirement's report. The module also holds the checks of a trace and of
+a lattice event, the signal arrival time and causal order of the
+geometry, and the paradox's requirement bundle. The command line never
+imports this module, so none of it is compiled when a command starts.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from collections.abc import Iterable, Mapping
 
 from .errors import DuplicateTask, SameLocation, ValidationError
 from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, RawKey, Scenario, Trace, check_slots, execute
-from .record import Record
 from .spacetime import SpacetimeConfig, distance
-from .tasks import Requirement, Rule, Task, check_task
+from .tasks import Requirement, Task, check_task
 
 
 def check_event(event: tuple[str, int], cfg: SpacetimeConfig) -> None:
@@ -103,38 +104,19 @@ def indistinguishable(
     return local_history(trace1, agent, t, cfg) == local_history(trace2, agent, t, cfg)
 
 
-class AuditViolation(Record):
-    __slots__ = ("pair_index", "agent", "time", "history", "sends")
-
-    def __init__(self, pair_index: int, agent: str, time: int, history: RawKey,
-                 sends: tuple[frozenset[str], frozenset[str]]):
-        self._fill(pair_index, agent, time, history, sends)
-
-
-class AuditReport(Record):
-    """Result of checking same-history implies same-behavior over pairs."""
-
-    __slots__ = ("checks", "violations")
-
-    def __init__(self, checks: int, violations: tuple[AuditViolation, ...] = ()):
-        self._fill(checks, violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def no_signaling_audit(
     cfg: SpacetimeConfig,
     strategy: RawAssignment,
     scenario_pairs: Iterable[tuple[Scenario, Scenario]],
-) -> AuditReport:
+) -> tuple[int, tuple[tuple[int, RawKey, tuple[frozenset[str], frozenset[str]]], ...]]:
     """Audit that indistinguishable histories produce identical behavior.
 
     For every pair, agent, and time where the agent's local histories
     coincide, the departures the agent actually produced at that time must
-    coincide too. Locality is structural, so any violation indicates an
-    executor bug, not a bad strategy.
+    coincide too. Returns ``(checks, violations)``: the number of coinciding
+    histories compared, and per mismatch ``(pair_index, key, (sends1,
+    sends2))``, the key naming the agent and time. Locality is structural,
+    so any violation indicates an executor bug, not a bad strategy.
     """
     checks = 0
     violations = []
@@ -151,10 +133,8 @@ def no_signaling_audit(
                 sent1, sent2 = (frozenset(d for o, d, tt in departures if o == agent and tt == t)
                                 for _, departures, _ in (trace1, trace2))
                 if sent1 != sent2:
-                    violations.append(
-                        AuditViolation(pair_index, agent, t, h1, (sent1, sent2))
-                    )
-    return AuditReport(checks, tuple(violations))
+                    violations.append((pair_index, h1, (sent1, sent2)))
+    return checks, tuple(violations)
 
 
 def paradox_requirements(
@@ -162,8 +142,8 @@ def paradox_requirements(
 ) -> list[Requirement]:
     """The three-way bundle that creates the choice trap, for two of ``tasks`` by id.
 
-    Each task alone must succeed (rules All), and when both are requested
-    at t=0 either one would do (rule AtLeastOne). Requests are submitted at
+    Each task alone must succeed (rule ``all``), and when both are requested
+    at t=0 either one would do (rule ``at_least_one``). Requests are submitted at
     each task's delivery origin.
     """
     if task1 == task2:
@@ -175,5 +155,5 @@ def paradox_requirements(
         check_task(tasks[task_id], cfg)
         requests.append((task_id, tasks[task_id][0][0], 0))
     check_slots(requests)
-    single = [(frozenset([request]), Rule.ALL) for request in requests]
-    return [*single, (frozenset(requests), Rule.AT_LEAST_ONE)]
+    single = [(frozenset([request]), "all") for request in requests]
+    return [*single, (frozenset(requests), "at_least_one")]

@@ -92,7 +92,7 @@ def _pick_limits(args, doc: ConfigDocument) -> SearchLimits:
 def _report_json(report: RequirementReport, named: NamedRequirement) -> dict[str, object]:
     verdicts, satisfied = report  # verdicts come in task-id order
     label, rule = named
-    return {"scenario": label, "rule": rule.value, "verdicts": verdicts, "satisfied": satisfied}
+    return {"scenario": label, "rule": rule, "verdicts": verdicts, "satisfied": satisfied}
 
 
 def _emit(args, code: int, payload: dict[str, object], *context) -> int:

@@ -24,9 +24,9 @@ from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, Scenario, check_
 from .record import Record
 from .search import SearchLimits
 from .spacetime import SpacetimeConfig
-from .tasks import Requirement, Rule, Task, check_requirement, check_task
+from .tasks import RULES, Requirement, Task, check_requirement, check_task
 
-NamedRequirement = tuple[str, Rule]  # (scenario name, rule)
+NamedRequirement = tuple[str, str]  # (scenario name, rule)
 
 
 class ConfigDocument(Record):
@@ -73,7 +73,6 @@ _ACTION = _shape({"send": list}, send=[])
 _KINDS = (KIND_REQUEST, KIND_SIGNAL)  # compared by ==, so a kind of any JSON type can be looked up
 _EVENTS = {KIND_REQUEST: _shape({"kind": str, "time": int, "task": str}),
            KIND_SIGNAL: _shape({"kind": str, "time": int, "origin": str})}
-_RULES = {rule.value: rule for rule in Rule}
 
 
 def _parse(text: str) -> object:
@@ -168,10 +167,10 @@ def _config(value) -> ConfigDocument:
 
     requirements = []
     for i, (name, rule) in enumerate(_rows(named, _REQUIREMENT)):
-        if name not in scenarios or rule not in _RULES:
+        if name not in scenarios or rule not in RULES:
             raise _Fault
-        _checked(f"requirements[{i}]: ", check_requirement, scenarios[name], _RULES[rule])
-        requirements.append((name, _RULES[rule]))
+        _checked(f"requirements[{i}]: ", check_requirement, scenarios[name], rule)
+        requirements.append((name, rule))
 
     limits = None
     if "limits" in value:

@@ -28,7 +28,6 @@ from .config import (
     _REQUEST,
     _REQUIREMENT,
     _ROW,
-    _RULES,
     _SILENCE,
     _STRATEGY,
     _TASK,
@@ -41,7 +40,7 @@ from .errors import ValidationError
 from .protocol import KIND_REQUEST, RawAssignment, Scenario, check_request, check_slots
 from .search import SearchLimits
 from .spacetime import SpacetimeConfig
-from .tasks import Task, check_requirement, check_task
+from .tasks import RULES, Task, check_requirement, check_task
 
 _EVENT = _shape({"kind": str, "time": int})
 _TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
@@ -150,9 +149,9 @@ def read_config(value: object) -> ConfigDocument:
         name = next(fields)
         if name not in scenarios:
             _fail(("requirements", i, "scenario"), f"undefined scenario {name!r}")
-        rule = _RULES.get(rule_raw := next(fields))
-        if rule is None:
-            _fail(("requirements", i, "rule"), f"expected 'all' or 'at_least_one', got {rule_raw!r}")
+        rule = next(fields)
+        if rule not in RULES:
+            _fail(("requirements", i, "rule"), f"expected 'all' or 'at_least_one', got {rule!r}")
         _checked(f"requirements[{i}]: ", check_requirement, scenarios[name], rule)
         requirements.append((name, rule))
 

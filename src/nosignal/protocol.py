@@ -106,14 +106,16 @@ class Run:
         self.horizon = cfg.horizon
         self.coords = cfg.locations  # a distance is the difference of two coordinates
         # Per agent every event it will see, in any time: its requests, then
-        # signal arrivals in the order they were applied, so unapply pops.
-        self.received: dict[str, list[tuple[int, str, str]]] = {a: [] for a in self.coords}
+        # signal arrivals in the order they were applied, so unapply pops. An
+        # agent gets its list when the first event reaches it, so a run costs
+        # its events, not its labs.
+        self.received: dict[str, list[tuple[int, str, str]]] = {}
         for task, location, time in scenario:
-            self.received[location].append((time, KIND_REQUEST, task))
+            self.received.setdefault(location, []).append((time, KIND_REQUEST, task))
         self.departures: set[tuple[str, str, int]] = set()
 
     def key(self, t: int, agent: str) -> RawKey:
-        events = self.received[agent]
+        events = self.received.get(agent, ())
         if events:
             events = [e for e in events if e[0] <= t]
             events.sort()
@@ -125,7 +127,7 @@ class Run:
             self.departures.add((agent, dest, t))
             arrives = t + abs(x - self.coords[dest])
             if arrives <= self.horizon:
-                self.received[dest].append((arrives, KIND_SIGNAL, agent))
+                self.received.setdefault(dest, []).append((arrives, KIND_SIGNAL, agent))
 
     def unapply(self, t: int, agent: str, sends: tuple[str, ...]) -> None:
         x = self.coords[agent]

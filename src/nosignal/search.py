@@ -58,7 +58,6 @@ from .spacetime import SpacetimeConfig, distance
 from .tasks import (
     Requirement,
     RequirementReport,
-    Rule,
     Task,
     check_requirement,
     check_task,
@@ -363,7 +362,7 @@ def _task_row(task: Task, cfg: SpacetimeConfig) -> _Row:
     return (origin, dest, at - distance(origin, dest, cfg)), frozenset(bans)
 
 
-def _lost(rule: Rule, rows: Sequence[_Row], departures: Collection[tuple[str, str, int]],
+def _lost(rule: str, rows: Sequence[_Row], departures: Collection[tuple[str, str, int]],
           t: int) -> list[tuple[int, str]]:
     """The culprit slots ``(t', origin)`` of a requirement lost once every
     departure up to time ``t`` is in ``departures``; empty while it can
@@ -372,7 +371,7 @@ def _lost(rule: Rule, rows: Sequence[_Row], departures: Collection[tuple[str, st
     A task is lost when a banned departure is present or its delivering
     departure is due by ``t`` and absent; departures only accumulate, so no
     later one can undo either. Its culprit is its earliest banned departure,
-    else its overdue delivering departure. Rule ``all`` is lost with any
+    else its overdue delivering departure. The rule ``all`` is lost with any
     task, and names the earliest culprit; ``at_least_one`` is lost with
     every task, and names them all. At ``t = horizon`` every delivering
     departure is due, and its arrival exists iff it does, so "not lost" is
@@ -385,9 +384,9 @@ def _lost(rule: Rule, rows: Sequence[_Row], departures: Collection[tuple[str, st
             culprits.append(min((t1, o1) for o1, d1, t1 in departures if (o1, d1) in banned))
         elif s <= t and (o, d, s) not in departures:
             culprits.append((s, o))
-        elif rule is Rule.AT_LEAST_ONE:
+        elif rule == "at_least_one":
             return []
-    return [min(culprits)] if rule is Rule.ALL and culprits else culprits
+    return [min(culprits)] if rule == "all" and culprits else culprits
 
 
 def mutually_exclusive(cfg: SpacetimeConfig, a: Task, b: Task) -> bool:
@@ -402,4 +401,4 @@ def mutually_exclusive(cfg: SpacetimeConfig, a: Task, b: Task) -> bool:
     """
     rows = [_task_row(a, cfg), _task_row(b, cfg)]
     departures = {dep for dep, _ in rows if dep[2] >= 0}
-    return bool(_lost(Rule.ALL, rows, departures, cfg.horizon))
+    return bool(_lost("all", rows, departures, cfg.horizon))

@@ -4,9 +4,10 @@ A task is the raw tuple ``((origin, dest, at), bans)``. It succeeds on a
 trace ``(requests, departures, arrivals)`` when its single delivery atom is
 matched by an arrival at exactly the requested time and none of its
 silence bans is broken by any departure over the whole run. A requirement
-is the raw pair ``(requests, rule)``, a scenario and whether every
-requested task must succeed or any one suffices; a set of requirements is
-the requester's whole range of freedom. A requirement's report is the pair
+is the raw pair ``(requests, rule)``, a scenario and the rule as the
+document spells it: ``"all"`` when every requested task must succeed,
+``"at_least_one"`` when any one suffices. A set of requirements is the
+requester's whole range of freedom. A requirement's report is the pair
 ``(verdicts, satisfied)``: each requested task's verdict by id, in id
 order, and the verdicts combined by the rule.
 """
@@ -14,7 +15,6 @@ order, and the verdicts combined by the rule.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from enum import Enum
 
 from .errors import UnknownLocation, ValidationError
 from .protocol import RawAssignment, Scenario, Trace, execute
@@ -24,22 +24,17 @@ from .spacetime import SpacetimeConfig
 Task = tuple[tuple[str, str, int], tuple[tuple[str, str], ...]]  # ((origin, dest, at), bans)
 
 
-class Rule(str, Enum):
-    ALL = "all"
-    AT_LEAST_ONE = "at_least_one"
+RULES = ("all", "at_least_one")
 
-
-Requirement = tuple[Scenario, Rule]  # (requests, rule)
+Requirement = tuple[Scenario, str]  # (requests, rule)
 RequirementReport = tuple[dict[str, bool], bool]  # (verdicts, satisfied)
 
 
-def check_requirement(scenario: Scenario, rule: Rule) -> None:
-    """The rule is a ``Rule``: every site compares rules by identity, so a
-    string, even one equal to a ``Rule``, would take the wrong branch. Rule
-    ``at_least_one`` needs a request to succeed on."""
-    if type(rule) is not Rule:
-        raise ValidationError(f"rule: expected Rule.ALL or Rule.AT_LEAST_ONE, got {rule!r}")
-    if rule is Rule.AT_LEAST_ONE and not scenario:
+def check_requirement(scenario: Scenario, rule: str) -> None:
+    """The rule is one of ``RULES``; ``at_least_one`` needs a request to succeed on."""
+    if rule not in RULES:
+        raise ValidationError(f"rule: expected 'all' or 'at_least_one', got {rule!r}")
+    if rule == "at_least_one" and not scenario:
         raise ValidationError("at_least_one over an empty scenario")
 
 
@@ -99,5 +94,5 @@ def evaluate_requirement(
         task_id: evaluate_task(trace, task, cfg)
         for task_id, task in requested_tasks(scenario, tasks).items()
     }
-    combine = all if rule is Rule.ALL else any
+    combine = all if rule == "all" else any
     return verdicts, combine(verdicts.values())

@@ -70,7 +70,7 @@ def search(result: dict, requirements: Sequence = ()) -> list[str]:
         return [
             f"impossible: all {_count(explored, 'refuted branch')} over "
             f"{_count(points, 'decision point')} {'fails' if explored == 1 else 'fail'} some requirement",
-            *(f"  requirement {int(idx) + 1} ({rule.value} of {name!r}): "
+            *(f"  requirement {int(idx) + 1} ({rule} of {name!r}): "
               f"first failure on {_count(count, 'branch')}"
               for idx, count in result["failures_by_requirement"].items()
               for name, rule in [requirements[int(idx)]]),

@@ -19,7 +19,7 @@ def oracle_scenarios(requirements, tasks):
     out = []
     for requests, rule in requirements:
         rows = [(tasks[tid][0], set(tasks[tid][1])) for tid in sorted({tid for tid, _, _ in requests})]
-        out.append((list(requests), rule.value, rows))
+        out.append((list(requests), rule, rows))
     return out
 
 
@@ -45,7 +45,7 @@ def serialize_config(doc) -> str:
                    for task, loc, t in sorted(doc.scenarios[name])]
             for name in sorted(doc.scenarios)
         },
-        "requirements": [{"scenario": name, "rule": rule.value} for name, rule in doc.requirements],
+        "requirements": [{"scenario": name, "rule": rule} for name, rule in doc.requirements],
     }
     if doc.limits is not None:
         payload["limits"] = {

@@ -12,9 +12,9 @@ import nosignal
 
 REPO = Path(__file__).resolve().parent.parent
 PUBLIC = [
-    "Aborted", "AuditReport", "Certificate", "DuplicateTask",
+    "Aborted", "Certificate", "DuplicateTask",
     "Found", "Impossible", "InvalidScenario", "ParseError",
-    "Rule", "SameLocation", "SearchLimits",
+    "SameLocation", "SearchLimits",
     "SearchOutcome", "SimulationError", "SpacetimeConfig",
     "UnachievableTask", "UnknownLocation",
     "ValidationError", "causal_leq", "distance", "evaluate_requirement", "evaluate_task",
@@ -26,7 +26,7 @@ PUBLIC = [
 # Where each name is defined; the audit, with the helpers only a library
 # caller runs, is the one module the CLI never loads.
 HOMES = {
-    "audit": ["AuditReport", "causal_leq", "indistinguishable", "local_history", "no_signaling_audit",
+    "audit": ["causal_leq", "indistinguishable", "local_history", "no_signaling_audit",
               "paradox_requirements", "signal_arrival"],
     "errors": ["DuplicateTask", "InvalidScenario", "ParseError", "SameLocation",
                "SimulationError", "UnachievableTask", "UnknownLocation", "ValidationError"],
@@ -34,7 +34,7 @@ HOMES = {
     "search": ["Aborted", "Certificate", "Found", "Impossible", "SearchLimits", "SearchOutcome",
                "find_strategy", "mutually_exclusive"],
     "spacetime": ["SpacetimeConfig", "distance"],
-    "tasks": ["Rule", "evaluate_requirement", "evaluate_task"],
+    "tasks": ["evaluate_requirement", "evaluate_task"],
 }
 
 

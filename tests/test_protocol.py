@@ -283,11 +283,12 @@ def run_moves(draw):
 @given(run_moves())
 @settings(max_examples=200, deadline=None)
 def test_run_unapply_restores_the_run(case):
-    """Unapplying moves in reverse leaves departures, received events and keys as they were."""
+    """Unapplying moves in reverse leaves departures, received events and keys
+    as they were; an agent's list, once made, may stay behind empty."""
     cfg, scene, moves = case
     run = Run(cfg, scene)
     slots = [(t, agent) for t in range(cfg.horizon + 1) for agent in cfg.agents]
-    before = ({a: list(events) for a, events in run.received.items()},
+    before = ({a: list(events) for a, events in run.received.items() if events},
               [run.key(t, agent) for t, agent in slots])
     for move in moves:
         run.apply(*move)
@@ -295,7 +296,7 @@ def test_run_unapply_restores_the_run(case):
     for move in reversed(moves):
         run.unapply(*move)
     assert run.departures == set()
-    assert ({a: list(events) for a, events in run.received.items()},
+    assert ({a: list(events) for a, events in run.received.items() if events},
             [run.key(t, agent) for t, agent in slots]) == before
 
 

@@ -7,9 +7,9 @@ pickle/deepcopy round trips. A task is no class but the plain tuple
 ``((origin, dest, at), bans)`` the loader reads, a scenario the frozenset of
 its request triples, a requirement the pair ``(requests, rule)``, a
 document's requirement the pair ``(scenario name, rule)``, a trace the
-triple ``(requests, departures, arrivals)`` and a requirement's report the
-pair ``(verdicts, satisfied)``; these are pinned as plain values on the
-same checks.
+triple ``(requests, departures, arrivals)``, a requirement's report the
+pair ``(verdicts, satisfied)`` and the audit's report the pair ``(checks,
+violations)``; these are pinned as plain values on the same checks.
 """
 
 import copy
@@ -20,19 +20,17 @@ import pytest
 
 from nosignal import (
     Aborted,
-    AuditReport,
     Certificate,
     Found,
     Impossible,
-    Rule,
     SearchLimits,
     SpacetimeConfig,
     evaluate_requirement,
     execute,
+    no_signaling_audit,
 )
 from nosignal.config import ConfigDocument, load_config
 from nosignal.faults import read_config
-from nosignal.audit import AuditViolation
 
 CFG = SpacetimeConfig({"L": 0, "R": 3}, 3)
 HIST = ("L", 0, ((0, "request", "task1"),))
@@ -40,29 +38,25 @@ STRAT = {("L", 0, ((0, "request", "task1"),)): ("R",)}
 TR = ("task1", "L", 0)
 SCEN = frozenset({TR})
 TASK = (("L", "R", 3), (("R", "L"),))
-REQ = (SCEN, Rule.ALL)
+REQ = (SCEN, "all")
 TRACE = (SCEN, frozenset({("L", "R", 0)}), frozenset({("L", "R", 3)}))
 REPORT = ({"task1": True}, True)
+AUDIT = (3, ())
 LIMITS = SearchLimits(10, 5)
 CERT = Certificate((HIST,), 3, (0, 1, 0))
-VIOL = AuditViolation(0, "L", 0, HIST, (frozenset({"R"}), frozenset()))
-NAMED = ("only", Rule.ALL)
+NAMED = ("only", "all")
 
 H_REPR = "('L', 0, ((0, 'request', 'task1'),))"
 STRAT_REPR = "{('L', 0, ((0, 'request', 'task1'),)): ('R',)}"
 SCEN_REPR = "frozenset({('task1', 'L', 0)})"
 TASK_REPR = "(('L', 'R', 3), (('R', 'L'),))"
-REQ_REPR = f"({SCEN_REPR}, <Rule.ALL: 'all'>)"
-NAMED_REPR = "('only', <Rule.ALL: 'all'>)"
+REQ_REPR = f"({SCEN_REPR}, 'all')"
+NAMED_REPR = "('only', 'all')"
 TRACE_REPR = f"({SCEN_REPR}, frozenset({{('L', 'R', 0)}}), frozenset({{('L', 'R', 3)}}))"
 REPORT_REPR = "({'task1': True}, True)"
 CERT_REPR = (
     f"Certificate(decision_points=({H_REPR},), "
     "strategies_explored=3, leaf_failures=(0, 1, 0))"
-)
-VIOL_REPR = (
-    f"AuditViolation(pair_index=0, agent='L', time=0, history={H_REPR}, "
-    "sends=(frozenset({'R'}), frozenset()))"
 )
 LIMITS_REPR = "SearchLimits(max_branches=10, max_decision_points=5)"
 CFG_REPR = "SpacetimeConfig(locations={'L': 0, 'R': 3}, horizon=3)"
@@ -78,9 +72,6 @@ CASES = [
      f"Impossible(certificate={CERT_REPR})"),
     (Aborted, ("branches", 10, 4), ("decision_points", 10, 4), "limit",
      "Aborted(limit='branches', strategies_explored=10, decision_points=4)"),
-    (AuditViolation, (0, "L", 0, HIST, (frozenset({"R"}), frozenset())),
-     (1, "L", 0, HIST, (frozenset({"R"}), frozenset())), "pair_index", VIOL_REPR),
-    (AuditReport, (3, (VIOL,)), (3, ()), "checks", f"AuditReport(checks=3, violations=({VIOL_REPR},))"),
     (ConfigDocument, (CFG, {"task1": TASK}, {"only": SCEN}, [NAMED], LIMITS),
      (CFG, {}, {}, [], None), "spacetime",
      f"ConfigDocument(spacetime={CFG_REPR}, tasks={{'task1': {TASK_REPR}}}, "
@@ -99,15 +90,17 @@ UNHASHABLE_FIELDS = {
 def _parts(task: dict, request: dict, requirement: dict,
            read=lambda doc: load_config(json.dumps(doc))) -> dict:
     """The delivery, the first ban, the whole task, the scenario, the
-    requirement, the document's requirement, and the trace and report of
-    ``STRAT`` on them, by repr, as ``read`` reads a document on the ``CFG``
-    line holding ``task``, a scenario of ``request`` and ``requirement``."""
+    requirement, the document's requirement, the trace and report of
+    ``STRAT`` on them, and its audit against the empty scenario, by repr, as
+    ``read`` reads a document on the ``CFG`` line holding ``task``, a
+    scenario of ``request`` and ``requirement``."""
     doc = read({"locations": CFG.locations, "horizon": CFG.horizon, "tasks": {"task1": task},
                 "scenarios": {"only": [request]}, "requirements": [requirement]})
     task = doc.tasks["task1"]
     [resolved] = doc.resolve_requirements()
     parts = [task[0], task[1][0], task, doc.scenarios["only"], resolved, *doc.requirements,
-             execute(CFG, doc.scenarios["only"], STRAT), evaluate_requirement(CFG, STRAT, resolved, doc.tasks)]
+             execute(CFG, doc.scenarios["only"], STRAT), evaluate_requirement(CFG, STRAT, resolved, doc.tasks),
+             no_signaling_audit(CFG, STRAT, [(doc.scenarios["only"], frozenset())])]
     return {repr(part): part for part in parts}
 
 
@@ -122,26 +115,30 @@ BY_FIELD = _parts({"silence": [{"to": "L", "from": "R"}], "deliver": {"at": 3, "
 
 # (type, (plain value,), (an unequal one,), first index, repr), named for the
 # part each value holds: the delivery, a silence ban, the whole task, the
-# scenario, the requirement, the document's requirement, the trace, the report.
+# scenario, the requirement, the document's requirement, the trace, the
+# report, the audit: R sees nothing in either scenario until L's signal
+# lands at t = 3, so three histories coincide, and the unequal audit has a
+# violation of the shape (pair_index, key, (sends1, sends2)).
 ROW_CASES = [
     (tuple, (TASK[0],), (("R", "L", 3),), 0, "('L', 'R', 3)"),
     (tuple, (TASK[1][0],), (("L", "R"),), 0, "('R', 'L')"),
     (tuple, (TASK,), ((("L", "R", 3), ()),), 0, TASK_REPR),
     (frozenset, (SCEN,), (frozenset(),), 0, SCEN_REPR),
-    (tuple, (REQ,), ((SCEN, Rule.AT_LEAST_ONE),), 0, REQ_REPR),
-    (tuple, (NAMED,), (("both", Rule.ALL),), 0, NAMED_REPR),
+    (tuple, (REQ,), ((SCEN, "at_least_one"),), 0, REQ_REPR),
+    (tuple, (NAMED,), (("both", "all"),), 0, NAMED_REPR),
     (tuple, (TRACE,), ((frozenset(), frozenset(), frozenset()),), 0, TRACE_REPR),
     (tuple, (REPORT,), (({"task1": False}, False),), 0, REPORT_REPR),
+    (tuple, (AUDIT,), ((3, ((0, HIST, (frozenset({"R"}), frozenset())),)),), 0, "(3, ())"),
 ]
 ROW_TYPES = (tuple, frozenset)
 
 ids = [case[0].__name__ for case in CASES] + ["Deliver", "Silence", "TaskSpec", "Scenario", "Requirement",
-                                               "NamedRequirement", "Trace", "RequirementReport"]
+                                               "NamedRequirement", "Trace", "RequirementReport", "AuditReport"]
 cases = pytest.mark.parametrize("cls, args, other, field, text", CASES + ROW_CASES, ids=ids)
 
 
 def test_every_public_value_class_is_pinned():
-    assert len({case[0] for case in CASES}) == len(CASES) == 9
+    assert len({case[0] for case in CASES}) == len(CASES) == 7
 
 
 @cases
@@ -225,7 +222,6 @@ def test_pickle_and_deepcopy_round_trip(cls, args, other, field, text):
 
 def test_keyword_construction_with_defaults():
     assert SearchLimits() == SearchLimits(max_branches=2_000_000, max_decision_points=10_000)
-    assert AuditReport(checks=0) == AuditReport(0, ())
     assert SpacetimeConfig(locations={"L": 0, "R": 3}, horizon=3) == CFG
     assert Certificate(decision_points=(), strategies_explored=0, leaf_failures=()).leaf_failures == ()
     assert Found(strategy=STRAT, reports=()).strategy is STRAT

@@ -14,7 +14,6 @@ from nosignal import (
     Found,
     Impossible,
     InvalidScenario,
-    Rule,
     SearchLimits,
     SpacetimeConfig,
     ValidationError,
@@ -27,6 +26,7 @@ from nosignal import (
 )
 from nosignal.config import load_config
 from nosignal.search import _lost, _successor
+from nosignal import audit
 from nosignal.audit import paradox_requirements
 from oracles import (
     brute_force_joint_satisfiable,
@@ -138,7 +138,7 @@ class TestFindStrategy:
         """At t = 0, A0 can usefully send to all 3 others, a menu of 8
         actions the walk steps through without building it."""
         cfg = SpacetimeConfig({f"A{i}": i for i in range(4)}, horizon=10)
-        requirement = (frozenset({("t", "A0", 9)}), Rule.ALL)
+        requirement = (frozenset({("t", "A0", 9)}), "all")
         outcome = find_strategy(cfg, [requirement], {"t": (("A0", "A1", 10), ())})
         assert isinstance(outcome, Found)
 
@@ -163,7 +163,7 @@ class TestFindStrategy:
     def test_three_locations(self):
         cfg = SpacetimeConfig({"A": 0, "B": 1, "C": 2}, horizon=2)
         task = (("A", "C", 2), (("C", "A"),))
-        requirement = (frozenset({("t", "A", 0)}), Rule.ALL)
+        requirement = (frozenset({("t", "A", 0)}), "all")
         outcome = find_strategy(cfg, [requirement], {"t": task})
         assert isinstance(outcome, Found)
         _, satisfied = evaluate_requirement(cfg, outcome.strategy, requirement, {"t": task})
@@ -174,20 +174,27 @@ class TestFindStrategy:
         ``at_least_one``, or one naming an undefined task, is refused as no
         value class stands in front."""
         cfg, tasks, _ = d3
-        two_on_one_slot = (scenario(("task1", "L", 0), ("task2", "L", 0)), Rule.ALL)
+        two_on_one_slot = (scenario(("task1", "L", 0), ("task2", "L", 0)), "all")
         with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
             find_strategy(cfg, [two_on_one_slot], tasks)
         with pytest.raises(ValidationError, match="^at_least_one over an empty scenario$"):
-            find_strategy(cfg, [(frozenset(), Rule.AT_LEAST_ONE)], tasks)
+            find_strategy(cfg, [(frozenset(), "at_least_one")], tasks)
         with pytest.raises(ValidationError, match="^scenario references undefined task 'nope'$"):
-            find_strategy(cfg, [(scenario(("nope", "L", 0)), Rule.ALL)], tasks)
+            find_strategy(cfg, [(scenario(("nope", "L", 0)), "all")], tasks)
 
-    @pytest.mark.parametrize("rule", ["bogus", "all", "at_least_one", None])
+    @pytest.mark.parametrize("rule", ["all", "at_least_one"])
+    def test_a_rule_is_its_json_name(self, d3, rule):
+        """The rule is taken as the document spells it. Both tasks are
+        requested and each bans the other's delivery, so ``all`` cannot be
+        met and ``at_least_one`` can."""
+        cfg, tasks, (_, _, r3) = d3
+        outcome = find_strategy(cfg, [(r3[0], rule)], tasks)
+        assert type(outcome) is {"all": Impossible, "at_least_one": Found}[rule]
+
+    @pytest.mark.parametrize("rule", ["bogus", "ALL", None])
     def test_a_rule_that_is_no_rule_is_refused(self, d3, rule):
-        """Rules are compared by identity, so a string, even one equal to a
-        ``Rule``, would take another rule's branch; it is refused instead."""
         cfg, tasks, (r1, _, _) = d3
-        with pytest.raises(ValidationError, match=f"^rule: expected Rule.ALL or Rule.AT_LEAST_ONE, got {rule!r}$"):
+        with pytest.raises(ValidationError, match=f"^rule: expected 'all' or 'at_least_one', got {rule!r}$"):
             find_strategy(cfg, [(r1[0], rule)], tasks)
 
 
@@ -358,7 +365,7 @@ class TestWalkCertificate:
         """No task is requested, so no send is useful: the walk steps no slot
         and judges one empty assignment at H = 600."""
         cfg = SpacetimeConfig({"L": 0, "R": 5}, horizon=600)
-        idle = [(frozenset(), Rule.ALL)]
+        idle = [(frozenset(), "all")]
         seen = []
         outcome = find_strategy(cfg, idle, {}, on_leaf=lambda a: seen.append(dict(a)))
         assert isinstance(outcome, Found) and outcome.strategy == {}
@@ -388,10 +395,10 @@ def small_instances(draw):
         tasks[name] = ((origin, dest, at), tuple(bans))
     requirements = []
     for _ in range(draw(st.integers(1, 3))):
-        rule = draw(st.sampled_from((Rule.ALL, Rule.AT_LEAST_ONE)))
+        rule = draw(st.sampled_from(("all", "at_least_one")))
         requests = draw(st.lists(
             st.tuples(st.sampled_from(sorted(tasks)), st.sampled_from(agents), st.integers(0, cfg.horizon)),
-            min_size=0 if rule is Rule.ALL else 1, max_size=2, unique_by=lambda r: r[1:],  # one request per slot
+            min_size=0 if rule == "all" else 1, max_size=2, unique_by=lambda r: r[1:],  # one request per slot
         ))
         requirements.append((scenario(*requests), rule))
     return cfg, tasks, requirements
@@ -440,12 +447,12 @@ def lost_instances(draw):
     ), min_size=1, max_size=3))
     departures = draw(st.frozensets(st.tuples(st.sampled_from(pairs), st.integers(0, horizon))
                                     .map(lambda p: (*p[0], p[1])), max_size=5))
-    rule = draw(st.sampled_from((Rule.ALL, Rule.AT_LEAST_ONE)))
+    rule = draw(st.sampled_from(("all", "at_least_one")))
     return locations, horizon, rule, rows, departures
 
 
 @given(lost_instances())
-@example(({"L": 0, "R": 1}, 2, Rule.ALL, [(("L", "R", 2), frozenset({("L", "R")}))],
+@example(({"L": 0, "R": 1}, 2, "all", [(("L", "R", 2), frozenset({("L", "R")}))],
           frozenset()))  # bans its own delivery: lost for the oracle at t=0, not yet for the rule
 @settings(max_examples=300, deadline=None)
 def test_lost_rule_agrees_with_oracle(instance):
@@ -459,7 +466,7 @@ def test_lost_rule_agrees_with_oracle(instance):
     for t in range(horizon + 1):
         so_far = {dep for dep in departures if dep[2] <= t}
         culprits = _lost(rule, search_rows, so_far, t)
-        lost = requirement_lost(locations, so_far, t, rule.value, rows)
+        lost = requirement_lost(locations, so_far, t, rule, rows)
         assert all(t1 <= t for t1, _ in culprits)
         if culprits:
             assert lost
@@ -567,8 +574,8 @@ class TestNoSignalingAudit:
         cfg, tasks, _ = d3
         single = scenario(("task1", "L", 0))
         dual = scenario(("task1", "L", 0), ("task2", "R", 0))
-        report = no_signaling_audit(cfg, obedient_strategy(cfg, tasks), [(single, dual)])
-        assert report.ok and report.checks > 0
+        # L sees its request alone in both scenarios until R's signal lands at t = 3.
+        assert no_signaling_audit(cfg, obedient_strategy(cfg, tasks), [(single, dual)]) == (3, ())
 
     def test_idle_strategy_is_clean(self, d3):
         cfg, tasks, _ = d3
@@ -576,7 +583,27 @@ class TestNoSignalingAudit:
             (scenario(("task1", "L", 0)), scenario(("task2", "R", 0))),
             (frozenset(), scenario(("task1", "L", 0), ("task2", "R", 0))),
         ]
-        assert no_signaling_audit(cfg, {}, pairs).ok
+        # Every lab holds a request in one scenario of each pair, so no two histories coincide.
+        assert no_signaling_audit(cfg, {}, pairs) == (0, ())
+
+    def test_a_leaky_executor_is_caught(self, d3, monkeypatch):
+        """An executor under which L sends at t = 1 whenever R is asked for
+        task2, which L cannot know before t = 3, signals; the audit names the
+        pair, L's key and both send sets."""
+        cfg, _, _ = d3
+        honest = audit.execute
+
+        def leaky(cfg, scenario, strategy):
+            requests, departures, arrivals = honest(cfg, scenario, strategy)
+            if any(task == "task2" for task, _, _ in scenario):
+                departures |= {("L", "R", 1)}  # lands at t = 4, past the horizon
+            return requests, departures, arrivals
+
+        monkeypatch.setattr(audit, "execute", leaky)
+        single = scenario(("task1", "L", 0))
+        dual = scenario(("task1", "L", 0), ("task2", "R", 0))
+        key = ("L", 1, ((0, "request", "task1"),))
+        assert no_signaling_audit(cfg, {}, [(single, dual)]) == (4, ((0, key, (frozenset(), frozenset({"R"}))),))
 
 
 from test_protocol import worlds  # noqa: E402  (reuse the randomized world builder)
@@ -586,4 +613,5 @@ from test_protocol import worlds  # noqa: E402  (reuse the randomized world buil
 @settings(max_examples=200, deadline=None)
 def test_audit_property(world):
     cfg, s1, s2, strategy = world
-    assert no_signaling_audit(cfg, strategy, [(s1, s2)]).ok
+    _, violations = no_signaling_audit(cfg, strategy, [(s1, s2)])
+    assert violations == ()

@@ -5,7 +5,6 @@ import pytest
 from nosignal import (
     DuplicateTask,
     InvalidScenario,
-    Rule,
     SimulationError,
     SpacetimeConfig,
     ValidationError,
@@ -103,29 +102,36 @@ class TestEvaluateRequirement:
 
     def test_all_rule_is_vacuous_on_empty_scenario(self, d3):
         cfg, tasks, _ = d3
-        assert evaluate_requirement(cfg, {}, (frozenset(), Rule.ALL), tasks) == ({}, True)
+        assert evaluate_requirement(cfg, {}, (frozenset(), "all"), tasks) == ({}, True)
 
     def test_at_least_one_needs_requests(self, d3):
         cfg, tasks, _ = d3
         with pytest.raises(ValidationError, match="^at_least_one over an empty scenario$"):
-            evaluate_requirement(cfg, {}, (frozenset(), Rule.AT_LEAST_ONE), tasks)
+            evaluate_requirement(cfg, {}, (frozenset(), "at_least_one"), tasks)
 
     def test_one_request_per_slot(self, d3):
         """Each request names one slot and one defined task."""
         cfg, tasks, _ = d3
-        requirement = (scenario(("task1", "L", 0), ("task2", "L", 0)), Rule.AT_LEAST_ONE)
+        requirement = (scenario(("task1", "L", 0), ("task2", "L", 0)), "at_least_one")
         with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
             evaluate_requirement(cfg, obedient_strategy(cfg, tasks), requirement, tasks)
         with pytest.raises(ValidationError, match="^scenario references undefined task 'nope'$"):
-            evaluate_requirement(cfg, obedient_strategy(cfg, tasks), (scenario(("nope", "L", 0)), Rule.ALL), tasks)
+            evaluate_requirement(cfg, obedient_strategy(cfg, tasks), (scenario(("nope", "L", 0)), "all"), tasks)
 
 
-    @pytest.mark.parametrize("rule", ["all", "at_least_one", "bogus"])
-    def test_a_rule_that_is_no_rule_is_refused(self, d3, rule):
-        """``"all"`` equals ``Rule.ALL`` but is not it, so were it taken it
-        would combine the verdicts with ``any``; it is refused instead."""
+    @pytest.mark.parametrize("rule", ["all", "at_least_one"])
+    def test_a_rule_is_its_json_name(self, d3, rule):
+        """The rule is taken as the document spells it. Only task1 is sent
+        for, so of the two requested tasks one succeeds."""
         cfg, tasks, (_, _, r3) = d3
-        with pytest.raises(ValidationError, match=f"^rule: expected Rule.ALL or Rule.AT_LEAST_ONE, got {rule!r}$"):
+        only_task1 = {("L", 0, ((0, "request", "task1"),)): ("R",)}
+        assert evaluate_requirement(cfg, only_task1, (r3[0], rule), tasks) == (
+            {"task1": True, "task2": False}, rule == "at_least_one")
+
+    @pytest.mark.parametrize("rule", ["bogus", "ALL", None])
+    def test_a_rule_that_is_no_rule_is_refused(self, d3, rule):
+        cfg, tasks, (_, _, r3) = d3
+        with pytest.raises(ValidationError, match=f"^rule: expected 'all' or 'at_least_one', got {rule!r}$"):
             evaluate_requirement(cfg, obedient_strategy(cfg, tasks), (r3[0], rule), tasks)
 
 
@@ -133,9 +139,9 @@ class TestParadoxRequirements:
     def test_canonical_bundle(self, d3):
         cfg, tasks, _ = d3
         r1, r2, r3 = paradox_requirements(cfg, tasks, "task1", "task2")
-        assert r1 == (scenario(("task1", "L", 0)), Rule.ALL)
-        assert r2 == (scenario(("task2", "R", 0)), Rule.ALL)
-        assert r3 == (scenario(("task1", "L", 0), ("task2", "R", 0)), Rule.AT_LEAST_ONE)
+        assert r1 == (scenario(("task1", "L", 0)), "all")
+        assert r2 == (scenario(("task2", "R", 0)), "all")
+        assert r3 == (scenario(("task1", "L", 0), ("task2", "R", 0)), "at_least_one")
 
     def test_duplicate_task_rejected(self, d3):
         cfg, tasks, _ = d3
