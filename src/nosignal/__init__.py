@@ -13,7 +13,8 @@ modules it touches. The command line loads ``cli``, ``config``,
 and ``errors``; ``text`` only to print text other than a diagram (help
 and usage errors included), and ``faults`` only for a document with a
 fault of the loader's own (see ``faults``). It never loads ``audit``, the
-home of the library-only helpers.
+home of the library-only helpers. Bad input raises ``SimulationError``, or
+``ValidationError`` for a value that breaks an invariant (see ``errors``).
 """
 
 __version__ = "0.1.0"
@@ -21,8 +22,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "audit": "causal_leq indistinguishable local_history no_signaling_audit "
              "paradox_requirements signal_arrival",
-    "errors": "DuplicateTask InvalidScenario ParseError SameLocation SimulationError "
-              "UnachievableTask UnknownLocation ValidationError",
+    "errors": "SimulationError ValidationError",
     "protocol": "execute obedient_strategy",
     "search": "Aborted Certificate Found Impossible SearchLimits SearchOutcome "
               "find_strategy mutually_exclusive",

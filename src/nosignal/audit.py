@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .errors import DuplicateTask, SameLocation, ValidationError
+from .errors import ValidationError
 from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, RawKey, Scenario, Trace, check_slots, execute
 from .spacetime import SpacetimeConfig, distance
 from .tasks import Requirement, Task, check_task
@@ -37,7 +37,7 @@ def signal_arrival(origin: str, dest: str, depart: int, cfg: SpacetimeConfig) ->
     is never delivered within the run.
     """
     if origin == dest:
-        raise SameLocation(f"signal from {origin!r} to itself")
+        raise ValidationError(f"signal from {origin!r} to itself")
     d = distance(origin, dest, cfg)
     if not 0 <= depart <= cfg.horizon:
         raise ValidationError(f"departure time {depart} outside [0, {cfg.horizon}]")
@@ -147,7 +147,7 @@ def paradox_requirements(
     each task's delivery origin.
     """
     if task1 == task2:
-        raise DuplicateTask(f"need two distinct tasks, got {task1!r} twice")
+        raise ValidationError(f"need two distinct tasks, got {task1!r} twice")
     requests = []
     for task_id in (task1, task2):
         if task_id not in tasks:

@@ -45,7 +45,7 @@ from .config import (
     strategy_rows,
 )
 from .diagram import render_diagram
-from .errors import ParseError, SimulationError
+from .errors import SimulationError
 from .protocol import RawAssignment, Scenario, Trace, execute, obedient_strategy, strategy_slots
 from .search import Aborted, Found, Impossible, SearchLimits, find_strategy
 from .tasks import RequirementReport, evaluate_requirement, evaluate_task
@@ -62,9 +62,9 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as err:
-        raise ParseError(f"{path!r}: not UTF-8 text (byte {err.start}: {err.reason})") from None
+        raise SimulationError(f"{path!r}: not UTF-8 text (byte {err.start}: {err.reason})") from None
     except ValueError as err:  # open() refuses a path holding a NUL byte
-        raise ParseError(f"{path!r}: {err}") from None
+        raise SimulationError(f"{path!r}: {err}") from None
 
 
 def _load_document(path: str) -> ConfigDocument:

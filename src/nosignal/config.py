@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Mapping
 
-from .errors import ParseError, SimulationError, ValidationError
+from .errors import SimulationError, ValidationError
 from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, Scenario, check_request, check_slots
 from .record import Record
 from .search import SearchLimits
@@ -79,11 +79,11 @@ def _parse(text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        raise ParseError(f"line {err.lineno}, column {err.colno}: {err.msg}") from None
+        raise SimulationError(f"line {err.lineno}, column {err.colno}: {err.msg}") from None
     except RecursionError:
-        raise ParseError("document nested too deeply") from None
+        raise SimulationError("document nested too deeply") from None
     except ValueError:  # an integer literal past the interpreter's digit limit
-        raise ParseError("integer literal has too many digits") from None
+        raise SimulationError("integer literal has too many digits") from None
 
 
 def _rows(objects, shape: tuple) -> list[tuple]:

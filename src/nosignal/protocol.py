@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Mapping
 
-from .errors import InvalidScenario, SameLocation, UnachievableTask, ValidationError
+from .errors import ValidationError
 from .spacetime import SpacetimeConfig, distance
 
 # ``Task`` (from ``.tasks``, which imports this module) appears in annotations only.
@@ -61,9 +61,9 @@ def check_request(request: tuple[str, str, int], cfg: SpacetimeConfig) -> None:
     a known lab, a time in the horizon."""
     _, location, time = request
     if location not in cfg.locations:
-        raise InvalidScenario(f"location: unknown location {location!r}")
+        raise ValidationError(f"location: unknown location {location!r}")
     if not 0 <= time <= cfg.horizon:
-        raise InvalidScenario(f"time: {time} outside [0, {cfg.horizon}]")
+        raise ValidationError(f"time: {time} outside [0, {cfg.horizon}]")
 
 
 def check_slots(requests: Collection[tuple[str, str, int]]) -> None:
@@ -73,7 +73,7 @@ def check_slots(requests: Collection[tuple[str, str, int]]) -> None:
         slots = set()
         for _, location, time in sorted(requests):
             if (location, time) in slots:
-                raise InvalidScenario(f"duplicate request slot ({location!r}, {time})")
+                raise ValidationError(f"duplicate request slot ({location!r}, {time})")
             slots.add((location, time))
 
 
@@ -95,8 +95,8 @@ class Run:
     same arguments reverses it, last applied first, so no undo record is
     kept. ``key(t, agent)`` is the agent's raw history key at ``t`` once
     every send made before ``t`` has been applied. ``execute`` steps one run
-    through a fixed strategy; ``find_strategy`` steps one per requirement
-    and backtracks.
+    through a fixed strategy; ``find_strategy`` steps one per distinct
+    scenario and backtracks.
     """
 
     # Slots: the search reads these on every node.
@@ -165,7 +165,7 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: RawAssignment,
         if sends:
             for dest in sends:
                 if dest == agent:
-                    raise SameLocation(f"agent {agent!r} cannot send to itself")
+                    raise ValidationError(f"agent {agent!r} cannot send to itself")
                 cfg.coord(dest)
                 if sends.count(dest) > 1:
                     raise ValidationError(f"agent {agent!r} sends to {dest!r} more than once")
@@ -191,7 +191,7 @@ def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAss
         travel = distance(origin, dest, cfg)
         submit = at - travel
         if submit < 0:
-            raise UnachievableTask(
+            raise ValidationError(
                 f"task {task_id!r}: delivery at t={at} comes sooner than the "
                 f"{travel} step{'s' * (travel != 1)} a signal from {origin!r} "
                 f"takes to reach {dest!r}"

@@ -40,8 +40,8 @@ a winner yields a machine-checkable certificate: the decision points, the
 number of refuted branches (partial assignments cut at a slice boundary,
 or complete ones), and the requirement that failed on each one.
 
-The walk steps one :class:`.protocol.Run` per requirement, the same tuple
-kernel ``execute`` uses; the value classes appear only at the boundary.
+The walk steps one :class:`.protocol.Run` per distinct scenario, the same
+tuple kernel ``execute`` uses; the value classes appear only at the boundary.
 A ``Found`` strategy is replayed through ``execute`` and judged on its
 arrivals by ``evaluate_requirement``, independently of the lost rule.
 """
@@ -52,7 +52,7 @@ import itertools
 from collections.abc import Callable, Collection, Mapping, Sequence
 
 from .errors import ValidationError
-from .protocol import RawAssignment, RawKey, Run, check_scenario
+from .protocol import RawAssignment, RawKey, Run, Scenario, check_scenario
 from .record import Record
 from .spacetime import SpacetimeConfig, distance
 from .tasks import (
@@ -160,16 +160,20 @@ def find_strategy(
     changing; a caller that keeps it must copy it.
     """
     limits = limits or SearchLimits()
-    # Per requirement: its rule, per task the one departure that can produce
-    # the delivery and the banned pairs, and all banned pairs; per time, the
-    # requirements with a delivering departure falling due then.
+    # Per requirement: the index of its scenario's run, its rule, per task the
+    # one departure that can produce the delivery and the banned pairs, and
+    # all banned pairs; per time, the requirements with a delivering
+    # departure falling due then. Requirements naming one scenario share its
+    # run, whose keys are the same under every strategy.
     judge = []
+    run_of: dict[Scenario, int] = {}
     due_at: dict[int, set[int]] = {}
     for ri, (scenario, rule) in enumerate(requirements):
         check_requirement(scenario, rule)
         check_scenario(scenario, cfg)
         rows = [_task_row(task, cfg) for task in requested_tasks(scenario, tasks).values()]
-        judge.append((rule, rows, frozenset().union(*(banned for _, banned in rows))))
+        judge.append((run_of.setdefault(scenario, len(run_of)), rule, rows,
+                      frozenset().union(*(banned for _, banned in rows))))
         for (_, _, s), _ in rows:
             due_at.setdefault(max(s, 0), set()).add(ri)
 
@@ -185,7 +189,7 @@ def find_strategy(
     # |x_a - x_b|. After ``reach``, the last of them, only delivering
     # departures are useful, so the loop visits every time from 0 (where
     # deliveries due before 0 fall due) to reach, then only their times.
-    departs = {dep for _, rows, _ in judge for dep, _ in rows}
+    departs = {dep for _, _, rows, _ in judge for dep, _ in rows}
     latest = {d: max((s - abs(x - coord[o]) for o, _, s in departs), default=-1)
               for d, x in coord.items()}
     targets = sorted({d for d in coord if latest[d] >= 1}.union(d for _, d, _ in departs))
@@ -196,7 +200,7 @@ def find_strategy(
     reach = max(0, *until.values())
     origins = {(o, s) for o, _, s in departs}
 
-    runs = [Run(cfg, scenario) for scenario, _ in requirements]
+    runs = [Run(cfg, scenario) for scenario in run_of]
     # Per slot: (t, run, agent, index just past time t's slots).
     slots = []
     # Per run and sender, the indices of its slots, in time order.
@@ -224,7 +228,7 @@ def find_strategy(
             if len(slots) > len(runs) * limits.max_decision_points:
                 break
     n_slots = len(slots)
-    judges[n_slots] = (cfg.horizon, set(range(len(runs))))
+    judges[n_slots] = (cfg.horizon, set(range(len(judge))))
 
     # The walk's state. Slots 0 .. depth-1 are applied; keys[j] is slot j's
     # history key, and the key's sends are assignment[key]. points maps every
@@ -239,8 +243,8 @@ def find_strategy(
 
     def first_lost(t: int, due: set[int]) -> tuple[int, list[tuple[int, str]]] | None:
         """The first requirement lost once the slots up to ``t`` are done, and its culprits."""
-        for ri, (run, (rule, rows, bans)) in enumerate(zip(runs, judge)):
-            got = run.departures
+        for ri, (r, rule, rows, bans) in enumerate(judge):
+            got = runs[r].departures
             if ri not in due and not any((o, d, t) in got for o, d in bans):
                 continue
             culprits = _lost(rule, rows, got, t)
@@ -255,7 +259,7 @@ def find_strategy(
         decisions loses ``ri`` again. A culprit due before 0 names none."""
         conflict: set[int] = set()
         for t1, o in culprits:
-            for lane, a in zip(lanes[ri], senders):
+            for lane, a in zip(lanes[judge[ri][0]], senders):
                 last = t1 - abs(coord[a] - coord[o])
                 for j in lane:
                     if slots[j][0] > last:

@@ -9,7 +9,7 @@ helpers only a library caller uses).
 
 from __future__ import annotations
 
-from .errors import UnknownLocation, ValidationError
+from .errors import ValidationError
 from .record import Record
 
 
@@ -47,7 +47,7 @@ class SpacetimeConfig(Record):
         try:
             return self.locations[loc]
         except KeyError:
-            raise UnknownLocation(f"unknown location {loc!r}") from None
+            raise ValidationError(f"unknown location {loc!r}") from None
 
     def others(self, loc: str) -> tuple[str, ...]:
         """All locations except ``loc``, sorted; the legal send destinations."""

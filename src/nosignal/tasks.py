@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .errors import UnknownLocation, ValidationError
+from .errors import ValidationError
 from .protocol import RawAssignment, Scenario, Trace, execute
 from .spacetime import SpacetimeConfig
 
@@ -53,7 +53,7 @@ def check_task(task: Task, cfg: SpacetimeConfig) -> None:
                 raise ValidationError(f"{field}: endpoints must differ")
         field, loc = next((f"{field}.{end}", loc) for field, o, d in ends
                           for end, loc in (("from", o), ("to", d)) if loc not in labs)
-        raise UnknownLocation(f"{field}: unknown location {loc!r}")
+        raise ValidationError(f"{field}: unknown location {loc!r}")
     if not 0 <= at <= cfg.horizon:
         raise ValidationError(f"deliver.at: {at} outside [0, {cfg.horizon}]"
                               f"{'; horizon too small' if at > cfg.horizon else ''}")

@@ -12,12 +12,8 @@ import nosignal
 
 REPO = Path(__file__).resolve().parent.parent
 PUBLIC = [
-    "Aborted", "Certificate", "DuplicateTask",
-    "Found", "Impossible", "InvalidScenario", "ParseError",
-    "SameLocation", "SearchLimits",
-    "SearchOutcome", "SimulationError", "SpacetimeConfig",
-    "UnachievableTask", "UnknownLocation",
-    "ValidationError", "causal_leq", "distance", "evaluate_requirement", "evaluate_task",
+    "Aborted", "Certificate", "Found", "Impossible", "SearchLimits",
+    "SearchOutcome", "SimulationError", "SpacetimeConfig", "ValidationError", "causal_leq", "distance", "evaluate_requirement", "evaluate_task",
     "execute", "find_strategy", "indistinguishable", "local_history", "mutually_exclusive",
     "no_signaling_audit", "obedient_strategy", "paradox_requirements", "signal_arrival",
 ]
@@ -28,8 +24,7 @@ PUBLIC = [
 HOMES = {
     "audit": ["causal_leq", "indistinguishable", "local_history", "no_signaling_audit",
               "paradox_requirements", "signal_arrival"],
-    "errors": ["DuplicateTask", "InvalidScenario", "ParseError", "SameLocation",
-               "SimulationError", "UnachievableTask", "UnknownLocation", "ValidationError"],
+    "errors": ["SimulationError", "ValidationError"],
     "protocol": ["execute", "obedient_strategy"],
     "search": ["Aborted", "Certificate", "Found", "Impossible", "SearchLimits", "SearchOutcome",
                "find_strategy", "mutually_exclusive"],

@@ -12,12 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 from nosignal import (
-    InvalidScenario,
     SimulationError,
     SpacetimeConfig,
-    SameLocation,
-    UnachievableTask,
-    UnknownLocation,
     ValidationError,
     causal_leq,
     execute,
@@ -101,12 +97,12 @@ class TestExecute:
 
     def test_rejects_unknown_request_location(self, d3):
         cfg, tasks, _ = d3
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValidationError, match="^location: unknown location 'X'$"):
             execute(cfg, scenario(("task1", "X", 0)), obedient_strategy(cfg, tasks))
 
     def test_rejects_request_beyond_horizon(self, d3):
         cfg, tasks, _ = d3
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValidationError, match=r"^time: 9 outside \[0, 3\]$"):
             execute(cfg, scenario(("task1", "L", 9)), obedient_strategy(cfg, tasks))
 
     def test_rejection_names_the_same_request_under_every_hash_seed(self):
@@ -130,14 +126,14 @@ class TestExecute:
             ).stdout
             for seed in range(6)
         }
-        assert messages == {"InvalidScenario location: unknown location 'b'\n"
-                            "InvalidScenario duplicate request slot ('L', 2)\n"}
+        assert messages == {"ValidationError location: unknown location 'b'\n"
+                            "ValidationError duplicate request slot ('L', 2)\n"}
 
     def test_one_request_per_slot(self, d3):
         cfg, tasks, _ = d3
-        with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
+        with pytest.raises(ValidationError, match=r"^duplicate request slot \('L', 0\)$"):
             execute(cfg, scenario(("task1", "L", 0), ("task2", "L", 0)), obedient_strategy(cfg, tasks))
-        with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
+        with pytest.raises(ValidationError, match=r"^duplicate request slot \('L', 0\)$"):
             check_slots([("task1", "L", 0)] * 2)  # the same request given twice
 
     def test_late_departure_never_arrives(self, d3):
@@ -154,13 +150,13 @@ class TestReachability:
     def test_reached_self_send_raises(self, d3):
         cfg, _, _ = d3
         strategy = {("R", 1, ()): ("R",)}
-        with pytest.raises(SameLocation):
+        with pytest.raises(ValidationError, match="^agent 'R' cannot send to itself$"):
             execute(cfg, frozenset(), strategy)
 
     def test_reached_send_to_unknown_lab_raises(self, d3):
         cfg, _, _ = d3
         strategy = {("L", 0, ()): ("Z",)}
-        with pytest.raises(UnknownLocation):
+        with pytest.raises(ValidationError, match="^unknown location 'Z'$"):
             execute(cfg, frozenset(), strategy)
 
     def test_reached_repeated_send_raises(self, d3):
@@ -218,7 +214,7 @@ class TestObedientStrategy:
     def test_unachievable_delivery_rejected(self):
         cfg, tasks, _ = make_instance(3)
         too_late = {"t": (("L", "R", 2), ())}  # needs submit at -1
-        with pytest.raises(UnachievableTask, match="^task 't': delivery at t=2 comes sooner than "
+        with pytest.raises(ValidationError, match="^task 't': delivery at t=2 comes sooner than "
                                                    "the 3 steps a signal from 'L' takes to reach 'R'$"):
             obedient_strategy(cfg, too_late)
 

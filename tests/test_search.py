@@ -13,7 +13,6 @@ from nosignal import (
     Aborted,
     Found,
     Impossible,
-    InvalidScenario,
     SearchLimits,
     SpacetimeConfig,
     ValidationError,
@@ -175,7 +174,7 @@ class TestFindStrategy:
         value class stands in front."""
         cfg, tasks, _ = d3
         two_on_one_slot = (scenario(("task1", "L", 0), ("task2", "L", 0)), "all")
-        with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
+        with pytest.raises(ValidationError, match=r"^duplicate request slot \('L', 0\)$"):
             find_strategy(cfg, [two_on_one_slot], tasks)
         with pytest.raises(ValidationError, match="^at_least_one over an empty scenario$"):
             find_strategy(cfg, [(frozenset(), "at_least_one")], tasks)
@@ -215,6 +214,20 @@ def magician_outcome(n, slack, k):
     return doc, requirements, find_strategy(doc.spacetime, requirements, doc.tasks)
 
 
+def assert_copy_keeps_outcome(cfg, tasks, requirements, outcome, k, limits=None):
+    """Requirement ``k`` given once more, last, leaves the walk's ``outcome``
+    as it was: an equal certificate or abort, or the same strategy with a
+    copy of report ``k``. The copy is lost exactly when its original is,
+    which the walk checks first, so it is never the requirement a branch
+    loses first."""
+    copied = find_strategy(cfg, [*requirements, requirements[k]], tasks, limits)
+    assert type(copied) is type(outcome)
+    if isinstance(outcome, Found):
+        assert (copied.strategy, copied.reports) == (outcome.strategy, (*outcome.reports, outcome.reports[k]))
+    else:
+        assert copied == outcome
+
+
 class TestMagician:
     """The paper's setting with n requesters: B may request any of n tasks
     of A, up to k of them at once. Found for k = 1, and for k >= 2 Found
@@ -241,6 +254,12 @@ class TestMagician:
         """The magician's paradox: with slack < n, A can meet any one
         request, but not a promise to meet one of any two."""
         assert [type(magician_outcome(n, slack, k)[2]) for k in (1, 2)] == [Found, Impossible]
+
+    @pytest.mark.parametrize("n, slack, k", [member for member in MAGICIAN_DECIDED if member[0] <= 3])
+    def test_a_copied_requirement_keeps_the_outcome(self, n, slack, k):
+        doc, requirements, outcome = magician_outcome(n, slack, k)
+        for i in range(len(requirements)):
+            assert_copy_keeps_outcome(doc.spacetime, doc.tasks, requirements, outcome, i)
 
 
 class TestCertificateSoundness:
@@ -414,12 +433,14 @@ def test_walk_agrees_with_oracle(instance):
     """Wherever the oracle decider decides within 5,000 nodes, the walk
     reaches the same outcome kind within 5,000 branches. A Found strategy
     meets every scenario on the oracle's executor, and every branch the
-    walk reports refuted has already lost a requirement."""
+    walk reports refuted has already lost a requirement. Adding a
+    requirement keeps an Impossible, so the prefix of a Found draw without
+    its last requirement is not Impossible."""
     cfg, tasks, requirements = instance
     scenarios = oracle_scenarios(requirements, tasks)
     seen = []
-    outcome = find_strategy(cfg, requirements, tasks, SearchLimits(max_branches=5_000),
-                            on_leaf=lambda a: seen.append(dict(a)))
+    limits = SearchLimits(max_branches=5_000)
+    outcome = find_strategy(cfg, requirements, tasks, limits, on_leaf=lambda a: seen.append(dict(a)))
     verdict = decide(cfg.locations, cfg.horizon, scenarios, 5_000)
     if verdict is not None:
         assert type(outcome) is (Found if verdict else Impossible)
@@ -429,8 +450,19 @@ def test_walk_agrees_with_oracle(instance):
                                                 outcome.strategy)
             assert requirement_ok(departures, arrivals, rule, task_rows)
         seen.pop()  # the winning branch
+        if len(requirements) > 1:
+            assert not isinstance(find_strategy(cfg, requirements[:-1], tasks, limits), Impossible)
     failures = outcome.certificate.leaf_failures if isinstance(outcome, Impossible) else None
     assert_refutations_sound(cfg, tasks, requirements, seen, failures)
+
+
+@given(small_instances(), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_a_copied_requirement_keeps_the_outcome(instance, k):
+    cfg, tasks, requirements = instance
+    limits = SearchLimits(max_branches=5_000)
+    outcome = find_strategy(cfg, requirements, tasks, limits)
+    assert_copy_keeps_outcome(cfg, tasks, requirements, outcome, k % len(requirements), limits)
 
 
 @st.composite

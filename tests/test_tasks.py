@@ -3,8 +3,6 @@
 import pytest
 
 from nosignal import (
-    DuplicateTask,
-    InvalidScenario,
     SimulationError,
     SpacetimeConfig,
     ValidationError,
@@ -113,7 +111,7 @@ class TestEvaluateRequirement:
         """Each request names one slot and one defined task."""
         cfg, tasks, _ = d3
         requirement = (scenario(("task1", "L", 0), ("task2", "L", 0)), "at_least_one")
-        with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
+        with pytest.raises(ValidationError, match=r"^duplicate request slot \('L', 0\)$"):
             evaluate_requirement(cfg, obedient_strategy(cfg, tasks), requirement, tasks)
         with pytest.raises(ValidationError, match="^scenario references undefined task 'nope'$"):
             evaluate_requirement(cfg, obedient_strategy(cfg, tasks), (scenario(("nope", "L", 0)), "all"), tasks)
@@ -145,7 +143,7 @@ class TestParadoxRequirements:
 
     def test_duplicate_task_rejected(self, d3):
         cfg, tasks, _ = d3
-        with pytest.raises(DuplicateTask):
+        with pytest.raises(ValidationError, match="^need two distinct tasks, got 'task1' twice$"):
             paradox_requirements(cfg, tasks, "task1", "task1")
 
     def test_undefined_task_rejected(self, d3):
@@ -157,7 +155,7 @@ class TestParadoxRequirements:
         """Both requests would take the origin's slot at t=0."""
         cfg, tasks, _ = d3
         same_origin = {**tasks, "task3": (("L", "R", 3), ())}
-        with pytest.raises(InvalidScenario, match=r"^duplicate request slot \('L', 0\)$"):
+        with pytest.raises(ValidationError, match=r"^duplicate request slot \('L', 0\)$"):
             paradox_requirements(cfg, same_origin, "task1", "task3")
 
     def test_swapped_labs_give_symmetric_bundle(self, d3):
