@@ -10,10 +10,9 @@ Each public name is imported from its home module on first use, so
 ``import nosignal`` loads no submodule and a caller pays only for the
 modules it touches. The command line loads ``cli``, ``config``,
 ``protocol``, ``tasks``, ``spacetime``, ``search``, ``diagram``, ``record``
-and ``errors``; ``text`` only to print text other than a diagram (help
-and usage errors included), and ``faults`` only for a document with a
-fault of the loader's own (see ``faults``). It never loads ``audit``, the
-home of the library-only helpers. Bad input raises ``SimulationError``, or
+and ``errors``, and ``text`` only to print text other than a diagram (help
+and usage errors included). It never loads ``audit``, the home of the
+library-only helpers. Bad input raises ``SimulationError``, or
 ``ValidationError`` for a value that breaks an invariant (see ``errors``).
 """
 

@@ -6,8 +6,7 @@ requirements or certify impossibility), ``check`` (evaluate a strategy
 file against every requirement), and ``diagram`` (print just the picture).
 Each builds one result: ``--json`` prints it, and the text is rendered
 from it, by ``text`` for every command but ``diagram``, whose text is the
-picture. The config reader imports ``faults`` only for a document with a
-fault of the loader's own, and nothing here imports ``audit``.
+picture. Nothing here imports ``audit``.
 
 The grammar is one table, ``_COMMANDS`` and ``_COMMON``, of each option's
 ``add_argument`` keywords. The plain form ``CMD (--opt VALUE | --json)*``

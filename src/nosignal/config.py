@@ -6,18 +6,24 @@ scenarios, requirements, optional search limits) and the strategy document
 nothing). Validation errors carry the JSON path of the offending value,
 parse errors the line and column.
 
-A well-shaped document, whatever the order of its keys and whichever
-optional keys it leaves out, is read here in one pass per list. A fault a
-checker owns is raised here with the JSON path in front; a fault of the
-loader's own is only detected, and ``faults`` reads the document again and
-reports it (its docstring states the rule). Both raise the first fault in
-reading order, so they give one behaviour.
+Each document is read once, in reading order: an object's keys in the
+order its ``_shape`` lists them, whatever its own, and a list's entries in
+order. A value's JSON type is checked as the value is taken, and each
+invariant as soon as the values it needs are, so the fault raised is the
+first in that order, whoever owns it. A constructor or checker owns each
+invariant of a value and its message, which gets only its JSON path in
+front here. The loader's own faults are the rest: a wrong JSON type, a
+missing or unexpected key, a name that is no Unicode text, an undefined
+task or scenario, an unknown rule, and every fault of a strategy row. An
+object with exactly its keys, each of its JSON type, is taken whole
+rather than key by key, which gives the same values and the same first
+fault.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 from .errors import SimulationError, ValidationError
 from .protocol import KIND_REQUEST, KIND_SIGNAL, RawAssignment, Scenario, check_request, check_slots
@@ -44,10 +50,6 @@ class ConfigDocument(Record):
         return [(self.scenarios[name], rule) for name, rule in self.requirements]
 
 
-class _Fault(Exception):
-    """A fault of the loader's own, which the field-by-field reader in ``faults`` reports."""
-
-
 def _shape(table: dict, **defaults) -> tuple:
     """``table``, which maps each key of a JSON object in reading order to
     its JSON type; the defaults of the keys that may be left out; the list
@@ -70,9 +72,11 @@ _STRATEGY = _shape({"rows": list})
 _ROW = _shape({"agent": str, "history": dict, "action": dict})
 _HISTORY = _shape({"upto": int, "events": list}, events=[])
 _ACTION = _shape({"send": list}, send=[])
+_EVENT = _shape({"kind": str, "time": int})  # an event's kind decides its other key
 _KINDS = (KIND_REQUEST, KIND_SIGNAL)  # compared by ==, so a kind of any JSON type can be looked up
 _EVENTS = {KIND_REQUEST: _shape({"kind": str, "time": int, "task": str}),
            KIND_SIGNAL: _shape({"kind": str, "time": int, "origin": str})}
+_TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
 
 
 def _parse(text: str) -> object:
@@ -86,149 +90,204 @@ def _parse(text: str) -> object:
         raise SimulationError("integer literal has too many digits") from None
 
 
-def _rows(objects, shape: tuple) -> list[tuple]:
-    """The values of each JSON object in ``objects`` in ``shape``'s key
-    order, whatever its own, an optional key left out giving its default,
-    which is of the key's type; ``_Fault`` on a wrong JSON type, or a
-    missing or unexpected key."""
-    if not objects:
-        return []
+def _fail(path: tuple, message: str):
+    """Raise ``message`` after ``path``, the keys and list indices down to a value."""
+    text = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+    raise ValidationError(f"{text or 'document'}: {message}")
+
+
+def _typed(value, kind: type, path: tuple):
+    """``value``, if its JSON type is ``kind`` (a bool is no integer)."""
+    if type(value) is not kind:
+        _fail(path, f"expected {_TYPES[kind]}, got "
+                    f"{type(value).__name__ if kind is dict or kind is list else repr(value)}")
+    return value
+
+
+def _fields(value, shape: tuple, path: tuple):
+    """An iterator over ``shape``'s values of the JSON object ``value``, in
+    ``shape``'s order, an optional key left out giving its default. An
+    object with exactly its keys, each of its JSON type, is filled in at
+    once; any other is read by ``_read``."""
     _, _, types, template = shape
-    # Filled into the template, a key left out without a default stays None, of no JSON type
-    # here, and an unexpected key adds a value, so either makes the row's types wrong.
-    rows = [tuple({**template, **row}.values()) for row in objects if type(row) is dict]
-    if len(rows) < len(objects) or [type(value) for row in rows for value in row] != types * len(rows):
-        raise _Fault
-    return rows
+    if type(value) is dict:
+        row = tuple((template | value).values())
+        if [*map(type, row)] == types:
+            return iter(row)
+    return _read(value, shape, path)
 
 
-def _checked(prefix: str, check: Callable, *args):
-    """``check(*args)``, a constructor or checker; an input error it raises
-    is raised again with ``prefix``, the JSON path of what it checks, in front."""
-    try:
-        return check(*args)
-    except SimulationError as err:
-        raise ValidationError(f"{prefix}{err}") from None
+def _read(value, shape: tuple, path: tuple, closed: bool = True):
+    """Yield ``shape``'s values in order, checking the object's type and,
+    when ``closed``, its keys as the first is taken, and each key's presence
+    and type as its value is, so the caller checks a value before the next."""
+    table, defaults, _, _ = shape
+    _typed(value, dict, path)
+    if closed and not value.keys() <= table.keys():
+        _fail(path, f"unexpected key {next(key for key in value if key not in table)!r}")
+    for key, kind in table.items():
+        if key in value:
+            yield _typed(value[key], kind, (*path, key))
+        elif key in defaults:
+            yield defaults[key]
+        else:
+            _fail(path, f"missing key {key!r}")
+
+
+def _check_names(names, path: str) -> None:
+    """Refuse a lab name or task id holding a lone surrogate (JSON's
+    ``\\ud800`` escape, say), which is no Unicode text and cannot be printed."""
+    for name in names:
+        try:
+            name.encode()
+        except UnicodeEncodeError:
+            raise ValidationError(f"{path}: name {name!r} is not Unicode text (a lone surrogate)") from None
+
+
+def _location(value, cfg: SpacetimeConfig, path: tuple) -> str:
+    if type(value) is not str or value not in cfg.locations:
+        _fail(path, f"unknown location {_typed(value, str, path)!r}")
+    return value
 
 
 def load_config(text: str) -> ConfigDocument:
-    """Parse and validate a config document.
-
-    A well-shaped document is read in one pass per list, each invariant
-    checked in reading order by the constructor or checker that owns it,
-    whose message gets the JSON path of the offending value in front. A
-    document with a fault of the loader's own is read by
-    ``faults.read_config``, which raises the first fault in the same order.
-    """
+    """Parse and validate a config document, in reading order (see the
+    module docstring)."""
     value = _parse(text)
-    try:
-        return _config(value)
-    except _Fault:
-        pass
-    from .faults import read_config  # loaded only for a document with a fault of the loader's own
-    return read_config(value)
+    document = _fields(value, _DOCUMENT, ())
+    locations = next(document)
+    for name, coord in locations.items():
+        _typed(coord, int, ("locations", name))
+    _check_names(locations, "locations")
+    cfg = SpacetimeConfig(locations, next(document))
 
-
-def _config(value) -> ConfigDocument:
-    [(locations, horizon, bodies, lists, named, body)] = _rows([value], _DOCUMENT)
-    if not all(type(coord) is int for coord in locations.values()):
-        raise _Fault
-    try:
-        "".join([*locations, *bodies]).encode()  # a lone surrogate (JSON's \ud800, say) is no Unicode text
-    except UnicodeEncodeError:
-        raise _Fault from None
-    cfg = SpacetimeConfig(locations, horizon)
-
-    rows = _rows(bodies.values(), _TASK)
-    bans = iter(_rows([ban for _, silence in rows for ban in silence], _SILENCE))
     tasks = {}
-    for task_id, delivery, (_, silence) in zip(bodies, _rows([deliver for deliver, _ in rows], _DELIVER), rows):
-        tasks[task_id] = task = delivery, tuple([next(bans) for _ in silence])
+    bodies = next(document)
+    _check_names(bodies, "tasks")
+    for task_id, body in bodies.items():
+        tasks[task_id] = task = _task(body, task_id)
         try:
             check_task(task, cfg)
         except SimulationError as err:
             raise ValidationError(f"tasks.{task_id}.{err}") from None
 
-    if not all(type(requests) is list for requests in lists.values()):
-        raise _Fault
-    entries = _rows([entry for requests in lists.values() for entry in requests], _REQUEST)
-    if not all(task_id in tasks for task_id, _, _ in entries):
-        raise _Fault
-    entries, scenarios = iter(entries), {}
-    for name, requests in lists.items():
-        requests = [next(entries) for _ in requests]
-        try:
-            for i, request in enumerate(requests):
+    scenarios = {}
+    for name, entries in next(document).items():
+        requests = []
+        for i, entry in enumerate(_typed(entries, list, ("scenarios", name))):
+            fields = _fields(entry, _REQUEST, ("scenarios", name, i))
+            task_id = next(fields)
+            if task_id not in tasks:
+                _fail(("scenarios", name, i, "task"), f"undefined task {task_id!r}")
+            request = (task_id, *fields)
+            try:
                 check_request(request, cfg)
+            except SimulationError as err:
+                raise ValidationError(f"scenarios.{name}[{i}].{err}") from None
+            requests.append(request)
+        try:
+            check_slots(requests)
         except SimulationError as err:
-            raise ValidationError(f"scenarios.{name}[{i}].{err}") from None
-        _checked(f"scenarios.{name}: ", check_slots, requests)
+            raise ValidationError(f"scenarios.{name}: {err}") from None
         scenarios[name] = frozenset(requests)
 
     requirements = []
-    for i, (name, rule) in enumerate(_rows(named, _REQUIREMENT)):
-        if name not in scenarios or rule not in RULES:
-            raise _Fault
-        _checked(f"requirements[{i}]: ", check_requirement, scenarios[name], rule)
+    for i, entry in enumerate(next(document)):
+        fields = _fields(entry, _REQUIREMENT, ("requirements", i))
+        name = next(fields)
+        if name not in scenarios:
+            _fail(("requirements", i, "scenario"), f"undefined scenario {name!r}")
+        rule = next(fields)
+        if rule not in RULES:
+            _fail(("requirements", i, "rule"), f"expected 'all' or 'at_least_one', got {rule!r}")
+        try:
+            check_requirement(scenarios[name], rule)
+        except SimulationError as err:
+            raise ValidationError(f"requirements[{i}]: {err}") from None
         requirements.append((name, rule))
 
-    limits = None
+    limits, body = None, next(document)
     if "limits" in value:
-        _rows([body], _LIMITS)  # the keys are SearchLimits' own
-        limits = _checked("limits: ", lambda: SearchLimits(**body))
+        _, _ = _fields(body, _LIMITS, ("limits",))  # the keys are SearchLimits' own
+        try:
+            limits = SearchLimits(**body)
+        except SimulationError as err:
+            raise ValidationError(f"limits: {err}") from None
 
     return ConfigDocument(cfg, tasks, scenarios, requirements, limits)
+
+
+def _task(body, task_id: str) -> Task:
+    """The tuple of a task object: its delivery's fields and endpoints and
+    then each ban's, so the first fault is the one raised. ``check_task``
+    checks the rest."""
+    fields = _fields(body, _TASK, ("tasks", task_id))
+    delivery = tuple(_fields(next(fields), _DELIVER, ("tasks", task_id, "deliver")))
+    if delivery[0] == delivery[1]:
+        _fail(("tasks", task_id, "deliver"), "endpoints must differ")
+    bans = []
+    for i, ban in enumerate(next(fields)):
+        bans.append(tuple(_fields(ban, _SILENCE, ("tasks", task_id, "silence", i))))
+        if bans[-1][0] == bans[-1][1]:
+            _fail(("tasks", task_id, "silence", i), "endpoints must differ")
+    return delivery, tuple(bans)
+
+
+def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:
+    """Parse and validate a strategy document against a configuration, in
+    reading order as ``load_config`` reads a config document: a row's
+    agent, history and events, then its action, then each event's time
+    against the history's ``upto``."""
+    (rows,) = _fields(_parse(text), _STRATEGY, ())
+    table = {}
+    for i, row in enumerate(rows):
+        fields = _fields(row, _ROW, ("rows", i))
+        agent = _location(next(fields), cfg, ("rows", i, "agent"))
+        history = _fields(next(fields), _HISTORY, ("rows", i, "history"))
+        upto = next(history)
+        if not 0 <= upto <= cfg.horizon:
+            _fail(("rows", i, "history", "upto"), f"{upto} outside [0, {cfg.horizon}]")
+        events = [_event(event, cfg, agent, tasks, ("rows", i, "history", "events", j))
+                  for j, event in enumerate(next(history))]
+        (send,) = _fields(next(fields), _ACTION, ("rows", i, "action"))
+        dests = set()
+        for j, dest in enumerate(send):
+            _location(dest, cfg, ("rows", i, "action", "send", j))
+            if dest == agent:
+                _fail(("rows", i, "action", "send", j), "agent cannot send to itself")
+            dests.add(dest)
+        for j, (time, _, _) in enumerate(events):
+            if not 0 <= time <= upto:
+                _fail(("rows", i, "history", "events", j, "time"), f"{time} outside [0, {upto}]")
+        key = (agent, upto, tuple(sorted(events)))
+        sends = tuple(sorted(dests))
+        if table.setdefault(key, sends) != sends:
+            _fail(("rows", i), "conflicting duplicate of an earlier row")
+    return table
+
+
+def _event(raw, cfg: SpacetimeConfig, agent: str, tasks: Mapping[str, Task], path: tuple) -> tuple[int, str, str]:
+    kind = raw.get("kind") if type(raw) is dict else None
+    if kind not in _KINDS or type(raw.get("time")) is not int:
+        # Its kind and time come before its keys, and one of them is at fault.
+        head = _read(raw, _EVENT, path, closed=False)
+        if (kind := next(head)) not in _KINDS:
+            _fail((*path, "kind"), f"expected 'request' or 'signal', got {kind!r}")
+        next(head)
+    _, time, label = _fields(raw, _EVENTS[kind], path)
+    if kind == KIND_REQUEST:
+        if label not in tasks:
+            _fail((*path, "task"), f"undefined task {label!r}")
+    else:
+        _location(label, cfg, (*path, "origin"))
+        if label == agent:
+            _fail((*path, "origin"), "signal origin cannot be the receiving agent")
+    return time, kind, label
 
 
 def _event_to_json(event: tuple[int, str, str]) -> dict[str, object]:
     time, kind, label = event
     return dict(zip(_EVENTS[kind][0], (kind, time, label)))
-
-
-def load_strategy(text: str, cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:
-    """Parse and validate a strategy document against a configuration: a
-    well-shaped one in one pass, one with a fault of the loader's own (every
-    fault of a strategy is) by ``faults.read_strategy``, as ``load_config``
-    reads a config document."""
-    value = _parse(text)
-    try:
-        return _strategy(value, cfg, tasks)
-    except _Fault:
-        pass
-    from .faults import read_strategy  # loaded only for a document with a fault of the loader's own
-    return read_strategy(value, cfg, tasks)
-
-
-def _event(raw) -> tuple[int, str, str]:
-    kind = raw.get("kind") if type(raw) is dict else None
-    if kind not in _KINDS:
-        raise _Fault  # an event's kind decides its keys
-    [(_, time, label)] = _rows([raw], _EVENTS[kind])
-    return time, kind, label
-
-
-def _strategy(value, cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:
-    [(rows,)] = _rows([value], _STRATEGY)
-    rows = _rows(rows, _ROW)
-    histories = _rows([history for _, history, _ in rows], _HISTORY)
-    actions = _rows([action for _, _, action in rows], _ACTION)
-    event_lists = [[_event(event) for event in events] for _, events in histories]
-    labs, table = cfg.locations, {}
-    for (agent, _, _), (upto, _), events, (send,) in zip(rows, histories, event_lists, actions):
-        if agent not in labs or not 0 <= upto <= cfg.horizon:
-            raise _Fault
-        for time, kind, label in events:
-            known = label in tasks if kind == KIND_REQUEST else label in labs and label != agent
-            if not (known and 0 <= time <= upto):
-                raise _Fault
-        for dest in send:
-            if type(dest) is not str or dest not in labs or dest == agent:
-                raise _Fault
-        key = (agent, upto, tuple(sorted(events)))
-        sends = tuple(sorted(set(send)))
-        if table.setdefault(key, sends) != sends:
-            raise _Fault
-    return table
 
 
 def strategy_rows(strategy: RawAssignment) -> list[dict[str, object]]:
@@ -241,4 +300,3 @@ def strategy_rows(strategy: RawAssignment) -> list[dict[str, object]]:
         }
         for (agent, upto, events), sends in sorted(strategy.items())
     ]
-

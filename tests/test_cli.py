@@ -19,10 +19,8 @@ from nosignal import (
     SpacetimeConfig,
     ValidationError,
     cli,
-    config,
     evaluate_task,
     execute,
-    faults,
     obedient_strategy,
 )
 from nosignal.cli import main
@@ -144,14 +142,11 @@ class TestLoadConfig:
             load_config(json.dumps(raw))
 
     def test_same_request_given_twice_rejected(self):
-        """Both readers check a scenario's request list before it becomes a set."""
+        """The loader checks a scenario's request list before it becomes a set."""
         raw = json.loads(PARADOX.read_text())
         raw["scenarios"]["bad"] = [{"task": "task1", "location": "L", "time": 0}] * 2
-        message = r"^scenarios\.bad: duplicate request slot \('L', 0\)$"
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=r"^scenarios\.bad: duplicate request slot \('L', 0\)$"):
             load_config(json.dumps(raw))
-        with pytest.raises(ValidationError, match=message):
-            faults.read_config(raw)
 
     def test_unknown_location_in_task_rejected(self):
         raw = json.loads(PARADOX.read_text())
@@ -872,6 +867,8 @@ INVALID_EDITS = [
      "scenarios.both[1].task: undefined task 'task9'"),
     (("requirements", 0), {"scenario": "none", "rule": "some"},
      "requirements[0].scenario: undefined scenario 'none'"),
+    (("requirements", 0), {"scenario": "none", "rule": 1},
+     "requirements[0].scenario: undefined scenario 'none'"),
     (("scenarios", "both", 1, "location"), "X", "scenarios.both[1].location: unknown location 'X'"),
     (("scenarios", "both", 1, "time"), 9, "scenarios.both[1].time: 9 outside [0, 3]"),
     (("scenarios", "both", 1, "location"), "L",
@@ -884,6 +881,17 @@ INVALID_EDITS = [
     (("requirements", 2, "rule"), "some",
      "requirements[2].rule: expected 'all' or 'at_least_one', got 'some'"),
     (("limits",), {"max_branches": 0}, "limits: search limits must be >= 1"),
+    # Faults in two objects, the later one of shape: the one read first is raised.
+    ((), {**json.loads(PARADOX.read_text()), "locations": {"L": 0, "R": 0}, "tasks": []},
+     "locations: coordinates must be pairwise distinct"),
+    (("tasks",), {"task1": {"deliver": {"from": "L", "to": "R", "at": 5}, "silence": [{"from": "R", "to": "L"}]},
+                  "task2": {"deliver": {"from": "R", "to": "L", "at": 3}, "silence": "x"}},
+     "tasks.task1.deliver.at: 5 outside [0, 3]; horizon too small"),
+    (("scenarios", "both"), [{"task": "task9", "location": "L", "time": 0},
+                             {"task": "task2", "location": "R", "time": "0"}],
+     "scenarios.both[0].task: undefined task 'task9'"),
+    (("requirements",), [{"scenario": "only_task1", "rule": "some"}, {"scenario": "only_task2"}],
+     "requirements[0].rule: expected 'all' or 'at_least_one', got 'some'"),
 ]
 # Strategy documents for `check` on paradox_d3.json: (rows, what it prints after "error: ").
 INVALID_STRATEGIES = [
@@ -897,6 +905,10 @@ INVALID_STRATEGIES = [
      "rows[0].history.events[1].time: -1 outside [0, 2]"),
     ([{"agent": "R", "history": {"upto": 3}, "action": {"send": ["L"]}},
       {"agent": "R", "history": {"upto": 3, "events": []}, "action": {}}],
+     "rows[1]: conflicting duplicate of an earlier row"),
+    # A row's fault comes before a later row's fault of shape.
+    ([{"agent": "R", "history": {"upto": 3}, "action": {"send": ["L"]}},
+      {"agent": "R", "history": {"upto": 3, "events": []}, "action": {}}, "x"],
      "rows[1]: conflicting duplicate of an earlier row"),
     # A row's errors are reported in one order: event fields, then the
     # action, then event times.
@@ -1079,8 +1091,8 @@ def test_start_up_imports_no_dataclasses():
     never builds the argparse tree, so ``argparse`` and its ``gettext`` stay
     unloaded, and nothing the CLI runs touches the audit. ``-S`` keeps a
     site ``.pth`` file from loading any of them first. The import itself
-    loads exactly the nine modules the package docstring names, so neither
-    ``faults`` nor ``text`` is compiled on every start."""
+    loads exactly the nine modules the package docstring names, so ``text``
+    is not compiled on every start."""
     unwanted = {"argparse", "gettext", "nosignal.audit", "dataclasses", "inspect", "typing"}
     start_up = [f"nosignal.{name}" for name in
                 ("cli", "config", "diagram", "errors", "protocol", "record", "search", "spacetime", "tasks")]
@@ -1364,7 +1376,7 @@ def mutated(draw, value, names=(), near=None):
                  if _kind(node) == _kind(target)}
         alike = sorted((alike | {json.dumps(type(target)())}) - {json.dumps(target)})
         same = st.sampled_from(alike).map(json.loads) if alike else JSON_VALUES
-    if siblings:  # a second fault of shape would send both readers to the fault reader
+    if siblings:  # a value of its own type, so that the first fault need not be of shape
         parent[path[-1]] = draw(same)
         return value, path
     replacement = st.one_of(same, same, same, JSON_VALUES)
@@ -1403,13 +1415,6 @@ def _at(value, path):
     return value
 
 
-def _read_or_fault(read, *args):
-    try:
-        return read(*args)
-    except SimulationError as err:
-        return f"{type(err).__name__}: {err}"
-
-
 # Bundled documents to mutate besides random ones: they have every part,
 # where a random document often lacks requirements or strategy events.
 FIXTURE_CONFIGS = [json.loads(path.read_text()) for path in (PARADOX, SINGLE, FOURLAB)]
@@ -1419,92 +1424,45 @@ FIXTURE_STRATEGIES = [(load_config(config.read_text()), json.loads(strategy.read
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_one_pass_config_reader_agrees_with_the_fault_reader(data):
-    """``load_config`` reads a well-shaped document in one pass and hands one
-    with a fault of the loader's own to the field-by-field fault reader. On
-    one or two single-field mutations of bundled or random documents both
-    give equal documents or the same fault, and a document the one-pass
-    reader hands on has one."""
+def test_mutated_config_loads_to_a_round_trip_or_an_input_error(data):
+    """One or two single-field mutations of a bundled or random document
+    either load to a document that ``serialize_config`` round-trips, or
+    raise ``SimulationError``; any other exception fails the test."""
     raw = data.draw(st.sampled_from(FIXTURE_CONFIGS) | config_documents().map(serialize_config).map(json.loads))
     near = None
-    for _ in range(data.draw(st.sampled_from([2, 1]))):  # mostly two faults: the first in reading order is raised
+    for _ in range(data.draw(st.sampled_from([2, 1]))):  # mostly two mutations, often in one object
         raw, near = data.draw(mutated(raw, near=near))
-    expected = _read_or_fault(faults.read_config, raw)
-    assert _read_or_fault(load_config, json.dumps(raw)) == expected
     try:
-        config._config(raw)
-    except config._Fault:
-        assert isinstance(expected, str)
+        doc = load_config(json.dumps(raw))
     except SimulationError:
-        pass
+        return
+    assert load_config(serialize_config(doc)) == doc
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_one_pass_strategy_reader_agrees_with_the_fault_reader(data):
+def test_mutated_strategy_loads_to_a_round_trip_or_an_input_error(data):
     """As for config documents: mutations of bundled or random strategy
-    rows load to equal tables or to the same fault through ``load_strategy``
-    as through the fault reader, every fault of a row being the loader's own."""
+    rows load to a table that ``serialize_strategy`` round-trips, or raise
+    ``SimulationError``."""
     doc, raw = data.draw(st.sampled_from(FIXTURE_STRATEGIES) | strategy_documents().map(
         lambda pair: (pair[0], json.loads(serialize_strategy(pair[1])))))
     near = None
     for _ in range(data.draw(st.sampled_from([2, 1]))):
         raw, near = data.draw(mutated(raw, [*doc.spacetime.locations, *doc.tasks], near))
-    expected = _read_or_fault(faults.read_strategy, raw, doc.spacetime, doc.tasks)
-    assert _read_or_fault(load_strategy, json.dumps(raw), doc.spacetime, doc.tasks) == expected
     try:
-        config._strategy(raw, doc.spacetime, doc.tasks)
-    except config._Fault:
-        assert isinstance(expected, str)
+        table = load_strategy(json.dumps(raw), doc.spacetime, doc.tasks)
     except SimulationError:
-        pass
+        return
+    assert load_strategy(serialize_strategy(table), doc.spacetime, doc.tasks) == table
 
 
-# What a fault of the loader's own says after its JSON path; a checker owns every other fault of a
-# config document, and a strategy document has no other.
-LOADER_OWN = re.compile(r": (expected an? |missing key |unexpected key |name .* is not Unicode text|undefined "
-                        r"task |undefined scenario |expected 'all' or 'at_least_one')")
-# Edits whose first fault a checker owns, with a fault of shape behind it: the one-pass reader types
-# a whole list before it checks any entry, so it meets the shape first and hands the document on.
-SHAPE_BEHIND = [(("tasks", "task1"), "tasks.task1.deliver: endpoints must differ"),
-                (("tasks", "task1", "silence"), "tasks.task1.silence[0]: endpoints must differ")]
-
-
-def _one_pass_cases():
-    for i, (keys, value, message) in enumerate(INVALID_EDITS):
-        own = bool(LOADER_OWN.search(message)) or (keys, message) in SHAPE_BEHIND
-        yield pytest.param(config._config, (_edited_paradox(keys, value),), message, own, id=f"config-{i}")
-    for _, path, name, message in SURROGATES:
-        raw = json.loads(path.read_text().replace(f'"{name}"', f'"{name}\\ud800"'))
-        yield pytest.param(config._config, (raw,), message, True, id=f"surrogate-{name}")
-    doc = load_config(PARADOX.read_text())
-    for i, (rows, message) in enumerate(INVALID_STRATEGIES):
-        yield pytest.param(config._strategy, ({"rows": rows}, doc.spacetime, doc.tasks), message, True,
-                           id=f"strategy-{i}")
-
-
-@pytest.mark.parametrize("read, args, message, own", _one_pass_cases())
-def test_one_pass_readers_format_no_fault_of_the_loaders_own(read, args, message, own):
-    """Only ``faults`` formats a fault of the loader's own: the one-pass
-    readers raise ``config._Fault`` for it. A fault a checker owns they
-    raise with the message ``load_config`` prints."""
-    if own:
-        with pytest.raises(config._Fault):
-            read(*args)
-    else:
-        with pytest.raises(ValidationError) as err:
-            read(*args)
-        assert str(err.value) == message
-
-
-def test_valid_commands_load_no_fault_reader_text_or_library_helpers(tmp_path):
-    """Valid commands that print JSON or a diagram, and documents whose only
-    faults are an unknown lab or duplicate coordinates, and a zero branch
-    limit, load neither the fault reader nor the text renderers, and nothing
-    loads the library-only helpers in ``audit``. A document with a fault of
-    the loader's own, an undefined scenario or a shape fault, loads the fault
-    reader, which reports its first fault. ``-S`` keeps a site ``.pth`` file
-    from loading any of them first."""
+def test_json_commands_and_refusals_load_no_text_or_library_helpers(tmp_path):
+    """Valid commands that print JSON or a diagram, documents whose first
+    fault is an unknown lab, duplicate coordinates, an undefined scenario
+    or of shape, and a zero branch limit load neither the text renderers
+    nor the library-only helpers in ``audit``. ``-S`` keeps a site ``.pth``
+    file from loading either first."""
     unknown = json.loads(PARADOX.read_text())
     unknown["tasks"]["task1"]["deliver"]["to"] = "L-R-x"
     doubled = json.loads(PARADOX.read_text())
@@ -1525,7 +1483,7 @@ def test_valid_commands_load_no_fault_reader_text_or_library_helpers(tmp_path):
     ]
     probe = (
         "import contextlib, io, sys, nosignal.cli\n"
-        "lazy = ('nosignal.faults', 'nosignal.text', 'nosignal.audit')\n"
+        "lazy = ('nosignal.text', 'nosignal.audit')\n"
         "codes, errors = [], io.StringIO()\n"
         f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(errors):\n"
@@ -1544,6 +1502,6 @@ def test_valid_commands_load_no_fault_reader_text_or_library_helpers(tmp_path):
     refusals = ["error: tasks.task1.deliver.to: unknown location 'L-R-x'",
                 "error: locations: coordinates must be pairwise distinct",
                 "error: search limits must be >= 1"]
-    assert proc.stdout == f"[0, 0, 0, 3, 0, 2, 2, 2] {refusals} []\n2 ['nosignal.faults']\n2 ['nosignal.faults']\n"
+    assert proc.stdout == f"[0, 0, 0, 3, 0, 2, 2, 2] {refusals} []\n2 []\n2 []\n"
     assert proc.stderr == ("error: requirements[0].scenario: undefined scenario 'none'\n"
                            + (GOLDEN / "check_misshapen_task.txt").read_text())

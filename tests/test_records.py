@@ -30,7 +30,6 @@ from nosignal import (
     no_signaling_audit,
 )
 from nosignal.config import ConfigDocument, load_config
-from nosignal.faults import read_config
 
 CFG = SpacetimeConfig({"L": 0, "R": 3}, 3)
 HIST = ("L", 0, ((0, "request", "task1"),))
@@ -87,15 +86,14 @@ UNHASHABLE_FIELDS = {
 }
 
 
-def _parts(task: dict, request: dict, requirement: dict,
-           read=lambda doc: load_config(json.dumps(doc))) -> dict:
+def _parts(task: dict, request: dict, requirement: dict) -> dict:
     """The delivery, the first ban, the whole task, the scenario, the
     requirement, the document's requirement, the trace and report of
     ``STRAT`` on them, and its audit against the empty scenario, by repr, as
-    ``read`` reads a document on the ``CFG`` line holding ``task``, a
+    ``load_config`` reads a document on the ``CFG`` line holding ``task``, a
     scenario of ``request`` and ``requirement``."""
-    doc = read({"locations": CFG.locations, "horizon": CFG.horizon, "tasks": {"task1": task},
-                "scenarios": {"only": [request]}, "requirements": [requirement]})
+    doc = load_config(json.dumps({"locations": CFG.locations, "horizon": CFG.horizon, "tasks": {"task1": task},
+                                  "scenarios": {"only": [request]}, "requirements": [requirement]}))
     task = doc.tasks["task1"]
     [resolved] = doc.resolve_requirements()
     parts = [task[0], task[1][0], task, doc.scenarios["only"], resolved, *doc.requirements,
@@ -104,14 +102,13 @@ def _parts(task: dict, request: dict, requirement: dict,
     return {repr(part): part for part in parts}
 
 
-# ``load_config`` reads objects with their keys in order at once; the fault
-# reader reads the same objects, their keys reordered, field by field. Both
-# must give the same plain values.
+# ``load_config`` takes an object's values in the order the loader lists its
+# keys, whatever the document's: the same objects, their keys in that order
+# or reordered, must give the same plain values.
 IN_ORDER = _parts({"deliver": {"from": "L", "to": "R", "at": 3}, "silence": [{"from": "R", "to": "L"}]},
                   {"task": "task1", "location": "L", "time": 0}, {"scenario": "only", "rule": "all"})
-BY_FIELD = _parts({"silence": [{"to": "L", "from": "R"}], "deliver": {"at": 3, "to": "R", "from": "L"}},
-                  {"time": 0, "location": "L", "task": "task1"}, {"rule": "all", "scenario": "only"},
-                  read_config)
+REORDERED = _parts({"silence": [{"to": "L", "from": "R"}], "deliver": {"at": 3, "to": "R", "from": "L"}},
+                  {"time": 0, "location": "L", "task": "task1"}, {"rule": "all", "scenario": "only"})
 
 # (type, (plain value,), (an unequal one,), first index, repr), named for the
 # part each value holds: the delivery, a silence ban, the whole task, the
@@ -146,7 +143,7 @@ def test_equality_is_per_class_field_tuple(cls, args, other, field, text):
     a, b = cls(*args), cls(*args)
     if cls in ROW_TYPES:
         # A plain value, the same whichever way the loader read it.
-        assert type(a) is cls and a == IN_ORDER[text] == BY_FIELD[text]
+        assert type(a) is cls and a == IN_ORDER[text] == REORDERED[text]
         assert a != cls(*other)
         assert all(a != c[0](*c[1]) for c in CASES)
         return
