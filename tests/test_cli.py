@@ -867,8 +867,6 @@ INVALID_EDITS = [
      "scenarios.both[1].task: undefined task 'task9'"),
     (("requirements", 0), {"scenario": "none", "rule": "some"},
      "requirements[0].scenario: undefined scenario 'none'"),
-    (("requirements", 0), {"scenario": "none", "rule": 1},
-     "requirements[0].scenario: undefined scenario 'none'"),
     (("scenarios", "both", 1, "location"), "X", "scenarios.both[1].location: unknown location 'X'"),
     (("scenarios", "both", 1, "time"), 9, "scenarios.both[1].time: 9 outside [0, 3]"),
     (("scenarios", "both", 1, "location"), "L",
@@ -892,6 +890,9 @@ INVALID_EDITS = [
      "scenarios.both[0].task: undefined task 'task9'"),
     (("requirements",), [{"scenario": "only_task1", "rule": "some"}, {"scenario": "only_task2"}],
      "requirements[0].rule: expected 'all' or 'at_least_one', got 'some'"),
+    # An undefined scenario comes before its requirement's rule, whatever the rule's type.
+    (("requirements", 0), {"scenario": "none", "rule": 1},
+     "requirements[0].scenario: undefined scenario 'none'"),
 ]
 # Strategy documents for `check` on paradox_d3.json: (rows, what it prints after "error: ").
 INVALID_STRATEGIES = [
@@ -905,10 +906,6 @@ INVALID_STRATEGIES = [
      "rows[0].history.events[1].time: -1 outside [0, 2]"),
     ([{"agent": "R", "history": {"upto": 3}, "action": {"send": ["L"]}},
       {"agent": "R", "history": {"upto": 3, "events": []}, "action": {}}],
-     "rows[1]: conflicting duplicate of an earlier row"),
-    # A row's fault comes before a later row's fault of shape.
-    ([{"agent": "R", "history": {"upto": 3}, "action": {"send": ["L"]}},
-      {"agent": "R", "history": {"upto": 3, "events": []}, "action": {}}, "x"],
      "rows[1]: conflicting duplicate of an earlier row"),
     # A row's errors are reported in one order: event fields, then the
     # action, then event times.
@@ -1000,6 +997,10 @@ INVALID_STRATEGIES = [
     ([{"agent": "L", "history": {"upto": 0, "events": [{"kind": ["signal"], "time": 0, "origin": "R"}]},
        "action": {}}],
      "rows[0].history.events[0].kind: expected a string, got ['signal']"),
+    # A row's fault comes before a later row's fault of shape.
+    ([{"agent": "R", "history": {"upto": 3}, "action": {"send": ["L"]}},
+      {"agent": "R", "history": {"upto": 3, "events": []}, "action": {}}, "x"],
+     "rows[1]: conflicting duplicate of an earlier row"),
 ]
 
 
@@ -1455,6 +1456,30 @@ def test_mutated_strategy_loads_to_a_round_trip_or_an_input_error(data):
     except SimulationError:
         return
     assert load_strategy(serialize_strategy(table), doc.spacetime, doc.tasks) == table
+
+
+def _loader_cases():
+    for i, (keys, value, message) in enumerate(INVALID_EDITS):
+        yield pytest.param(load_config, (json.dumps(_edited_paradox(keys, value)),), message, id=f"config-{i}")
+    for _, path, name, message in SURROGATES:
+        text = path.read_text().replace(f'"{name}"', f'"{name}\\ud800"')
+        yield pytest.param(load_config, (text,), message, id=f"surrogate-{name}")
+    doc = load_config(PARADOX.read_text())
+    for i, (rows, message) in enumerate(INVALID_STRATEGIES):
+        yield pytest.param(load_strategy, (json.dumps({"rows": rows}), doc.spacetime, doc.tasks), message,
+                           id=f"strategy-{i}")
+
+
+@pytest.mark.parametrize("read, args, message", _loader_cases())
+def test_one_pass_readers_format_no_fault_of_the_loaders_own(read, args, message):
+    """No fault is left for another reader to name: ``load_config`` and
+    ``load_strategy`` raise ``ValidationError`` with the message ``main``
+    prints after ``error: ``, for a fault of shape, a lookup and a checker's
+    fault alike. (The name is kept from when a second reader formatted
+    the loader's own faults.)"""
+    with pytest.raises(ValidationError) as err:
+        read(*args)
+    assert str(err.value) == message
 
 
 def test_json_commands_and_refusals_load_no_text_or_library_helpers(tmp_path):
