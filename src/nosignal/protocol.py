@@ -69,12 +69,11 @@ def check_request(request: tuple[str, str, int], cfg: SpacetimeConfig) -> None:
 def check_slots(requests: Collection[tuple[str, str, int]]) -> None:
     """At most one request per (location, time) slot, a request given twice
     in a list included; the first repeat in request order is raised."""
-    if len({(location, time) for _, location, time in requests}) < len(requests):
-        slots = set()
-        for _, location, time in sorted(requests):
-            if (location, time) in slots:
-                raise ValidationError(f"duplicate request slot ({location!r}, {time})")
-            slots.add((location, time))
+    slots = set()
+    for _, location, time in sorted(requests):
+        if (location, time) in slots:
+            raise ValidationError(f"duplicate request slot ({location!r}, {time})")
+        slots.add((location, time))
 
 
 def check_scenario(scenario: Scenario, cfg: SpacetimeConfig) -> None:
@@ -157,8 +156,19 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: RawAssignment,
     send to the agent itself, to an unknown lab or twice to one lab is
     refused. A caller that runs one strategy on several scenarios may pass
     ``strategy_slots(cfg, strategy)`` as ``slots`` to find them once.
+
+    ``check_scenario`` checks the scenario; the rest is the kernel
+    ``_execute``, which the command line calls on a loaded scenario. The
+    kernel still refuses a bad send, since which rows a run reaches is
+    known only as it goes; no row ``load_strategy`` or
+    ``obedient_strategy`` makes has one.
     """
     check_scenario(scenario, cfg)
+    return _execute(cfg, scenario, strategy, slots)
+
+
+# The kernel of ``execute``, for a scenario already checked.
+def _execute(cfg, scenario, strategy, slots=None):
     run = Run(cfg, scenario)
     for t, agent in strategy_slots(cfg, strategy) if slots is None else slots:
         sends = strategy.get(run.key(t, agent))

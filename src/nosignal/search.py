@@ -59,9 +59,9 @@ from .tasks import (
     Requirement,
     RequirementReport,
     Task,
+    _evaluate_requirement as evaluate_requirement,  # the kernel: the set-up below checks what it is given
     check_requirement,
     check_task,
-    evaluate_requirement,
     requested_tasks,
 )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import ValidationError
-from .protocol import RawAssignment, Scenario, Trace, execute
+from .protocol import RawAssignment, Scenario, Trace, _execute as execute, check_scenario
 from .spacetime import SpacetimeConfig
 
 
@@ -70,12 +70,17 @@ def requested_tasks(scenario: Scenario, tasks: Mapping[str, Task]) -> dict[str, 
 
 
 def evaluate_task(trace: Trace, task: Task, cfg: SpacetimeConfig) -> bool:
-    """Pure predicate: delivery arrived exactly on time and silence held."""
+    """Pure predicate: delivery arrived exactly on time and silence held.
+    ``check_task`` checks the task; the kernel ``_verdicts`` judges it."""
     check_task(task, cfg)
-    delivery, bans = task
+    return _verdicts(trace, {None: task})[None]
+
+
+# The kernel of ``evaluate_task``: each checked task's verdict, by id in ``tasks``' order.
+def _verdicts(trace, tasks):
     _, departures, arrivals = trace
-    return delivery in arrivals and (
-        not bans or set(bans).isdisjoint([(origin, dest) for origin, dest, _ in departures]))
+    sent = {(origin, dest) for origin, dest, _ in departures}
+    return {task_id: delivery in arrivals and sent.isdisjoint(bans) for task_id, (delivery, bans) in tasks.items()}
 
 
 def evaluate_requirement(
@@ -86,13 +91,26 @@ def evaluate_requirement(
     slots: list[tuple[int, str]] | None = None,
 ) -> RequirementReport:
     """Execute the requirement's scenario once (``slots`` as for ``execute``),
-    judge each task and return the report ``(verdicts, satisfied)``."""
+    judge each task and return the report ``(verdicts, satisfied)``.
+
+    ``check_requirement`` and ``check_scenario`` come first, then the
+    kernel ``_evaluate_requirement``, which refuses a reached row's bad send
+    and an undefined task, then ``check_task`` on each requested task. The
+    report is built before that last check, so the first fault raised is
+    the one met first when each value is checked where it is used: the
+    rule, the scenario, a send, an undefined task, then each task in id
+    order."""
     scenario, rule = requirement
     check_requirement(scenario, rule)
-    trace = execute(cfg, scenario, strategy, slots)
-    verdicts = {
-        task_id: evaluate_task(trace, task, cfg)
-        for task_id, task in requested_tasks(scenario, tasks).items()
-    }
-    combine = all if rule == "all" else any
-    return verdicts, combine(verdicts.values())
+    check_scenario(scenario, cfg)
+    report = _evaluate_requirement(cfg, strategy, requirement, tasks, slots)
+    for task in requested_tasks(scenario, tasks).values():
+        check_task(task, cfg)
+    return report
+
+
+# The kernel of ``evaluate_requirement``, for a requirement, scenario and tasks already checked.
+def _evaluate_requirement(cfg, strategy, requirement, tasks, slots=None):
+    scenario, rule = requirement
+    verdicts = _verdicts(execute(cfg, scenario, strategy, slots), requested_tasks(scenario, tasks))
+    return verdicts, (all if rule == "all" else any)(verdicts.values())

@@ -559,6 +559,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {str(bad)!r}: not UTF-8 text (byte 0: invalid start byte)\n"
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{\r"locations":\r}', "line 3, column 1: Expecting value"),  # a lone CR ends a line
+        (b"\xef\xbb\xbf{}", "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (b'{"locations": {' + b" " * 15_000 + b"\xff}}", "{path!r}: not UTF-8 text (byte 15015: invalid start byte)"),
+    ], ids=["lone-cr", "bom", "bad-byte-far-in"])
+    def test_a_file_is_read_as_text_mode_reads_it(self, capsys, tmp_path, content, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        assert main(["search", "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(path=str(path))}\n")
+
+    def test_crlf_document_gives_the_same_output(self, capsys, tmp_path):
+        crlf = tmp_path / "crlf.json"
+        crlf.write_bytes(PARADOX.read_bytes().replace(b"\n", b"\r\n"))
+        outputs = []
+        for path in (PARADOX, crlf):
+            assert main(["simulate", "--json", "--config", str(path), "--scenario", "both"]) == 0
+            outputs.append(capsys.readouterr())
+        assert b"\r" in crlf.read_bytes() and outputs[0] == outputs[1]
+
+    def test_directory_path_exits_2(self, capsys, tmp_path):
+        assert main(["search", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
     def test_nul_byte_in_config_path_exits_2(self, capsys):
         assert main(["search", "--config", "a\0b"]) == 2
         captured = capsys.readouterr()
@@ -1083,6 +1107,30 @@ def test_cli_bytes(capsys, tmp_path, argv, config, strategy, expected):
     code = main(argv)
     captured = capsys.readouterr()
     assert (captured.out, captured.err, code) == expected
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--json", "--scenario", "s0"],
+                                  ["check", "--json", "--strategy", "obedient"]])
+def test_a_command_checks_each_task_once(capsys, monkeypatch, argv):
+    """The loader checks each of the document's 40 tasks once, and each
+    scenario request by request; the command's kernels check neither again."""
+    from nosignal import config, protocol, search, tasks
+
+    calls = {"check_task": 0, "check_scenario": 0}
+
+    def counted(name, check):
+        def count(*args):
+            calls[name] += 1
+            return check(*args)
+        return count
+
+    for module in (tasks, config, protocol, search):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    main([*argv, "--config", str(GOLDEN.parent / "replay4_seed0.json")])
+    assert capsys.readouterr().err == ""
+    assert calls == {"check_task": 40, "check_scenario": 0}
 
 
 def test_start_up_imports_no_dataclasses():

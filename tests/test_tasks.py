@@ -62,6 +62,11 @@ class TestEvaluateTask:
         with pytest.raises(ValidationError):
             check_task((("L", "R", 9), ()), cfg)
 
+    def test_checks_the_task_it_is_given(self, d3):
+        cfg, _, _ = d3
+        with pytest.raises(ValidationError, match="^deliver.to: unknown location 'X'$"):
+            evaluate_task((frozenset(), frozenset(), frozenset()), (("L", "X", 3), ()), cfg)
+
 
 # Library input gets the loader's checks and order: endpoints, the delivery's
 # before each ban's, then labs, then the delivery time.
@@ -115,6 +120,19 @@ class TestEvaluateRequirement:
             evaluate_requirement(cfg, obedient_strategy(cfg, tasks), requirement, tasks)
         with pytest.raises(ValidationError, match="^scenario references undefined task 'nope'$"):
             evaluate_requirement(cfg, obedient_strategy(cfg, tasks), (scenario(("nope", "L", 0)), "all"), tasks)
+
+    def test_a_requested_task_is_checked_after_a_reached_send(self, d3):
+        """The first fault raised is the one met first when each value is
+        checked where it is used: a reached row's send, then a requested
+        task. An unrequested task is not checked."""
+        cfg, _, _ = d3
+        tasks = {"task1": (("L", "X", 3), ()), "task2": (("R", "R", 3), ())}
+        requirement = (scenario(("task1", "L", 0)), "all")
+        with pytest.raises(ValidationError, match="^deliver.to: unknown location 'X'$"):
+            evaluate_requirement(cfg, {}, requirement, tasks)
+        self_send = {("L", 0, ((0, "request", "task1"),)): ("L",)}
+        with pytest.raises(ValidationError, match="^agent 'L' cannot send to itself$"):
+            evaluate_requirement(cfg, self_send, requirement, tasks)
 
 
     @pytest.mark.parametrize("rule", ["all", "at_least_one"])
