@@ -6,7 +6,8 @@ requirements or certify impossibility), ``check`` (evaluate a strategy
 file against every requirement), and ``diagram`` (print just the picture).
 Each builds one result: ``--json`` prints it, and the text is rendered
 from it, by ``text`` for every command but ``diagram``, whose text is the
-picture. Nothing here imports ``audit``.
+picture. A picture is written one line at a time, as it is drawn, and is
+never held whole. Nothing here imports ``audit``.
 
 Each file is read once (``_read``) and each value checked once, by the
 loader: the commands call the kernels of ``execute``, ``evaluate_task``
@@ -38,6 +39,7 @@ import functools
 import gc
 import json
 import sys
+from collections.abc import Iterator
 from types import SimpleNamespace
 
 from .config import (
@@ -47,11 +49,11 @@ from .config import (
     load_strategy,
     strategy_rows,
 )
-from .diagram import render_diagram
+# The picture as the iterator of its lines, and the kernels of execute,
+# evaluate_requirement and evaluate_task for what the loader has checked.
+# All but the last take their public names, which perfbench's tracer wraps.
+from .diagram import _picture as render_diagram
 from .errors import SimulationError
-# The kernels of execute, evaluate_requirement and evaluate_task, for what the
-# loader has checked; the first two keep their public names, which
-# perfbench's tracer wraps.
 from .protocol import RawAssignment, Trace, _execute as execute, obedient_strategy, strategy_slots
 from .search import Aborted, Found, Impossible, SearchLimits, find_strategy
 from .tasks import RequirementReport, _evaluate_requirement as evaluate_requirement, _verdicts
@@ -90,43 +92,64 @@ def _report_json(report: RequirementReport, named: NamedRequirement) -> dict[str
     return {"scenario": label, "rule": rule, "verdicts": verdicts, "satisfied": satisfied}
 
 
-def _emit(args, code: int, payload: dict[str, object], *context) -> int:
-    """Print a command's result, the payload with ``--json`` and otherwise
-    its text: the picture for ``diagram``, else the lines that ``text``
-    renders from the payload and ``context``. Return the exit code.
+def _emit(args, code: int, payload: dict[str, object], *context, plain: bool = False) -> int:
+    """Write a command's result to stdout, the payload with ``--json`` and
+    otherwise its text: the picture for ``diagram``, else the lines that
+    ``text`` renders from the payload and ``context``, then the picture for
+    ``simulate``. Return the exit code.
 
-    The JSON is ``json.dumps(payload, indent=2)``, byte for byte. A picture,
-    always the payload's last value, that is ASCII and holds no ``"`` or
-    ``\\`` has no character to escape but its newlines, since the renderer
-    shows every other control character as ``?``. It is then written
-    between the two ends of the payload dumped without it, escaped by one
-    replace instead of ``json``'s per-character escaper. The ``diagram``
-    text is the picture, printed as it is."""
-    picture = payload.get("diagram")
-    if args.json and picture and picture.isascii() and '"' not in picture and "\\" not in picture:
-        head = json.dumps({**payload, "diagram": ""}, indent=2)  # ends '""\n}'
-        print(head[:-3], picture.replace("\n", "\\n"), '"\n}', sep="")
+    A picture, always the payload's last value, comes as the iterator of its
+    lines, which ``_write_lines`` writes as they are drawn, so the whole
+    picture is never held. The JSON is ``json.dumps(payload, indent=2)``, byte for byte.
+    When ``plain`` (``json`` escapes no lab name or task id), no glyph of
+    the picture needs escaping, so its lines are written between the two
+    ends of the payload dumped without it, each followed by an escaped
+    newline. Any other picture is joined and goes through ``json``."""
+    lines = payload.get("diagram", ())
+    if args.json and plain:
+        sys.stdout.write(json.dumps({**payload, "diagram": ""}, indent=2)[:-3])  # it ends '""\n}'
+        _write_lines(lines, "\\n")
+        sys.stdout.write('"\n}\n')
     elif args.json:
+        if "diagram" in payload:
+            payload["diagram"] = "".join(line + "\n" for line in lines)
         print(json.dumps(payload, indent=2))
-    elif args.command == "diagram":
-        print(picture, end="")
     else:
-        from . import text  # only text output needs the renderers
-        print("\n".join(getattr(text, args.command)(payload, *context)))
+        if args.command != "diagram":
+            from . import text  # only text output needs the renderers
+            print("\n".join(getattr(text, args.command)(payload, *context)))
+        _write_lines(lines, "\n")
     return code
 
 
-def _run_scenario(args) -> tuple[ConfigDocument, Trace, str]:
-    """Run the named scenario under the named strategy and draw it."""
+def _write_lines(lines: Iterator[str], newline: str) -> None:
+    """Write each line followed by ``newline`` to stdout, gathered into
+    writes of about 64 KB. Written one by one, the lines would reach the
+    operating system in a call per 8 KB, the stream's buffer, and each call
+    to a file costs about 10 µs (2-vCPU VM)."""
+    chunk = ""
+    for line in lines:
+        chunk += line + newline
+        if len(chunk) > 1 << 16:
+            sys.stdout.write(chunk)
+            chunk = ""
+    sys.stdout.write(chunk)
+
+
+def _run_scenario(args) -> tuple[ConfigDocument, Trace, Iterator[str], bool]:
+    """Run the named scenario under the named strategy; return the document,
+    the trace, the lines of its picture (size checked, marks placed) and
+    whether the picture needs no escape in JSON but its newlines."""
     doc = load_config(_read(args.config))
     if args.scenario not in doc.scenarios:
         raise SimulationError(f"unknown scenario {args.scenario!r}")
     trace = execute(doc.spacetime, doc.scenarios[args.scenario], _pick_strategy(args.strategy, doc))
-    return doc, trace, render_diagram(trace, doc.spacetime)
+    plain = "\\" not in json.dumps([*doc.spacetime.locations, *doc.tasks])
+    return doc, trace, render_diagram(trace, doc.spacetime), plain
 
 
 def cmd_simulate(args) -> int:
-    doc, trace, picture = _run_scenario(args)
+    doc, trace, picture, plain = _run_scenario(args)
     requests, departures, arrivals = trace
     payload = {
         "scenario": args.scenario,
@@ -136,7 +159,7 @@ def cmd_simulate(args) -> int:
         "verdicts": _verdicts(trace, dict(sorted(doc.tasks.items()))),
         "diagram": picture,
     }
-    return _emit(args, EXIT_OK, payload)
+    return _emit(args, EXIT_OK, payload, plain=plain)
 
 
 def cmd_search(args) -> int:
@@ -191,8 +214,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    _, _, picture = _run_scenario(args)
-    return _emit(args, EXIT_OK, {"diagram": picture})
+    _, _, picture, plain = _run_scenario(args)
+    return _emit(args, EXIT_OK, {"diagram": picture}, plain=plain)
 
 
 # The grammar: each option's ``add_argument`` keywords, common options first,

@@ -12,19 +12,26 @@ so one line is always one row and every cell sits under its label.
 
 Rows are built from their marks alone: a row is its prefix, then each mark
 in x order with blank cells between, trimmed on the right. Drawing costs
-O(departures × distance + marks + bytes written); blank cells between
-marks are written, never visited one by one. A picture of more than
-``_MAX_CELLS`` cells (columns × rows) is refused before any row is built.
+O(departures × distance + marks + bytes written) time and O(marks + one
+row) memory: ``_picture`` checks the size and places the marks, then hands
+back the lines one at a time, so a caller that writes each line as it comes
+never holds the whole picture. Blank cells between marks are written, never
+visited one by one. A picture of more than ``_MAX_CELLS`` cells (columns ×
+rows) is refused before any mark is placed.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from itertools import chain
 
 from .errors import ValidationError
 from .protocol import Trace
 from .spacetime import SpacetimeConfig
 
 _CELL = 3
-# At most 30 MB of text; the largest benchmark picture has about 400,000 cells.
+# Bounds a picture's size and drawing time, at most 30 MB of text; the
+# largest benchmark picture has about 400,000 cells.
 _MAX_CELLS = 10_000_000
 
 
@@ -62,9 +69,10 @@ def _line(prefix: str, marks: dict[int, str], xmin: int) -> str:
     return "".join(parts).rstrip()
 
 
-def render_diagram(trace: Trace, cfg: SpacetimeConfig) -> str:
-    """Deterministic text rendering of a trace ``(requests, departures,
-    arrivals)``; newline-terminated, no trailing spaces."""
+def _picture(trace: Trace, cfg: SpacetimeConfig) -> Iterator[str]:
+    """The lines of the picture of a trace ``(requests, departures,
+    arrivals)``, header first, without newlines or trailing spaces. The size
+    check and the marks come first; each line is drawn when it is asked for."""
     requests, departures, arrivals = trace
     coords = cfg.locations
     xmin = min(coords.values())
@@ -87,9 +95,12 @@ def render_diagram(trace: Trace, cfg: SpacetimeConfig) -> str:
     for task_id, location, time in requests:
         rows.setdefault(time, {})[coords[location]] = _task_marker(task_id)
 
-    header = {x: _lab_label(name) for name, x in coords.items()}
-    lines = [_line("  t ", header, xmin)]
-    lines += [_line(f"{t:>3} ", rows[t], xmin) if t in rows else f"{t:>3}"
-              for t in range(cfg.horizon + 1)]
-    lines.append("")  # the trailing newline, joined in with the rows
-    return "\n".join(lines)
+    header = _line("  t ", {x: _lab_label(name) for name, x in coords.items()}, xmin)
+    return chain((header,), (_line(f"{t:>3} ", rows[t], xmin) if t in rows else f"{t:>3}"
+                             for t in range(height)))
+
+
+def render_diagram(trace: Trace, cfg: SpacetimeConfig) -> str:
+    """Deterministic text rendering of a trace ``(requests, departures,
+    arrivals)``; newline-terminated, no trailing spaces."""
+    return "".join(line + "\n" for line in _picture(trace, cfg))

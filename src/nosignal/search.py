@@ -190,11 +190,10 @@ def find_strategy(
     # departures are useful, so the loop visits every time from 0 (where
     # deliveries due before 0 fall due) to reach, then only their times.
     departs = {dep for _, _, rows, _ in judge for dep, _ in rows}
-    latest = {d: max((s - abs(x - coord[o]) for o, _, s in departs), default=-1)
-              for d, x in coord.items()}
+    by_x = sorted(coord, key=coord.get)
+    latest = _latest(coord, by_x, departs)
     targets = sorted({d for d in coord if latest[d] >= 1}.union(d for _, d, _ in departs))
     senders = [a for a in cfg.agents if latest[a] >= 0]
-    by_x = sorted(coord, key=coord.get)
     until = {a: max(latest[b] - abs(coord[a] - coord[b]) for b in by_x[max(i - 1, 0):i + 2] if b != a)
              for i, a in enumerate(by_x)}
     reach = max(0, *until.values())
@@ -341,6 +340,20 @@ def find_strategy(
                 strategies_explored=len(leaf_failures),
                 leaf_failures=tuple(leaf_failures),
             ))
+
+
+def _latest(coord: Mapping[str, int], by_x: list, departs: set) -> dict:
+    """Each lab d's ``max(s - |x_d - x_o|)`` over the departures ``(o, _, s)``,
+    -1 when there are none. Each origin starts at its latest departure, and
+    one pass each way over the labs in x order (``by_x``) carries the best
+    value so far to the next lab, less the gap between them."""
+    latest = dict.fromkeys(coord, float("-inf") if departs else -1)
+    for o, _, s in departs:
+        latest[o] = max(latest[o], s)
+    for order in (by_x, by_x[::-1]):
+        for b, d in zip(order, order[1:]):
+            latest[d] = max(latest[d], latest[b] - abs(coord[d] - coord[b]))
+    return latest
 
 
 def _successor(dests: tuple, sends: tuple) -> tuple | None:

@@ -3,7 +3,8 @@ and usage errors.
 
 Each command builds one result, which ``--json`` prints; without it the
 function named after the command renders that result as lines of text.
-The text of ``diagram`` is the picture itself, which ``cli`` prints. Help
+The text of ``diagram`` is the picture itself, and that of ``simulate``
+ends with it; ``cli`` writes the picture as it is drawn. Help
 and usage errors are argparse's own, from the tree ``parser`` builds out of
 ``cli``'s grammar table. Only a command that prints text loads this module.
 """
@@ -51,8 +52,7 @@ def simulate(result: dict) -> list[str]:
         *_trace_lines(result["trace"]),
         "verdicts:",
         *(f"  {task_id}: {'satisfied' if ok else 'unsatisfied'}" for task_id, ok in result["verdicts"].items()),
-        "",
-        result["diagram"].removesuffix("\n"),
+        "",  # the picture follows, written by ``cli`` as it is drawn
     ]
 
 

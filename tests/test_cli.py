@@ -446,23 +446,70 @@ def test_every_golden_has_one_row():
                          ids=["ascii", "newline", "wide", "quote", "backslash", "non-ascii"])
 @pytest.mark.parametrize("command", ["simulate", "diagram"])
 def test_json_picture_bytes(capsys, tmp_path, command, name):
-    """``--json`` writes ``json.dumps(payload, indent=2)`` byte for byte,
-    whether the picture is plain ASCII (its label ``a?`` or ``??`` too) and
-    escaped by one replace, or holds a quote, a backslash or ``é`` and goes
-    through ``json`` itself. Its ``diagram`` is the trace's picture."""
+    """The picture is written line by line, and the bytes are those of the
+    whole. With ``--json`` they are ``json.dumps(payload, indent=2)``, whether
+    the names need no escape and the lines are written between the two ends
+    of the payload, or a name holds a newline, a wide character, a quote, a
+    backslash or ``é`` and the payload goes through ``json`` itself; its
+    ``diagram`` is the trace's picture. As text they are that picture, after
+    ``simulate``'s own lines. For a picture of 8 lines and one of 42, with
+    crossing fronts near its top and a request and a front near its end."""
+    from nosignal import text
+
     doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps({
-        "locations": {name: 0, "M": 2, "R": 4}, "horizon": 6,
-        "tasks": {"task1": {"deliver": {"from": name, "to": "R", "at": 4}}},
-        "scenarios": {"one": [{"task": "task1", "location": name, "time": 0}]},
+    for horizon, requests in [(6, [("task1", name, 0)]),
+                              (40, [("task1", name, 0), ("task2", "R", 1), ("task3", "M", 38)])]:
+        doc.write_text(json.dumps({
+            "locations": {name: 0, "M": 2, "R": 4}, "horizon": horizon,
+            "tasks": {"task1": {"deliver": {"from": name, "to": "R", "at": 4}},
+                      "task2": {"deliver": {"from": "R", "to": name, "at": 5}},
+                      "task3": {"deliver": {"from": "M", "to": "R", "at": horizon}}},
+            "scenarios": {"one": [{"task": task, "location": lab, "time": t} for task, lab, t in requests]},
+        }))
+        loaded = load_config(doc.read_text())
+        trace = execute(loaded.spacetime, loaded.scenarios["one"],
+                        obedient_strategy(loaded.spacetime, loaded.tasks))
+        picture = render_diagram(trace, loaded.spacetime)
+        assert picture.count("\n") == horizon + 2
+        argv = [command, "--config", str(doc), "--scenario", "one"]
+        assert main([*argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert payload["diagram"] == picture
+        assert main(argv) == 0
+        lines = [] if command == "diagram" else text.simulate(payload)
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines) + picture
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from /proc/self/status")
+@pytest.mark.parametrize("argv", [["diagram"], ["simulate", "--json"]], ids=["diagram", "simulate-json"])
+def test_a_large_picture_is_written_in_constant_memory(tmp_path, argv):
+    """A 13.5 MB picture (2 labs 3,000 apart, horizon 3,100, one front
+    across the whole span) peaks within 5 MB of the 4-row paradox picture:
+    each line is written as it is drawn, and the whole picture is never
+    held. The child writes to the null device and reports its high-water
+    mark on stderr."""
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "locations": {"L": 0, "R": 3000}, "horizon": 3100,
+        "tasks": {"task1": {"deliver": {"from": "L", "to": "R", "at": 3000}}},
+        "scenarios": {"one": [{"task": "task1", "location": "L", "time": 0}]},
     }))
-    assert main([command, "--json", "--config", str(doc), "--scenario", "one"]) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out)
-    assert out == json.dumps(payload, indent=2) + "\n"
-    loaded = load_config(doc.read_text())
-    trace = execute(loaded.spacetime, loaded.scenarios["one"], obedient_strategy(loaded.spacetime, loaded.tasks))
-    assert payload["diagram"] == render_diagram(trace, loaded.spacetime)
+    probe = ("import sys, nosignal.cli\n"
+             "code = nosignal.cli.main(sys.argv[1:])\n"
+             "with open('/proc/self/status', encoding='ascii') as status:\n"
+             "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+             "print(code, peak, file=sys.stderr)\n")
+
+    def peak_kb(config, scenario):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv, "--config", str(config), "--scenario", scenario],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, cwd=REPO, timeout=60)
+        code, peak = proc.stderr.split()
+        assert code == "0"
+        return int(peak)
+
+    assert peak_kb(big, "one") - peak_kb(PARADOX, "both") < 5 * 1024
 
 
 class TestExitCodes:
@@ -655,13 +702,16 @@ class TestExitCodes:
         ({"L": 0, "R": 3}, 10**11, "4 columns by 100000000001 rows"),
     ], ids=["far-lab", "long-horizon"])
     def test_picture_too_large_to_draw_exits_2(self, tmp_path, command, locations, horizon, size):
-        """Refused before any row is built. The child may map 600 MB, so
-        drawing the picture would end in a ``MemoryError`` traceback."""
+        """Refused before any mark is placed, and before any byte of the
+        output, the head of ``--json`` included, is written. The child may
+        map 600 MB, so drawing the picture would end in a ``MemoryError``
+        traceback."""
         doc = tmp_path / "huge.json"
         doc.write_text(json.dumps({"locations": locations, "horizon": horizon, "scenarios": {"idle": []}}))
-        proc = run_capped(command, "--config", str(doc), "--scenario", "idle")
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"error: diagram: {size} exceed the 10000000 cells a picture may hold\n"
+        for json_flag in ([], ["--json"]):
+            proc = run_capped(command, "--config", str(doc), "--scenario", "idle", *json_flag)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == f"error: diagram: {size} exceed the 10000000 cells a picture may hold\n"
 
     def test_search_steps_a_late_departure_alone(self, tmp_path):
         """R is 10**11 away, so the only useful sends are R's at t = 0,

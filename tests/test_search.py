@@ -24,7 +24,7 @@ from nosignal import (
     obedient_strategy,
 )
 from nosignal.config import load_config
-from nosignal.search import _lost, _successor
+from nosignal.search import _latest, _lost, _successor
 from nosignal import audit
 from nosignal.audit import paradox_requirements
 from oracles import (
@@ -152,6 +152,18 @@ class TestFindStrategy:
             steps.append(sends)
             sends = _successor(dests, sends)
         assert steps == [c for k in range(n + 1) for c in itertools.combinations(dests, k)]
+
+    @given(st.dictionaries(st.sampled_from("ABCDEFGH"), st.integers(-20, 20), min_size=1).flatmap(
+        lambda coord: st.tuples(st.just(coord), st.sets(st.tuples(
+            st.sampled_from(sorted(coord)), st.sampled_from(sorted(coord)), st.integers(-5, 30))))))
+    def test_latest_is_the_max_over_departures(self, case):
+        """The two sweeps give each lab the brute-force max of ``s - |x_d -
+        x_o|`` over the departures, and -1 when there are none. Coordinates
+        may repeat here, which a loaded document refuses."""
+        coord, departs = case
+        by_x = sorted(coord, key=coord.get)
+        assert _latest(coord, by_x, departs) == {
+            d: max((s - abs(x - coord[o]) for o, _, s in departs), default=-1) for d, x in coord.items()}
 
     def test_no_requirements_is_trivially_found(self, d3):
         cfg, tasks, _ = d3
