@@ -40,6 +40,7 @@ import gc
 import json
 import sys
 from collections.abc import Iterator
+from itertools import chain
 from types import SimpleNamespace
 
 from .config import (
@@ -92,32 +93,27 @@ def _report_json(report: RequirementReport, named: NamedRequirement) -> dict[str
     return {"scenario": label, "rule": rule, "verdicts": verdicts, "satisfied": satisfied}
 
 
-def _emit(args, code: int, payload: dict[str, object], *context, plain: bool = False) -> int:
+def _emit(args, code: int, payload: dict[str, object], *context) -> int:
     """Write a command's result to stdout, the payload with ``--json`` and
-    otherwise its text: the picture for ``diagram``, else the lines that
-    ``text`` renders from the payload and ``context``, then the picture for
-    ``simulate``. Return the exit code.
+    otherwise its text: the lines that ``text`` renders from the payload and
+    ``context`` (none for ``diagram``), then the picture. Return the exit code.
 
     A picture, always the payload's last value, comes as the iterator of its
-    lines, which ``_write_lines`` writes as they are drawn, so the whole
-    picture is never held. The JSON is ``json.dumps(payload, indent=2)``, byte for byte.
-    When ``plain`` (``json`` escapes no lab name or task id), no glyph of
-    the picture needs escaping, so its lines are written between the two
-    ends of the payload dumped without it, each followed by an escaped
-    newline. Any other picture is joined and goes through ``json``."""
+    lines, which ``_write_lines`` writes as they are drawn, so it is never
+    held whole. With ``--json`` they come escaped by ``_run_scenario`` and go,
+    each followed by an escaped newline, between the ends of the payload
+    dumped without the picture: ``json.dumps(payload, indent=2)``, byte for byte."""
     lines = payload.get("diagram", ())
-    if args.json and plain:
+    if args.json and "diagram" in payload:
         sys.stdout.write(json.dumps({**payload, "diagram": ""}, indent=2)[:-3])  # it ends '""\n}'
         _write_lines(lines, "\\n")
         sys.stdout.write('"\n}\n')
     elif args.json:
-        if "diagram" in payload:
-            payload["diagram"] = "".join(line + "\n" for line in lines)
         print(json.dumps(payload, indent=2))
     else:
         if args.command != "diagram":
             from . import text  # only text output needs the renderers
-            print("\n".join(getattr(text, args.command)(payload, *context)))
+            lines = chain(getattr(text, args.command)(payload, *context), lines)
         _write_lines(lines, "\n")
     return code
 
@@ -136,20 +132,24 @@ def _write_lines(lines: Iterator[str], newline: str) -> None:
     sys.stdout.write(chunk)
 
 
-def _run_scenario(args) -> tuple[ConfigDocument, Trace, Iterator[str], bool]:
+def _run_scenario(args) -> tuple[ConfigDocument, Trace, Iterator[str]]:
     """Run the named scenario under the named strategy; return the document,
-    the trace, the lines of its picture (size checked, marks placed) and
-    whether the picture needs no escape in JSON but its newlines."""
+    the trace and the lines of its picture (size checked, marks placed). With
+    ``--json``, if a lab name or task id needs it, each line is escaped as in a
+    JSON string: each glyph is one of ``?!<>*X`` or cut from a name, and no
+    line holds a newline, so that is the escaped picture."""
     doc = load_config(_read(args.config))
     if args.scenario not in doc.scenarios:
         raise SimulationError(f"unknown scenario {args.scenario!r}")
     trace = execute(doc.spacetime, doc.scenarios[args.scenario], _pick_strategy(args.strategy, doc))
-    plain = "\\" not in json.dumps([*doc.spacetime.locations, *doc.tasks])
-    return doc, trace, render_diagram(trace, doc.spacetime), plain
+    picture = render_diagram(trace, doc.spacetime)
+    if args.json and "\\" in json.dumps([*doc.spacetime.locations, *doc.tasks]):
+        picture = (json.dumps(line)[1:-1] for line in picture)
+    return doc, trace, picture
 
 
 def cmd_simulate(args) -> int:
-    doc, trace, picture, plain = _run_scenario(args)
+    doc, trace, picture = _run_scenario(args)
     requests, departures, arrivals = trace
     payload = {
         "scenario": args.scenario,
@@ -159,7 +159,7 @@ def cmd_simulate(args) -> int:
         "verdicts": _verdicts(trace, dict(sorted(doc.tasks.items()))),
         "diagram": picture,
     }
-    return _emit(args, EXIT_OK, payload, plain=plain)
+    return _emit(args, EXIT_OK, payload)
 
 
 def cmd_search(args) -> int:
@@ -214,8 +214,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    _, _, picture, plain = _run_scenario(args)
-    return _emit(args, EXIT_OK, {"diagram": picture}, plain=plain)
+    _, _, picture = _run_scenario(args)
+    return _emit(args, EXIT_OK, {"diagram": picture})
 
 
 # The grammar: each option's ``add_argument`` keywords, common options first,

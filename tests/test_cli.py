@@ -442,35 +442,41 @@ def test_every_golden_has_one_row():
     assert sorted(name for _, name, _, _ in GOLDEN_CASES) == sorted(path.name for path in GOLDEN.iterdir())
 
 
-@pytest.mark.parametrize("name", ["Lab", "a\nb", "日本", 'a"b', "a\\b", "é"],
-                         ids=["ascii", "newline", "wide", "quote", "backslash", "non-ascii"])
+@pytest.mark.parametrize("name, task", [
+    ("Lab", "task1"), ("a\nb", "task1"), ("日本", "task1"), ('a"b', "task1"), ("a\\b", "task1"), ("é", "task1"),
+    # Task ids whose marker, '!"', '!é' or '!\\', needs an escape in JSON.
+    ("Lab", '"x'), ("Lab", "é"), ("Lab", "\\x"),
+], ids=["ascii", "newline", "wide", "quote", "backslash", "non-ascii", "task-quote", "task-non-ascii", "task-backslash"])
 @pytest.mark.parametrize("command", ["simulate", "diagram"])
-def test_json_picture_bytes(capsys, tmp_path, command, name):
+def test_json_picture_bytes(capsys, tmp_path, command, name, task):
     """The picture is written line by line, and the bytes are those of the
     whole. With ``--json`` they are ``json.dumps(payload, indent=2)``, whether
-    the names need no escape and the lines are written between the two ends
-    of the payload, or a name holds a newline, a wide character, a quote, a
-    backslash or ``é`` and the payload goes through ``json`` itself; its
-    ``diagram`` is the trace's picture. As text they are that picture, after
-    ``simulate``'s own lines. For a picture of 8 lines and one of 42, with
-    crossing fronts near its top and a request and a front near its end."""
+    the names need no escape, or a lab name holds a newline, a wide
+    character, a quote, a backslash or ``é``, or the first task's id puts a
+    quote, ``é`` or a backslash in its marker, so that each line is escaped
+    on its own; its ``diagram`` is the trace's picture. As text they are that
+    picture, after ``simulate``'s own lines. For a picture of 8 lines and one
+    of 42, with crossing fronts near its top and a request and a front near
+    its end."""
     from nosignal import text
 
     doc = tmp_path / "doc.json"
-    for horizon, requests in [(6, [("task1", name, 0)]),
-                              (40, [("task1", name, 0), ("task2", "R", 1), ("task3", "M", 38)])]:
+    marker = "!1" if task == "task1" else "!" + task[0]
+    for horizon, requests in [(6, [(task, name, 0)]),
+                              (40, [(task, name, 0), ("task2", "R", 1), ("task3", "M", 38)])]:
         doc.write_text(json.dumps({
             "locations": {name: 0, "M": 2, "R": 4}, "horizon": horizon,
-            "tasks": {"task1": {"deliver": {"from": name, "to": "R", "at": 4}},
+            "tasks": {task: {"deliver": {"from": name, "to": "R", "at": 4}},
                       "task2": {"deliver": {"from": "R", "to": name, "at": 5}},
                       "task3": {"deliver": {"from": "M", "to": "R", "at": horizon}}},
-            "scenarios": {"one": [{"task": task, "location": lab, "time": t} for task, lab, t in requests]},
+            "scenarios": {"one": [{"task": task_id, "location": lab, "time": t} for task_id, lab, t in requests]},
         }))
         loaded = load_config(doc.read_text())
         trace = execute(loaded.spacetime, loaded.scenarios["one"],
                         obedient_strategy(loaded.spacetime, loaded.tasks))
         picture = render_diagram(trace, loaded.spacetime)
         assert picture.count("\n") == horizon + 2
+        assert marker in picture.splitlines()[1]
         argv = [command, "--config", str(doc), "--scenario", "one"]
         assert main([*argv, "--json"]) == 0
         out = capsys.readouterr().out
@@ -483,18 +489,24 @@ def test_json_picture_bytes(capsys, tmp_path, command, name):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from /proc/self/status")
-@pytest.mark.parametrize("argv", [["diagram"], ["simulate", "--json"]], ids=["diagram", "simulate-json"])
-def test_a_large_picture_is_written_in_constant_memory(tmp_path, argv):
+@pytest.mark.parametrize("argv, lab", [
+    (["diagram"], "L"), (["simulate", "--json"], "L"),
+    # Lab names that JSON escapes, so each line is escaped as it is drawn.
+    (["simulate", "--json"], "Lé"), (["simulate", "--json"], 'L"'),
+    (["diagram", "--json"], "Lé"), (["diagram", "--json"], 'L"'),
+], ids=["diagram", "simulate-json", "simulate-json-accent", "simulate-json-quote", "diagram-json-accent",
+        "diagram-json-quote"])
+def test_a_large_picture_is_written_in_constant_memory(tmp_path, argv, lab):
     """A 13.5 MB picture (2 labs 3,000 apart, horizon 3,100, one front
     across the whole span) peaks within 5 MB of the 4-row paradox picture:
-    each line is written as it is drawn, and the whole picture is never
-    held. The child writes to the null device and reports its high-water
-    mark on stderr."""
+    each line is written as it is drawn, escaped on its own for JSON when a
+    lab name needs it, and the whole picture is never held. The child
+    writes to the null device and reports its high-water mark on stderr."""
     big = tmp_path / "big.json"
     big.write_text(json.dumps({
-        "locations": {"L": 0, "R": 3000}, "horizon": 3100,
-        "tasks": {"task1": {"deliver": {"from": "L", "to": "R", "at": 3000}}},
-        "scenarios": {"one": [{"task": "task1", "location": "L", "time": 0}]},
+        "locations": {lab: 0, "R": 3000}, "horizon": 3100,
+        "tasks": {"task1": {"deliver": {"from": lab, "to": "R", "at": 3000}}},
+        "scenarios": {"one": [{"task": "task1", "location": lab, "time": 0}]},
     }))
     probe = ("import sys, nosignal.cli\n"
              "code = nosignal.cli.main(sys.argv[1:])\n"

@@ -240,6 +240,17 @@ def assert_copy_keeps_outcome(cfg, tasks, requirements, outcome, k, limits=None)
         assert copied == outcome
 
 
+def assert_mirror_keeps_outcome(cfg, tasks, requirements):
+    """The document and its mirror x -> -x reach the same outcome kind
+    wherever both decide within 5,000 branches. The walk visits labs in x
+    order, so the mirror walks them the other way round."""
+    limits = SearchLimits(max_branches=5_000)
+    mirror = SpacetimeConfig({lab: -x for lab, x in cfg.locations.items()}, cfg.horizon)
+    outcomes = [type(find_strategy(c, requirements, tasks, limits)) for c in (cfg, mirror)]
+    if Aborted not in outcomes:
+        assert outcomes[0] is outcomes[1]
+
+
 class TestMagician:
     """The paper's setting with n requesters: B may request any of n tasks
     of A, up to k of them at once. Found for k = 1, and for k >= 2 Found
@@ -272,6 +283,11 @@ class TestMagician:
         doc, requirements, outcome = magician_outcome(n, slack, k)
         for i in range(len(requirements)):
             assert_copy_keeps_outcome(doc.spacetime, doc.tasks, requirements, outcome, i)
+
+    @pytest.mark.parametrize("n, slack, k", [member for member in MAGICIAN_DECIDED if member[0] <= 3])
+    def test_the_mirror_keeps_the_outcome(self, n, slack, k):
+        doc = load_config(json.dumps(magician(n, slack, k)))
+        assert_mirror_keeps_outcome(doc.spacetime, doc.tasks, doc.resolve_requirements())
 
 
 class TestCertificateSoundness:
@@ -475,6 +491,12 @@ def test_a_copied_requirement_keeps_the_outcome(instance, k):
     limits = SearchLimits(max_branches=5_000)
     outcome = find_strategy(cfg, requirements, tasks, limits)
     assert_copy_keeps_outcome(cfg, tasks, requirements, outcome, k % len(requirements), limits)
+
+
+@given(small_instances())
+@settings(max_examples=150, deadline=None)
+def test_the_mirror_keeps_the_outcome(instance):
+    assert_mirror_keeps_outcome(*instance)
 
 
 @st.composite
