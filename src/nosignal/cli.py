@@ -11,7 +11,8 @@ never held whole. Nothing here imports ``audit``.
 
 Each file is read once (``_read``) and each value checked once, by the
 loader: the commands call the kernels of ``execute``, ``evaluate_task``
-and ``evaluate_requirement``, which skip those functions' checks.
+and ``evaluate_requirement``, which skip those functions' checks; ``check``
+judges every requirement in one replay that steps each scenario once.
 
 The grammar is one table, ``_COMMANDS`` and ``_COMMON``, of each option's
 ``add_argument`` keywords. The plain form ``CMD (--opt VALUE | --json)*``
@@ -55,9 +56,9 @@ from .config import (
 # All but the last take their public names, which perfbench's tracer wraps.
 from .diagram import _picture as render_diagram
 from .errors import SimulationError
-from .protocol import RawAssignment, Trace, _execute as execute, obedient_strategy, strategy_slots
+from .protocol import RawAssignment, Trace, _execute as execute, obedient_strategy
 from .search import Aborted, Found, Impossible, SearchLimits, find_strategy
-from .tasks import RequirementReport, _evaluate_requirement as evaluate_requirement, _verdicts
+from .tasks import RequirementReport, _reports as evaluate_requirement, _verdicts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,7 +142,7 @@ def _run_scenario(args) -> tuple[ConfigDocument, Trace, Iterator[str]]:
     doc = load_config(_read(args.config))
     if args.scenario not in doc.scenarios:
         raise SimulationError(f"unknown scenario {args.scenario!r}")
-    trace = execute(doc.spacetime, doc.scenarios[args.scenario], _pick_strategy(args.strategy, doc))
+    [trace] = execute(doc.spacetime, (doc.scenarios[args.scenario],), _pick_strategy(args.strategy, doc))
     picture = render_diagram(trace, doc.spacetime)
     if args.json and "\\" in json.dumps([*doc.spacetime.locations, *doc.tasks]):
         picture = (json.dumps(line)[1:-1] for line in picture)
@@ -201,10 +202,9 @@ def cmd_search(args) -> int:
 def cmd_check(args) -> int:
     doc = load_config(_read(args.config))
     strategy = _pick_strategy(args.strategy, doc)
-    slots = strategy_slots(doc.spacetime, strategy)
     reports = [
-        _report_json(evaluate_requirement(doc.spacetime, strategy, requirement, doc.tasks, slots), named)
-        for named, requirement in zip(doc.requirements, doc.resolve_requirements())
+        _report_json(report, named) for report, named in zip(
+            evaluate_requirement(doc.spacetime, strategy, doc.resolve_requirements(), doc.tasks), doc.requirements)
     ]
     all_ok = all(report["satisfied"] for report in reports)
     return _emit(args, EXIT_OK if all_ok else EXIT_UNSATISFIED, {

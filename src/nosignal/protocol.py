@@ -94,8 +94,8 @@ class Run:
     same arguments reverses it, last applied first, so no undo record is
     kept. ``key(t, agent)`` is the agent's raw history key at ``t`` once
     every send made before ``t`` has been applied. ``execute`` steps one run
-    through a fixed strategy; ``find_strategy`` steps one per distinct
-    scenario and backtracks.
+    per scenario through a fixed strategy; ``find_strategy`` steps one per
+    distinct scenario and backtracks.
     """
 
     # Slots: the search reads these on every node.
@@ -136,13 +136,7 @@ class Run:
                 self.received[dest].pop()
 
 
-def strategy_slots(cfg: SpacetimeConfig, strategy: RawAssignment) -> list[tuple[int, str]]:
-    """The in-horizon ``(t, agent)`` slots the strategy names, t then agent ascending."""
-    return sorted({(t, a) for a, t, _ in strategy if 0 <= t <= cfg.horizon and a in cfg.locations})
-
-
-def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: RawAssignment,
-            slots: list[tuple[int, str]] | None = None) -> Trace:
+def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: RawAssignment) -> Trace:
     """Run the synchronous loop through the strategy's slots; return the
     trace ``(requests, departures, arrivals)``.
 
@@ -154,36 +148,39 @@ def execute(cfg: SpacetimeConfig, scenario: Scenario, strategy: RawAssignment,
     ``(t, agent)`` slots the strategy names are looked up: t ascending, agents
     in ``cfg.agents`` order. Identical inputs yield identical traces. A
     send to the agent itself, to an unknown lab or twice to one lab is
-    refused. A caller that runs one strategy on several scenarios may pass
-    ``strategy_slots(cfg, strategy)`` as ``slots`` to find them once.
+    refused.
 
     ``check_scenario`` checks the scenario; the rest is the kernel
-    ``_execute``, which the command line calls on a loaded scenario. The
+    ``_execute``, which the command line calls on loaded scenarios. The
     kernel still refuses a bad send, since which rows a run reaches is
     known only as it goes; no row ``load_strategy`` or
     ``obedient_strategy`` makes has one.
     """
     check_scenario(scenario, cfg)
-    return _execute(cfg, scenario, strategy, slots)
+    return _execute(cfg, (scenario,), strategy)[0]
 
 
-# The kernel of ``execute``, for a scenario already checked.
-def _execute(cfg, scenario, strategy, slots=None):
-    run = Run(cfg, scenario)
-    for t, agent in strategy_slots(cfg, strategy) if slots is None else slots:
-        sends = strategy.get(run.key(t, agent))
-        if sends:
-            for dest in sends:
-                if dest == agent:
-                    raise ValidationError(f"agent {agent!r} cannot send to itself")
-                cfg.coord(dest)
-                if sends.count(dest) > 1:
-                    raise ValidationError(f"agent {agent!r} sends to {dest!r} more than once")
-            run.apply(t, agent, sends)
+# The kernel of ``execute``: a trace per checked scenario, their runs stepped together.
+def _execute(cfg, scenarios, strategy):
+    runs = [Run(cfg, scenario) for scenario in scenarios]
+    for t, agent in sorted({(t, a) for a, t, _ in strategy if 0 <= t <= cfg.horizon and a in cfg.locations}):
+        for run in runs:
+            sends = strategy.get(run.key(t, agent))
+            if sends:
+                for dest in sends:
+                    if dest == agent:
+                        raise ValidationError(f"agent {agent!r} cannot send to itself")
+                    cfg.coord(dest)
+                    if sends.count(dest) > 1:
+                        raise ValidationError(f"agent {agent!r} sends to {dest!r} more than once")
+                run.apply(t, agent, sends)
 
     coords = cfg.locations
-    arrivals = ((o, d, t + abs(coords[o] - coords[d])) for o, d, t in run.departures)
-    return scenario, frozenset(run.departures), frozenset(a for a in arrivals if a[2] <= cfg.horizon)
+    traces = []
+    for scenario, run in zip(scenarios, runs):
+        arrivals = ((o, d, t + abs(coords[o] - coords[d])) for o, d, t in run.departures)
+        traces.append((scenario, frozenset(run.departures), frozenset(a for a in arrivals if a[2] <= cfg.horizon)))
+    return traces
 
 
 def obedient_strategy(cfg: SpacetimeConfig, tasks: Mapping[str, Task]) -> RawAssignment:

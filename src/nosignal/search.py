@@ -42,8 +42,8 @@ or complete ones), and the requirement that failed on each one.
 
 The walk steps one :class:`.protocol.Run` per distinct scenario, the same
 tuple kernel ``execute`` uses; the value classes appear only at the boundary.
-A ``Found`` strategy is replayed through ``execute`` and judged on its
-arrivals by ``evaluate_requirement``, independently of the lost rule.
+A ``Found`` strategy is judged on its arrivals, independently of the lost
+rule, by one ``evaluate_requirement`` call that replays each scenario once.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .tasks import (
     Requirement,
     RequirementReport,
     Task,
-    _evaluate_requirement as evaluate_requirement,  # the kernel: the set-up below checks what it is given
+    _reports as evaluate_requirement,  # the kernel: the set-up below checks what it is given
     check_requirement,
     check_task,
     requested_tasks,
@@ -284,8 +284,7 @@ def find_strategy(
                     on_leaf(assignment)
                 if lost is None:
                     strategy = {key: sends for key, sends in assignment.items() if sends}
-                    reports = tuple(evaluate_requirement(cfg, strategy, requirement, tasks)
-                                    for requirement in requirements)
+                    reports = tuple(evaluate_requirement(cfg, strategy, requirements, tasks))
                     assert all(satisfied for _, satisfied in reports)
                     return Found(strategy, reports)
 

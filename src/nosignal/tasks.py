@@ -9,7 +9,8 @@ document spells it: ``"all"`` when every requested task must succeed,
 ``"at_least_one"`` when any one suffices. A set of requirements is the
 requester's whole range of freedom. A requirement's report is the pair
 ``(verdicts, satisfied)``: each requested task's verdict by id, in id
-order, and the verdicts combined by the rule.
+order, and the verdicts combined by the rule. One replay of a strategy
+reports on every requirement, stepping each distinct scenario once.
 """
 
 from __future__ import annotations
@@ -88,14 +89,13 @@ def evaluate_requirement(
     strategy: RawAssignment,
     requirement: Requirement,
     tasks: Mapping[str, Task],
-    slots: list[tuple[int, str]] | None = None,
 ) -> RequirementReport:
-    """Execute the requirement's scenario once (``slots`` as for ``execute``),
-    judge each task and return the report ``(verdicts, satisfied)``.
+    """Execute the requirement's scenario once, judge each task and return
+    the report ``(verdicts, satisfied)``.
 
     ``check_requirement`` and ``check_scenario`` come first, then the
-    kernel ``_evaluate_requirement``, which refuses a reached row's bad send
-    and an undefined task, then ``check_task`` on each requested task. The
+    kernel ``_reports``, which refuses a reached row's bad send and an
+    undefined task, then ``check_task`` on each requested task. The
     report is built before that last check, so the first fault raised is
     the one met first when each value is checked where it is used: the
     rule, the scenario, a send, an undefined task, then each task in id
@@ -103,14 +103,18 @@ def evaluate_requirement(
     scenario, rule = requirement
     check_requirement(scenario, rule)
     check_scenario(scenario, cfg)
-    report = _evaluate_requirement(cfg, strategy, requirement, tasks, slots)
+    [report] = _reports(cfg, strategy, (requirement,), tasks)
     for task in requested_tasks(scenario, tasks).values():
         check_task(task, cfg)
     return report
 
 
-# The kernel of ``evaluate_requirement``, for a requirement, scenario and tasks already checked.
-def _evaluate_requirement(cfg, strategy, requirement, tasks, slots=None):
-    scenario, rule = requirement
-    verdicts = _verdicts(execute(cfg, scenario, strategy, slots), requested_tasks(scenario, tasks))
-    return verdicts, (all if rule == "all" else any)(verdicts.values())
+# The kernel of ``evaluate_requirement``: a report per checked requirement, from one replay.
+def _reports(cfg, strategy, requirements, tasks):
+    scenarios = tuple(dict.fromkeys(scenario for scenario, _ in requirements))
+    traces = dict(zip(scenarios, execute(cfg, scenarios, strategy)))
+    reports = []
+    for scenario, rule in requirements:
+        verdicts = _verdicts(traces[scenario], requested_tasks(scenario, tasks))
+        reports.append((verdicts, (all if rule == "all" else any)(verdicts.values())))
+    return reports

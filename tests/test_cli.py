@@ -1195,6 +1195,36 @@ def test_a_command_checks_each_task_once(capsys, monkeypatch, argv):
     assert calls == {"check_task": 40, "check_scenario": 0}
 
 
+@pytest.mark.parametrize("argv, runs", [(["check", "--strategy", "obedient"], 2), (["search"], 4)])
+def test_a_command_steps_each_distinct_scenario_once(capsys, monkeypatch, tmp_path, argv, runs):
+    """``paradox_d3_single`` with a third requirement over the first one's
+    scenario: ``check`` replays the strategy in one run per distinct
+    scenario, and ``search`` walks in one per distinct scenario and replays
+    its Found strategy in one more each. Each report is the one the public
+    ``evaluate_requirement`` gives for its requirement alone."""
+    from nosignal import evaluate_requirement, protocol
+
+    document = json.loads(SINGLE.read_text())
+    document["requirements"].append({"scenario": "only_task1", "rule": "at_least_one"})
+    config = tmp_path / "repeated.json"
+    config.write_text(json.dumps(document))
+    built = []
+    init = protocol.Run.__init__
+    monkeypatch.setattr(protocol.Run, "__init__", lambda run, *args: built.append(args[1]) or init(run, *args))
+    code = main([*argv, "--config", str(config), "--json"])
+    out, err = capsys.readouterr()
+    assert (code, err, len(built), len(set(built))) == (0, "", runs, 2)
+    payload = json.loads(out)
+    doc = load_config(config.read_text())
+    strategy = obedient_strategy(doc.spacetime, doc.tasks)
+    if "strategy" in payload:  # search's Found strategy
+        strategy = load_strategy(json.dumps(payload["strategy"]), doc.spacetime, doc.tasks)
+    expected = [evaluate_requirement(doc.spacetime, strategy, requirement, doc.tasks)
+                for requirement in doc.resolve_requirements()]
+    assert [(report["verdicts"], report["satisfied"]) for report in payload["reports"]] == expected
+    assert [(report["scenario"], report["rule"]) for report in payload["reports"]] == list(doc.requirements)
+
+
 def test_start_up_imports_no_dataclasses():
     """The CLI's value classes generate no code at import, so neither
     ``dataclasses`` nor the ``inspect`` it pulls in is loaded, and annotations

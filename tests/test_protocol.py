@@ -22,7 +22,7 @@ from nosignal import (
     signal_arrival,
 )
 from nosignal.audit import check_event, check_trace
-from nosignal.protocol import Run, check_slots
+from nosignal.protocol import Run, _execute, check_slots
 from oracles import mini_execute
 
 
@@ -350,6 +350,18 @@ def test_execute_matches_oracle_executor(world):
     for s in (s1, s2):
         requests = list(s)
         assert execute(cfg, s, strategy) == (s, *mini_execute(cfg.locations, cfg.horizon, requests, strategy))
+
+
+@given(worlds())
+@settings(max_examples=200, deadline=None)
+def test_runs_stepped_together_see_only_their_own_sends(world):
+    """The kernel steps every scenario's run at each slot, yet each trace is
+    the one ``execute`` and the oracle executor give that scenario alone."""
+    cfg, s1, s2, strategy = world
+    scenarios = (s1, s2, frozenset())
+    traces = _execute(cfg, scenarios, strategy)
+    assert traces == [execute(cfg, s, strategy) for s in scenarios]
+    assert traces == [(s, *mini_execute(cfg.locations, cfg.horizon, list(s), strategy)) for s in scenarios]
 
 
 # --- causal influence --------------------------------------------------------

@@ -251,6 +251,25 @@ def assert_mirror_keeps_outcome(cfg, tasks, requirements):
         assert outcomes[0] is outcomes[1]
 
 
+def assert_renaming_keeps_outcome(cfg, tasks, requirements):
+    """The document and its copy with the labs renamed by the bijection that
+    reverses their name order, each keeping its coordinate, reach the same
+    outcome kind wherever both decide within 5,000 branches. Menus and
+    ``cfg.agents`` list labs by name, so the copy steps them the other way
+    round."""
+    limits = SearchLimits(max_branches=5_000)
+    rename = dict(zip(cfg.agents, reversed(cfg.agents)))
+    renamed = (
+        SpacetimeConfig({rename[lab]: x for lab, x in cfg.locations.items()}, cfg.horizon),
+        [(frozenset((task, rename[lab], t) for task, lab, t in requests), rule) for requests, rule in requirements],
+        {task_id: ((rename[origin], rename[dest], at), tuple((rename[o], rename[d]) for o, d in bans))
+         for task_id, ((origin, dest, at), bans) in tasks.items()},
+    )
+    outcomes = [type(find_strategy(*doc, limits)) for doc in ((cfg, requirements, tasks), renamed)]
+    if Aborted not in outcomes:
+        assert outcomes[0] is outcomes[1]
+
+
 class TestMagician:
     """The paper's setting with n requesters: B may request any of n tasks
     of A, up to k of them at once. Found for k = 1, and for k >= 2 Found
@@ -288,6 +307,11 @@ class TestMagician:
     def test_the_mirror_keeps_the_outcome(self, n, slack, k):
         doc = load_config(json.dumps(magician(n, slack, k)))
         assert_mirror_keeps_outcome(doc.spacetime, doc.tasks, doc.resolve_requirements())
+
+    @pytest.mark.parametrize("n, slack, k", [member for member in MAGICIAN_DECIDED if member[0] <= 3])
+    def test_the_renaming_keeps_the_outcome(self, n, slack, k):
+        doc = load_config(json.dumps(magician(n, slack, k)))
+        assert_renaming_keeps_outcome(doc.spacetime, doc.tasks, doc.resolve_requirements())
 
 
 class TestCertificateSoundness:
@@ -497,6 +521,12 @@ def test_a_copied_requirement_keeps_the_outcome(instance, k):
 @settings(max_examples=150, deadline=None)
 def test_the_mirror_keeps_the_outcome(instance):
     assert_mirror_keeps_outcome(*instance)
+
+
+@given(small_instances())
+@settings(max_examples=150, deadline=None)
+def test_the_renaming_keeps_the_outcome(instance):
+    assert_renaming_keeps_outcome(*instance)
 
 
 @st.composite
